@@ -65,20 +65,18 @@ def kron_identity_left(m: int, u: AMatrix) -> AMatrix:
     n = u.rows
     q = u.cols
     for s, d in enumerate(u.spec.block_dims):
-        b = np.einsum("PQ,ijab->PiQjab", eye, u.blocks[s], optimize=True)
+        b = np.einsum("PQ,ijab->PiQjab", eye, u.blocks[s])
         out_blocks.append(b.reshape(m * n, m * q, d, d))
     return AMatrix(u.spec, m * n, m * q, out_blocks)
 
 
-def _aut_apply_matrix(alpha: Automorphism, x: AMatrix, inverse: bool = False) -> AMatrix:
+def _aut_apply_matrix(alpha: Automorphism, x: AMatrix) -> AMatrix:
     """Apply an automorphism of A entrywise to an AMatrix, vectorized."""
-    al = alpha.inverse() if inverse else alpha
-    pinv = al._perm_inv()
+    pinv = alpha._perm_inv()
     out = []
     for s in range(x.spec.n_blocks):
-        v = al.unitaries[s]
-        out.append(np.einsum("ab,pqbc,cd->pqad", v.conj().T, x.blocks[pinv[s]], v,
-                             optimize=True))
+        v = alpha.unitaries[s]
+        out.append(v.conj().T @ x.blocks[pinv[s]] @ v)
     return AMatrix(x.spec, x.rows, x.cols, out)
 
 
@@ -94,7 +92,10 @@ class CorrespondenceSpec:
     name: str = "custom"
     tol: Tolerances = DEFAULT_TOL
     _phi1_units: list = field(default=None, repr=False)
+    _alpha_invs: tuple = field(default=None, repr=False)
     _beta: Automorphism = field(default=None, repr=False)
+    _beta_inv: Automorphism = field(default=None, repr=False)
+    _lifted_units: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -106,8 +107,10 @@ class CorrespondenceSpec:
         if self.max_degree <= 0:
             self.max_degree = default_max_degree(self.n)
         self._phi1_units = self._build_phi1_units()
+        self._alpha_invs = tuple(al.inverse() for al in self.alphas)
         if self.n == 1:
             self._beta = self._effective_automorphism()
+            self._beta_inv = self._beta.inverse()
 
     # -- the left action ---------------------------------------------------
 
@@ -116,15 +119,6 @@ class CorrespondenceSpec:
         out = AMatrix.zeros(self.algebra, self.n, self.n)
         for i, al in enumerate(self.alphas):
             out.set_entry(i, i, al.apply(a))
-        return out
-
-    def alpha_hat(self, x: AMatrix) -> AMatrix:
-        """[delta_ij alpha_i^{-1}(x_ii)]; discards off-diagonal entries."""
-        if (x.rows, x.cols) != (self.n, self.n):
-            raise SpecMismatchError("alpha_hat expects an n x n matrix over A")
-        out = AMatrix.zeros(self.algebra, self.n, self.n)
-        for i, al in enumerate(self.alphas):
-            out.set_entry(i, i, al.apply(x.entry(i, i), inverse=True))
         return out
 
     def phi1(self, a: AElement) -> AMatrix:
@@ -145,21 +139,13 @@ class CorrespondenceSpec:
         return self._beta
 
     def _build_phi1_units(self):
-        """phi_1 images of the matrix-unit basis of A, arranged per block
-        pair for the vectorized entrywise amplification."""
-        units = [[None] * self.algebra.n_blocks for _ in range(self.algebra.n_blocks)]
-        imgs = {}
-        for s, u, v, e in self.algebra.basis():
-            imgs[(s, u, v)] = self.phi1(e)
-        for s, ds in enumerate(self.algebra.block_dims):
-            for t, dt in enumerate(self.algebra.block_dims):
-                # (ds, ds, n, n, dt, dt): image of e^s_{uv}, block t
-                arr = np.zeros((ds, ds, self.n, self.n, dt, dt), dtype=complex)
-                for u in range(ds):
-                    for v in range(ds):
-                        arr[u, v] = imgs[(s, u, v)].blocks[t]
-                units[s][t] = arr
-        return units
+        """phi_1 images of the matrix-unit basis of A, one matrix per target
+        block t: row (s, u, v) holds block t of phi_1(e^s_{uv}) as an
+        (n, n, d_t, d_t) array, flattened, so that entrywise amplification
+        is one matrix product per target block."""
+        imgs = [self.phi1(e) for _, _, _, e in self.algebra.basis()]
+        return [np.stack([img.blocks[t].ravel() for img in imgs])
+                for t in range(self.algebra.n_blocks)]
 
     # -- amplification -----------------------------------------------------
 
@@ -167,30 +153,34 @@ class CorrespondenceSpec:
         """x (x) I_E: apply phi_1 to every entry (inner index least significant)."""
         p, q = x.rows, x.cols
         n = self.n
+        # entries of x in the matrix-unit basis of A, columns ordered (s, u, v)
+        coords = np.concatenate([b.reshape(p * q, -1) for b in x.blocks], axis=1)
         out_blocks = []
         for t, dt in enumerate(self.algebra.block_dims):
-            acc = np.zeros((p, n, q, n, dt, dt), dtype=complex)
-            for s in range(self.algebra.n_blocks):
-                acc += np.einsum("PQuv,uvijce->PiQjce",
-                                 x.blocks[s], self._phi1_units[s][t], optimize=True)
-            out_blocks.append(acc.reshape(p * n, q * n, dt, dt))
+            img = (coords @ self._phi1_units[t]).reshape(p, q, n, n, dt, dt)
+            out_blocks.append(img.transpose(0, 2, 1, 3, 4, 5).reshape(p * n, q * n, dt, dt))
         return AMatrix(self.algebra, p * n, q * n, out_blocks)
 
     def amplify(self, x: AMatrix, k: int) -> AMatrix:
         """x (x) I_{E^k}.  Negative k is only meaningful for n = 1 (two-sided
         modules), where amplification is a power of the effective automorphism."""
         if self.n == 1:
-            out = x
-            beta = self.beta
-            inv = k < 0
+            beta = self._beta if k >= 0 else self._beta_inv
             for _ in range(abs(k)):
-                out = _aut_apply_matrix(beta, out, inverse=inv)
-            return out
+                x = _aut_apply_matrix(beta, x)
+            return x
         if k < 0:
             raise ConfigurationError("negative amplification requires n = 1")
         for _ in range(k):
             x = self.amplify1(x)
         return x
+
+    def _lifted_unitary(self, m: int) -> tuple[AMatrix, AMatrix]:
+        """(I_m (x) U, its adjoint), built once per m."""
+        if m not in self._lifted_units:
+            big_u = kron_identity_left(m, self.unitary)
+            self._lifted_units[m] = (big_u, big_u.adjoint())
+        return self._lifted_units[m]
 
     def phi_k(self, a: AElement, k: int) -> AMatrix:
         """The embedding A -> M_{n^k}(A); phi_0 = id."""

@@ -22,7 +22,7 @@ from .hilbert_mod import (
     inner,
     module_norm,
 )
-from .correspondence import CorrespondenceSpec, kron_identity_left
+from .correspondence import CorrespondenceSpec, _aut_apply_matrix
 
 __all__ = [
     "ex_trace",
@@ -58,17 +58,17 @@ def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
     if x.rows % n or x.rows != x.cols:
         raise SpecMismatchError("matrix side must be a multiple of n")
     m = x.rows // n
-    big_u = kron_identity_left(m, spec.unitary)
-    y = big_u @ x @ big_u.adjoint()     # Ad(I (x) U*) with Ad V = V* . V
-    out = AMatrix.zeros(spec.algebra, m, m)
-    inv_alphas = [al.inverse() for al in spec.alphas]
-    for p in range(m):
-        for q in range(m):
-            acc = spec.algebra.zero()
-            for i in range(n):
-                acc = acc + inv_alphas[i].apply(y.entry(p * n + i, q * n + i))
-            out.set_entry(p, q, acc * (1.0 / n))
-    return out
+    big_u, big_u_adj = spec._lifted_unitary(m)
+    y = big_u @ x @ big_u_adj     # Ad(I (x) U*) with Ad V = V* . V
+    acc = None
+    for i, inv_alpha in enumerate(spec._alpha_invs):
+        # the m x m matrix of entries (p n + i, q n + i)
+        diag = AMatrix(spec.algebra, m, m,
+                       [b.reshape(m, n, m, n, d, d)[:, i, :, i]
+                        for b, d in zip(y.blocks, spec.algebra.block_dims)])
+        term = _aut_apply_matrix(inv_alpha, diag)
+        acc = term if acc is None else acc + term
+    return acc * (1.0 / n)
 
 
 def ex_k(spec: CorrespondenceSpec, k: int, x: AMatrix) -> AElement:

@@ -177,16 +177,22 @@ class GradedOperator:
     @classmethod
     def from_amatrix(cls, spec: CorrespondenceSpec, window: FockWindow,
                      mat: AMatrix, drop_tol: float = 0.0) -> "GradedOperator":
+        """Split a window matrix into degree blocks, keeping those with an
+        entry of modulus above ``drop_tol``."""
         dims = [spec.fiber_dim(d) for d in window.degrees()]
         offs = np.concatenate([[0], np.cumsum(dims)])
         out = cls(spec, window)
         degs = list(window.degrees())
-        for a, i in enumerate(degs):
-            for b, j in enumerate(degs):
-                sub = mat.submatrix(slice(int(offs[a]), int(offs[a + 1])),
-                                    slice(int(offs[b]), int(offs[b + 1])))
-                if sub.max_abs() > drop_tol:
-                    out.set_block(i, j, sub)
+        # entries above drop_tol, then OR-reduced over each degree's rows and columns
+        big = np.logical_or.reduce([(np.abs(b) > drop_tol).any(axis=(2, 3))
+                                    for b in mat.blocks])
+        starts = offs[:-1]
+        keep = np.logical_or.reduceat(np.logical_or.reduceat(big, starts, axis=0),
+                                      starts, axis=1)
+        for a, b in zip(*np.nonzero(keep)):
+            sub = mat.submatrix(slice(int(offs[a]), int(offs[a + 1])),
+                                slice(int(offs[b]), int(offs[b + 1])))
+            out.set_block(degs[a], degs[b], sub)
         return out
 
     def norm(self, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -8,10 +8,14 @@ a faithful unital *-homomorphism onto block-diagonal complex matrices.
 Complete positivity of linear maps between such flattened matrix spaces is
 certified either by assembling Choi matrices per algebra block (exact, for
 small sides) or by a randomized positivity probe (necessary condition only).
+Eigenvalues are solved exactly per connected component of the matrix's
+nonzero pattern (these Choi matrices are almost diagonal), and serialized
+on a grid derived from ``psd_tol`` so reports do not depend on BLAS threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,9 +138,15 @@ class AMatrix:
         if self.cols != other.rows:
             raise SpecMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [np.einsum("pqab,qrbc->prac", a, b, optimize=True)
-               for a, b in zip(self.blocks, other.blocks)]
-        return AMatrix(self.spec, self.rows, other.cols, out)
+        p, q, r = self.rows, self.cols, other.cols
+        out = []
+        for a, b in zip(self.blocks, other.blocks):
+            d = a.shape[-1]
+            # the flattened (p d, q d) @ (q d, r d) product, one BLAS call
+            flat = (a.transpose(0, 2, 1, 3).reshape(p * d, q * d)
+                    @ b.transpose(0, 2, 1, 3).reshape(q * d, r * d))
+            out.append(flat.reshape(p, d, r, d).transpose(0, 2, 1, 3))
+        return AMatrix(self.spec, p, r, out)
 
     def adjoint(self) -> "AMatrix":
         out = [np.conj(np.transpose(b, (1, 0, 3, 2))) for b in self.blocks]
@@ -145,11 +155,9 @@ class AMatrix:
     def scale_element(self, a: AElement, side: str = "right") -> "AMatrix":
         """Entrywise multiply by a in A (module action for column vectors)."""
         if side == "right":
-            out = [np.einsum("pqab,bc->pqac", b, e, optimize=True)
-                   for b, e in zip(self.blocks, a.blocks)]
+            out = [b @ e for b, e in zip(self.blocks, a.blocks)]
         else:
-            out = [np.einsum("ab,pqbc->pqac", e, b, optimize=True)
-                   for e, b in zip(a.blocks, self.blocks)]
+            out = [e @ b for e, b in zip(a.blocks, self.blocks)]
         return AMatrix(self.spec, self.rows, self.cols, out)
 
     # -- flattening and metrics -------------------------------------------
@@ -186,7 +194,7 @@ class AMatrix:
         return out
 
     def norm(self, tol: Tolerances = DEFAULT_TOL) -> float:
-        return max(spectral_norm(self.flatten_block(s), tol.norm_rel_tol)
+        return max(spectral_norm(self.flatten_block(s))
                    for s in range(self.spec.n_blocks))
 
     def max_abs(self) -> float:
@@ -200,36 +208,14 @@ class AMatrix:
         return self.rows == self.cols and (self - self.adjoint()).max_abs() <= tol.eq_tol
 
     def is_positive(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        for s in range(self.spec.n_blocks):
-            m = self.flatten_block(s)
-            m = (m + m.conj().T) / 2
-            if np.linalg.eigvalsh(m).min() < -tol.psd_tol:
-                return False
-        return True
+        return self.is_hermitian(tol) and self.min_eig() >= -tol.psd_tol
 
     def min_eig(self) -> float:
-        vals = []
-        for s in range(self.spec.n_blocks):
-            m = self.flatten_block(s)
-            vals.append(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        return float(min(vals))
+        return min(_hermitian_min_eig(self.flatten_block(s))[0]
+                   for s in range(self.spec.n_blocks))
 
     def __repr__(self):
         return f"AMatrix({self.rows}x{self.cols}, dims={self.spec.block_dims})"
-
-
-def amat_arithmetic(x: AMatrix, y: AMatrix | None, op: str, scalar: complex = 1.0) -> AMatrix:
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x @ y
-    if op == "adjoint":
-        return x.adjoint()
-    if op == "scale":
-        return x * scalar
-    raise ConfigurationError(f"unknown op {op!r}")
 
 
 def inner(xi: AMatrix, eta: AMatrix) -> AElement:
@@ -264,15 +250,59 @@ class CPReport:
     norm_bound: float          # ||Phi(1)||, an upper bound on ||Phi||_cb for CP maps
     passed: bool
     detail: str = ""
+    tol: Tolerances = DEFAULT_TOL
 
     def to_dict(self):
         return {
             "method": self.method,
-            "min_eig": self.min_eigenvalue,
+            "min_eig": _psd_grid(self.min_eigenvalue, self.tol.psd_tol),
             "unital_defect": self.unital_defect,
             "norm_bound": self.norm_bound,
             "pass": bool(self.passed),
         }
+
+
+def _psd_grid(value: float, psd_tol: float) -> float:
+    """``value`` rounded three decimal places below ``psd_tol`` (to 1e-11 for
+    1e-8), -0.0 read as 0.0: LAPACK's last digits vary with the BLAS thread
+    count.  Verdicts use the unrounded value."""
+    digits = 3 - math.floor(math.log10(psd_tol))
+    return round(value, digits) + 0.0
+
+
+def _hermitian_min_eig(mat: np.ndarray) -> tuple[float, float]:
+    """(min eigenvalue of (M + M*)/2, max |M - M*|), one eigen-solve per
+    connected component of the symmetrized nonzero pattern of M.  Exact: a
+    symmetric permutation makes M block diagonal, and every entry between
+    two components is zero in both M and M*."""
+    link = mat != 0
+    link |= link.T
+    np.fill_diagonal(link, False)
+    alone = ~link.any(axis=1)
+    diag = mat.diagonal()[alone]
+    min_eig = float(diag.real.min()) if diag.size else np.inf
+    herm_dev = float(2 * np.abs(diag.imag).max()) if diag.size else 0.0
+    for idx in _components(link, ~alone):
+        sub = mat[np.ix_(idx, idx)]
+        sub_adj = sub.conj().T
+        herm_dev = max(herm_dev, float(np.max(np.abs(sub - sub_adj))))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh((sub + sub_adj) / 2)[0]))
+    return min_eig, herm_dev
+
+
+def _components(link: np.ndarray, todo: np.ndarray):
+    """Index arrays of the connected components of the graph with symmetric
+    boolean adjacency ``link`` that contain a vertex marked in ``todo``."""
+    todo = todo.copy()
+    while todo.any():
+        members = np.zeros_like(todo)
+        members[np.argmax(todo)] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = link[frontier].any(axis=0) & ~members
+            members |= frontier
+        todo &= ~members
+        yield np.flatnonzero(members)
 
 
 class ChoiCapExceeded(RuntimeError):
@@ -369,21 +399,18 @@ def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
         if m * c > choi_cap:
             raise ChoiCapExceeded(
                 f"Choi side {m * c} exceeds cap {choi_cap}; use positivity_probe")
-    images = table.basis_images()
     min_eig = np.inf
     herm_dev = 0.0
-    for arr in images:
+    for arr in table.basis_images():
         m = arr.shape[0]
         choi = arr.transpose(0, 2, 1, 3).reshape(m * c, m * c)
-        herm_dev = max(herm_dev, float(np.max(np.abs(choi - choi.conj().T))))
-        ev = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-        min_eig = min(min_eig, float(ev.min()))
-    one_img = table.apply_flat(table.domain_identity())
-    unital_defect = spectral_norm(one_img - table.codomain_identity(), tol.norm_rel_tol)
-    norm_bound = spectral_norm(one_img, tol.norm_rel_tol)
+        eig, dev = _hermitian_min_eig(choi)
+        min_eig = min(min_eig, eig)
+        herm_dev = max(herm_dev, dev)
+    unital_defect, norm_bound = _unit_image_norms(table)
     passed = (herm_dev <= 1e-7) and (min_eig >= -tol.psd_tol)
-    return CPReport("choi", float(min_eig), float(unital_defect), float(norm_bound),
-                    passed, detail=f"hermitian_dev={herm_dev:.3e}")
+    return CPReport("choi", float(min_eig), unital_defect, norm_bound,
+                    passed, detail=f"hermitian_dev={herm_dev:.3e}", tol=tol)
 
 
 def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int,
@@ -412,14 +439,18 @@ def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int,
         for a in range(k):
             for b in range(k):
                 out[a * c:(a + 1) * c, b * c:(b + 1) * c] = table.apply_flat(cells[a][b])
-        out = (out + out.conj().T) / 2
-        worst = min(worst, float(np.linalg.eigvalsh(out).min()))
-    one_img = table.apply_flat(table.domain_identity())
-    unital_defect = spectral_norm(one_img - table.codomain_identity(), tol.norm_rel_tol)
-    norm_bound = spectral_norm(one_img, tol.norm_rel_tol)
+        worst = min(worst, _hermitian_min_eig(out)[0])
+    unital_defect, norm_bound = _unit_image_norms(table)
     passed = worst >= -tol.psd_tol
-    return CPReport("probe", float(worst), float(unital_defect), float(norm_bound),
-                    passed, detail=f"k={k} trials={trials}")
+    return CPReport("probe", float(worst), unital_defect, norm_bound,
+                    passed, detail=f"k={k} trials={trials}", tol=tol)
+
+
+def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
+    """(||Phi(1) - 1||, ||Phi(1)||): the unital defect and the norm bound."""
+    one_img = table.apply_flat(table.domain_identity())
+    return (spectral_norm(one_img - table.codomain_identity()),
+            spectral_norm(one_img))
 
 
 def cp_check_auto(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pimsner_lab
 from pimsner_lab.cli import RunConfig, _parse_n_range, main, run, serialize
 from pimsner_lab.star_core import ConfigurationError
 from pimsner_lab.presets import build_preset
@@ -107,6 +112,24 @@ def test_byte_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_certificate_bytes_stable_across_blas_threads():
+    """CP eigenvalues are serialized on a grid derived from psd_tol, so the
+    last-digit drift of LAPACK across BLAS thread counts does not reach the
+    report."""
+    src = Path(pimsner_lab.__file__).resolve().parent.parent
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pimsner_lab.cli", "certificate",
+             "--preset", "twisted2", "--N", "2..4"],
+            env=env, capture_output=True, timeout=600, check=False)
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+        texts.append(proc.stdout)
+    assert texts[0] == texts[1]
 
 
 def test_unwritable_out_exit_two():

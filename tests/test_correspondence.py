@@ -41,7 +41,8 @@ def test_phi_recursion_nests_both_ways():
 
 
 def test_phi_k_against_independent_path(spec):
-    """The cached-einsum amplification and the explicit I (x) U product
+    """The amplification by one matrix product per target block (from the
+    phi_1 images of matrix units) and the explicit I (x) U product
     construction must agree exactly."""
     a = sample(spec.algebra, "element", 29)
     for k in (1, 2, 3):

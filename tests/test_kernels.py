@@ -1,0 +1,212 @@
+"""Structure-aware kernels against their dense or loop reference forms:
+the per-component eigen-solve, the vectorized window scan, the flattened
+matrix product, entrywise amplification and the serialized CP grid."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pimsner_lab.star_core import DEFAULT_TOL, make_algebra, sample
+from pimsner_lab.hilbert_mod import (
+    AMatrix,
+    CPReport,
+    _hermitian_min_eig,
+    _psd_grid,
+)
+from pimsner_lab.fock import FockWindow, GradedOperator
+from pimsner_lab.presets import PRESETS, build_preset
+
+
+def dense_reference(mat):
+    herm = (mat + mat.conj().T) / 2
+    return (float(np.linalg.eigvalsh(herm).min()),
+            float(np.max(np.abs(mat - mat.conj().T))))
+
+
+def hidden_blocks(sizes, seed, shift=0.0, path=False):
+    """Random Hermitian blocks of the given sizes, summed directly and then
+    hidden by a random symmetric permutation.  With ``path`` each block is
+    tridiagonal, so its indices are linked only through a chain."""
+    rng = np.random.default_rng(seed)
+    side = sum(sizes)
+    mat = np.zeros((side, side), dtype=complex)
+    off = 0
+    for m in sizes:
+        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        if path:
+            z = np.triu(np.tril(z, 1), -1)
+        mat[off:off + m, off:off + m] = (z + z.conj().T) / 2 + shift * np.eye(m)
+        off += m
+    perm = rng.permutation(side)
+    return mat[np.ix_(perm, perm)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.integers(0, 10_000),
+       st.booleans())
+def test_components_match_dense_eigvalsh(sizes, seed, path):
+    mat = hidden_blocks(sizes, seed, path=path)
+    min_eig, dev = _hermitian_min_eig(mat)
+    want_eig, want_dev = dense_reference(mat)
+    assert abs(min_eig - want_eig) <= 1e-12 * max(1.0, np.abs(mat).max() * len(mat))
+    assert dev == want_dev == 0.0
+
+
+def test_negative_eigenvalue_in_a_one_by_one_component():
+    mat = hidden_blocks([3, 1, 4], 7, shift=20.0)
+    lone = np.flatnonzero((mat != 0).sum(axis=1) == 1)
+    assert len(lone) == 1
+    mat[lone[0], lone[0]] = -0.25
+    min_eig, _ = _hermitian_min_eig(mat)
+    assert min_eig == -0.25
+    assert min_eig == pytest.approx(dense_reference(mat)[0], abs=1e-13)
+
+
+def test_negative_eigenvalue_in_a_larger_component():
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1; the rest is positive
+    mat = np.diag([5.0, 1.0, 6.0, 1.0, 7.0]).astype(complex)
+    mat[1, 3] = mat[3, 1] = 2.0
+    min_eig, dev = _hermitian_min_eig(mat)
+    assert min_eig == pytest.approx(-1.0, abs=1e-14)
+    assert dev == 0.0
+
+
+def test_zero_rows_contribute_eigenvalue_zero():
+    mat = np.diag([2.0, 0.0, 3.0]).astype(complex)
+    assert _hermitian_min_eig(mat)[0] == 0.0
+
+
+def test_non_hermitian_deviation_equals_dense_formula():
+    mat = hidden_blocks([2, 3, 1, 1], 11)
+    lone = np.flatnonzero((mat != 0).sum(axis=1) == 1)
+    other = np.flatnonzero((mat != 0).sum(axis=1) > 1)
+    assert len(lone) == 2
+    # a non-Hermitian entry inside a component
+    i, j = np.argwhere(mat[np.ix_(other, other)] != 0)[1]
+    mat[other[i], other[j]] += 0.3 + 0.1j
+    # an imaginary part on the diagonal of a one-index component
+    mat[lone[0], lone[0]] += 0.7j
+    # an entry joining two components in one direction only
+    mat[other[0], lone[1]] = 0.4
+    min_eig, dev = _hermitian_min_eig(mat)
+    want_eig, want_dev = dense_reference(mat)
+    assert dev == want_dev
+    assert min_eig == pytest.approx(want_eig, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# window scan
+# ---------------------------------------------------------------------------
+
+def per_pair_support(spec, window, mat, drop_tol):
+    """The scan from_amatrix replaces: max_abs on every degree pair."""
+    dims = [spec.fiber_dim(d) for d in window.degrees()]
+    offs = np.concatenate([[0], np.cumsum(dims)])
+    degs = list(window.degrees())
+    kept = []
+    for a, i in enumerate(degs):
+        for b, j in enumerate(degs):
+            sub = mat.submatrix(slice(int(offs[a]), int(offs[a + 1])),
+                                slice(int(offs[b]), int(offs[b + 1])))
+            if sub.max_abs() > drop_tol:
+                kept.append((i, j))
+    return kept
+
+
+@pytest.mark.parametrize("preset, window", [
+    ("twisted2", FockWindow.one_sided(3)),
+    ("crossed-z3", FockWindow.two_sided_sym(2)),
+    ("rotation-m2", FockWindow.one_sided(3)),
+])
+def test_from_amatrix_keeps_the_per_pair_support(preset, window):
+    spec = build_preset(preset)
+    total = sum(spec.fiber_dim(d) for d in window.degrees())
+    rng = np.random.default_rng(5)
+    drop_tol = 0.5
+    mat = AMatrix.zeros(spec.algebra, total, total)
+    for b in mat.blocks:
+        # sparse entries below, at and above drop_tol
+        hit = rng.random(b.shape) < 0.05
+        b[hit] = rng.choice([0.2, drop_tol, 0.9, -drop_tol * 1j], size=hit.sum())
+    # the corner degree pair holds one entry exactly at the threshold
+    corner = spec.fiber_dim(window.hi)
+    for b in mat.blocks:
+        b[:spec.fiber_dim(window.lo), total - corner:] = 0.0
+    mat.blocks[0][0, total - 1, 0, 0] = drop_tol
+    for tol in (0.0, drop_tol):
+        got = GradedOperator.from_amatrix(spec, window, mat, drop_tol=tol)
+        assert list(got.blocks) == per_pair_support(spec, window, mat, tol)
+        assert ((window.lo, window.hi) in got.blocks) == (tol < drop_tol)
+        assert (got.to_amatrix() - mat).max_abs() <= tol
+
+
+# ---------------------------------------------------------------------------
+# products and amplification
+# ---------------------------------------------------------------------------
+
+def random_amatrix(algebra, rows, cols, seed):
+    grid = [[sample(algebra, "element", seed + 97 * i + j)
+             for j in range(cols)] for i in range(rows)]
+    return AMatrix.from_elements(grid)
+
+
+def test_matmul_equals_flattened_block_products():
+    algebra = make_algebra([3, 1, 2])
+    x = random_amatrix(algebra, 4, 3, 1)
+    y = random_amatrix(algebra, 3, 5, 2)
+    prod = x @ y
+    assert (prod.rows, prod.cols) == (4, 5)
+    for s in range(algebra.n_blocks):
+        want = x.flatten_block(s) @ y.flatten_block(s)
+        assert np.max(np.abs(prod.flatten_block(s) - want)) < 1e-13
+    for i in range(4):
+        for j in range(5):
+            entry = sum((x.entry(i, k) @ y.entry(k, j) for k in range(1, 3)),
+                        x.entry(i, 0) @ y.entry(0, j))
+            assert prod.entry(i, j).allclose(entry, 1e-12)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_amplify_matches_phi_k_direct(preset):
+    """amplify(phi_j(a), k) = phi_{j+k}(a), with phi_{j+k} from the
+    independent I (x) U construction."""
+    spec = build_preset(preset)
+    a = sample(spec.algebra, "element", 41)
+    for j, k in ((0, 1), (1, 1), (1, 2), (2, 1)):
+        lhs = spec.amplify(spec.phi_k_direct(a, j), k)
+        assert (lhs - spec.phi_k_direct(a, j + k)).max_abs() < 1e-12
+
+
+def test_cached_inverses_and_lifted_unitary():
+    spec = build_preset("twisted2")
+    a = sample(spec.algebra, "element", 3)
+    for al, inv in zip(spec.alphas, spec._alpha_invs):
+        assert inv.apply(al.apply(a)).allclose(a, 1e-12)
+    big_u, big_u_adj = spec._lifted_unitary(4)
+    assert spec._lifted_unitary(4)[0] is big_u
+    assert (big_u @ big_u_adj - AMatrix.eye(spec.algebra, 8)).max_abs() < 1e-12
+    z3 = build_preset("crossed-z3")
+    x = AMatrix.from_element(sample(z3.algebra, "element", 5))
+    assert (z3.amplify(z3.amplify(x, 3), -3) - x).max_abs() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# serialized CP values
+# ---------------------------------------------------------------------------
+
+def test_psd_grid_rounds_and_drops_negative_zero():
+    tol = DEFAULT_TOL.psd_tol
+    assert _psd_grid(0.4968867638626171, tol) == _psd_grid(0.49688676386261754, tol)
+    assert _psd_grid(-7.9e-16, tol) == 0.0
+    assert np.copysign(1.0, _psd_grid(-7.9e-16, tol)) == 1.0
+    assert abs(_psd_grid(0.123456789012345, tol) - 0.123456789012345) <= tol / 1000
+
+
+def test_cp_verdict_uses_the_unrounded_value():
+    tol = DEFAULT_TOL
+    just_below = -tol.psd_tol * (1 + 1e-6)
+    rep = CPReport("choi", just_below, 0.0, 1.0,
+                   passed=just_below >= -tol.psd_tol, tol=tol)
+    d = rep.to_dict()
+    assert d["pass"] is False
+    assert d["min_eig"] == _psd_grid(just_below, tol.psd_tol)

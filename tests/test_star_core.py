@@ -93,6 +93,12 @@ def test_spectral_norm_edge_cases():
     assert abs(spectral_norm(np.eye(4)) - 1.0) < 1e-10
 
 
+def test_spectral_norm_regression_symmetric_pair():
+    """The all-ones vector is an eigenvector of M*M with eigenvalue 1 here,
+    so a power iteration started from it stops at 1.0."""
+    assert abs(spectral_norm(np.array([[1.5, -0.5], [-0.5, 1.5]])) - 2.0) < 1e-14
+
+
 def test_tolerances_must_be_positive():
     with pytest.raises(ConfigurationError):
         Tolerances(eq_tol=0.0)
