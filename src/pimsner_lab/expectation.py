@@ -14,15 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .star_core import AElement, ConfigurationError, DEFAULT_TOL, SpecMismatchError, sample
-from .hilbert_mod import (
-    AMatrix,
-    LinearMapTable,
-    cp_check_auto,
-    inner,
-    module_norm,
-)
-from .correspondence import CorrespondenceSpec, _aut_apply_matrix
+from .star_core import AElement, SpecMismatchError, sample
+from .hilbert_mod import AMatrix, LinearMapTable, cp_check_auto
+from .correspondence import CorrespondenceSpec
 
 __all__ = [
     "ex_trace",
@@ -66,7 +60,7 @@ def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
         diag = AMatrix(spec.algebra, m, m,
                        [b.reshape(m, n, m, n, d, d)[:, i, :, i]
                         for b, d in zip(y.blocks, spec.algebra.block_dims)])
-        term = _aut_apply_matrix(inv_alpha, diag)
+        term = inv_alpha.apply(diag)
         acc = term if acc is None else acc + term
     return acc * (1.0 / n)
 

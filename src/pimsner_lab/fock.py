@@ -2,9 +2,12 @@
 
 A :class:`GradedOperator` is a block operator on a degree window of the
 (one- or two-sided) Fock module, blocks keyed by degree pairs and stored
-sparsely.  Creation and Toeplitz operators are graded-banded and
-degree-monotone, so every block whose degrees lie inside the window equals
-its untruncated value; truncation error shows up only as absent blocks.
+sparsely.  Every operator the pipelines touch is a band, blocks
+(r+k, s+k) = x (x) I_{E^k}: :func:`band_powers` is the one place that
+amplifies along a band, and :func:`band_op` builds the band on a window
+(creation and Toeplitz operators are bands).  Bands are degree-monotone, so
+every block whose degrees lie inside the window equals its untruncated
+value; truncation error shows up only as absent blocks.
 
 The pipelines are the compressions phi_N(x) = P_N x P_N followed by the
 averaged amplifications Psi_N(x) = (N+1)^{-1} sum_k x (x) I_{E^k} (the sum
@@ -30,6 +33,8 @@ __all__ = [
     "GradedOperator",
     "TailSymbol",
     "SchurRow",
+    "band_powers",
+    "band_op",
     "creation_op",
     "toeplitz_op",
     "compress",
@@ -195,17 +200,22 @@ class GradedOperator:
             out.set_block(degs[a], degs[b], sub)
         return out
 
-    def norm(self, tol: Tolerances = DEFAULT_TOL) -> float:
+    def restrict(self, window: FockWindow) -> "GradedOperator":
+        """The blocks whose degrees both lie in ``window``, as an operator on
+        that window."""
+        lo, hi = window.lo, window.hi
+        return GradedOperator(self.spec, window,
+                              {(i, j): v for (i, j), v in self.blocks.items()
+                               if lo <= i <= hi and lo <= j <= hi})
+
+    def norm(self) -> float:
         if not self.blocks:
             return 0.0
-        return self.to_amatrix().norm(tol)
+        return self.to_amatrix().norm()
 
     def max_block_dev(self, other: "GradedOperator") -> float:
         self._check(other)
-        dev = 0.0
-        for key in set(self.blocks) | set(other.blocks):
-            dev = max(dev, (self.block(*key) - other.block(*key)).max_abs())
-        return dev
+        return self.shared_block_dev(other)
 
     def shared_block_dev(self, other: "GradedOperator") -> float:
         """Deviation on degree pairs representable in both windows."""
@@ -227,50 +237,55 @@ class GradedOperator:
 # generators
 # ---------------------------------------------------------------------------
 
-def creation_op(spec: CorrespondenceSpec, xi: AMatrix, window: FockWindow) -> GradedOperator:
-    """t_xi: eta -> xi (x) eta, blocks (k+1, k) only."""
+def band_powers(amplify, x: AMatrix, k_lo: int, k_hi: int):
+    """Yield (k, x (x) I_{E^k}) for k = 0..k_hi, then for k = -1 down to k_lo.
+
+    Each value is one ``amplify(., +-1)`` step from the one before, which
+    keeps deep bands cheap.  ``amplify`` is any ``(x, k)`` amplification:
+    :meth:`CorrespondenceSpec.amplify`, or the extended module's
+    ``amplify_inf`` (which is one-sided, so ``k_lo`` must be 0)."""
+    cur = x
+    for k in range(0, k_hi + 1):
+        if k:
+            cur = amplify(cur, 1)
+        yield k, cur
+    cur = x
+    for k in range(-1, k_lo - 1, -1):
+        cur = amplify(cur, -1)
+        yield k, cur
+
+
+def band_op(spec: CorrespondenceSpec, x: AMatrix, r: int, s: int,
+            window: FockWindow) -> GradedOperator:
+    """The band with blocks (r+k, s+k) = x (x) I_{E^k} at every offset whose
+    degrees both lie in the window: k >= 0 on one-sided windows, every
+    representable k on two-sided ones."""
     _check_window(spec, window)
-    if xi.cols != 1 or xi.rows != spec.fiber_dim(1):
-        raise SpecMismatchError("creation vector must lie in E")
+    if not (window.lo <= min(r, s) and max(r, s) <= window.hi):
+        raise ConfigurationError(f"band degrees ({r},{s}) outside window")
+    k_lo = window.lo - min(r, s) if window.two_sided else 0
     out = GradedOperator(spec, window)
-    for k in window.degrees():
-        if k + 1 > window.hi:
-            continue
-        out.set_block(k + 1, k, spec.amplify(xi, k))
+    for k, xk in band_powers(spec.amplify, x, k_lo, window.hi - max(r, s)):
+        out.set_block(r + k, s + k, xk)
     return out
+
+
+def creation_op(spec: CorrespondenceSpec, xi: AMatrix, window: FockWindow,
+                r: int = 1) -> GradedOperator:
+    """t_xi: eta -> xi (x) eta for xi in E^r, blocks (r+k, k)."""
+    if xi.cols != 1 or xi.rows != spec.fiber_dim(r):
+        raise SpecMismatchError(f"creation vector must lie in E^{r}")
+    return band_op(spec, xi, r, 0, window)
 
 
 def toeplitz_op(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
                 window: FockWindow, r: int | None = None,
                 s: int | None = None) -> GradedOperator:
-    """t_mu t_nu* (one-sided) or s_mu s_nu* (two-sided): the banded operator
-    with blocks (r+k, s+k) = e_{mu,nu} (x) I_{E^k}."""
-    _check_window(spec, window)
+    """t_mu t_nu* (one-sided) or s_mu s_nu* (two-sided): the band of
+    e_{mu,nu} at degrees (r, s)."""
     r = spec._degree_of(mu.rows) if r is None else r
     s = spec._degree_of(nu.rows) if s is None else s
-    if r > window.hi or s > window.hi:
-        raise ConfigurationError("generator degree exceeds window")
-    e = rank_one(mu, nu)
-    out = GradedOperator(spec, window)
-    lo = window.lo if window.two_sided else 0
-    # incremental amplification keeps the cost of deep bands manageable
-    cur = e
-    cur_k = 0
-    for k in range(0, window.hi - max(r, s) + 1):
-        if k > cur_k:
-            cur = spec.amplify(cur, 1)
-            cur_k = k
-        if r + k >= window.lo and s + k >= window.lo:
-            out.set_block(r + k, s + k, cur)
-    if window.two_sided:
-        cur = e
-        for k in range(-1, -(window.hi - window.lo) - 1, -1):
-            if r + k < window.lo or s + k < window.lo:
-                break
-            cur = spec.amplify(cur, -1)
-            if r + k <= window.hi and s + k <= window.hi:
-                out.set_block(r + k, s + k, cur)
-    return out
+    return band_op(spec, rank_one(mu, nu), r, s, window)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +296,7 @@ def compress(x: GradedOperator, big_n: int) -> GradedOperator:
     """phi_N(x) = P_N x P_N, keeping blocks with both degrees in [0, N]."""
     if not (0 <= big_n <= x.window.hi):
         raise ConfigurationError(f"N={big_n} out of range for window")
-    out = GradedOperator(x.spec, x.window)
-    for (i, j), val in x.blocks.items():
-        if 0 <= i <= big_n and 0 <= j <= big_n:
-            out.set_block(i, j, val)
-    return out
+    return x.restrict(FockWindow.one_sided(big_n)).restrict(x.window)
 
 
 def psi_amplify(x: GradedOperator, big_n: int) -> GradedOperator:
@@ -299,25 +310,10 @@ def psi_amplify(x: GradedOperator, big_n: int) -> GradedOperator:
             raise ConfigurationError("input support must lie within [0, N]^2")
     out = GradedOperator(x.spec, window)
     weight = 1.0 / (big_n + 1)
-    k_lo = window.lo - big_n if window.two_sided else 0
-    k_hi = window.hi
     for (i, j), val in x.blocks.items():
-        cur = val
-        cur_k = 0
-        for k in range(0, k_hi + 1):
-            if i + k > window.hi or j + k > window.hi:
-                break
-            if k > cur_k:
-                cur = x.spec.amplify(cur, 1)
-                cur_k = k
-            out.add_block(i + k, j + k, cur * weight)
-        if window.two_sided:
-            cur = val
-            for k in range(-1, k_lo - 1, -1):
-                if i + k < window.lo or j + k < window.lo:
-                    break
-                cur = x.spec.amplify(cur, -1)
-                out.add_block(i + k, j + k, cur * weight)
+        k_lo = window.lo - min(i, j) if window.two_sided else 0
+        for k, vk in band_powers(x.spec.amplify, val, k_lo, window.hi - max(i, j)):
+            out.add_block(i + k, j + k, vk * weight)
     return out
 
 
@@ -402,28 +398,17 @@ def _measure_coefficient(block: AMatrix, reference: AMatrix, eq_tol: float):
     return c.real if abs(c.imag) < 1e-12 else c, resid
 
 
-def _schur_measure(spec: CorrespondenceSpec, pipeline_out: GradedOperator,
-                   e: AMatrix, big_n: int, r: int, s: int, sided: str,
-                   offsets, tol: Tolerances):
+def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
+                   big_n: int, window: FockWindow, r: int, s: int, sided: str,
+                   tol: Tolerances):
+    """Psi_N o phi_N on the band of e_{mu,nu}, with one Schur row per band
+    offset: the output block measured against the band block itself."""
+    top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
+    out = psi_amplify(compress(top, big_n), big_n)
     rows = []
-    refs = {}
-    cur = e
-    cur_k = 0
-    for l in sorted(o for o in offsets if o >= 0):
-        while cur_k < l:
-            cur = spec.amplify(cur, 1)
-            cur_k += 1
-        refs[l] = cur
-    cur = e
-    cur_k = 0
-    for l in sorted((o for o in offsets if o < 0), reverse=True):
-        while cur_k > l:
-            cur = spec.amplify(cur, -1)
-            cur_k -= 1
-        refs[l] = cur
-    for l in sorted(offsets):
-        block = pipeline_out.block(r + l, s + l)
-        c, resid = _measure_coefficient(block, refs[l], tol.eq_tol)
+    for (i, j), ref in sorted(top.blocks.items()):
+        l = i - r
+        c, resid = _measure_coefficient(out.block(i, j), ref, tol.eq_tol)
         if resid > max(tol.eq_tol, 1e-8):
             raise ValueError(
                 f"pipeline output at offset {l} is not proportional to the "
@@ -432,21 +417,18 @@ def _schur_measure(spec: CorrespondenceSpec, pipeline_out: GradedOperator,
         measured = float(np.real(c))
         rows.append(SchurRow(big_n, r, s, l, expected, measured,
                              abs(measured - float(expected)), sided))
-    return rows
+    return out, rows
 
 
 def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
         window: FockWindow, r: int | None = None, s: int | None = None,
         tol: Tolerances = DEFAULT_TOL):
     """One-sided pipeline Psi_N o phi_N on t_mu t_nu*, with measured Schur rows."""
+    if window.two_sided:
+        raise ConfigurationError("one-sided pipeline needs a one-sided window")
     r = spec._degree_of(mu.rows) if r is None else r
     s = spec._degree_of(nu.rows) if s is None else s
-    top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
-    out = psi_amplify(compress(top, big_n), big_n)
-    offsets = range(0, window.hi - max(r, s) + 1)
-    rows = _schur_measure(spec, out, rank_one(mu, nu), big_n, r, s, "one",
-                          offsets, tol)
-    return out, rows
+    return _schur_measure(spec, mu, nu, big_n, window, r, s, "one", tol)
 
 
 def w_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
@@ -457,13 +439,7 @@ def w_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
         raise ConfigurationError("two-sided pipeline requires n = 1")
     if not window.two_sided:
         raise ConfigurationError("two-sided pipeline needs a two-sided window")
-    top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
-    out = psi_amplify(compress(top, big_n), big_n)
-    offsets = [l for l in range(window.lo - min(r, s), window.hi + 1)
-               if window.lo <= r + l <= window.hi and window.lo <= s + l <= window.hi]
-    rows = _schur_measure(spec, out, rank_one(mu, nu), big_n, r, s, "two",
-                          offsets, tol)
-    return out, rows
+    return _schur_measure(spec, mu, nu, big_n, window, r, s, "two", tol)
 
 
 def tail_compare(x: GradedOperator, t: TailSymbol, tol: Tolerances = DEFAULT_TOL):
@@ -472,27 +448,13 @@ def tail_compare(x: GradedOperator, t: TailSymbol, tol: Tolerances = DEFAULT_TOL
     Returns (max deviation at offsets >= stabilization, sorted list of
     offsets below stabilization where blocks deviate from the tail constant:
     the compact part)."""
-    window = x.window
     stab = t.stabilization_offset()
-    r, s = t.r, t.s
-    lo = window.lo - min(r, s) if window.two_sided else 0
-    hi = window.hi - max(r, s)
     tail_dev = 0.0
     compact = []
-    cur = {0: t.e}
-    ref = t.e
-    for l in range(1, hi + 1):
-        ref = x.spec.amplify(ref, 1)
-        cur[l] = ref
-    ref = t.e
-    for l in range(-1, lo - 1, -1):
-        ref = x.spec.amplify(ref, -1)
-        cur[l] = ref
-    for l in range(lo, hi + 1):
-        if not (window.lo <= r + l <= window.hi and window.lo <= s + l <= window.hi):
-            continue
-        block = x.block(r + l, s + l)
-        dev_tail = (block - cur[l] * float(t.tail)).max_abs()
+    band = band_op(x.spec, t.e, t.r, t.s, x.window)
+    for (i, j), ref in band.blocks.items():
+        l = i - t.r
+        dev_tail = (x.block(i, j) - ref * float(t.tail)).max_abs()
         if l >= stab:
             tail_dev = max(tail_dev, dev_tail)
         if dev_tail > tol.eq_tol:

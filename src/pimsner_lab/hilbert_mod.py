@@ -193,7 +193,7 @@ class AMatrix:
             co += cols * d
         return out
 
-    def norm(self, tol: Tolerances = DEFAULT_TOL) -> float:
+    def norm(self) -> float:
         return max(spectral_norm(self.flatten_block(s))
                    for s in range(self.spec.n_blocks))
 
@@ -233,9 +233,9 @@ def rank_one(mu: AMatrix, nu: AMatrix) -> AMatrix:
     return mu @ nu.adjoint()
 
 
-def module_norm(xi: AMatrix, tol: Tolerances = DEFAULT_TOL) -> float:
+def module_norm(xi: AMatrix) -> float:
     """Hilbert module norm ||<xi,xi>||^(1/2)."""
-    return float(np.sqrt(max(inner(xi, xi).norm(tol), 0.0)))
+    return float(np.sqrt(max(inner(xi, xi).norm(), 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,9 @@ def _complex_array(data) -> np.ndarray:
 
 def load_config(path: str) -> CorrespondenceSpec:
     """Build a correspondence from a JSON config file."""
-    with open(path) as fh:
-        cfg = json.load(fh)
     try:
+        with open(path) as fh:
+            cfg = json.load(fh)
         algebra = AlgebraSpec(tuple(int(d) for d in cfg["block_dims"]))
         n = int(cfg["n"])
         alphas = []
@@ -134,12 +134,12 @@ def load_config(path: str) -> CorrespondenceSpec:
         else:
             unitary = _unitary_from_blocks(
                 algebra, n, [_complex_array(b) for b in u_cfg])
+        return CorrespondenceSpec(
+            algebra=algebra, n=n, unitary=unitary, alphas=tuple(alphas),
+            max_degree=int(cfg.get("max_degree", 0)),
+            name=str(cfg.get("name", "custom")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config {path}: {exc}") from exc
-    return CorrespondenceSpec(
-        algebra=algebra, n=n, unitary=unitary, alphas=tuple(alphas),
-        max_degree=int(cfg.get("max_degree", 0)),
-        name=str(cfg.get("name", "custom")))
 
 
 def load_spec(preset: str | None, config: str | None) -> CorrespondenceSpec:

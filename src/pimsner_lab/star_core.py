@@ -144,7 +144,7 @@ class AElement:
             off += d
         return out
 
-    def norm(self, tol: Tolerances = DEFAULT_TOL) -> float:
+    def norm(self) -> float:
         return max(spectral_norm(b) for b in self.blocks)
 
     def is_hermitian(self, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -167,9 +167,8 @@ class AElement:
         return f"AElement(dims={self.spec.block_dims})"
 
 
-def spectral_norm(mat: np.ndarray, rel_tol: float = DEFAULT_TOL.norm_rel_tol) -> float:
-    """Largest singular value by LAPACK's SVD (``rel_tol`` is accepted for
-    existing callers; the SVD needs no tolerance)."""
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value, by LAPACK's SVD."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return 0.0
@@ -224,16 +223,18 @@ class Automorphism:
             tuple(self.unitaries[self.perm[s]].conj().T for s in range(self.spec.n_blocks)),
         )
 
-    def apply(self, x: AElement, inverse: bool = False) -> "AElement":
+    def apply(self, x, inverse: bool = False):
+        """alpha(x) for an AElement, or entrywise for an AMatrix: each block
+        conjugated on its trailing (d, d) axes."""
         if x.spec != self.spec:
             raise SpecMismatchError("element over a different algebra")
         alpha = self.inverse() if inverse else self
         pinv = alpha._perm_inv()
-        out = []
-        for s in range(self.spec.n_blocks):
-            v = alpha.unitaries[s]
-            out.append(v.conj().T @ x.blocks[pinv[s]] @ v)
-        return AElement(self.spec, out)
+        out = [v.conj().T @ x.blocks[pinv[s]] @ v
+               for s, v in enumerate(alpha.unitaries)]
+        if isinstance(x, AElement):
+            return AElement(self.spec, out)
+        return type(x)(x.spec, x.rows, x.cols, out)
 
     def apply_power(self, x: AElement, k: int) -> "AElement":
         """alpha^k(x) for k in Z."""

@@ -51,6 +51,21 @@ def test_bad_config_exit_two(tmp_path):
     assert main(["validate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"block_dims": [1], "n": 2,',            # not valid JSON
+    json.dumps({"block_dims": [1], "n": 2, "max_degree": "x",
+                "alphas": [{"perm": [0]}, {"perm": [0]}]}),
+], ids=["invalid-json", "non-integer-max-degree"])
+def test_unreadable_config_is_configuration_error(tmp_path, capsys, text):
+    """A config that cannot be parsed is a configuration error (exit 2), not
+    a violation (exit 1)."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config") and "violation" not in err
+
+
 def test_corrupted_unitary_exit_one(tmp_path, capsys):
     """A single injected violation (U scaled by 2) flips exit to 1."""
     cfg = tmp_path / "bad_u.json"
@@ -112,6 +127,39 @@ def test_byte_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _assert_report_matches(got, want, tol, path="$"):
+    """Keys, strings, ints and bools exactly; a number that is a float on
+    either side to within ``tol``."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            _assert_report_matches(got[key], want[key], tol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for idx, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, tol, f"{path}[{idx}]")
+    elif isinstance(want, float) or isinstance(got, float):
+        assert type(got) in (int, float) and type(want) in (int, float), path
+        assert abs(got - want) <= tol, (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("preset", ["cuntz2", "crossed-z3"])
+def test_report_matches_golden(tmp_path, preset):
+    """The whole ``report`` at N = 2, 3 against a committed golden file (written
+    by this same run/serialize call), to within eq_tol, so the comparison does
+    not depend on the BLAS build or the CPU."""
+    spec = build_preset(preset)
+    bundle = run("report", RunConfig(spec=spec, n_values=(2, 3)),
+                 created="2000-01-01")
+    out = tmp_path / "report.json"
+    serialize(bundle, "json", str(out))
+    golden = Path(__file__).parent / "data" / f"report-{preset}.json"
+    _assert_report_matches(json.loads(out.read_text()),
+                           json.loads(golden.read_text()), spec.tol.eq_tol)
 
 
 def test_certificate_bytes_stable_across_blas_threads():

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimsner_lab.star_core import ConfigurationError
+from pimsner_lab.star_core import ConfigurationError, sample
 from pimsner_lab.hilbert_mod import AMatrix, rank_one
 from pimsner_lab.fock import (
     FockWindow,
     GradedOperator,
     TailSymbol,
+    band_op,
+    band_powers,
     compress,
     creation_op,
     printed_coefficient,
@@ -24,7 +26,7 @@ from pimsner_lab.fock import (
     w_n,
 )
 from pimsner_lab.hilbert_mod import choi_cp_check
-from pimsner_lab.presets import build_preset
+from pimsner_lab.presets import PRESETS, build_preset
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +135,63 @@ def test_cuntz_relation(cuntz):
 
 
 # ---------------------------------------------------------------------------
+# the band primitive
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_band_powers_equal_direct_amplification(preset):
+    """Every incremental power equals spec.amplify(x, k) computed from x in
+    one call, including the negative powers of the bimodule case."""
+    spec = build_preset(preset)
+    x = AMatrix.from_element(sample(spec.algebra, "element", 7))
+    k_lo = -3 if spec.n == 1 else 0
+    got = list(band_powers(spec.amplify, x, k_lo, 3))
+    assert [k for k, _ in got] == [0, 1, 2, 3] + list(range(-1, k_lo - 1, -1))
+    for k, xk in got:
+        assert (xk - spec.amplify(x, k)).max_abs() == 0.0, k
+
+
+@pytest.mark.parametrize("preset, window, r, s", [
+    ("cuntz2", FockWindow.one_sided(5), 2, 0),
+    ("cuntz2", FockWindow.one_sided(5), 1, 3),
+    ("crossed-z3", FockWindow.one_sided(4), 3, 1),
+    ("crossed-z3", FockWindow.two_sided_sym(4), 3, 1),
+    ("crossed-z3", FockWindow(-2, 5), 0, 2),
+])
+def test_band_op_support(preset, window, r, s):
+    spec = build_preset(preset)
+    x = rank_one(spec.sample_vector(r, 1), spec.sample_vector(s, 2))
+    ks = range(-20, 21) if window.two_sided else range(0, 21)
+    want = {(r + k, s + k) for k in ks
+            if window.lo <= r + k <= window.hi and window.lo <= s + k <= window.hi}
+    assert set(band_op(spec, x, r, s, window).blocks) == want
+    with pytest.raises(ConfigurationError):
+        band_op(spec, x, r, window.hi + 1, window)
+
+
+def test_creation_op_two_sided_carries_negative_offsets(z3):
+    w = FockWindow.two_sided_sym(3)
+    xi = z3.sample_vector(1, 5)
+    t = creation_op(z3, xi, w, r=1)
+    assert sorted(t.blocks) == [(k + 1, k) for k in range(-3, 3)]
+    for k in range(-3, 3):
+        assert (t.block(k + 1, k) - z3.amplify(xi, k)).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("target", [FockWindow.one_sided(2), FockWindow(0, 6),
+                                    FockWindow(-1, 1), FockWindow.two_sided_sym(5)])
+def test_restrict_keeps_blocks_inside_window(z3, target):
+    w = FockWindow.two_sided_sym(4)
+    t = toeplitz_op(z3, z3.sample_vector(2, 1), z3.sample_vector(0, 2), w, r=2, s=0)
+    got = t.restrict(target)
+    assert got.window == target
+    inside = [key for key in t.blocks
+              if all(target.lo <= d <= target.hi for d in key)]
+    assert list(got.blocks) == inside
+    assert all(got.blocks[key] is t.blocks[key] for key in inside)
+
+
+# ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
 
@@ -161,6 +220,9 @@ def test_w_n_uniform_and_unital(z3):
     _, rows = w_n(z3, mu, nu, 4, w, r=3, s=1)
     assert all(abs(r.measured - 0.6) < 1e-12 for r in rows)
     assert len({round(r.measured, 12) for r in rows}) == 1
+    # the one-sided pipeline refuses a two-sided window
+    with pytest.raises(ConfigurationError):
+        v_n(z3, mu, nu, 4, w, r=3, s=1)
 
 
 def test_compress_support(cuntz):

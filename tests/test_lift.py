@@ -77,6 +77,20 @@ def test_pi_i_is_representation(cuntz):
     assert all(i >= 1 and i == j for (i, j) in pi_i(cuntz, 1, t1, w).blocks)
 
 
+@pytest.mark.parametrize("preset, i, window", [
+    ("cuntz2", 0, FockWindow.one_sided(3)),
+    ("cuntz2", 2, FockWindow.one_sided(4)),
+    ("crossed-z3", 1, FockWindow.two_sided_sym(3)),
+    ("crossed-z3", 3, FockWindow(-2, 3)),
+])
+def test_pi_i_support_starts_at_degree_i(preset, i, window):
+    """pi_i acts on degrees >= i only, on two-sided windows too."""
+    spec = build_preset(preset)
+    t = _sample_matrix(spec, spec.fiber_dim(i), 61)
+    assert sorted(pi_i(spec, i, t, window).blocks) == \
+        [(j, j) for j in range(i, window.hi + 1)]
+
+
 def test_unit_lift_reduces_to_toeplitz(cuntz):
     """With b = c = 1 the lifted generator collapses to t_mu t_nu*."""
     w = FockWindow.one_sided(5)
