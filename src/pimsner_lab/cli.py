@@ -9,7 +9,8 @@ expectation  conditional-expectation tower axioms per level
 certificate  CPAP certificates over an N range
 report       all of the above in one bundle
 
-Exit codes: 0 all suites pass, 1 any violation, 2 configuration error.
+Exit codes: 0 all suites pass, 1 any violation, 2 configuration error,
+3 internal error (operands that do not fit together, a failed LAPACK call).
 Output is byte-stable for a fixed (config, seed, tool version): floats are
 printed with 17 significant digits, rationals as integer num/den pairs, and
 runtime statistics are kept out of the serialized payload.
@@ -26,7 +27,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .star_core import ConfigurationError
+import numpy as np
+
+from .star_core import ConfigurationError, SpecMismatchError
 from .correspondence import CorrespondenceSpec, ValidationError
 from .fock import FockWindow, SchurRow, v_n, w_n
 from .expectation import _sample_matrix, verify_cond_exp
@@ -382,6 +385,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
+    except (SpecMismatchError, np.linalg.LinAlgError) as exc:
+        # ValueErrors too, but a crash, not a mathematical violation
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1

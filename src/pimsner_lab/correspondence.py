@@ -143,12 +143,16 @@ class CorrespondenceSpec:
         """x (x) I_E: apply phi_1 to every entry (inner index least significant)."""
         p, q = x.rows, x.cols
         n = self.n
-        # entries of x in the matrix-unit basis of A, columns ordered (s, u, v)
-        coords = np.concatenate([b.reshape(p * q, -1) for b in x.blocks], axis=1)
+        lead = x.stack_shape
+        # entries of x in the matrix-unit basis of A, columns ordered (s, u, v);
+        # the rows of a stack's elements follow one another
+        coords = np.concatenate([b.reshape(-1, d * d) for b, d in
+                                 zip(x.blocks, self.algebra.block_dims)], axis=1)
         out_blocks = []
         for t, dt in enumerate(self.algebra.block_dims):
-            img = (coords @ self._phi1_units[t]).reshape(p, q, n, n, dt, dt)
-            out_blocks.append(img.transpose(0, 2, 1, 3, 4, 5).reshape(p * n, q * n, dt, dt))
+            img = (coords @ self._phi1_units[t]).reshape(-1, q, n, n, dt, dt)
+            out_blocks.append(img.transpose(0, 2, 1, 3, 4, 5).reshape(
+                lead + (p * n, q * n, dt, dt)))
         return AMatrix(self.algebra, p * n, q * n, out_blocks)
 
     def amplify(self, x: AMatrix, k: int) -> AMatrix:

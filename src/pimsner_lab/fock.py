@@ -78,6 +78,13 @@ def _check_window(spec: CorrespondenceSpec, window: FockWindow):
         raise ConfigurationError("two-sided Fock modules require n = 1")
 
 
+def _degree_offsets(spec: CorrespondenceSpec, window: FockWindow) -> np.ndarray:
+    """Row offsets of the window's degrees in the window matrix over A, with
+    the total side last."""
+    dims = [spec.fiber_dim(d) for d in window.degrees()]
+    return np.concatenate([[0], np.cumsum(dims)])
+
+
 class GradedOperator:
     """Block operator on a Fock window; absent keys are zero blocks."""
 
@@ -167,30 +174,37 @@ class GradedOperator:
     # -- metrics -----------------------------------------------------------
 
     def to_amatrix(self) -> AMatrix:
-        """Assemble the window into one square AMatrix over A."""
-        dims = [self.spec.fiber_dim(d) for d in self.window.degrees()]
-        offs = np.concatenate([[0], np.cumsum(dims)])
+        """Assemble the window into one square AMatrix over A (a stack of
+        them when the blocks are stacks)."""
+        offs = _degree_offsets(self.spec, self.window)
         total = int(offs[-1])
-        out = AMatrix.zeros(self.spec.algebra, total, total)
+        lead = next(iter(self.blocks.values())).stack_shape if self.blocks else ()
+        alg = self.spec.algebra
+        out = AMatrix(alg, total, total,
+                      [np.zeros(lead + (total, total, d, d), dtype=complex)
+                       for d in alg.block_dims])
         lo = self.window.lo
         for (i, j), val in self.blocks.items():
             ro, co = int(offs[i - lo]), int(offs[j - lo])
-            for s in range(out.spec.n_blocks):
-                out.blocks[s][ro:ro + val.rows, co:co + val.cols] = val.blocks[s]
+            for s in range(alg.n_blocks):
+                out.blocks[s][..., ro:ro + val.rows, co:co + val.cols, :, :] = \
+                    val.blocks[s]
         return out
 
     @classmethod
     def from_amatrix(cls, spec: CorrespondenceSpec, window: FockWindow,
                      mat: AMatrix, drop_tol: float = 0.0) -> "GradedOperator":
         """Split a window matrix into degree blocks, keeping those with an
-        entry of modulus above ``drop_tol``."""
-        dims = [spec.fiber_dim(d) for d in window.degrees()]
-        offs = np.concatenate([[0], np.cumsum(dims)])
+        entry of modulus above ``drop_tol``.  A stack of window matrices
+        gives blocks that are stacks, kept where any element needs them."""
+        offs = _degree_offsets(spec, window)
         out = cls(spec, window)
         degs = list(window.degrees())
-        # entries above drop_tol, then OR-reduced over each degree's rows and columns
-        big = np.logical_or.reduce([(np.abs(b) > drop_tol).any(axis=(2, 3))
-                                    for b in mat.blocks])
+        # entries above drop_tol, then OR-reduced over the stack, each
+        # degree's rows and columns
+        big = np.logical_or.reduce([
+            (np.abs(b) > drop_tol).reshape(-1, mat.rows, mat.cols, b.shape[-1] ** 2)
+            .any(axis=(0, 3)) for b in mat.blocks])
         starts = offs[:-1]
         keep = np.logical_or.reduceat(np.logical_or.reduceat(big, starts, axis=0),
                                       starts, axis=1)
@@ -303,7 +317,8 @@ def psi_amplify(x: GradedOperator, big_n: int) -> GradedOperator:
     """Psi_N(x) = (N+1)^{-1} sum_k x (x) I_{E^k} over representable shifts.
 
     One-sided windows sum k >= 0; two-sided windows sum over all integers
-    (which makes the map unital)."""
+    (which makes the map unital).  Blocks that are stacks are averaged
+    element by element."""
     window = x.window
     for (i, j) in x.blocks:
         if not (0 <= i <= big_n and 0 <= j <= big_n):
@@ -462,17 +477,37 @@ def tail_compare(x: GradedOperator, t: TailSymbol, tol: Tolerances = DEFAULT_TOL
     return tail_dev, sorted(compact)
 
 
+# ---------------------------------------------------------------------------
+# the pipeline maps on stacks of flattened window operators
+# ---------------------------------------------------------------------------
+
+def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
+                 window_out: FockWindow, fn, name: str = "") -> LinearMapTable:
+    """A map of graded operators, ``fn`` (window_in -> window_out), as a
+    linear map on flattened window algebras.  Each ``apply`` hands ``fn`` the
+    whole stack as one operator whose blocks are stacks."""
+    _check_window(spec, window_in)
+    _check_window(spec, window_out)
+    alg = spec.algebra
+    t_in, t_out = (int(_degree_offsets(spec, w)[-1]) for w in (window_in, window_out))
+    sides = tuple(t_out * d for d in alg.block_dims)
+
+    def apply(stack):
+        x = GradedOperator.from_amatrix(
+            spec, window_in, AMatrix.from_flat(alg, t_in, t_in, stack))
+        y = fn(x)
+        if not y.blocks:  # the whole stack maps to zero
+            return np.zeros((len(stack), sum(sides), sum(sides)), dtype=complex)
+        return y.to_amatrix().flatten()
+
+    return LinearMapTable(tuple(t_in * d for d in alg.block_dims), sides, apply,
+                          name=name)
+
+
 def pipeline_table(spec: CorrespondenceSpec, window: FockWindow, big_n: int,
                    name: str = "") -> LinearMapTable:
     """The window-restricted pipeline as a linear map on the flattened window
     algebra, for CP certification."""
-    _check_window(spec, window)
-    total = sum(spec.fiber_dim(d) for d in window.degrees())
-
-    def fn(mat: AMatrix) -> AMatrix:
-        g = GradedOperator.from_amatrix(spec, window, mat)
-        return psi_amplify(compress(g, big_n), big_n).to_amatrix()
-
-    return LinearMapTable.from_amatrix_map(
-        spec.algebra, total, spec.algebra, total, fn,
-        name=name or f"pipeline(N={big_n})")
+    return window_table(spec, window, window,
+                        lambda x: psi_amplify(compress(x, big_n), big_n),
+                        name=name or f"pipeline(N={big_n})")

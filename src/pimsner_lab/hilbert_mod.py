@@ -44,7 +44,13 @@ CHOI_CAP = 4096
 
 
 class AMatrix:
-    """p x q matrix over A, stored per algebra block as a (p, q, d, d) array."""
+    """p x q matrix over A, stored per algebra block as a (p, q, d, d) array.
+
+    The block arrays may carry leading axes, (..., p, q, d, d): a stack of
+    p x q matrices.  Sums, scalar multiples, ``submatrix``, ``flatten``,
+    ``from_flat`` and the amplifications of a correspondence act on every
+    element of a stack; products, adjoints and the metrics take one matrix.
+    """
 
     __slots__ = ("spec", "rows", "cols", "blocks")
 
@@ -53,9 +59,15 @@ class AMatrix:
         self.rows = rows
         self.cols = cols
         self.blocks = [np.asarray(b, dtype=complex) for b in blocks]
+        ndim = self.blocks[0].ndim if self.blocks else 4
         for b, d in zip(self.blocks, spec.block_dims):
-            if b.shape != (rows, cols, d, d):
+            if b.shape[-4:] != (rows, cols, d, d) or b.ndim != ndim:
                 raise SpecMismatchError(f"block array {b.shape} != {(rows, cols, d, d)}")
+
+    @property
+    def stack_shape(self) -> tuple:
+        """The leading axes of a stack; () for one matrix."""
+        return self.blocks[0].shape[:-4]
 
     # -- constructors ------------------------------------------------------
 
@@ -100,8 +112,8 @@ class AMatrix:
             self.blocks[s][i, j] = e.blocks[s]
 
     def submatrix(self, row_slice, col_slice) -> "AMatrix":
-        bs = [b[row_slice, col_slice] for b in self.blocks]
-        return AMatrix(self.spec, bs[0].shape[0], bs[0].shape[1], bs)
+        bs = [b[..., row_slice, col_slice, :, :] for b in self.blocks]
+        return AMatrix(self.spec, bs[0].shape[-4], bs[0].shape[-3], bs)
 
     def copy(self) -> "AMatrix":
         return AMatrix(self.spec, self.rows, self.cols, [b.copy() for b in self.blocks])
@@ -164,34 +176,37 @@ class AMatrix:
 
     def flatten_block(self, s: int) -> np.ndarray:
         d = self.spec.block_dims[s]
-        b = np.transpose(self.blocks[s], (0, 2, 1, 3))
-        return b.reshape(self.rows * d, self.cols * d)
+        b = self.blocks[s].swapaxes(-3, -2)
+        return b.reshape(self.stack_shape + (self.rows * d, self.cols * d))
 
     def flatten(self) -> np.ndarray:
-        """Direct sum over algebra blocks of the (p d_s) x (q d_s) matrices."""
+        """Direct sum over algebra blocks of the (p d_s) x (q d_s) matrices
+        (a stack of them for a stack)."""
         mats = [self.flatten_block(s) for s in range(self.spec.n_blocks)]
-        r = sum(m.shape[0] for m in mats)
-        c = sum(m.shape[1] for m in mats)
-        out = np.zeros((r, c), dtype=complex)
+        r = sum(m.shape[-2] for m in mats)
+        c = sum(m.shape[-1] for m in mats)
+        out = np.zeros(self.stack_shape + (r, c), dtype=complex)
         ro = co = 0
         for m in mats:
-            out[ro:ro + m.shape[0], co:co + m.shape[1]] = m
-            ro += m.shape[0]
-            co += m.shape[1]
+            out[..., ro:ro + m.shape[-2], co:co + m.shape[-1]] = m
+            ro += m.shape[-2]
+            co += m.shape[-1]
         return out
 
     @classmethod
     def from_flat(cls, spec: AlgebraSpec, rows: int, cols: int, flat: np.ndarray) -> "AMatrix":
-        """Inverse of :meth:`flatten` (off-diagonal junk between blocks is dropped)."""
-        out = cls.zeros(spec, rows, cols)
+        """Inverse of :meth:`flatten` (off-diagonal junk between blocks is
+        dropped); a stack of flat matrices gives a stack."""
+        lead = flat.shape[:-2]
+        blocks = []
         ro = co = 0
-        for s, d in enumerate(spec.block_dims):
-            m = flat[ro:ro + rows * d, co:co + cols * d]
-            out.blocks[s] = np.transpose(
-                m.reshape(rows, d, cols, d), (0, 2, 1, 3)).astype(complex)
+        for d in spec.block_dims:
+            m = flat[..., ro:ro + rows * d, co:co + cols * d]
+            blocks.append(m.reshape(lead + (rows, d, cols, d)).swapaxes(-3, -2)
+                          .astype(complex))
             ro += rows * d
             co += cols * d
-        return out
+        return cls(spec, rows, cols, blocks)
 
     def norm(self) -> float:
         return max(spectral_norm(self.flatten_block(s))
@@ -315,32 +330,31 @@ class LinearMapTable:
 
     The flattened domain is a direct sum of full matrix algebras with sides
     ``domain_sides``; a map is completely positive iff each block restriction
-    is, which is what the Choi assembly checks.  ``apply_flat`` evaluates the
-    map on an arbitrary block-diagonal element; the basis-image table is
-    built lazily and only when a Choi check asks for it.
+    is, which is what the Choi assembly checks.  ``apply`` evaluates the map
+    on a stack of block-diagonal elements, ``(B, n, n) -> (B, c, c)``.
     """
 
-    def __init__(self, domain_sides, codomain_sides, apply_flat, name: str = ""):
+    def __init__(self, domain_sides, codomain_sides, apply, name: str = ""):
         self.domain_sides = tuple(int(m) for m in domain_sides)
         self.codomain_sides = tuple(int(m) for m in codomain_sides)
-        self._apply = apply_flat
+        self._apply = apply
         self.name = name
-        self._images = None  # list per domain block: (m, m, C, C) arrays
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_amatrix_map(cls, spec: AlgebraSpec, p: int,
                          out_spec: AlgebraSpec, q: int, fn, name: str = ""):
-        """Wrap a map AMatrix(p x p over spec) -> AMatrix(q x q over out_spec)."""
+        """Wrap a map AMatrix(p x p over spec) -> AMatrix(q x q over out_spec),
+        applied to a stack one element at a time."""
         dom = tuple(p * d for d in spec.block_dims)
         cod = tuple(q * d for d in out_spec.block_dims)
 
-        def apply_flat(flat):
-            x = AMatrix.from_flat(spec, p, p, flat)
-            return fn(x).flatten()
+        def apply(stack):
+            return np.stack([fn(AMatrix.from_flat(spec, p, p, flat)).flatten()
+                             for flat in stack])
 
-        return cls(dom, cod, apply_flat, name=name)
+        return cls(dom, cod, apply, name=name)
 
     @property
     def domain_dim(self) -> int:
@@ -350,8 +364,12 @@ class LinearMapTable:
     def codomain_dim(self) -> int:
         return sum(self.codomain_sides)
 
+    def apply(self, stack: np.ndarray) -> np.ndarray:
+        """The map on each element of a stack: (B, n, n) -> (B, c, c)."""
+        return self._apply(stack)
+
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
-        return self._apply(flat)
+        return self._apply(flat[None])[0]
 
     def domain_identity(self) -> np.ndarray:
         return np.eye(self.domain_dim, dtype=complex)
@@ -360,35 +378,36 @@ class LinearMapTable:
         return np.eye(self.codomain_dim, dtype=complex)
 
     def basis_images(self):
-        """Images of the matrix-unit basis, grouped per domain block."""
-        if self._images is not None:
-            return self._images
-        images = []
-        off = 0
+        """Images of the matrix-unit basis, one domain block at a time: an
+        (m, m, C, C) array whose [u, v] is the image of e_uv, built with one
+        ``apply`` per row u.  It is a view of storage in Choi order, so the
+        Choi matrix is a reshape that copies nothing; each block is released
+        before the next one is built."""
         n = self.domain_dim
         c = self.codomain_dim
+        off = 0
         for m in self.domain_sides:
-            arr = np.zeros((m, m, c, c), dtype=complex)
+            choi = np.empty((m, c, m, c), dtype=complex)
+            units = np.zeros((m, n, n), dtype=complex)
+            cols = np.arange(m)
             for u in range(m):
-                for v in range(m):
-                    e = np.zeros((n, n), dtype=complex)
-                    e[off + u, off + v] = 1.0
-                    arr[u, v] = self._apply(e)
-            images.append(arr)
+                units[cols, off + u, off + cols] = 1.0
+                choi[u] = self.apply(units).transpose(1, 0, 2)
+                units[cols, off + u, off + cols] = 0.0
+            yield choi.transpose(0, 2, 1, 3)
+            del choi
             off += m
-        self._images = images
-        return images
 
     def compose(self, inner_map: "LinearMapTable", name: str = "") -> "LinearMapTable":
         if inner_map.codomain_sides != self.domain_sides:
             raise SpecMismatchError("composition shape chain mismatch")
         outer = self
 
-        def apply_flat(flat):
-            return outer._apply(inner_map._apply(flat))
+        def apply(stack):
+            return outer._apply(inner_map._apply(stack))
 
         return LinearMapTable(inner_map.domain_sides, self.codomain_sides,
-                              apply_flat, name=name or f"{self.name}*{inner_map.name}")
+                              apply, name=name or f"{self.name}*{inner_map.name}")
 
 
 def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
@@ -405,6 +424,7 @@ def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
         m = arr.shape[0]
         choi = arr.transpose(0, 2, 1, 3).reshape(m * c, m * c)
         eig, dev = _hermitian_min_eig(choi)
+        del arr, choi  # one block's images alive at a time
         min_eig = min(min_eig, eig)
         herm_dev = max(herm_dev, dev)
     unital_defect, norm_bound = _unit_image_norms(table)
@@ -424,22 +444,18 @@ def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int,
     worst = np.inf
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        # random positive element of (direct sum domain) tensor M_k
-        cells = [[np.zeros((n, n), dtype=complex) for _ in range(k)] for _ in range(k)]
+        # a random positive element of (direct sum domain) (x) M_k, as the
+        # stack of its k^2 cells (a, b), each a block-diagonal domain element
+        cells = np.zeros((k * k, n, n), dtype=complex)
         off = 0
         for m in table.domain_sides:
             z = rng.standard_normal((m * k, m * k)) + 1j * rng.standard_normal((m * k, m * k))
             x = z.conj().T @ z / (m * k)
-            for a in range(k):
-                for b in range(k):
-                    cells[a][b][off:off + m, off:off + m] = \
-                        x[a * m:(a + 1) * m, b * m:(b + 1) * m]
+            cells[:, off:off + m, off:off + m] = \
+                x.reshape(k, m, k, m).transpose(0, 2, 1, 3).reshape(k * k, m, m)
             off += m
-        out = np.zeros((c * k, c * k), dtype=complex)
-        for a in range(k):
-            for b in range(k):
-                out[a * c:(a + 1) * c, b * c:(b + 1) * c] = table.apply_flat(cells[a][b])
-        worst = min(worst, _hermitian_min_eig(out)[0])
+        out = table.apply(cells).reshape(k, k, c, c).transpose(0, 2, 1, 3)
+        worst = min(worst, _hermitian_min_eig(out.reshape(k * c, k * c))[0])
     unital_defect, norm_bound = _unit_image_norms(table)
     passed = worst >= -tol.psd_tol
     return CPReport("probe", float(worst), unital_defect, norm_bound,

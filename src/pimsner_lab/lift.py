@@ -46,6 +46,7 @@ from .fock import (
     toeplitz_op,
     v_n,
     w_n,
+    window_table,
 )
 
 __all__ = [
@@ -278,7 +279,8 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     band of the one-sided generator (offsets k >= 0) the compression equals
     t_mu t_nu* on the nose; offsets -min(r,s) <= k < 0 survive as finitely
     many extra blocks (they are compact, and vanish in the quotient), which
-    the report lists rather than hiding."""
+    the report lists rather than hiding.  The band is checked against
+    blocks built by :meth:`CorrespondenceSpec.phi_k_direct`."""
     if spec.n != 1:
         raise ConfigurationError("bimodule lift requires n = 1")
     if not two_sided.two_sided:
@@ -286,11 +288,13 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     one_sided = FockWindow.one_sided(two_sided.hi)
     bilateral = toeplitz_op(spec, mu, nu, two_sided, r=r, s=s)
     lifted = bilateral.restrict(one_sided)
-    target = toeplitz_op(spec, mu, nu, one_sided, r=r, s=s)
+    # the one-sided band e (x) I_{E^k} from phi_k_direct, which shares no
+    # code with the amplification that built the bilateral band
+    e = rank_one(mu, nu).entry(0, 0)
     band_dev = 0.0
     for k in range(0, one_sided.hi - max(r, s) + 1):
         band_dev = max(band_dev,
-                       (lifted.block(r + k, s + k) - target.block(r + k, s + k)).max_abs())
+                       (lifted.block(r + k, s + k) - spec.phi_k_direct(e, k)).max_abs())
     # extra blocks are indexed by their (negative) band offset
     extra = sorted({j - s for (i, j) in lifted.blocks
                     if i - r == j - s and j - s < 0
@@ -311,16 +315,8 @@ def compression_table(spec: CorrespondenceSpec, two_sided: FockWindow,
                       name: str = "") -> LinearMapTable:
     """x -> PxP from the flattened two-sided window onto the one-sided part."""
     one_sided = FockWindow.one_sided(two_sided.hi)
-    total_two = sum(spec.fiber_dim(d) for d in two_sided.degrees())
-    total_one = sum(spec.fiber_dim(d) for d in one_sided.degrees())
-
-    def fn(mat: AMatrix) -> AMatrix:
-        g = GradedOperator.from_amatrix(spec, two_sided, mat)
-        return g.restrict(one_sided).to_amatrix()
-
-    return LinearMapTable.from_amatrix_map(spec.algebra, total_two,
-                                           spec.algebra, total_one, fn,
-                                           name=name or "bilateral-compression")
+    return window_table(spec, two_sided, one_sided, lambda g: g.restrict(one_sided),
+                        name=name or "bilateral-compression")
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +389,13 @@ class CPAPCertificate:
 def factor_tables(spec: CorrespondenceSpec, window: FockWindow, big_n: int):
     """The two factor maps of the pipeline: compress into the window algebra
     of [0, N] (a matrix algebra over A) and amplify back."""
-    degs = list(window.degrees())
-    total = sum(spec.fiber_dim(d) for d in degs)
     inner_window = FockWindow.one_sided(big_n)
     d_total = sum(spec.fiber_dim(d) for d in inner_window.degrees())
-
-    def down(mat: AMatrix) -> AMatrix:
-        g = GradedOperator.from_amatrix(spec, window, mat)
-        return g.restrict(inner_window).to_amatrix()
-
-    def up(mat: AMatrix) -> AMatrix:
-        g = GradedOperator.from_amatrix(spec, inner_window, mat)
-        return psi_amplify(g.restrict(window), big_n).to_amatrix()
-
-    phi = LinearMapTable.from_amatrix_map(spec.algebra, total, spec.algebra,
-                                          d_total, down, name=f"compress(N={big_n})")
-    psi = LinearMapTable.from_amatrix_map(spec.algebra, d_total, spec.algebra,
-                                          total, up, name=f"amplify(N={big_n})")
+    phi = window_table(spec, window, inner_window, lambda g: g.restrict(inner_window),
+                       name=f"compress(N={big_n})")
+    psi = window_table(spec, inner_window, window,
+                       lambda g: psi_amplify(g.restrict(window), big_n),
+                       name=f"amplify(N={big_n})")
     return phi, psi, d_total
 
 

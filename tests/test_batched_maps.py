@@ -1,0 +1,149 @@
+"""The batched factor maps against the one-element path through
+GradedOperator, and batched application against application one element
+at a time, on all four presets and on one correspondence whose degree
+blocks and algebra blocks are both wider than one (which no preset has)."""
+
+import numpy as np
+import pytest
+
+from pimsner_lab.star_core import AlgebraSpec, Automorphism
+from pimsner_lab.correspondence import CorrespondenceSpec
+from pimsner_lab.hilbert_mod import AMatrix
+from pimsner_lab.fock import (
+    FockWindow,
+    GradedOperator,
+    compress,
+    pipeline_table,
+    psi_amplify,
+)
+from pimsner_lab.lift import compression_table, factor_tables
+from pimsner_lab.presets import PRESETS, build_preset
+
+BIG_N = 2
+
+
+def mixed_spec():
+    """n = 2 over A = M_2 (+) C, a Hadamard/phase U and a rotation."""
+    algebra = AlgebraSpec((2, 1))
+    t = 0.7
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex)
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    unitary = AMatrix(algebra, 2, 2, [np.einsum("ij,ab->ijab", hadamard, np.eye(2)),
+                                      np.diag([1.0, 1.0j]).reshape(2, 2, 1, 1)])
+    return CorrespondenceSpec(
+        algebra=algebra, n=2, unitary=unitary,
+        alphas=(Automorphism.identity(algebra),
+                Automorphism(algebra, (0, 1), (rot, np.eye(1)))),
+        name="mixed")
+
+
+def build(name):
+    return mixed_spec() if name == "mixed" else build_preset(name)
+
+
+def window_for(spec):
+    return FockWindow.two_sided_sym(3) if spec.n == 1 else FockWindow.one_sided(3)
+
+
+def graded(spec, window, flat):
+    """The one-element path: AMatrix.from_flat (which drops the junk between
+    algebra blocks), then the degree blocks of the window."""
+    total = sum(spec.fiber_dim(d) for d in window.degrees())
+    return GradedOperator.from_amatrix(
+        spec, window, AMatrix.from_flat(spec.algebra, total, total, flat))
+
+
+def reference_maps(spec, window):
+    """name -> (table, the same map through GradedOperator)."""
+    inner = FockWindow.one_sided(BIG_N)
+    phi, psi, _ = factor_tables(spec, window, BIG_N)
+    maps = {
+        "compress": (phi, lambda x: graded(spec, window, x).restrict(inner)),
+        "amplify": (psi, lambda x: psi_amplify(
+            graded(spec, inner, x).restrict(window), BIG_N)),
+        "pipeline": (pipeline_table(spec, window, BIG_N), lambda x: psi_amplify(
+            compress(graded(spec, window, x), BIG_N), BIG_N)),
+        "compose": (psi.compose(phi), lambda x: psi_amplify(
+            graded(spec, window, x).restrict(inner).restrict(window), BIG_N)),
+    }
+    if spec.n == 1:
+        one = FockWindow.one_sided(window.hi)
+        maps["bilateral-compression"] = (
+            compression_table(spec, window),
+            lambda x: graded(spec, window, x).restrict(one))
+    return maps
+
+
+def random_stack(table, size, seed):
+    """Dense random complex matrices: junk between algebra blocks included."""
+    rng = np.random.default_rng(seed)
+    n = table.domain_dim
+    return rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+
+
+CASES = [(spec_name, name) for spec_name in sorted(PRESETS) + ["mixed"]
+         for name in ("compress", "amplify", "pipeline", "compose",
+                      "bilateral-compression")
+         if name != "bilateral-compression" or build(spec_name).n == 1]
+
+
+@pytest.mark.parametrize("spec_name, name", CASES)
+def test_stack_apply_equals_per_element(spec_name, name):
+    spec = build(spec_name)
+    table, _ = reference_maps(spec, window_for(spec))[name]
+    stack = random_stack(table, 3, 5)
+    out = table.apply(stack)
+    assert out.shape == (3, table.codomain_dim, table.codomain_dim)
+    for x, y in zip(stack, out):
+        assert np.max(np.abs(y - table.apply_flat(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec_name, name", CASES)
+def test_batched_maps_equal_graded_operator_path(spec_name, name):
+    spec = build(spec_name)
+    table, reference = reference_maps(spec, window_for(spec))[name]
+    stack = random_stack(table, 2, 11)
+    for x, y in zip(stack, table.apply(stack)):
+        want = reference(x).to_amatrix().flatten()
+        assert want.shape == y.shape
+        assert np.max(np.abs(y - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec_name, name", CASES)
+def test_basis_images_equal_per_unit_loop(spec_name, name):
+    spec = build(spec_name)
+    table, _ = reference_maps(spec, window_for(spec))[name]
+    n, c = table.domain_dim, table.codomain_dim
+    blocks = list(table.basis_images())
+    assert [b.shape for b in blocks] == [(m, m, c, c) for m in table.domain_sides]
+    off = 0
+    for m, arr in zip(table.domain_sides, blocks):
+        for u in range(m):
+            for v in range(m):
+                unit = np.zeros((n, n), dtype=complex)
+                unit[off + u, off + v] = 1.0
+                assert np.max(np.abs(arr[u, v] - table.apply_flat(unit))) <= 1e-12
+        off += m
+
+
+@pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
+def test_stacked_amatrix_acts_per_element(spec_name):
+    """A stack from from_flat flattens back, and its submatrices and
+    amplifications equal those of its elements one at a time."""
+    spec = build(spec_name)
+    alg = spec.algebra
+    p = 3
+    n = p * sum(alg.block_dims)
+    rng = np.random.default_rng(3)
+    flats = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    stack = AMatrix.from_flat(alg, p, p, flats)
+    singles = [AMatrix.from_flat(alg, p, p, f) for f in flats]
+    assert stack.stack_shape == (2,) and singles[0].stack_shape == ()
+    ks = (1, 2, -1) if spec.n == 1 else (1, 2)
+    for e, x in enumerate(singles):
+        assert np.array_equal(stack.flatten()[e], x.flatten())
+        assert np.array_equal(stack.submatrix(slice(1, 3), slice(0, 2)).flatten()[e],
+                              x.submatrix(slice(1, 3), slice(0, 2)).flatten())
+        for k in ks:
+            got = spec.amplify(stack, k).flatten()[e]
+            assert np.max(np.abs(got - spec.amplify(x, k).flatten())) <= 1e-12

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pimsner_lab
+from pimsner_lab import cli
 from pimsner_lab.cli import RunConfig, _parse_n_range, main, run, serialize
-from pimsner_lab.star_core import ConfigurationError
+from pimsner_lab.star_core import ConfigurationError, SpecMismatchError
 from pimsner_lab.presets import build_preset
 
 
@@ -76,6 +78,21 @@ def test_corrupted_unitary_exit_one(tmp_path, capsys):
     }))
     assert main(["validate", "--config", str(cfg)]) == 1
     assert "violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    SpecMismatchError("block array (1, 1, 2, 2) != (1, 1, 1, 1)"),
+    np.linalg.LinAlgError("Eigenvalues did not converge"),
+], ids=["spec-mismatch", "linalg"])
+def test_internal_error_exit_three(monkeypatch, capsys, error):
+    """Both errors are ValueErrors, but a crash is not a violation: exit 3."""
+    def crash(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "suite_validate", crash)
+    assert main(["validate", "--preset", "cuntz2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "violation" not in err
 
 
 def test_window_too_small_exit_two(capsys):
@@ -147,17 +164,23 @@ def _assert_report_matches(got, want, tol, path="$"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
-@pytest.mark.parametrize("preset", ["cuntz2", "crossed-z3"])
-def test_report_matches_golden(tmp_path, preset):
-    """The whole ``report`` at N = 2, 3 against a committed golden file (written
-    by this same run/serialize call), to within eq_tol, so the comparison does
-    not depend on the BLAS build or the CPU."""
+@pytest.mark.parametrize("command,preset,n_values", [
+    ("report", "cuntz2", (2, 3)),
+    ("report", "crossed-z3", (2, 3)),
+    ("certificate", "twisted2", (2, 3, 4)),
+], ids=["cuntz2", "crossed-z3", "certificate-twisted2"])
+def test_report_matches_golden(tmp_path, command, preset, n_values):
+    """A whole report against a committed golden file (written by this same
+    run/serialize call), to within eq_tol, so the comparison does not depend
+    on the BLAS build or the CPU.  The twisted2 certificate covers both CP
+    methods (Choi at N = 2, 3, the probe at N = 4), so it also pins the
+    probe's random draws and their order."""
     spec = build_preset(preset)
-    bundle = run("report", RunConfig(spec=spec, n_values=(2, 3)),
+    bundle = run(command, RunConfig(spec=spec, n_values=n_values),
                  created="2000-01-01")
     out = tmp_path / "report.json"
     serialize(bundle, "json", str(out))
-    golden = Path(__file__).parent / "data" / f"report-{preset}.json"
+    golden = Path(__file__).parent / "data" / f"{command}-{preset}.json"
     _assert_report_matches(json.loads(out.read_text()),
                            json.loads(golden.read_text()), spec.tol.eq_tol)
 

@@ -147,6 +147,22 @@ def test_bilateral_lift_band_exact(preset):
         assert all(-min(r, s) <= k < 0 for k in rep["compact_offsets"])
 
 
+def test_bilateral_lift_fails_on_corrupted_amplification():
+    """The band is checked against phi_k_direct, so an amplification that is
+    off by a relative 1e-6 fails the case (the band itself is built with the
+    corrupted amplify)."""
+    spec = build_preset("crossed-z3")
+    good = spec.amplify
+    mu, nu = spec.sample_vector(1, 61), spec.sample_vector(1, 71)
+    two = FockWindow.two_sided_sym(6)
+    _, rep = bilateral_lift(spec, mu, nu, 1, 0, two)
+    assert rep["pass"] and rep["band_dev"] < 1e-12
+    spec.amplify = lambda x, k: good(x, k) * (1 + 1e-6)
+    _, rep = bilateral_lift(spec, mu, nu, 1, 0, two)
+    assert not rep["pass"]
+    assert rep["band_dev"] > 1e-7
+
+
 def test_bilateral_lift_compact_part_is_real():
     """u u* = 1 bilaterally, but the one-sided t t* = 1 - P_0: the compression
     keeps an honest extra block at offset -1."""
