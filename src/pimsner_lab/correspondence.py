@@ -85,7 +85,6 @@ class CorrespondenceSpec:
     _alpha_invs: tuple = field(default=None, repr=False)
     _beta: Automorphism = field(default=None, repr=False)
     _beta_inv: Automorphism = field(default=None, repr=False)
-    _lifted_units: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -168,13 +167,6 @@ class CorrespondenceSpec:
         for _ in range(k):
             x = self.amplify1(x)
         return x
-
-    def _lifted_unitary(self, m: int) -> tuple[AMatrix, AMatrix]:
-        """(I_m (x) U, its adjoint), built once per m."""
-        if m not in self._lifted_units:
-            big_u = kron_identity_left(m, self.unitary)
-            self._lifted_units[m] = (big_u, big_u.adjoint())
-        return self._lifted_units[m]
 
     def phi_k(self, a: AElement, k: int) -> AMatrix:
         """The embedding A -> M_{n^k}(A); phi_0 = id."""

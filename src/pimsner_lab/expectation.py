@@ -8,6 +8,11 @@ induced module map (eps-bar) and operator map (eps-hat) are *defined* as
 entrywise applications of the level expectation in the fixed coordinates;
 the defining formulas from the lifting machinery are then asserted as
 theorems by the test-suite rather than used as definitions.
+
+Both are computed as ``level`` peels of the whole matrix rather than one
+Ex_level per B-entry: a B-entry is a contiguous n^level x n^level block of
+the outer indices, and every tensor layer is the least significant index,
+so peeling the n x n cells of the whole matrix peels every B-entry at once.
 """
 
 from __future__ import annotations
@@ -46,21 +51,27 @@ def embed_jk(spec: CorrespondenceSpec, t: AMatrix) -> AMatrix:
 
 
 def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
-    """One inversion step M_{m n}(A) -> M_m(A): Ad(I (x) U*), entrywise
-    alpha-hat, then the inner normalised trace."""
+    """Ex_1 on every n x n cell, M_{m n, m' n}(A) -> M_{m, m'}(A): the
+    diagonal entries of Ad(I (x) U*) x, alpha_i^-1 on the i-th, and their
+    average.  The diagonal is contracted against U's blocks directly."""
     n = spec.n
-    if x.rows % n or x.rows != x.cols:
-        raise SpecMismatchError("matrix side must be a multiple of n")
-    m = x.rows // n
-    big_u, big_u_adj = spec._lifted_unitary(m)
-    y = big_u @ x @ big_u_adj     # Ad(I (x) U*) with Ad V = V* . V
+    if x.rows % n or x.cols % n:
+        raise SpecMismatchError("matrix sides must be multiples of n")
+    m, mc = x.rows // n, x.cols // n
+    diags = []
+    for b, u, d in zip(x.blocks, spec.unitary.blocks, spec.algebra.block_dims):
+        # rows (i, x) of U against the cells' rows (a, y): every row i of
+        # U x_cell at once, then row i of that against row i of U
+        rows = u.transpose(0, 2, 1, 3).reshape(n * d, n * d) @ (
+            b.reshape(m, n, mc, n, d, d).transpose(0, 1, 4, 2, 3, 5)
+            .reshape(m, n * d, mc * n * d))
+        rows = (rows.reshape(m, n, d, mc, n * d).transpose(1, 0, 2, 3, 4)
+                .reshape(n, m * d * mc, n * d))
+        diag = rows @ u.conj().transpose(0, 1, 3, 2).reshape(n, n * d, d)
+        diags.append(diag.reshape(n, m, d, mc, d).transpose(0, 1, 3, 2, 4))
     acc = None
     for i, inv_alpha in enumerate(spec._alpha_invs):
-        # the m x m matrix of entries (p n + i, q n + i)
-        diag = AMatrix(spec.algebra, m, m,
-                       [b.reshape(m, n, m, n, d, d)[:, i, :, i]
-                        for b, d in zip(y.blocks, spec.algebra.block_dims)])
-        term = inv_alpha.apply(diag)
+        term = inv_alpha.apply(AMatrix(spec.algebra, m, mc, [dg[i] for dg in diags]))
         acc = term if acc is None else acc + term
     return acc * (1.0 / n)
 
@@ -69,9 +80,7 @@ def ex_k(spec: CorrespondenceSpec, k: int, x: AMatrix) -> AElement:
     """Ex_k: M_{n^k}(A) -> A, peeling one tensor layer at a time."""
     if x.rows != spec.n ** k or x.rows != x.cols:
         raise SpecMismatchError(f"expected a {spec.n ** k} x {spec.n ** k} matrix")
-    for _ in range(k):
-        x = _peel_layer(spec, x)
-    return x.entry(0, 0)
+    return eps_hat(spec, k, x).entry(0, 0)
 
 
 def eps_bar(spec: CorrespondenceSpec, level: int, zeta: AMatrix) -> AMatrix:
@@ -83,28 +92,18 @@ def eps_bar(spec: CorrespondenceSpec, level: int, zeta: AMatrix) -> AMatrix:
     nk = spec.n ** level
     if zeta.cols != nk or zeta.rows % nk:
         raise SpecMismatchError("vector does not match the requested level")
-    m = zeta.rows // nk
-    out_rows = []
-    for i in range(m):
-        b = zeta.submatrix(slice(i * nk, (i + 1) * nk), slice(0, nk))
-        out_rows.append([ex_k(spec, level, b)])
-    return AMatrix.from_elements(out_rows)
+    return eps_hat(spec, level, zeta)
 
 
 def eps_hat(spec: CorrespondenceSpec, level: int, t: AMatrix) -> AMatrix:
-    """Entrywise Ex_level on an m x m matrix over B = M_{n^level}(A)."""
+    """Entrywise Ex_level on an m x m' matrix over B = M_{n^level}(A), as
+    ``level`` peels of the whole matrix."""
     nk = spec.n ** level
     if t.rows % nk or t.cols % nk:
         raise SpecMismatchError("matrix does not match the requested level")
-    m, mc = t.rows // nk, t.cols // nk
-    grid = []
-    for i in range(m):
-        row = []
-        for j in range(mc):
-            b = t.submatrix(slice(i * nk, (i + 1) * nk), slice(j * nk, (j + 1) * nk))
-            row.append(ex_k(spec, level, b))
-        grid.append(row)
-    return AMatrix.from_elements(grid)
+    for _ in range(level):
+        t = _peel_layer(spec, t)
+    return t
 
 
 def ex_k_table(spec: CorrespondenceSpec, k: int, name: str = "") -> LinearMapTable:

@@ -193,17 +193,17 @@ class GradedOperator:
 
     @classmethod
     def from_amatrix(cls, spec: CorrespondenceSpec, window: FockWindow,
-                     mat: AMatrix, drop_tol: float = 0.0) -> "GradedOperator":
-        """Split a window matrix into degree blocks, keeping those with an
-        entry of modulus above ``drop_tol``.  A stack of window matrices
-        gives blocks that are stacks, kept where any element needs them."""
+                     mat: AMatrix) -> "GradedOperator":
+        """Split a window matrix into its nonzero degree blocks.  A stack of
+        window matrices gives blocks that are stacks, kept where any element
+        needs them."""
         offs = _degree_offsets(spec, window)
         out = cls(spec, window)
         degs = list(window.degrees())
-        # entries above drop_tol, then OR-reduced over the stack, each
-        # degree's rows and columns
+        # nonzero entries, OR-reduced over the stack, each degree's rows and
+        # columns
         big = np.logical_or.reduce([
-            (np.abs(b) > drop_tol).reshape(-1, mat.rows, mat.cols, b.shape[-1] ** 2)
+            (b != 0).reshape(-1, mat.rows, mat.cols, b.shape[-1] ** 2)
             .any(axis=(0, 3)) for b in mat.blocks])
         starts = offs[:-1]
         keep = np.logical_or.reduceat(np.logical_or.reduceat(big, starts, axis=0),
@@ -257,7 +257,8 @@ def band_powers(amplify, x: AMatrix, k_lo: int, k_hi: int):
     Each value is one ``amplify(., +-1)`` step from the one before, which
     keeps deep bands cheap.  ``amplify`` is any ``(x, k)`` amplification:
     :meth:`CorrespondenceSpec.amplify`, or the extended module's
-    ``amplify_inf`` (which is one-sided, so ``k_lo`` must be 0)."""
+    ``amplify_inf``, which is the same map in the extended module's
+    coordinates but one-sided, so ``k_lo`` must be 0."""
     cur = x
     for k in range(0, k_hi + 1):
         if k:

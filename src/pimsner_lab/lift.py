@@ -37,12 +37,10 @@ from .expectation import eps_hat
 from .fock import (
     FockWindow,
     GradedOperator,
-    TailSymbol,
     band_powers,
     creation_op,
     psi_amplify,
     schur_oracle,
-    tail_compare,
     toeplitz_op,
     v_n,
     w_n,
@@ -100,42 +98,19 @@ class EInftyContext:
 
     def phi_inf1(self, b: AMatrix) -> AMatrix:
         """Left action of B on the extended module: split off the outermost
-        tensor layer of b and push each entry one level up the tower."""
-        n, nk = self.spec.n, self.b_side
+        tensor layer of b and push each entry one level up the tower.  With
+        the inner index least significant this is b (x) I_E."""
+        nk = self.b_side
         if (b.rows, b.cols) != (nk, nk):
             raise SpecMismatchError("expected an element of B")
-        if self.level == 0:
-            return self.spec.phi1(b.entry(0, 0))
-        inner_side = nk // n
-        out = AMatrix.zeros(self.spec.algebra, n * nk, n * nk)
-        for i in range(n):
-            for j in range(n):
-                sub = b.submatrix(slice(i * inner_side, (i + 1) * inner_side),
-                                  slice(j * inner_side, (j + 1) * inner_side))
-                up = self.spec.amplify(sub, 1)
-                for s in range(out.spec.n_blocks):
-                    out.blocks[s][i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = up.blocks[s]
-        return out
+        return self.spec.amplify(b, 1)
 
     def amplify_inf(self, x: AMatrix, k: int) -> AMatrix:
-        """x (x) I on the extended module: entrywise left-action expansion."""
+        """x (x) I on the extended module: phi_inf1 on every B-entry, which in
+        these coordinates is x (x) I_{E^k}."""
         if k < 0:
             raise ConfigurationError("extended-module amplification is one-sided")
-        nk = self.b_side
-        for _ in range(k):
-            u, v = x.rows // nk, x.cols // nk
-            n = self.spec.n
-            out = AMatrix.zeros(self.spec.algebra, u * n * nk, v * n * nk)
-            for p in range(u):
-                for q in range(v):
-                    sub = x.submatrix(slice(p * nk, (p + 1) * nk),
-                                      slice(q * nk, (q + 1) * nk))
-                    up = self.phi_inf1(sub)
-                    for s in range(out.spec.n_blocks):
-                        out.blocks[s][p * n * nk:(p + 1) * n * nk,
-                                      q * n * nk:(q + 1) * n * nk] = up.blocks[s]
-            x = out
-        return x
+        return self.spec.amplify(x, k)
 
     def vector(self, xi: AMatrix, b: AMatrix) -> AMatrix:
         """Coordinates of xi (x) b: stack phi_K(xi_i) b over the module index."""
@@ -279,8 +254,10 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     band of the one-sided generator (offsets k >= 0) the compression equals
     t_mu t_nu* on the nose; offsets -min(r,s) <= k < 0 survive as finitely
     many extra blocks (they are compact, and vanish in the quotient), which
-    the report lists rather than hiding.  The band is checked against
-    blocks built by :meth:`CorrespondenceSpec.phi_k_direct`."""
+    the report lists rather than hiding.  The one-sided band (``band_dev``)
+    and the whole bilateral band (``bilateral_tail_dev``) are checked against
+    blocks built by :meth:`CorrespondenceSpec.phi_k_direct` (k >= 0) and by
+    Ex_{-k} (k < 0)."""
     if spec.n != 1:
         raise ConfigurationError("bimodule lift requires n = 1")
     if not two_sided.two_sided:
@@ -288,19 +265,23 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     one_sided = FockWindow.one_sided(two_sided.hi)
     bilateral = toeplitz_op(spec, mu, nu, two_sided, r=r, s=s)
     lifted = bilateral.restrict(one_sided)
-    # the one-sided band e (x) I_{E^k} from phi_k_direct, which shares no
-    # code with the amplification that built the bilateral band
-    e = rank_one(mu, nu).entry(0, 0)
-    band_dev = 0.0
-    for k in range(0, one_sided.hi - max(r, s) + 1):
-        band_dev = max(band_dev,
-                       (lifted.block(r + k, s + k) - spec.phi_k_direct(e, k)).max_abs())
+    # the band e (x) I_{E^k} from code that shares none with the
+    # amplification that built the bilateral band: phi_k_direct for k >= 0,
+    # and for k < 0 Ex_{-k} = Ex_1^{-k}, which for n = 1 is beta^k peeled
+    # through the alpha inverses and U, one layer per step
+    e = rank_one(mu, nu)
+    offsets = range(two_sided.lo - min(r, s), two_sided.hi - max(r, s) + 1)
+    ref = {k: spec.phi_k_direct(e.entry(0, 0), k) for k in offsets if k >= 0}
+    for k in range(-1, offsets.start - 1, -1):
+        ref[k] = eps_hat(spec, 1, ref[k + 1])
+    band_dev = max((lifted.block(r + k, s + k) - ref[k]).max_abs()
+                   for k in offsets if k >= 0)
+    tail_dev = max((bilateral.block(r + k, s + k) - ref[k]).max_abs()
+                   for k in offsets)
     # extra blocks are indexed by their (negative) band offset
     extra = sorted({j - s for (i, j) in lifted.blocks
                     if i - r == j - s and j - s < 0
                     and lifted.blocks[(i, j)].max_abs() > tol.eq_tol})
-    tail = TailSymbol(r, s, rank_one(mu, nu))
-    tail_dev, _ = tail_compare(bilateral, tail, tol)
     report = {
         "r": r, "s": s,
         "band_dev": float(band_dev),

@@ -98,7 +98,7 @@ def test_non_hermitian_deviation_equals_dense_formula():
 # window scan
 # ---------------------------------------------------------------------------
 
-def per_pair_support(spec, window, mat, drop_tol):
+def per_pair_support(spec, window, mat):
     """The scan from_amatrix replaces: max_abs on every degree pair."""
     dims = [spec.fiber_dim(d) for d in window.degrees()]
     offs = np.concatenate([[0], np.cumsum(dims)])
@@ -108,7 +108,7 @@ def per_pair_support(spec, window, mat, drop_tol):
         for b, j in enumerate(degs):
             sub = mat.submatrix(slice(int(offs[a]), int(offs[a + 1])),
                                 slice(int(offs[b]), int(offs[b + 1])))
-            if sub.max_abs() > drop_tol:
+            if sub.max_abs() > 0:
                 kept.append((i, j))
     return kept
 
@@ -122,22 +122,24 @@ def test_from_amatrix_keeps_the_per_pair_support(preset, window):
     spec = build_preset(preset)
     total = sum(spec.fiber_dim(d) for d in window.degrees())
     rng = np.random.default_rng(5)
-    drop_tol = 0.5
     mat = AMatrix.zeros(spec.algebra, total, total)
     for b in mat.blocks:
-        # sparse entries below, at and above drop_tol
+        # sparse nonzero entries, some of them purely imaginary
         hit = rng.random(b.shape) < 0.05
-        b[hit] = rng.choice([0.2, drop_tol, 0.9, -drop_tol * 1j], size=hit.sum())
-    # the corner degree pair holds one entry exactly at the threshold
+        b[hit] = rng.choice([0.2, 0.9, -0.5j], size=hit.sum())
+    # the corner degree pair holds one subnormal entry, which is nonzero;
+    # the opposite corner is exactly zero
     corner = spec.fiber_dim(window.hi)
+    first = spec.fiber_dim(window.lo)
     for b in mat.blocks:
-        b[:spec.fiber_dim(window.lo), total - corner:] = 0.0
-    mat.blocks[0][0, total - 1, 0, 0] = drop_tol
-    for tol in (0.0, drop_tol):
-        got = GradedOperator.from_amatrix(spec, window, mat, drop_tol=tol)
-        assert list(got.blocks) == per_pair_support(spec, window, mat, tol)
-        assert ((window.lo, window.hi) in got.blocks) == (tol < drop_tol)
-        assert (got.to_amatrix() - mat).max_abs() <= tol
+        b[:first, total - corner:] = 0.0
+        b[total - corner:, :first] = 0.0
+    mat.blocks[0][0, total - 1, 0, 0] = 5e-324
+    got = GradedOperator.from_amatrix(spec, window, mat)
+    assert list(got.blocks) == per_pair_support(spec, window, mat)
+    assert (window.lo, window.hi) in got.blocks
+    assert (window.hi, window.lo) not in got.blocks
+    assert (got.to_amatrix() - mat).max_abs() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +179,11 @@ def test_amplify_matches_phi_k_direct(preset):
         assert (lhs - spec.phi_k_direct(a, j + k)).max_abs() < 1e-12
 
 
-def test_cached_inverses_and_lifted_unitary():
+def test_cached_inverses():
     spec = build_preset("twisted2")
     a = sample(spec.algebra, "element", 3)
     for al, inv in zip(spec.alphas, spec._alpha_invs):
         assert inv.apply(al.apply(a)).allclose(a, 1e-12)
-    big_u, big_u_adj = spec._lifted_unitary(4)
-    assert spec._lifted_unitary(4)[0] is big_u
-    assert (big_u @ big_u_adj - AMatrix.eye(spec.algebra, 8)).max_abs() < 1e-12
     z3 = build_preset("crossed-z3")
     x = AMatrix.from_element(sample(z3.algebra, "element", 5))
     assert (z3.amplify(z3.amplify(x, 3), -3) - x).max_abs() < 1e-12
