@@ -33,6 +33,7 @@ from .star_core import ConfigurationError, SpecMismatchError
 from .correspondence import CorrespondenceSpec, ValidationError
 from .fock import FockWindow, SchurRow, v_n, w_n
 from .expectation import _sample_matrix, verify_cond_exp
+from .hilbert_mod import CHOI_CAP
 from .lift import (
     EInftyContext,
     TOOL_VERSION,
@@ -59,7 +60,7 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     fmt: str = "json"
-    choi_cap: int = 4096
+    choi_cap: int = CHOI_CAP
 
     def window_for(self, big_n: int) -> FockWindow:
         hi = self.window_m if self.window_m is not None else big_n + 2
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"),
                    default=None)
-    p.add_argument("--choi-cap", type=int, default=4096)
+    p.add_argument("--choi-cap", type=int, default=CHOI_CAP)
     return p
 
 

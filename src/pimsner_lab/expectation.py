@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .star_core import AElement, SpecMismatchError, sample
-from .hilbert_mod import AMatrix, LinearMapTable, cp_check_auto
+from .hilbert_mod import CHOI_CAP, AMatrix, LinearMapTable, cp_check_auto
 from .correspondence import CorrespondenceSpec
 
 __all__ = [
@@ -115,7 +115,7 @@ def ex_k_table(spec: CorrespondenceSpec, k: int, name: str = "") -> LinearMapTab
 
 
 def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
-                    n_samples: int = 5, choi_cap: int = 4096) -> dict:
+                    n_samples: int = 5, choi_cap: int = CHOI_CAP) -> dict:
     """Check the conditional-expectation axioms for Ex_level.
 
     (i) Ex o phi = id; (ii) bimodule property; (iii) Schwarz positivity;

@@ -11,6 +11,10 @@ small sides) or by a randomized positivity probe (necessary condition only).
 Eigenvalues are solved exactly per connected component of the matrix's
 nonzero pattern (these Choi matrices are almost diagonal), and serialized
 on a grid derived from ``psd_tol`` so reports do not depend on BLAS threads.
+The checks need only the least eigenvalue, so one running minimum is carried
+through every component, probe trial, domain block and algebra block, and a
+component is solved only when a Cholesky screen cannot rule out that it sets
+a new minimum (see :func:`_hermitian_min_eig`).
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ __all__ = [
 ]
 
 CHOI_CAP = 4096
+# largest max |M - M*| a CP check accepts (Choi matrices and probe outputs)
+HERMITIAN_DEV_TOL = 1e-7
 
 
 class AMatrix:
@@ -226,8 +232,10 @@ class AMatrix:
         return self.is_hermitian(tol) and self.min_eig() >= -tol.psd_tol
 
     def min_eig(self) -> float:
-        return min(_hermitian_min_eig(self.flatten_block(s))[0]
-                   for s in range(self.spec.n_blocks))
+        low = np.inf
+        for s in range(self.spec.n_blocks):
+            low = _hermitian_min_eig(self.flatten_block(s), low)[0]
+        return low
 
     def __repr__(self):
         return f"AMatrix({self.rows}x{self.cols}, dims={self.spec.block_dims})"
@@ -285,24 +293,52 @@ def _psd_grid(value: float, psd_tol: float) -> float:
     return round(value, digits) + 0.0
 
 
-def _hermitian_min_eig(mat: np.ndarray) -> tuple[float, float]:
-    """(min eigenvalue of (M + M*)/2, max |M - M*|), one eigen-solve per
-    connected component of the symmetrized nonzero pattern of M.  Exact: a
-    symmetric permutation makes M block diagonal, and every entry between
-    two components is zero in both M and M*."""
+def _hermitian_min_eig(mat: np.ndarray, bound: float = np.inf) -> tuple[float, float]:
+    """(min(bound, least eigenvalue of (M + M*)/2), max |M - M*|), solved
+    per connected component of the symmetrized nonzero pattern of M.  Exact:
+    a symmetric permutation makes M block diagonal, and every entry between
+    two components is zero in both M and M*.
+
+    Only a component that can set a new minimum is eigen-solved.  While the
+    running minimum ``low`` is finite, a component's Hermitian part H is
+    first Cholesky-factored with its diagonal shifted by -low; if that
+    succeeds, H - low I is positive definite up to the backward error of
+    Cholesky, about side * eps * ||H|| (below 2e-12 in the default
+    certificates of all four presets), so H has no eigenvalue below low less
+    that error, far under the 1e-11 grid ``min_eig`` is serialized on, and
+    the component is skipped.  The deviation max |M - M*| is taken on every
+    component."""
     link = mat != 0
     link |= link.T
     np.fill_diagonal(link, False)
     alone = ~link.any(axis=1)
     diag = mat.diagonal()[alone]
-    min_eig = float(diag.real.min()) if diag.size else np.inf
+    low = min(bound, float(diag.real.min())) if diag.size else bound
     herm_dev = float(2 * np.abs(diag.imag).max()) if diag.size else 0.0
     for idx in _components(link, ~alone):
         sub = mat[np.ix_(idx, idx)]
         sub_adj = sub.conj().T
         herm_dev = max(herm_dev, float(np.max(np.abs(sub - sub_adj))))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh((sub + sub_adj) / 2)[0]))
-    return min_eig, herm_dev
+        herm = (sub + sub_adj) / 2
+        if low < np.inf and _bounded_below(herm, low):
+            continue
+        low = min(low, float(np.linalg.eigvalsh(herm)[0]))
+    return low, herm_dev
+
+
+def _bounded_below(herm: np.ndarray, low: float) -> bool:
+    """Whether ``herm - low I`` has a Cholesky factor, i.e. no eigenvalue of
+    the Hermitian ``herm`` lies below ``low`` (up to backward error).  The
+    diagonal is shifted in place and restored when the factorization fails,
+    so no second copy of ``herm`` is made."""
+    diag = herm.diagonal().copy()
+    np.fill_diagonal(herm, diag - low)
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        np.fill_diagonal(herm, diag)
+        return False
+    return True
 
 
 def _components(link: np.ndarray, todo: np.ndarray):
@@ -423,12 +459,11 @@ def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
     for arr in table.basis_images():
         m = arr.shape[0]
         choi = arr.transpose(0, 2, 1, 3).reshape(m * c, m * c)
-        eig, dev = _hermitian_min_eig(choi)
+        min_eig, dev = _hermitian_min_eig(choi, min_eig)
         del arr, choi  # one block's images alive at a time
-        min_eig = min(min_eig, eig)
         herm_dev = max(herm_dev, dev)
     unital_defect, norm_bound = _unit_image_norms(table)
-    passed = (herm_dev <= 1e-7) and (min_eig >= -tol.psd_tol)
+    passed = (herm_dev <= HERMITIAN_DEV_TOL) and (min_eig >= -tol.psd_tol)
     return CPReport("choi", float(min_eig), unital_defect, norm_bound,
                     passed, detail=f"hermitian_dev={herm_dev:.3e}", tol=tol)
 
@@ -436,12 +471,27 @@ def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
 def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int,
                      tol: Tolerances = DEFAULT_TOL) -> CPReport:
     """Necessary-condition CP check: apply (Phi x id_{M_k}) to seeded random
-    positive elements and record the worst output eigenvalue."""
+    positive elements and record the worst output eigenvalue.  An output
+    that is not Hermitian fails it as it fails the Choi check."""
     if k < 1:
         raise ConfigurationError("k must be >= 1")
+    worst = np.inf
+    herm_dev = 0.0
+    for out in _probe_outputs(table, k, trials, seed):
+        worst, dev = _hermitian_min_eig(out, worst)
+        herm_dev = max(herm_dev, dev)
+    unital_defect, norm_bound = _unit_image_norms(table)
+    passed = (herm_dev <= HERMITIAN_DEV_TOL) and (worst >= -tol.psd_tol)
+    return CPReport("probe", float(worst), unital_defect, norm_bound, passed,
+                    detail=f"k={k} trials={trials} hermitian_dev={herm_dev:.3e}",
+                    tol=tol)
+
+
+def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
+    """The (k c, k c) images under Phi x id_{M_k} of the probe's seeded random
+    positive elements, one per trial."""
     c = table.codomain_dim
     n = table.domain_dim
-    worst = np.inf
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         # a random positive element of (direct sum domain) (x) M_k, as the
@@ -455,11 +505,7 @@ def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int,
                 x.reshape(k, m, k, m).transpose(0, 2, 1, 3).reshape(k * k, m, m)
             off += m
         out = table.apply(cells).reshape(k, k, c, c).transpose(0, 2, 1, 3)
-        worst = min(worst, _hermitian_min_eig(out.reshape(k * c, k * c))[0])
-    unital_defect, norm_bound = _unit_image_norms(table)
-    passed = worst >= -tol.psd_tol
-    return CPReport("probe", float(worst), unital_defect, norm_bound,
-                    passed, detail=f"k={k} trials={trials}", tol=tol)
+        yield out.reshape(k * c, k * c)
 
 
 def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError, Tolerances
 from .hilbert_mod import (
+    CHOI_CAP,
     AMatrix,
     CPReport,
     LinearMapTable,
@@ -387,7 +388,7 @@ def generator_band(spec: CorrespondenceSpec, r: int, s: int) -> int:
 
 def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
                      window: FockWindow, seed: int, created: str = "",
-                     choi_cap: int = 4096, probe_trials: int = 50,
+                     choi_cap: int = CHOI_CAP, probe_trials: int = 50,
                      tol: Tolerances | None = None) -> CPAPCertificate:
     """Build and certify the degree-N approximation of the quotient map.
 
@@ -455,7 +456,7 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
 
 def compose_certificates(outer: FactorPair, inner: FactorPair, seed: int = 0,
                          trials: int = 5, tol: Tolerances = DEFAULT_TOL,
-                         choi_cap: int = 4096):
+                         choi_cap: int = CHOI_CAP):
     """Chain two factorizations (psi o psi', phi' o phi) and re-certify.
 
     The inner pair must factor the outer pair's intermediate algebra.

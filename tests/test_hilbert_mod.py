@@ -136,6 +136,18 @@ def test_probe_flags_transpose():
     assert not rep.passed
 
 
+def test_non_hermitian_map_fails_choi_and_probe():
+    """x -> (1 + 0.5i) x keeps the Hermitian part of its outputs positive, so
+    only the hermiticity deviation shows that it is not a positive map."""
+    algebra = make_algebra([2])
+    table = LinearMapTable.from_amatrix_map(algebra, 1, algebra, 1,
+                                            lambda x: x * (1 + 0.5j))
+    assert not choi_cp_check(table).passed
+    rep = positivity_probe(table, k=2, trials=5, seed=3)
+    assert rep.min_eigenvalue > 0
+    assert not rep.passed
+
+
 def test_compose_tables(algebra):
     double = LinearMapTable.from_amatrix_map(algebra, 2, algebra, 2,
                                              lambda x: x * 2.0)

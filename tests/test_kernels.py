@@ -11,9 +11,12 @@ from pimsner_lab.hilbert_mod import (
     AMatrix,
     CPReport,
     _hermitian_min_eig,
+    _probe_outputs,
     _psd_grid,
+    positivity_probe,
 )
 from pimsner_lab.fock import FockWindow, GradedOperator
+from pimsner_lab.lift import factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
 
 
@@ -23,10 +26,11 @@ def dense_reference(mat):
             float(np.max(np.abs(mat - mat.conj().T))))
 
 
-def hidden_blocks(sizes, seed, shift=0.0, path=False):
+def hidden_blocks(sizes, seed, shift=0.0, path=False, hide=True):
     """Random Hermitian blocks of the given sizes, summed directly and then
-    hidden by a random symmetric permutation.  With ``path`` each block is
-    tridiagonal, so its indices are linked only through a chain."""
+    hidden by a random symmetric permutation (unless not ``hide``).  With
+    ``path`` each block is tridiagonal, so its indices are linked only
+    through a chain."""
     rng = np.random.default_rng(seed)
     side = sum(sizes)
     mat = np.zeros((side, side), dtype=complex)
@@ -37,18 +41,27 @@ def hidden_blocks(sizes, seed, shift=0.0, path=False):
             z = np.triu(np.tril(z, 1), -1)
         mat[off:off + m, off:off + m] = (z + z.conj().T) / 2 + shift * np.eye(m)
         off += m
+    if not hide:
+        return mat
     perm = rng.permutation(side)
     return mat[np.ix_(perm, perm)]
 
 
-@settings(max_examples=60, deadline=None)
+def scale(mat):
+    return max(1.0, np.abs(mat).max() * len(mat))
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.integers(0, 10_000),
-       st.booleans())
-def test_components_match_dense_eigvalsh(sizes, seed, path):
-    mat = hidden_blocks(sizes, seed, path=path)
-    min_eig, dev = _hermitian_min_eig(mat)
+       st.booleans(), st.floats(-4.0, 4.0),
+       st.one_of(st.just(np.inf), st.floats(-4.0, 4.0)))
+def test_components_match_dense_eigvalsh(sizes, seed, path, shift, bound):
+    """min(bound, least eigenvalue): with a finite bound, components are
+    Cholesky-screened against the running minimum before any solve."""
+    mat = hidden_blocks(sizes, seed, shift=shift, path=path)
+    min_eig, dev = _hermitian_min_eig(mat, bound)
     want_eig, want_dev = dense_reference(mat)
-    assert abs(min_eig - want_eig) <= 1e-12 * max(1.0, np.abs(mat).max() * len(mat))
+    assert abs(min_eig - min(bound, want_eig)) <= 1e-12 * scale(mat)
     assert dev == want_dev == 0.0
 
 
@@ -92,6 +105,55 @@ def test_non_hermitian_deviation_equals_dense_formula():
     want_eig, want_dev = dense_reference(mat)
     assert dev == want_dev
     assert min_eig == pytest.approx(want_eig, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky screen: a component is eigen-solved only when it can set a
+# new minimum below the running bound
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 6), min_size=2, max_size=6), st.integers(0, 10_000),
+       st.booleans(), st.floats(0.01, 1.0), st.data())
+def test_negative_eigenvalue_after_the_first_exact_solve(sizes, seed, path, depth, data):
+    """Unhidden blocks are visited in order: the first is solved exactly and
+    sets a positive running minimum, and a later block with an eigenvalue
+    -depth must fail the screen and be solved."""
+    mat = hidden_blocks(sizes, seed, shift=12.0, path=path, hide=False)
+    j = data.draw(st.integers(1, len(sizes) - 1))
+    off = sum(sizes[:j])
+    block = mat[off:off + sizes[j], off:off + sizes[j]]
+    w, v = np.linalg.eigh(block)
+    block -= (w[0] + depth) * np.outer(v[:, 0], v[:, 0].conj())
+    want_eig = dense_reference(mat)[0]
+    assert want_eig == pytest.approx(-depth, abs=1e-12)
+    for bound in (np.inf, 1.0, -depth / 2):
+        low, _ = _hermitian_min_eig(mat, bound)
+        assert abs(low - want_eig) <= 1e-12 * scale(mat)
+
+
+def test_screen_skips_only_components_at_or_above_the_bound():
+    # components with least eigenvalues 3, 1 and 2, in that order
+    mat = np.zeros((6, 6), dtype=complex)
+    for off, lam in ((0, 3.0), (2, 1.0), (4, 2.0)):
+        mat[off:off + 2, off:off + 2] = [[lam + 1, 1], [1, lam + 1]]
+    assert _hermitian_min_eig(mat)[0] == pytest.approx(1.0, abs=1e-14)
+    assert _hermitian_min_eig(mat, 0.5)[0] == 0.5
+    assert _hermitian_min_eig(mat, 1.5)[0] == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("big_n", [3, 4])
+def test_probe_minimum_equals_a_full_eigvalsh_loop(big_n):
+    """The screened probe against dense eigvalsh on every trial output, for
+    both factor maps of twisted2 at the certificate's window."""
+    spec = build_preset("twisted2")
+    phi, psi, _ = factor_tables(spec, FockWindow.one_sided(big_n + 2), big_n)
+    for seed, table in ((1, phi), (2, psi)):
+        rep = positivity_probe(table, k=2, trials=8, seed=seed)
+        outs = list(_probe_outputs(table, 2, 8, seed))
+        want = min(dense_reference(out)[0] for out in outs)
+        assert abs(rep.min_eigenvalue - want) <= 1e-12 * max(scale(o) for o in outs)
+        assert rep.passed
 
 
 # ---------------------------------------------------------------------------
