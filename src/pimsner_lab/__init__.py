@@ -34,12 +34,10 @@ from .fock import (
     FockWindow,
     GradedOperator,
     SchurRow,
-    TailSymbol,
     compress,
     creation_op,
     psi_amplify,
     schur_oracle,
-    tail_compare,
     toeplitz_op,
     v_n,
     w_n,

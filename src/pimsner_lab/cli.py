@@ -31,7 +31,7 @@ import numpy as np
 
 from .star_core import ConfigurationError, SpecMismatchError
 from .correspondence import CorrespondenceSpec, ValidationError
-from .fock import FockWindow, SchurRow, v_n, w_n
+from .fock import FockWindow, v_n, w_n
 from .expectation import _sample_matrix, verify_cond_exp
 from .hilbert_mod import CHOI_CAP
 from .lift import (
@@ -99,17 +99,9 @@ class ReportBundle:
             "seed": self.seed,
             "pass": self.passed,
             "suites": self.suites,
-            "schur_table": [_row_dict(r) for r in self.schur_rows],
+            "schur_table": [r.to_dict() for r in self.schur_rows],
             "certificates": [c.to_dict() for c in self.certificates],
         }
-
-
-def _row_dict(row: SchurRow) -> dict:
-    return {
-        "N": row.N, "r": row.r, "s": row.s, "l": row.l,
-        "expected": [row.expected.numerator, row.expected.denominator],
-        "measured": row.measured, "abs_err": row.abs_err, "sided": row.sided,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,35 +3,36 @@
 A :class:`GradedOperator` is a block operator on a degree window of the
 (one- or two-sided) Fock module, blocks keyed by degree pairs and stored
 sparsely.  Every operator the pipelines touch is a band, blocks
-(r+k, s+k) = x (x) I_{E^k}: :func:`band_powers` is the one place that
-amplifies along a band, and :func:`band_op` builds the band on a window
-(creation and Toeplitz operators are bands).  Bands are degree-monotone, so
-every block whose degrees lie inside the window equals its untruncated
-value; truncation error shows up only as absent blocks.
+(r+k, s+k) = x (x) I_{E^k}, or a sum of bands along one diagonal:
+:func:`band_powers` is the one place that amplifies along a band, by
+Horner's rule over the blocks added along it, and :func:`band_op` builds the
+band on a window (creation and Toeplitz operators are bands).  Bands are
+degree-monotone, so every block whose degrees lie inside the window equals
+its untruncated value; truncation error shows up only as absent blocks.
 
 The pipelines are the compressions phi_N(x) = P_N x P_N followed by the
 averaged amplifications Psi_N(x) = (N+1)^{-1} sum_k x (x) I_{E^k} (the sum
-over k >= 0 one-sided, over all integers two-sided).  On canonical
-generators they act as Schur multipliers; :func:`schur_oracle` computes the
-same coefficients by direct counting with no operator machinery, and is
-the authority whenever the two disagree.
+over k >= 0 one-sided, over all integers two-sided), one ``band_powers``
+call per diagonal of x.  On canonical generators they act as Schur
+multipliers; :func:`schur_oracle` computes the same coefficients by direct
+counting with no operator machinery, and is the authority whenever the two
+disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError, Tolerances
-from .hilbert_mod import AMatrix, LinearMapTable, rank_one
+from .hilbert_mod import AMatrix, LinearMapTable, rank_one, tol_grid
 from .correspondence import CorrespondenceSpec
 
 __all__ = [
     "FockWindow",
     "GradedOperator",
-    "TailSymbol",
     "SchurRow",
     "band_powers",
     "band_op",
@@ -43,7 +44,6 @@ __all__ = [
     "w_n",
     "schur_oracle",
     "printed_coefficient",
-    "tail_compare",
     "pipeline_table",
 ]
 
@@ -200,11 +200,12 @@ class GradedOperator:
         offs = _degree_offsets(spec, window)
         out = cls(spec, window)
         degs = list(window.degrees())
-        # nonzero entries, OR-reduced over the stack, each degree's rows and
-        # columns
-        big = np.logical_or.reduce([
-            (b != 0).reshape(-1, mat.rows, mat.cols, b.shape[-1] ** 2)
-            .any(axis=(0, 3)) for b in mat.blocks])
+        # the nonzero (row, column) entries over the stack and the algebra
+        # blocks, read from the block arrays (views when they come from
+        # from_flat) with no copy, then OR-reduced over each degree's rows
+        # and columns
+        axes = tuple(range(len(mat.stack_shape))) + (-2, -1)
+        big = np.logical_or.reduce([b.any(axis=axes) for b in mat.blocks])
         starts = offs[:-1]
         keep = np.logical_or.reduceat(np.logical_or.reduceat(big, starts, axis=0),
                                       starts, axis=1)
@@ -251,23 +252,40 @@ class GradedOperator:
 # generators
 # ---------------------------------------------------------------------------
 
-def band_powers(amplify, x: AMatrix, k_lo: int, k_hi: int):
-    """Yield (k, x (x) I_{E^k}) for k = 0..k_hi, then for k = -1 down to k_lo.
+def band_powers(amplify, terms: dict, k_lo: int, k_hi: int):
+    """Yield (k, sum_i terms[i] (x) I_{E^{k-i}}) along a band: first for k =
+    min(terms)..k_hi, then for k = min(terms)-1 down to k_lo.
 
-    Each value is one ``amplify(., +-1)`` step from the one before, which
-    keeps deep bands cheap.  ``amplify`` is any ``(x, k)`` amplification:
-    :meth:`CorrespondenceSpec.amplify`, or the extended module's
-    ``amplify_inf``, which is the same map in the extended module's
-    coordinates but one-sided, so ``k_lo`` must be 0."""
-    cur = x
-    for k in range(0, k_hi + 1):
-        if k:
-            cur = amplify(cur, 1)
-        yield k, cur
-    cur = x
-    for k in range(-1, k_lo - 1, -1):
-        cur = amplify(cur, -1)
-        yield k, cur
+    ``terms`` maps offsets i >= 0 along the band to the block added there;
+    the single term ``{0: x}`` gives the powers x (x) I_{E^k}.  The sum runs
+    over the terms at or below k, and on two-sided bands (``k_lo < 0``, n = 1
+    only) over the terms above k as well, through negative powers.  Horner's
+    rule gives every offset one ``amplify(., +-1)`` step per pass: upwards
+    acc_k = terms[k] + amplify(acc_{k-1}, 1), downwards
+    below_k = amplify(terms[k+1] + below_{k+1}, -1).  ``amplify`` is any
+    ``(x, k)`` amplification: :meth:`CorrespondenceSpec.amplify`, or the
+    extended module's ``amplify_inf``, which is the same map in the extended
+    module's coordinates but one-sided, so ``k_lo`` must be 0."""
+    first = min(terms)
+    below = {}  # k -> the sum over the terms above k, from k = max(terms) - 1 down
+    if k_lo < 0:
+        acc = None
+        for k in range(max(terms) - 1, k_lo - 1, -1):
+            below[k] = acc = amplify(_plus(acc, terms.get(k + 1)), -1)
+    acc = None
+    for k in range(first, k_hi + 1):
+        acc = _plus(None if acc is None else amplify(acc, 1), terms.get(k))
+        yield k, _plus(acc, below.get(k))
+    for k, val in below.items():
+        if k < first:
+            yield k, val
+
+
+def _plus(x: AMatrix | None, y: AMatrix | None) -> AMatrix | None:
+    """x + y, where None is zero."""
+    if x is None or y is None:
+        return y if x is None else x
+    return x + y
 
 
 def band_op(spec: CorrespondenceSpec, x: AMatrix, r: int, s: int,
@@ -280,7 +298,7 @@ def band_op(spec: CorrespondenceSpec, x: AMatrix, r: int, s: int,
         raise ConfigurationError(f"band degrees ({r},{s}) outside window")
     k_lo = window.lo - min(r, s) if window.two_sided else 0
     out = GradedOperator(spec, window)
-    for k, xk in band_powers(spec.amplify, x, k_lo, window.hi - max(r, s)):
+    for k, xk in band_powers(spec.amplify, {0: x}, k_lo, window.hi - max(r, s)):
         out.set_block(r + k, s + k, xk)
     return out
 
@@ -319,17 +337,25 @@ def psi_amplify(x: GradedOperator, big_n: int) -> GradedOperator:
 
     One-sided windows sum k >= 0; two-sided windows sum over all integers
     (which makes the map unital).  Blocks that are stacks are averaged
-    element by element."""
+    element by element.  Each diagonal j - i of the input is one
+    :func:`band_powers` call, its blocks the terms at their offsets from the
+    diagonal's first degree pair in [0, N]^2, so every output block costs one
+    amplification per pass however many input blocks reach it.  The weight
+    scales the input blocks, which are smaller than the outputs."""
     window = x.window
     for (i, j) in x.blocks:
         if not (0 <= i <= big_n and 0 <= j <= big_n):
             raise ConfigurationError("input support must lie within [0, N]^2")
-    out = GradedOperator(x.spec, window)
     weight = 1.0 / (big_n + 1)
+    diagonals: dict[int, dict[int, AMatrix]] = {}
     for (i, j), val in x.blocks.items():
-        k_lo = window.lo - min(i, j) if window.two_sided else 0
-        for k, vk in band_powers(x.spec.amplify, val, k_lo, window.hi - max(i, j)):
-            out.add_block(i + k, j + k, vk * weight)
+        diagonals.setdefault(j - i, {})[min(i, j)] = val * weight
+    out = GradedOperator(x.spec, window)
+    k_lo = window.lo if window.two_sided else 0
+    for d, terms in diagonals.items():
+        r, s = max(0, -d), max(0, d)
+        for k, vk in band_powers(x.spec.amplify, terms, k_lo, window.hi - max(r, s)):
+            out.set_block(r + k, s + k, vk)
     return out
 
 
@@ -375,29 +401,24 @@ class SchurRow:
     measured: float
     abs_err: float
     sided: str
+    tol: Tolerances = DEFAULT_TOL
+
+    def to_dict(self) -> dict:
+        """The row as reported: ``measured`` and ``abs_err`` on the eq_tol
+        grid (:func:`tol_grid`), so the bytes do not depend on BLAS threads."""
+        return {
+            "N": self.N, "r": self.r, "s": self.s, "l": self.l,
+            "expected": [self.expected.numerator, self.expected.denominator],
+            "measured": tol_grid(self.measured, self.tol.eq_tol),
+            "abs_err": tol_grid(self.abs_err, self.tol.eq_tol),
+            "sided": self.sided,
+        }
 
     def csv_fields(self):
+        row = self.to_dict()
         return [self.N, self.r, self.s, self.l,
                 self.expected.numerator, self.expected.denominator,
-                f"{self.measured:.17g}", f"{self.abs_err:.17g}", self.sided]
-
-
-@dataclass
-class TailSymbol:
-    """Eventual-block description sum_l c_l (e (x) I_{E^l}) of a Cuntz-Pimsner
-    element modulo compacts."""
-    r: int
-    s: int
-    e: AMatrix
-    coeffs: dict = field(default_factory=dict)   # exceptional offsets
-    tail: Fraction = Fraction(1)
-
-    def coeff(self, l: int) -> Fraction:
-        return self.coeffs.get(l, self.tail)
-
-    def stabilization_offset(self) -> int:
-        bad = [l for l, c in self.coeffs.items() if c != self.tail]
-        return max(bad) + 1 if bad else 0
+                f"{row['measured']:.17g}", f"{row['abs_err']:.17g}", self.sided]
 
 
 def _measure_coefficient(block: AMatrix, reference: AMatrix, eq_tol: float):
@@ -432,7 +453,7 @@ def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
         expected = schur_oracle(big_n, r, s, l, sided)
         measured = float(np.real(c))
         rows.append(SchurRow(big_n, r, s, l, expected, measured,
-                             abs(measured - float(expected)), sided))
+                             abs(measured - float(expected)), sided, tol))
     return out, rows
 
 
@@ -456,26 +477,6 @@ def w_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
     if not window.two_sided:
         raise ConfigurationError("two-sided pipeline needs a two-sided window")
     return _schur_measure(spec, mu, nu, big_n, window, r, s, "two", tol)
-
-
-def tail_compare(x: GradedOperator, t: TailSymbol, tol: Tolerances = DEFAULT_TOL):
-    """Compare a graded operator against an eventual-block description.
-
-    Returns (max deviation at offsets >= stabilization, sorted list of
-    offsets below stabilization where blocks deviate from the tail constant:
-    the compact part)."""
-    stab = t.stabilization_offset()
-    tail_dev = 0.0
-    compact = []
-    band = band_op(x.spec, t.e, t.r, t.s, x.window)
-    for (i, j), ref in band.blocks.items():
-        l = i - t.r
-        dev_tail = (x.block(i, j) - ref * float(t.tail)).max_abs()
-        if l >= stab:
-            tail_dev = max(tail_dev, dev_tail)
-        if dev_tail > tol.eq_tol:
-            compact.append(l)
-    return tail_dev, sorted(compact)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ certified either by assembling Choi matrices per algebra block (exact, for
 small sides) or by a randomized positivity probe (necessary condition only).
 Eigenvalues are solved exactly per connected component of the matrix's
 nonzero pattern (these Choi matrices are almost diagonal), and serialized
-on a grid derived from ``psd_tol`` so reports do not depend on BLAS threads.
+on a grid derived from ``psd_tol`` (:func:`tol_grid`) so reports do not
+depend on BLAS threads.
 The checks need only the least eigenvalue, so one running minimum is carried
 through every component, probe trial, domain block and algebra block, and a
 component is solved only when a Cholesky screen cannot rule out that it sets
@@ -202,14 +203,14 @@ class AMatrix:
     @classmethod
     def from_flat(cls, spec: AlgebraSpec, rows: int, cols: int, flat: np.ndarray) -> "AMatrix":
         """Inverse of :meth:`flatten` (off-diagonal junk between blocks is
-        dropped); a stack of flat matrices gives a stack."""
+        dropped); a stack of flat matrices gives a stack.  The blocks of a
+        complex ``flat`` are views of it, not copies."""
         lead = flat.shape[:-2]
         blocks = []
         ro = co = 0
         for d in spec.block_dims:
             m = flat[..., ro:ro + rows * d, co:co + cols * d]
-            blocks.append(m.reshape(lead + (rows, d, cols, d)).swapaxes(-3, -2)
-                          .astype(complex))
+            blocks.append(m.reshape(lead + (rows, d, cols, d)).swapaxes(-3, -2))
             ro += rows * d
             co += cols * d
         return cls(spec, rows, cols, blocks)
@@ -278,18 +279,20 @@ class CPReport:
     def to_dict(self):
         return {
             "method": self.method,
-            "min_eig": _psd_grid(self.min_eigenvalue, self.tol.psd_tol),
+            "min_eig": tol_grid(self.min_eigenvalue, self.tol.psd_tol),
             "unital_defect": self.unital_defect,
-            "norm_bound": self.norm_bound,
+            "norm_bound": tol_grid(self.norm_bound, self.tol.eq_tol),
             "pass": bool(self.passed),
         }
 
 
-def _psd_grid(value: float, psd_tol: float) -> float:
-    """``value`` rounded three decimal places below ``psd_tol`` (to 1e-11 for
-    1e-8), -0.0 read as 0.0: LAPACK's last digits vary with the BLAS thread
-    count.  Verdicts use the unrounded value."""
-    digits = 3 - math.floor(math.log10(psd_tol))
+def tol_grid(value: float, tol: float) -> float:
+    """``value`` rounded three decimal places below the tolerance it is
+    checked against (to 1e-11 for psd_tol = 1e-8, to 1e-12 for eq_tol =
+    1e-9), -0.0 read as 0.0: the last digits of BLAS and LAPACK results vary
+    with the BLAS thread count.  Reports serialize computed values this way;
+    verdicts use the unrounded value."""
+    digits = 3 - math.floor(math.log10(tol))
     return round(value, digits) + 0.0
 
 

@@ -166,7 +166,7 @@ def pi_i(spec: CorrespondenceSpec, i: int, t: AMatrix,
     if t.rows != spec.fiber_dim(i) or t.cols != spec.fiber_dim(i):
         raise SpecMismatchError("compact has wrong side for level i")
     out = GradedOperator(spec, window)
-    for k, tk in band_powers(spec.amplify, t, 0, window.hi - i):
+    for k, tk in band_powers(spec.amplify, {0: t}, 0, window.hi - i):
         out.set_block(i + k, i + k, tk)
     return out
 
@@ -184,7 +184,7 @@ def toeplitz_infty(ctx: EInftyContext, mu: AMatrix, b: AMatrix,
     yc = ctx.vector(nu, c)
     e_inf = xb @ yc.adjoint()
     return {(r + k, s + k): ek for k, ek in
-            band_powers(ctx.amplify_inf, e_inf, 0, window.hi - max(r, s))}
+            band_powers(ctx.amplify_inf, {0: e_inf}, 0, window.hi - max(r, s))}
 
 
 def eps_hat_graded(ctx: EInftyContext, blocks: dict,
@@ -444,10 +444,9 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         D=d_total,
         flatten_dim=d_total * spec.algebra.total_dim,
         generators=gen_records,
-        factor_maps=[
-            {"direction": "compress", "cp": phi_cp.to_dict(), "norm": phi_cp.norm_bound},
-            {"direction": "amplify", "cp": psi_cp.to_dict(), "norm": psi_cp.norm_bound},
-        ],
+        factor_maps=[{"direction": direction, "cp": cp, "norm": cp["norm_bound"]}
+                     for direction, cp in (("compress", phi_cp.to_dict()),
+                                           ("amplify", psi_cp.to_dict()))],
         tolerances=tol,
         seed=seed,
         created=created,

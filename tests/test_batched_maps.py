@@ -15,6 +15,7 @@ from pimsner_lab.fock import (
     compress,
     pipeline_table,
     psi_amplify,
+    window_table,
 )
 from pimsner_lab.lift import compression_table, factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
@@ -147,3 +148,22 @@ def test_stacked_amatrix_acts_per_element(spec_name):
         for k in ks:
             got = spec.amplify(stack, k).flatten()[e]
             assert np.max(np.abs(got - spec.amplify(x, k).flatten())) <= 1e-12
+
+
+@pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
+def test_identity_map_basis_images_are_the_matrix_units(spec_name):
+    """from_flat's blocks are views of the unit stack that basis_images
+    rewrites row by row; a map that handed such a view back would see its
+    images overwritten.  The identity window map must return every unit."""
+    spec = build(spec_name)
+    window = FockWindow.two_sided_sym(1) if spec.n == 1 else FockWindow.one_sided(2)
+    table = window_table(spec, window, window, lambda g: g.restrict(window))
+    n = table.domain_dim
+    off = 0
+    for m, arr in zip(table.domain_sides, table.basis_images()):
+        units = np.zeros((m, m, n, n), dtype=complex)
+        rows = np.arange(m)[:, None]
+        cols = np.arange(m)[None, :]
+        units[rows, cols, off + rows, off + cols] = 1.0
+        assert np.array_equal(arr, units)
+        off += m

@@ -190,22 +190,53 @@ def test_report_matches_golden(tmp_path, command, preset, n_values):
                            json.loads(golden.read_text()), spec.tol.eq_tol)
 
 
+def _stdout_at_blas_threads(args, threads):
+    """stdout of ``python args`` run with the package from this checkout and
+    the given BLAS thread count."""
+    src = Path(pimsner_lab.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable] + args, env=env, capture_output=True,
+                          timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    return proc.stdout
+
+
 def test_certificate_bytes_stable_across_blas_threads():
     """CP eigenvalues are serialized on a grid derived from psd_tol, so the
     last-digit drift of LAPACK across BLAS thread counts does not reach the
     report."""
-    src = Path(pimsner_lab.__file__).resolve().parent.parent
-    texts = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pimsner_lab.cli", "certificate",
-             "--preset", "twisted2", "--N", "2..4"],
-            env=env, capture_output=True, timeout=600, check=False)
-        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
-        texts.append(proc.stdout)
-    assert texts[0] == texts[1]
+    args = ["-m", "pimsner_lab.cli", "certificate", "--preset", "twisted2", "--N", "2..4"]
+    assert _stdout_at_blas_threads(args, "1") == _stdout_at_blas_threads(args, "2")
+
+
+# the serialized CP record of both twisted2 factor maps at N = 5, from their
+# unit images alone (no Choi check, no probe)
+FACTOR_MAP_NORMS = """
+import sys
+from pimsner_lab.cli import _emit_json
+from pimsner_lab.fock import FockWindow
+from pimsner_lab.hilbert_mod import CPReport, _unit_image_norms
+from pimsner_lab.lift import factor_tables
+from pimsner_lab.presets import build_preset
+spec = build_preset("twisted2")
+for table in factor_tables(spec, FockWindow.one_sided(7), 5)[:2]:
+    unital_defect, norm_bound = _unit_image_norms(table)
+    _emit_json(CPReport("probe", 0.0, unital_defect, norm_bound, True,
+                        tol=spec.tol).to_dict(), sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "pimsner_lab.cli", "schur", "--preset", "cuntz2"],
+    ["-m", "pimsner_lab.cli", "schur", "--preset", "twisted2"],
+    ["-c", FACTOR_MAP_NORMS],
+], ids=["schur-cuntz2", "schur-twisted2", "factor-map-norms-twisted2-N5"])
+def test_measured_values_stable_across_blas_threads(args):
+    """Schur coefficients and factor-map norms come from BLAS and LAPACK, and
+    their last digits move with the thread count; reports print them on the
+    eq_tol grid, so the bytes do not."""
+    assert _stdout_at_blas_threads(args, "1") == _stdout_at_blas_threads(args, "2")
 
 
 def test_unwritable_out_exit_two():

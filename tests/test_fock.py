@@ -11,7 +11,6 @@ from pimsner_lab.hilbert_mod import AMatrix, rank_one
 from pimsner_lab.fock import (
     FockWindow,
     GradedOperator,
-    TailSymbol,
     band_op,
     band_powers,
     compress,
@@ -20,13 +19,15 @@ from pimsner_lab.fock import (
     pipeline_table,
     psi_amplify,
     schur_oracle,
-    tail_compare,
     toeplitz_op,
     v_n,
     w_n,
 )
 from pimsner_lab.hilbert_mod import choi_cp_check
 from pimsner_lab.presets import PRESETS, build_preset
+
+from test_batched_maps import build
+from test_peel import correspondences
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +146,7 @@ def test_band_powers_equal_direct_amplification(preset):
     spec = build_preset(preset)
     x = AMatrix.from_element(sample(spec.algebra, "element", 7))
     k_lo = -3 if spec.n == 1 else 0
-    got = list(band_powers(spec.amplify, x, k_lo, 3))
+    got = list(band_powers(spec.amplify, {0: x}, k_lo, 3))
     assert [k for k, _ in got] == [0, 1, 2, 3] + list(range(-1, k_lo - 1, -1))
     for k, xk in got:
         assert (xk - spec.amplify(x, k)).max_abs() == 0.0, k
@@ -167,6 +168,67 @@ def test_band_op_support(preset, window, r, s):
     assert set(band_op(spec, x, r, s, window).blocks) == want
     with pytest.raises(ConfigurationError):
         band_op(spec, x, r, window.hi + 1, window)
+
+
+def loop_psi_amplify(x, big_n):
+    """Psi_N as the sum over every (input block, shift) pair, each shift
+    amplified from its input block by one spec.amplify call and weighted."""
+    window = x.window
+    out = GradedOperator(x.spec, window)
+    for (i, j), val in x.blocks.items():
+        k_lo = window.lo - min(i, j) if window.two_sided else 0
+        for k in range(k_lo, window.hi - max(i, j) + 1):
+            out.add_block(i + k, j + k, x.spec.amplify(val, k) * (1.0 / (big_n + 1)))
+    return out
+
+
+def random_graded(spec, window, big_n, seed, stack=()):
+    """Random dense blocks (stacks of them for a nonempty ``stack``) on about
+    two thirds of the degree pairs in [0, N]^2, so diagonals have gaps."""
+    rng = np.random.default_rng(seed)
+    keys = [(i, j) for i in range(big_n + 1) for j in range(big_n + 1)
+            if rng.random() < 0.65] or [(0, big_n)]
+    blocks = {}
+    for i, j in keys:
+        shape = (spec.fiber_dim(i), spec.fiber_dim(j))
+        blocks[(i, j)] = AMatrix(spec.algebra, *shape, [
+            rng.standard_normal(stack + shape + (d, d))
+            + 1j * rng.standard_normal(stack + shape + (d, d))
+            for d in spec.algebra.block_dims])
+    return GradedOperator(spec, window, blocks)
+
+
+def assert_psi_matches_loop(spec, window, big_n, seed, stack=()):
+    x = random_graded(spec, window, big_n, seed, stack)
+    got = psi_amplify(x, big_n)
+    want = loop_psi_amplify(x, big_n)
+    assert got.support() == want.support()
+    assert got.shared_block_dev(want) <= 1e-12
+
+
+PSI_CASES = [(name, sided, big_n) for name in sorted(PRESETS) + ["mixed"]
+             for sided in ("one", "two") if sided == "one" or build(name).n == 1
+             for big_n in (2, 3)]
+
+
+@pytest.mark.parametrize("name, sided, big_n", PSI_CASES)
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["single", "stack"])
+def test_psi_amplify_equals_per_shift_sum(name, sided, big_n, stack):
+    """Horner's rule along each diagonal against the sum over every input
+    block and shift, on one- and two-sided windows, for single operators and
+    for stacks."""
+    spec = build(name)
+    window = (FockWindow.two_sided_sym(big_n + 2) if sided == "two"
+              else FockWindow.one_sided(big_n + 2))
+    assert_psi_matches_loop(spec, window, big_n, 10 * big_n + len(stack), stack)
+
+
+@settings(max_examples=20, deadline=None)
+@given(correspondences(), st.integers(2, 3), st.integers(0, 1000))
+def test_random_correspondence_psi_amplify(spec, big_n, seed):
+    hi = big_n + 1 if spec.n > 1 else big_n + 2
+    window = FockWindow.two_sided_sym(hi) if spec.n == 1 else FockWindow.one_sided(hi)
+    assert_psi_matches_loop(spec, window, big_n, seed)
 
 
 def test_creation_op_two_sided_carries_negative_offsets(z3):
@@ -253,24 +315,6 @@ def test_window_extension_invariance(cuntz, z3):
     small, _ = w_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(5), r=2, s=1)
     large, _ = w_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(7), r=2, s=1)
     assert small.shared_block_dev(large) < 1e-12
-
-
-def test_tail_compare_reports_compact_part(cuntz):
-    w = FockWindow.one_sided(6)
-    mu = cuntz.sample_vector(1, 21)
-    nu = cuntz.sample_vector(1, 22)
-    big_n = 4
-    out, _ = v_n(cuntz, mu, nu, big_n, w)
-    e = rank_one(mu, nu)
-    tail = Fraction(big_n - 1 + 1, big_n + 1)   # (min(N-r,N-s)+1)/(N+1)
-    stab = big_n - 1
-    coeffs = {l: schur_oracle(big_n, 1, 1, l, "one") for l in range(stab)}
-    symbol = TailSymbol(1, 1, e, coeffs=coeffs, tail=tail)
-    # the pipeline output *is* its symbol: zero tail deviation, and the
-    # compact part sits strictly below the stabilization offset
-    tail_dev, compact = tail_compare(out, symbol, cuntz.tol)
-    assert tail_dev < 1e-12
-    assert all(l < stab for l in compact)
 
 
 def test_pipeline_table_is_cp(z3):

@@ -12,7 +12,7 @@ from pimsner_lab.hilbert_mod import (
     CPReport,
     _hermitian_min_eig,
     _probe_outputs,
-    _psd_grid,
+    tol_grid,
     positivity_probe,
 )
 from pimsner_lab.fock import FockWindow, GradedOperator
@@ -190,18 +190,23 @@ def test_from_amatrix_keeps_the_per_pair_support(preset, window):
         hit = rng.random(b.shape) < 0.05
         b[hit] = rng.choice([0.2, 0.9, -0.5j], size=hit.sum())
     # the corner degree pair holds one subnormal entry, which is nonzero;
-    # the opposite corner is exactly zero
+    # the opposite corner is zero
     corner = spec.fiber_dim(window.hi)
     first = spec.fiber_dim(window.lo)
     for b in mat.blocks:
         b[:first, total - corner:] = 0.0
         b[total - corner:, :first] = 0.0
+        # every zero entry is a negative zero in both parts, which is zero
+        b[b == 0] = complex(-0.0, -0.0)
     mat.blocks[0][0, total - 1, 0, 0] = 5e-324
     got = GradedOperator.from_amatrix(spec, window, mat)
     assert list(got.blocks) == per_pair_support(spec, window, mat)
     assert (window.lo, window.hi) in got.blocks
     assert (window.hi, window.lo) not in got.blocks
     assert (got.to_amatrix() - mat).max_abs() == 0.0
+    # the same scan over blocks that are strided views of a flat matrix
+    view = AMatrix.from_flat(spec.algebra, total, total, mat.flatten())
+    assert list(GradedOperator.from_amatrix(spec, window, view).blocks) == list(got.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +262,10 @@ def test_cached_inverses():
 
 def test_psd_grid_rounds_and_drops_negative_zero():
     tol = DEFAULT_TOL.psd_tol
-    assert _psd_grid(0.4968867638626171, tol) == _psd_grid(0.49688676386261754, tol)
-    assert _psd_grid(-7.9e-16, tol) == 0.0
-    assert np.copysign(1.0, _psd_grid(-7.9e-16, tol)) == 1.0
-    assert abs(_psd_grid(0.123456789012345, tol) - 0.123456789012345) <= tol / 1000
+    assert tol_grid(0.4968867638626171, tol) == tol_grid(0.49688676386261754, tol)
+    assert tol_grid(-7.9e-16, tol) == 0.0
+    assert np.copysign(1.0, tol_grid(-7.9e-16, tol)) == 1.0
+    assert abs(tol_grid(0.123456789012345, tol) - 0.123456789012345) <= tol / 1000
 
 
 def test_cp_verdict_uses_the_unrounded_value():
@@ -270,4 +275,4 @@ def test_cp_verdict_uses_the_unrounded_value():
                    passed=just_below >= -tol.psd_tol, tol=tol)
     d = rep.to_dict()
     assert d["pass"] is False
-    assert d["min_eig"] == _psd_grid(just_below, tol.psd_tol)
+    assert d["min_eig"] == tol_grid(just_below, tol.psd_tol)
