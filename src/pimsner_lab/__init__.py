@@ -46,9 +46,7 @@ from .expectation import eps_bar, eps_hat, ex_k, ex_trace, verify_cond_exp
 from .lift import (
     CPAPCertificate,
     EInftyContext,
-    FactorPair,
     bilateral_lift,
-    compose_certificates,
     cpap_certificate,
     einfty_inner,
     lift_defect,

@@ -152,7 +152,7 @@ class CorrespondenceSpec:
             img = (coords @ self._phi1_units[t]).reshape(-1, q, n, n, dt, dt)
             out_blocks.append(img.transpose(0, 2, 1, 3, 4, 5).reshape(
                 lead + (p * n, q * n, dt, dt)))
-        return AMatrix(self.algebra, p * n, q * n, out_blocks)
+        return AMatrix._new(self.algebra, p * n, q * n, out_blocks)
 
     def amplify(self, x: AMatrix, k: int) -> AMatrix:
         """x (x) I_{E^k}.  Negative k is only meaningful for n = 1 (two-sided

@@ -161,6 +161,19 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
 
 
 def _sample_matrix(spec: CorrespondenceSpec, side: int, seed: int) -> AMatrix:
-    grid = [[sample(spec.algebra, "element", seed * 613 + i * side + j)
-             for j in range(side)] for i in range(side)]
-    return AMatrix.from_elements(grid)
+    """Random side x side matrix over A whose (i, j) entry is
+    ``sample(A, "element", seed * 613 + i * side + j)``.  Each entry's
+    generator makes one call for all its normals, which come in the order
+    ``sample`` draws them: per algebra block the real, then the imaginary
+    part."""
+    dims = spec.algebra.block_dims
+    width = sum(2 * d * d for d in dims)
+    draws = np.stack([np.random.default_rng(seed * 613 + e).standard_normal(width)
+                      for e in range(side * side)])
+    blocks = []
+    off = 0
+    for d in dims:
+        re, im = draws[:, off:off + d * d], draws[:, off + d * d:off + 2 * d * d]
+        blocks.append((re + 1j * im).reshape(side, side, d, d))
+        off += 2 * d * d
+    return AMatrix(spec.algebra, side, side, blocks)

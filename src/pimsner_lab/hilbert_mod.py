@@ -57,6 +57,14 @@ class AMatrix:
     p x q matrices.  Sums, scalar multiples, ``submatrix``, ``flatten``,
     ``from_flat`` and the amplifications of a correspondence act on every
     element of a stack; products, adjoints and the metrics take one matrix.
+
+    Only the public constructor converts and checks its blocks (complex
+    dtype, block shapes, one stack depth); arithmetic, ``adjoint``,
+    ``submatrix``, ``copy``, ``scale_element``, ``amplify1`` and
+    ``Automorphism.apply`` build their results, correct by construction,
+    through :meth:`_new`.  A result may share arrays with its operands
+    (``submatrix``, ``from_flat`` and the identity blocks of ``apply``), so
+    write only into matrices made fresh, e.g. by :meth:`zeros` or :meth:`copy`.
     """
 
     __slots__ = ("spec", "rows", "cols", "blocks")
@@ -70,6 +78,16 @@ class AMatrix:
         for b, d in zip(self.blocks, spec.block_dims):
             if b.shape[-4:] != (rows, cols, d, d) or b.ndim != ndim:
                 raise SpecMismatchError(f"block array {b.shape} != {(rows, cols, d, d)}")
+
+    @classmethod
+    def _new(cls, spec: AlgebraSpec, rows: int, cols: int, blocks: list) -> "AMatrix":
+        """Wrap a list of complex (..., rows, cols, d, d) arrays unchecked."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.rows = rows
+        out.cols = cols
+        out.blocks = blocks
+        return out
 
     @property
     def stack_shape(self) -> tuple:
@@ -120,10 +138,10 @@ class AMatrix:
 
     def submatrix(self, row_slice, col_slice) -> "AMatrix":
         bs = [b[..., row_slice, col_slice, :, :] for b in self.blocks]
-        return AMatrix(self.spec, bs[0].shape[-4], bs[0].shape[-3], bs)
+        return AMatrix._new(self.spec, bs[0].shape[-4], bs[0].shape[-3], bs)
 
     def copy(self) -> "AMatrix":
-        return AMatrix(self.spec, self.rows, self.cols, [b.copy() for b in self.blocks])
+        return AMatrix._new(self.spec, self.rows, self.cols, [b.copy() for b in self.blocks])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -135,17 +153,17 @@ class AMatrix:
 
     def __add__(self, other: "AMatrix") -> "AMatrix":
         self._check(other)
-        return AMatrix(self.spec, self.rows, self.cols,
-                       [a + b for a, b in zip(self.blocks, other.blocks)])
+        return AMatrix._new(self.spec, self.rows, self.cols,
+                            [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other: "AMatrix") -> "AMatrix":
         self._check(other)
-        return AMatrix(self.spec, self.rows, self.cols,
-                       [a - b for a, b in zip(self.blocks, other.blocks)])
+        return AMatrix._new(self.spec, self.rows, self.cols,
+                            [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __mul__(self, z) -> "AMatrix":
-        return AMatrix(self.spec, self.rows, self.cols,
-                       [b * complex(z) for b in self.blocks])
+        return AMatrix._new(self.spec, self.rows, self.cols,
+                            [b * complex(z) for b in self.blocks])
 
     __rmul__ = __mul__
 
@@ -165,11 +183,11 @@ class AMatrix:
             flat = (a.transpose(0, 2, 1, 3).reshape(p * d, q * d)
                     @ b.transpose(0, 2, 1, 3).reshape(q * d, r * d))
             out.append(flat.reshape(p, d, r, d).transpose(0, 2, 1, 3))
-        return AMatrix(self.spec, p, r, out)
+        return AMatrix._new(self.spec, p, r, out)
 
     def adjoint(self) -> "AMatrix":
         out = [np.conj(np.transpose(b, (1, 0, 3, 2))) for b in self.blocks]
-        return AMatrix(self.spec, self.cols, self.rows, out)
+        return AMatrix._new(self.spec, self.cols, self.rows, out)
 
     def scale_element(self, a: AElement, side: str = "right") -> "AMatrix":
         """Entrywise multiply by a in A (module action for column vectors)."""
@@ -177,7 +195,7 @@ class AMatrix:
             out = [b @ e for b, e in zip(self.blocks, a.blocks)]
         else:
             out = [e @ b for e, b in zip(a.blocks, self.blocks)]
-        return AMatrix(self.spec, self.rows, self.cols, out)
+        return AMatrix._new(self.spec, self.rows, self.cols, out)
 
     # -- flattening and metrics -------------------------------------------
 

@@ -19,7 +19,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -51,14 +51,12 @@ from .fock import (
 __all__ = [
     "EInftyContext",
     "CPAPCertificate",
-    "FactorPair",
     "einfty_inner",
     "pi_i",
     "toeplitz_infty",
     "lift_defect",
     "bilateral_lift",
     "cpap_certificate",
-    "compose_certificates",
 ]
 
 TOOL_VERSION = "0.1.0"
@@ -306,16 +304,6 @@ def compression_table(spec: CorrespondenceSpec, two_sided: FockWindow,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FactorPair:
-    """A factorization (phi: X -> C, psi: C -> X) with CP witnesses."""
-    phi: LinearMapTable
-    psi: LinearMapTable
-    phi_cp: CPReport | None = None
-    psi_cp: CPReport | None = None
-    errors: list = field(default_factory=list)   # per-generator errors
-
-
-@dataclass
 class GeneratorRecord:
     r: int
     s: int
@@ -451,55 +439,3 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         seed=seed,
         created=created,
     )
-
-
-def compose_certificates(outer: FactorPair, inner: FactorPair, seed: int = 0,
-                         trials: int = 5, tol: Tolerances = DEFAULT_TOL,
-                         choi_cap: int = CHOI_CAP):
-    """Chain two factorizations (psi o psi', phi' o phi) and re-certify.
-
-    The inner pair must factor the outer pair's intermediate algebra.
-    Returns the composed pair and a report with measured round-trip errors
-    and the triangle-inequality bound."""
-    if inner.phi.domain_sides != outer.phi.codomain_sides:
-        raise SpecMismatchError("factorization chain mismatch")
-    phi_c = inner.phi.compose(outer.phi)
-    psi_c = outer.psi.compose(inner.psi)
-    composed = FactorPair(phi_c, psi_c)
-    composed.phi_cp = cp_check_auto(phi_c, tol, choi_cap=choi_cap, seed=seed + 1)
-    composed.psi_cp = cp_check_auto(psi_c, tol, choi_cap=choi_cap, seed=seed + 2)
-
-    def round_trip(pair: FactorPair, x):
-        return pair.psi.apply_flat(pair.phi.apply_flat(x))
-
-    rows = []
-    for t in range(trials):
-        rng = np.random.default_rng(seed + 10 + t)
-        x = _random_block_diag(outer.phi.domain_sides, rng)
-        e_outer = np.linalg.norm(round_trip(outer, x) - x, 2)
-        y = outer.phi.apply_flat(x)
-        e_inner = np.linalg.norm(
-            outer.psi.apply_flat(round_trip(inner, y)) - outer.psi.apply_flat(y), 2)
-        e_comp = np.linalg.norm(round_trip(composed, x) - x, 2)
-        rows.append({"outer": float(e_outer), "inner_carried": float(e_inner),
-                     "composed": float(e_comp),
-                     "bound_ok": bool(e_comp <= e_outer + e_inner + tol.eq_tol)})
-    report = {
-        "trials": rows,
-        "phi_cp": composed.phi_cp.to_dict(),
-        "psi_cp": composed.psi_cp.to_dict(),
-        "pass": all(r["bound_ok"] for r in rows)
-        and composed.phi_cp.passed and composed.psi_cp.passed,
-    }
-    return composed, report
-
-
-def _random_block_diag(sides, rng) -> np.ndarray:
-    n = sum(sides)
-    out = np.zeros((n, n), dtype=complex)
-    off = 0
-    for m in sides:
-        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        out[off:off + m, off:off + m] = z / np.sqrt(2 * m)
-        off += m
-    return out

@@ -180,12 +180,21 @@ class Automorphism:
     """Automorphism of A: (sigma, {V_s}) acting by a -> (V_s* a_{sigma^-1(s)} V_s)_s.
 
     Every automorphism of a finite direct sum of full matrix algebras is of
-    this form; sigma must preserve block dimensions.
+    this form; sigma must preserve block dimensions.  The inverse
+    permutation, which blocks have V_s exactly the identity, and the
+    adjoints of the other V_s are precomputed, so ``apply`` in either
+    direction passes identity blocks through untouched.
     """
 
     spec: AlgebraSpec
     perm: tuple[int, ...]
     unitaries: tuple = field(default=None)
+    # what apply does per target block: (source block, left, right), with
+    # left = right = None where V is exactly the identity; _backward is the
+    # same for the inverse (sigma^-1, {V_{sigma(s)}*})
+    _perm_inv: tuple = field(init=False, compare=False, repr=False)
+    _forward: tuple = field(init=False, compare=False, repr=False)
+    _backward: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if sorted(self.perm) != list(range(self.spec.n_blocks)):
@@ -204,50 +213,50 @@ class Automorphism:
             if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-8:
                 raise ConfigurationError("automorphism data is not unitary")
         object.__setattr__(self, "unitaries", us)
+        pinv = [0] * len(self.perm)
+        for s, t in enumerate(self.perm):
+            pinv[t] = s
+        adj = [None if np.array_equal(u, np.eye(d)) else u.conj().T
+               for u, d in zip(us, dims)]
+        object.__setattr__(self, "_perm_inv", tuple(pinv))
+        object.__setattr__(self, "_forward", tuple(
+            (pinv[s], adj[s], None if adj[s] is None else us[s])
+            for s in range(len(dims))))
+        # the inverse conjugates by W = V_{sigma(s)}* as W* x W, with W* taken
+        # from W as inverse().apply takes it, so the products keep their bits
+        object.__setattr__(self, "_backward", tuple(
+            (t, None if adj[t] is None else adj[t].conj().T, adj[t])
+            for t in self.perm))
 
     @classmethod
     def identity(cls, spec: AlgebraSpec) -> "Automorphism":
         return cls(spec, tuple(range(spec.n_blocks)))
 
-    def _perm_inv(self) -> tuple[int, ...]:
-        inv = [0] * len(self.perm)
-        for s, t in enumerate(self.perm):
-            inv[t] = s
-        return tuple(inv)
-
     def inverse(self) -> "Automorphism":
         # closed form: (sigma^-1, {V_{sigma(s)}*})
         return Automorphism(
             self.spec,
-            self._perm_inv(),
+            self._perm_inv,
             tuple(self.unitaries[self.perm[s]].conj().T for s in range(self.spec.n_blocks)),
         )
 
     def apply(self, x, inverse: bool = False):
         """alpha(x) for an AElement, or entrywise for an AMatrix: each block
-        conjugated on its trailing (d, d) axes."""
+        conjugated on its trailing (d, d) axes.  The result shares the arrays
+        of identity blocks with ``x``."""
         if x.spec != self.spec:
             raise SpecMismatchError("element over a different algebra")
-        alpha = self.inverse() if inverse else self
-        pinv = alpha._perm_inv()
-        out = [v.conj().T @ x.blocks[pinv[s]] @ v
-               for s, v in enumerate(alpha.unitaries)]
+        out = [x.blocks[src] if left is None else left @ x.blocks[src] @ right
+               for src, left, right in (self._backward if inverse else self._forward)]
         if isinstance(x, AElement):
             return AElement(self.spec, out)
-        return type(x)(x.spec, x.rows, x.cols, out)
-
-    def apply_power(self, x: AElement, k: int) -> "AElement":
-        """alpha^k(x) for k in Z."""
-        inv = k < 0
-        for _ in range(abs(k)):
-            x = self.apply(x, inverse=inv)
-        return x
+        return type(x)._new(x.spec, x.rows, x.cols, out)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
         # block s of the composite conjugates by W_{sigma1^-1(s)} V_s
         p = tuple(self.perm[other.perm[s]] for s in range(self.spec.n_blocks))
-        s1inv = self._perm_inv()
+        s1inv = self._perm_inv
         us = tuple(np.asarray(other.unitaries[s1inv[s]]) @ self.unitaries[s]
                    for s in range(self.spec.n_blocks))
         return Automorphism(self.spec, p, us)

@@ -167,18 +167,20 @@ def _assert_report_matches(got, want, tol, path="$"):
 @pytest.mark.parametrize("command,preset,n_values", [
     ("report", "cuntz2", (2, 3)),
     ("report", "crossed-z3", (2, 3)),
+    ("report", "rotation-m2", (2, 3)),
     ("certificate", "twisted2", (2, 3, 4)),
     ("lift-check", "twisted2", (2, 3, 4, 5)),
     ("expectation", "twisted2", (2, 3, 4, 5)),
-], ids=["cuntz2", "crossed-z3", "certificate-twisted2", "lift-check-twisted2",
-        "expectation-twisted2"])
+], ids=["cuntz2", "crossed-z3", "rotation-m2", "certificate-twisted2",
+        "lift-check-twisted2", "expectation-twisted2"])
 def test_report_matches_golden(tmp_path, command, preset, n_values):
     """A whole report against a committed golden file (written by this same
     run/serialize call), to within eq_tol, so the comparison does not depend
     on the BLAS build or the CPU.  The twisted2 certificate covers both CP
     methods (Choi at N = 2, 3, the probe at N = 4), so it also pins the
-    probe's random draws and their order.  The twisted2 lift-check and
-    expectation reports pin the extended-module defects and the Ex_k
+    probe's random draws and their order.  rotation-m2 is the one preset
+    whose beta conjugates by a non-identity unitary.  The twisted2 lift-check
+    and expectation reports pin the extended-module defects and the Ex_k
     axioms."""
     spec = build_preset(preset)
     bundle = run(command, RunConfig(spec=spec, n_values=n_values),

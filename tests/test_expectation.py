@@ -19,10 +19,26 @@ from pimsner_lab.hilbert_mod import choi_cp_check
 from pimsner_lab.lift import EInftyContext
 from pimsner_lab.presets import PRESETS, build_preset
 
+from test_batched_maps import build
+
 
 @pytest.fixture(scope="module")
 def cuntz():
     return build_preset("cuntz2")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])
+def test_sample_matrix_entries_are_seeded_samples(name):
+    """Entry (i, j) is sample(A, "element", seed * 613 + i * side + j) to the
+    bit, so the expectation reports keep their bytes."""
+    spec = build(name)
+    for side, seed in ((1, 3), (3, 11)):
+        got = _sample_matrix(spec, side, seed)
+        for i in range(side):
+            for j in range(side):
+                want = sample(spec.algebra, "element", seed * 613 + i * side + j)
+                assert all(g[i, j].tobytes() == w.tobytes()
+                           for g, w in zip(got.blocks, want.blocks))
 
 
 def test_trace_collapse_on_cuntz(cuntz):

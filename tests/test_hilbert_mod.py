@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pimsner_lab.star_core import make_algebra, sample
+from pimsner_lab.star_core import SpecMismatchError, make_algebra, sample
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     ChoiCapExceeded,
@@ -92,6 +92,21 @@ def test_submatrix_and_entries(algebra):
 def identity_table(algebra, p):
     return LinearMapTable.from_amatrix_map(algebra, p, algebra, p,
                                            lambda x: x, name="id")
+
+
+def test_constructor_rejects_bad_blocks(algebra):
+    """The public constructor checks block shapes and one stack depth; the
+    unchecked results of arithmetic rely on that."""
+    with pytest.raises(SpecMismatchError):
+        AMatrix(algebra, 2, 2, [np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2))])
+    with pytest.raises(SpecMismatchError):
+        AMatrix(algebra, 2, 2, [np.zeros((2, 3, 2, 2)), np.zeros((2, 3, 1, 1))])
+    with pytest.raises(SpecMismatchError):
+        AMatrix(algebra, 2, 2, [np.zeros((3, 2, 2, 2, 2)), np.zeros((2, 2, 1, 1))])
+    x = AMatrix(algebra, 2, 2, [np.ones((3, 2, 2, 2, 2), dtype=int),
+                                np.ones((3, 2, 2, 1, 1))])
+    assert x.stack_shape == (3,)
+    assert all(b.dtype == complex for b in x.blocks)
 
 
 def test_choi_identity_map_is_cp(algebra):

@@ -9,14 +9,11 @@ from pimsner_lab.fock import FockWindow, toeplitz_op
 from pimsner_lab.expectation import _sample_matrix
 from pimsner_lab.lift import (
     EInftyContext,
-    FactorPair,
     bilateral_lift,
-    compose_certificates,
     compression_table,
     cpap_certificate,
     eps_hat_graded,
     einfty_inner,
-    factor_tables,
     lift_defect,
     pi_i,
     toeplitz_infty,
@@ -218,16 +215,3 @@ def test_certificate_error_within_fejer_bound():
 def test_window_too_small_rejected(cuntz):
     with pytest.raises(ConfigurationError):
         cpap_certificate(cuntz, 6, [(0, 0)], FockWindow.one_sided(4), seed=1)
-
-
-def test_compose_certificates(cuntz):
-    phi1, psi1, _ = factor_tables(cuntz, FockWindow.one_sided(4), 3)
-    phi2, psi2, _ = factor_tables(cuntz, FockWindow.one_sided(3), 2)
-    composed, rep = compose_certificates(FactorPair(phi1, psi1),
-                                         FactorPair(phi2, psi2),
-                                         seed=3, trials=3, choi_cap=20000)
-    assert rep["pass"], rep
-    assert composed.phi_cp.passed and composed.psi_cp.passed
-    # chain mismatch is a structural error
-    with pytest.raises(Exception):
-        compose_certificates(FactorPair(phi2, psi2), FactorPair(phi1, psi1))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pimsner_lab.hilbert_mod import AMatrix
 from pimsner_lab.star_core import (
+    AElement,
     AlgebraSpec,
     Automorphism,
     ConfigurationError,
@@ -144,9 +147,72 @@ class TestAutomorphism:
         comp = shift.compose(shift)
         assert comp.apply(a).allclose(shift.apply(shift.apply(a)), 1e-12)
 
-    def test_apply_power(self):
-        spec = make_algebra([1, 1, 1])
-        shift = Automorphism(spec, (1, 2, 0))
-        a = sample(spec, "element", 33)
-        assert shift.apply_power(a, 3).allclose(a, 1e-12)
-        assert shift.apply_power(a, -1).allclose(shift.inverse().apply(a), 1e-12)
+
+# ---------------------------------------------------------------------------
+# apply against the explicit permute-and-conjugate, identity blocks untouched
+# ---------------------------------------------------------------------------
+
+@st.composite
+def mixed_automorphisms(draw):
+    """A = (+) M_d with d <= 3 and a dimension-preserving block permutation
+    whose unitaries are exact identities on some blocks and seeded Haar
+    unitaries on the others."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    spec = AlgebraSpec(dims)
+    perm = list(range(len(dims)))
+    for d in sorted(set(dims)):
+        same = [s for s in range(len(dims)) if dims[s] == d]
+        for s, t in zip(same, draw(st.permutations(same))):
+            perm[s] = t
+    keep = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    haar = sample(spec, "unitary", seed).blocks
+    us = tuple(np.eye(d, dtype=complex) if k else v
+               for k, d, v in zip(keep, dims, haar))
+    return Automorphism(spec, tuple(perm), us), seed
+
+
+def _explicit_apply(alpha, blocks, inverse):
+    """Block s of alpha(x) is V_s* x_{sigma^-1(s)} V_s; block s of
+    alpha^-1(x) is V_{sigma(s)} x_{sigma(s)} V_{sigma(s)}*.  Returns each
+    target block with its source block and whether V is the identity."""
+    out = []
+    for s, d in enumerate(alpha.spec.block_dims):
+        t = alpha.perm[s] if inverse else alpha.perm.index(s)
+        v = alpha.unitaries[t if inverse else s]
+        left, right = (v, v.conj().T) if inverse else (v.conj().T, v)
+        out.append((left @ blocks[t] @ right, t, np.array_equal(v, np.eye(d))))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_automorphisms(), st.booleans())
+def test_apply_equals_explicit_permute_and_conjugate(alpha_seed, inverse):
+    alpha, seed = alpha_seed
+    spec = alpha.spec
+    rng = np.random.default_rng(seed + 1)
+
+    def gauss(shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # a signed zero, which any arithmetic on an identity block would
+        # turn into +0
+        z.reshape(-1)[0] = complex(-0.0, -0.0)
+        return z
+
+    inputs = [
+        AElement(spec, [gauss((d, d)) for d in spec.block_dims]),
+        AMatrix(spec, 2, 3, [gauss((2, 3, d, d)) for d in spec.block_dims]),
+        AMatrix(spec, 2, 2, [gauss((2, 2, 2, d, d)) for d in spec.block_dims]),
+    ]
+    for x in inputs:
+        got = alpha.apply(x, inverse=inverse)
+        assert type(got) is type(x)
+        if isinstance(x, AMatrix):
+            assert (got.rows, got.cols) == (x.rows, x.cols)
+        for blk, (want, src, identity) in zip(
+                got.blocks, _explicit_apply(alpha, x.blocks, inverse)):
+            assert blk.shape == x.blocks[src].shape and blk.dtype == complex
+            if identity:
+                assert blk.tobytes() == x.blocks[src].tobytes()
+            else:
+                assert np.max(np.abs(blk - want)) <= 1e-12
