@@ -162,18 +162,13 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
 
 def _sample_matrix(spec: CorrespondenceSpec, side: int, seed: int) -> AMatrix:
     """Random side x side matrix over A whose (i, j) entry is
-    ``sample(A, "element", seed * 613 + i * side + j)``.  Each entry's
-    generator makes one call for all its normals, which come in the order
-    ``sample`` draws them: per algebra block the real, then the imaginary
-    part."""
-    dims = spec.algebra.block_dims
-    width = sum(2 * d * d for d in dims)
-    draws = np.stack([np.random.default_rng(seed * 613 + e).standard_normal(width)
-                      for e in range(side * side)])
-    blocks = []
-    off = 0
-    for d in dims:
-        re, im = draws[:, off:off + d * d], draws[:, off + d * d:off + 2 * d * d]
-        blocks.append((re + 1j * im).reshape(side, side, d, d))
-        off += 2 * d * d
+    ``sample(A, "element", seed * 613 + i * side + j)``, its blocks copied
+    straight into the (side, side, d, d) arrays."""
+    blocks = [np.empty((side, side, d, d), dtype=complex)
+              for d in spec.algebra.block_dims]
+    for i in range(side):
+        for j in range(side):
+            x = sample(spec.algebra, "element", seed * 613 + i * side + j)
+            for out, b in zip(blocks, x.blocks):
+                out[i, j] = b
     return AMatrix(spec.algebra, side, side, blocks)

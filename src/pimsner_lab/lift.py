@@ -28,7 +28,6 @@ from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError, Toler
 from .hilbert_mod import (
     CHOI_CAP,
     AMatrix,
-    CPReport,
     LinearMapTable,
     cp_check_auto,
     rank_one,

@@ -182,19 +182,17 @@ class Automorphism:
     Every automorphism of a finite direct sum of full matrix algebras is of
     this form; sigma must preserve block dimensions.  The inverse
     permutation, which blocks have V_s exactly the identity, and the
-    adjoints of the other V_s are precomputed, so ``apply`` in either
-    direction passes identity blocks through untouched.
+    adjoints of the other V_s are precomputed, so ``apply`` passes identity
+    blocks through untouched.
     """
 
     spec: AlgebraSpec
     perm: tuple[int, ...]
     unitaries: tuple = field(default=None)
     # what apply does per target block: (source block, left, right), with
-    # left = right = None where V is exactly the identity; _backward is the
-    # same for the inverse (sigma^-1, {V_{sigma(s)}*})
+    # left = right = None where V is exactly the identity
     _perm_inv: tuple = field(init=False, compare=False, repr=False)
     _forward: tuple = field(init=False, compare=False, repr=False)
-    _backward: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if sorted(self.perm) != list(range(self.spec.n_blocks)):
@@ -222,11 +220,6 @@ class Automorphism:
         object.__setattr__(self, "_forward", tuple(
             (pinv[s], adj[s], None if adj[s] is None else us[s])
             for s in range(len(dims))))
-        # the inverse conjugates by W = V_{sigma(s)}* as W* x W, with W* taken
-        # from W as inverse().apply takes it, so the products keep their bits
-        object.__setattr__(self, "_backward", tuple(
-            (t, None if adj[t] is None else adj[t].conj().T, adj[t])
-            for t in self.perm))
 
     @classmethod
     def identity(cls, spec: AlgebraSpec) -> "Automorphism":
@@ -246,8 +239,9 @@ class Automorphism:
         of identity blocks with ``x``."""
         if x.spec != self.spec:
             raise SpecMismatchError("element over a different algebra")
+        steps = (self.inverse() if inverse else self)._forward
         out = [x.blocks[src] if left is None else left @ x.blocks[src] @ right
-               for src, left, right in (self._backward if inverse else self._forward)]
+               for src, left, right in steps]
         if isinstance(x, AElement):
             return AElement(self.spec, out)
         return type(x)._new(x.spec, x.rows, x.cols, out)

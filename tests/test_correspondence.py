@@ -92,6 +92,25 @@ def test_bimodule_amplification_invertible():
     assert lhs.allclose(rhs, 1e-12)
 
 
+def test_rotation_m2_amplify_matches_pinned_values():
+    """x (x) I_{E^{+-1}} on one seeded element of rotation-m2, against values
+    pinned to 12 digits.  The report goldens hold only deviations near 0,
+    which a self-consistent but wrong beta (say, one whose rotation is
+    skipped) leaves near 0; these entries move with beta itself."""
+    spec = build_preset("rotation-m2")
+    x = AMatrix.from_element(sample(spec.algebra, "element", 7))
+    pinned = {
+        1: [[-0.417953480879 + 0.828280757011j, 0.731720989734 - 1.460620481873j],
+            [0.158837596863 - 0.408830324279j, -0.471408204521 + 0.057263703372j]],
+        -1: [[-0.393440020542 - 0.099655508649j, -0.156686252418 + 0.327393003589j],
+             [-0.729569645288 + 1.379183161183j, -0.495921664858 + 0.985199969032j]],
+    }
+    for k, want in pinned.items():
+        got = spec.amplify(x, k)
+        assert (got.rows, got.cols) == (1, 1)
+        assert np.max(np.abs(got.blocks[0][0, 0] - np.array(want))) <= 1e-11
+
+
 def test_negative_amplify_requires_bimodule():
     spec = build_preset("cuntz2")
     x = AMatrix.eye(spec.algebra, 1)
