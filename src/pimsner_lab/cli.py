@@ -62,6 +62,11 @@ class RunConfig:
     fmt: str = "json"
     choi_cap: int = CHOI_CAP
 
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("band", self.band)):
+            if value < 0:
+                raise ConfigurationError(f"{name} must be non-negative, got {value}")
+
     def window_for(self, big_n: int) -> FockWindow:
         hi = self.window_m if self.window_m is not None else big_n + 2
         if hi < big_n:

@@ -266,7 +266,7 @@ class CorrespondenceSpec:
             x = sample(self.algebra, "element", seed + 2)
             y = sample(self.algebra, "element", seed + 3)
             aut_dev = max(aut_dev, (al.apply(x @ y) - al.apply(x) @ al.apply(y)).max_abs())
-            aut_dev = max(aut_dev, (al.apply(al.apply(x), inverse=True) - x).max_abs())
+            aut_dev = max(aut_dev, (al.inverse().apply(al.apply(x)) - x).max_abs())
         checks["automorphisms"] = aut_dev
         ok = (checks["unitarity"] <= 1e-8 and checks["unitality"] <= tol.eq_tol
               and checks["multiplicativity"] <= 1e-8

@@ -53,22 +53,28 @@ def embed_jk(spec: CorrespondenceSpec, t: AMatrix) -> AMatrix:
 def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
     """Ex_1 on every n x n cell, M_{m n, m' n}(A) -> M_{m, m'}(A): the
     diagonal entries of Ad(I (x) U*) x, alpha_i^-1 on the i-th, and their
-    average.  The diagonal is contracted against U's blocks directly."""
+    average.  The diagonal is contracted against U's blocks directly.  A
+    stack is peeled element by element: its leading axes stay outside every
+    matrix product, so each element gets the same BLAS calls, and the same
+    bits, as it does alone."""
     n = spec.n
     if x.rows % n or x.cols % n:
         raise SpecMismatchError("matrix sides must be multiples of n")
     m, mc = x.rows // n, x.cols // n
+    lead = x.stack_shape
     diags = []
     for b, u, d in zip(x.blocks, spec.unitary.blocks, spec.algebra.block_dims):
         # rows (i, x) of U against the cells' rows (a, y): every row i of
         # U x_cell at once, then row i of that against row i of U
-        rows = u.transpose(0, 2, 1, 3).reshape(n * d, n * d) @ (
-            b.reshape(m, n, mc, n, d, d).transpose(0, 1, 4, 2, 3, 5)
-            .reshape(m, n * d, mc * n * d))
-        rows = (rows.reshape(m, n, d, mc, n * d).transpose(1, 0, 2, 3, 4)
-                .reshape(n, m * d * mc, n * d))
+        cells = np.moveaxis(b.reshape(lead + (m, n, mc, n, d, d)), -2, -4)
+        rows = u.transpose(0, 2, 1, 3).reshape(n * d, n * d) @ cells.reshape(
+            lead + (m, n * d, mc * n * d))
+        rows = (rows.reshape(lead + (m, n, d, mc, n * d)).swapaxes(-5, -4)
+                .reshape(lead + (n, m * d * mc, n * d)))
         diag = rows @ u.conj().transpose(0, 1, 3, 2).reshape(n, n * d, d)
-        diags.append(diag.reshape(n, m, d, mc, d).transpose(0, 1, 3, 2, 4))
+        # the cells' diagonals, (n, ..., m, mc, d, d) with the layer first
+        diags.append(np.moveaxis(
+            diag.reshape(lead + (n, m, d, mc, d)).swapaxes(-3, -2), -5, 0))
     acc = None
     for i, inv_alpha in enumerate(spec._alpha_invs):
         term = inv_alpha.apply(AMatrix(spec.algebra, m, mc, [dg[i] for dg in diags]))
@@ -96,8 +102,8 @@ def eps_bar(spec: CorrespondenceSpec, level: int, zeta: AMatrix) -> AMatrix:
 
 
 def eps_hat(spec: CorrespondenceSpec, level: int, t: AMatrix) -> AMatrix:
-    """Entrywise Ex_level on an m x m' matrix over B = M_{n^level}(A), as
-    ``level`` peels of the whole matrix."""
+    """Entrywise Ex_level on an m x m' matrix over B = M_{n^level}(A), or on
+    each element of a stack of them, as ``level`` peels of the whole matrix."""
     nk = spec.n ** level
     if t.rows % nk or t.cols % nk:
         raise SpecMismatchError("matrix does not match the requested level")
@@ -107,10 +113,8 @@ def eps_hat(spec: CorrespondenceSpec, level: int, t: AMatrix) -> AMatrix:
 
 
 def ex_k_table(spec: CorrespondenceSpec, k: int, name: str = "") -> LinearMapTable:
-    nk = spec.n ** k
     return LinearMapTable.from_amatrix_map(
-        spec.algebra, nk, spec.algebra, 1,
-        lambda x: AMatrix.from_element(ex_k(spec, k, x)),
+        spec.algebra, spec.n ** k, 1, lambda x: eps_hat(spec, k, x),
         name=name or f"Ex_{k}")
 
 

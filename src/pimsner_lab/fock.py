@@ -326,14 +326,16 @@ def toeplitz_op(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
 # ---------------------------------------------------------------------------
 
 def compress(x: GradedOperator, big_n: int) -> GradedOperator:
-    """phi_N(x) = P_N x P_N, keeping blocks with both degrees in [0, N]."""
+    """phi_N(x) = P_N x P_N: the blocks with both degrees in [0, N], as an
+    operator on the one-sided window [0, N]."""
     if not (0 <= big_n <= x.window.hi):
         raise ConfigurationError(f"N={big_n} out of range for window")
-    return x.restrict(FockWindow.one_sided(big_n)).restrict(x.window)
+    return x.restrict(FockWindow.one_sided(big_n))
 
 
-def psi_amplify(x: GradedOperator, big_n: int) -> GradedOperator:
-    """Psi_N(x) = (N+1)^{-1} sum_k x (x) I_{E^k} over representable shifts.
+def psi_amplify(x: GradedOperator, window: FockWindow) -> GradedOperator:
+    """Psi_N(x) = (N+1)^{-1} sum_k x (x) I_{E^k} over the shifts representable
+    in ``window``, for x on the one-sided window [0, N].
 
     One-sided windows sum k >= 0; two-sided windows sum over all integers
     (which makes the map unital).  Blocks that are stacks are averaged
@@ -342,19 +344,20 @@ def psi_amplify(x: GradedOperator, big_n: int) -> GradedOperator:
     diagonal's first degree pair in [0, N]^2, so every output block costs one
     amplification per pass however many input blocks reach it.  The weight
     scales the input blocks, which are smaller than the outputs."""
-    window = x.window
-    for (i, j) in x.blocks:
-        if not (0 <= i <= big_n and 0 <= j <= big_n):
-            raise ConfigurationError("input support must lie within [0, N]^2")
+    if x.window.two_sided:
+        raise ConfigurationError("Psi_N takes an operator on a one-sided window")
+    big_n = x.window.hi
+    if window.hi < big_n:
+        raise ConfigurationError(f"window does not contain [0, N] for N={big_n}")
     weight = 1.0 / (big_n + 1)
     diagonals: dict[int, dict[int, AMatrix]] = {}
     for (i, j), val in x.blocks.items():
         diagonals.setdefault(j - i, {})[min(i, j)] = val * weight
     out = GradedOperator(x.spec, window)
-    k_lo = window.lo if window.two_sided else 0
     for d, terms in diagonals.items():
         r, s = max(0, -d), max(0, d)
-        for k, vk in band_powers(x.spec.amplify, terms, k_lo, window.hi - max(r, s)):
+        # window.lo is 0 on a one-sided window
+        for k, vk in band_powers(x.spec.amplify, terms, window.lo, window.hi - max(r, s)):
             out.set_block(r + k, s + k, vk)
     return out
 
@@ -441,7 +444,7 @@ def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     """Psi_N o phi_N on the band of e_{mu,nu}, with one Schur row per band
     offset: the output block measured against the band block itself."""
     top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
-    out = psi_amplify(compress(top, big_n), big_n)
+    out = psi_amplify(compress(top, big_n), window)
     rows = []
     for (i, j), ref in sorted(top.blocks.items()):
         l = i - r
@@ -492,18 +495,16 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
     _check_window(spec, window_out)
     alg = spec.algebra
     t_in, t_out = (int(_degree_offsets(spec, w)[-1]) for w in (window_in, window_out))
-    sides = tuple(t_out * d for d in alg.block_dims)
 
-    def apply(stack):
-        x = GradedOperator.from_amatrix(
-            spec, window_in, AMatrix.from_flat(alg, t_in, t_in, stack))
-        y = fn(x)
+    def on_window(mat: AMatrix) -> AMatrix:
+        y = fn(GradedOperator.from_amatrix(spec, window_in, mat))
         if not y.blocks:  # the whole stack maps to zero
-            return np.zeros((len(stack), sum(sides), sum(sides)), dtype=complex)
-        return y.to_amatrix().flatten()
+            return AMatrix(alg, t_out, t_out, [
+                np.zeros(mat.stack_shape + (t_out, t_out, d, d), dtype=complex)
+                for d in alg.block_dims])
+        return y.to_amatrix()
 
-    return LinearMapTable(tuple(t_in * d for d in alg.block_dims), sides, apply,
-                          name=name)
+    return LinearMapTable.from_amatrix_map(alg, t_in, t_out, on_window, name=name)
 
 
 def pipeline_table(spec: CorrespondenceSpec, window: FockWindow, big_n: int,
@@ -511,5 +512,5 @@ def pipeline_table(spec: CorrespondenceSpec, window: FockWindow, big_n: int,
     """The window-restricted pipeline as a linear map on the flattened window
     algebra, for CP certification."""
     return window_table(spec, window, window,
-                        lambda x: psi_amplify(compress(x, big_n), big_n),
+                        lambda x: psi_amplify(compress(x, big_n), window),
                         name=name or f"pipeline(N={big_n})")

@@ -55,8 +55,9 @@ class AMatrix:
 
     The block arrays may carry leading axes, (..., p, q, d, d): a stack of
     p x q matrices.  Sums, scalar multiples, ``submatrix``, ``flatten``,
-    ``from_flat`` and the amplifications of a correspondence act on every
-    element of a stack; products, adjoints and the metrics take one matrix.
+    ``from_flat``, the amplifications of a correspondence and ``eps_hat``
+    act on every element of a stack; products, adjoints and the metrics take
+    one matrix.
 
     Only the public constructor converts and checks its blocks (complex
     dtype, block shapes, one stack depth); arithmetic, ``adjoint``,
@@ -400,16 +401,15 @@ class LinearMapTable:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_amatrix_map(cls, spec: AlgebraSpec, p: int,
-                         out_spec: AlgebraSpec, q: int, fn, name: str = ""):
-        """Wrap a map AMatrix(p x p over spec) -> AMatrix(q x q over out_spec),
-        applied to a stack one element at a time."""
+    def from_amatrix_map(cls, spec: AlgebraSpec, p: int, q: int, fn, name: str = ""):
+        """Wrap a map AMatrix(p x p) -> AMatrix(q x q) over ``spec``.  Each
+        ``apply`` hands ``fn`` the whole stack as one AMatrix with a leading
+        stack axis, and ``fn`` returns the stack of images the same way."""
         dom = tuple(p * d for d in spec.block_dims)
-        cod = tuple(q * d for d in out_spec.block_dims)
+        cod = tuple(q * d for d in spec.block_dims)
 
         def apply(stack):
-            return np.stack([fn(AMatrix.from_flat(spec, p, p, flat)).flatten()
-                             for flat in stack])
+            return fn(AMatrix.from_flat(spec, p, p, stack)).flatten()
 
         return cls(dom, cod, apply, name=name)
 

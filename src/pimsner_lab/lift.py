@@ -28,7 +28,6 @@ from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError, Toler
 from .hilbert_mod import (
     CHOI_CAP,
     AMatrix,
-    LinearMapTable,
     cp_check_auto,
     rank_one,
 )
@@ -38,6 +37,7 @@ from .fock import (
     FockWindow,
     GradedOperator,
     band_powers,
+    compress,
     creation_op,
     psi_amplify,
     schur_oracle,
@@ -260,9 +260,8 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
         raise ConfigurationError("bimodule lift requires n = 1")
     if not two_sided.two_sided:
         raise ConfigurationError("need a two-sided window")
-    one_sided = FockWindow.one_sided(two_sided.hi)
     bilateral = toeplitz_op(spec, mu, nu, two_sided, r=r, s=s)
-    lifted = bilateral.restrict(one_sided)
+    lifted = compress(bilateral, two_sided.hi)
     # the band e (x) I_{E^k} from code that shares none with the
     # amplification that built the bilateral band: phi_k_direct for k >= 0,
     # and for k < 0 Ex_{-k} = Ex_1^{-k}, which for n = 1 is beta^k peeled
@@ -288,14 +287,6 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
         "pass": band_dev <= tol.eq_tol and tail_dev <= tol.eq_tol,
     }
     return lifted, report
-
-
-def compression_table(spec: CorrespondenceSpec, two_sided: FockWindow,
-                      name: str = "") -> LinearMapTable:
-    """x -> PxP from the flattened two-sided window onto the one-sided part."""
-    one_sided = FockWindow.one_sided(two_sided.hi)
-    return window_table(spec, two_sided, one_sided, lambda g: g.restrict(one_sided),
-                        name=name or "bilateral-compression")
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +348,13 @@ class CPAPCertificate:
 
 def factor_tables(spec: CorrespondenceSpec, window: FockWindow, big_n: int):
     """The two factor maps of the pipeline: compress into the window algebra
-    of [0, N] (a matrix algebra over A) and amplify back."""
+    of [0, N] (a matrix algebra over A) and amplify back.  On a two-sided
+    window with N = window.hi, phi is the bilateral lift's compression."""
     inner_window = FockWindow.one_sided(big_n)
     d_total = sum(spec.fiber_dim(d) for d in inner_window.degrees())
-    phi = window_table(spec, window, inner_window, lambda g: g.restrict(inner_window),
+    phi = window_table(spec, window, inner_window, lambda g: compress(g, big_n),
                        name=f"compress(N={big_n})")
-    psi = window_table(spec, inner_window, window,
-                       lambda g: psi_amplify(g.restrict(window), big_n),
+    psi = window_table(spec, inner_window, window, lambda g: psi_amplify(g, window),
                        name=f"amplify(N={big_n})")
     return phi, psi, d_total
 
@@ -375,7 +366,7 @@ def generator_band(spec: CorrespondenceSpec, r: int, s: int) -> int:
 
 def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
                      window: FockWindow, seed: int, created: str = "",
-                     choi_cap: int = CHOI_CAP, probe_trials: int = 50,
+                     choi_cap: int = CHOI_CAP,
                      tol: Tolerances | None = None) -> CPAPCertificate:
     """Build and certify the degree-N approximation of the quotient map.
 
@@ -386,10 +377,8 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
     if big_n > window.hi:
         raise ConfigurationError("window too small for requested N")
     phi, psi, d_total = factor_tables(spec, window, big_n)
-    phi_cp = cp_check_auto(phi, tol, choi_cap=choi_cap, probe_trials=probe_trials,
-                           seed=seed + 1)
-    psi_cp = cp_check_auto(psi, tol, choi_cap=choi_cap, probe_trials=probe_trials,
-                           seed=seed + 2)
+    phi_cp = cp_check_auto(phi, tol, choi_cap=choi_cap, seed=seed + 1)
+    psi_cp = cp_check_auto(psi, tol, choi_cap=choi_cap, seed=seed + 2)
     gen_records = []
     for idx, (r, s) in enumerate(generators):
         gseed = seed + 100 * idx

@@ -233,15 +233,14 @@ class Automorphism:
             tuple(self.unitaries[self.perm[s]].conj().T for s in range(self.spec.n_blocks)),
         )
 
-    def apply(self, x, inverse: bool = False):
+    def apply(self, x):
         """alpha(x) for an AElement, or entrywise for an AMatrix: each block
         conjugated on its trailing (d, d) axes.  The result shares the arrays
         of identity blocks with ``x``."""
         if x.spec != self.spec:
             raise SpecMismatchError("element over a different algebra")
-        steps = (self.inverse() if inverse else self)._forward
         out = [x.blocks[src] if left is None else left @ x.blocks[src] @ right
-               for src, left, right in steps]
+               for src, left, right in self._forward]
         if isinstance(x, AElement):
             return AElement(self.spec, out)
         return type(x)._new(x.spec, x.rows, x.cols, out)

@@ -32,7 +32,6 @@ from pimsner_lab.expectation import (
 from pimsner_lab.lift import (
     EInftyContext,
     bilateral_lift,
-    compression_table,
     cpap_certificate,
     einfty_inner,
     factor_tables,
@@ -144,7 +143,7 @@ def test_criterion_03_complete_positivity():
         rep = choi_cp_check(ex_k_table(spec, 2))
         assert rep.passed and rep.min_eigenvalue >= -1e-8, spec.name
     # bilateral lift (compression of the two-sided window)
-    rep = choi_cp_check(compression_table(z3, FockWindow.two_sided_sym(2)))
+    rep = choi_cp_check(factor_tables(z3, FockWindow.two_sided_sym(2), 2)[0])
     assert rep.passed and rep.min_eigenvalue >= -1e-8
     # certificate factor maps, small instance
     phi, psi, _ = factor_tables(cuntz, FockWindow.one_sided(4), 2)

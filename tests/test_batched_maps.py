@@ -17,7 +17,7 @@ from pimsner_lab.fock import (
     psi_amplify,
     window_table,
 )
-from pimsner_lab.lift import compression_table, factor_tables
+from pimsner_lab.lift import factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
 
 BIG_N = 2
@@ -60,17 +60,17 @@ def reference_maps(spec, window):
     phi, psi, _ = factor_tables(spec, window, BIG_N)
     maps = {
         "compress": (phi, lambda x: graded(spec, window, x).restrict(inner)),
-        "amplify": (psi, lambda x: psi_amplify(
-            graded(spec, inner, x).restrict(window), BIG_N)),
+        "amplify": (psi, lambda x: psi_amplify(graded(spec, inner, x), window)),
         "pipeline": (pipeline_table(spec, window, BIG_N), lambda x: psi_amplify(
-            compress(graded(spec, window, x), BIG_N), BIG_N)),
+            compress(graded(spec, window, x), BIG_N), window)),
         "compose": (psi.compose(phi), lambda x: psi_amplify(
-            graded(spec, window, x).restrict(inner).restrict(window), BIG_N)),
+            graded(spec, window, x).restrict(inner), window)),
     }
     if spec.n == 1:
+        # the bilateral lift's compression onto the one-sided part
         one = FockWindow.one_sided(window.hi)
         maps["bilateral-compression"] = (
-            compression_table(spec, window),
+            factor_tables(spec, window, window.hi)[0],
             lambda x: graded(spec, window, x).restrict(one))
     return maps
 
@@ -125,6 +125,22 @@ def test_basis_images_equal_per_unit_loop(spec_name, name):
                 unit[off + u, off + v] = 1.0
                 assert np.max(np.abs(arr[u, v] - table.apply_flat(unit))) <= 1e-12
         off += m
+
+
+@pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
+def test_stack_compressed_to_zero_gives_zero_images(spec_name):
+    """A stack supported on the window's top degree, outside [0, N]^2, has
+    no degree blocks left after compression; the compress and pipeline maps
+    still return one zero image per element."""
+    spec = build(spec_name)
+    window = window_for(spec)
+    phi, _, _ = factor_tables(spec, window, BIG_N)
+    for table in (phi, pipeline_table(spec, window, BIG_N)):
+        n, c = table.domain_dim, table.codomain_dim
+        stack = np.zeros((3, n, n), dtype=complex)
+        stack[:, -1, -1] = 1.0  # the last row of the last degree
+        out = table.apply(stack)
+        assert out.shape == (3, c, c) and not out.any()
 
 
 @pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import pimsner_lab
-from pimsner_lab import cli
+from pimsner_lab import cli, fock
 from pimsner_lab.cli import RunConfig, _parse_n_range, main, run, serialize
+from pimsner_lab.correspondence import CorrespondenceSpec
 from pimsner_lab.star_core import ConfigurationError, SpecMismatchError
 from pimsner_lab.presets import build_preset
 
@@ -98,6 +99,53 @@ def test_internal_error_exit_three(monkeypatch, capsys, error):
 def test_window_too_small_exit_two(capsys):
     assert main(["schur", "--preset", "cuntz2", "--N", "5", "--M", "3"]) == 2
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--band"])
+def test_negative_seed_or_band_exit_two(capsys, flag):
+    """A negative seed would reach numpy's seeding as a ValueError (read as a
+    violation), and a negative band would pass with no Schur rows at all."""
+    assert main(["schur", "--preset", "cuntz2", "--N", "2", flag, "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-negative" in err
+    with pytest.raises(ConfigurationError):
+        RunConfig(spec=build_preset("cuntz2"), **{flag[2:]: -1})
+
+
+# ---------------------------------------------------------------------------
+# defects that must be caught: each corrupts one map and must turn a passing
+# run into a violation (exit 1), never a crash (exit 3)
+# ---------------------------------------------------------------------------
+
+def test_defect_beta_inverse_replaced_by_beta_exit_one(monkeypatch, tmp_path):
+    """beta^-1 := beta on every n = 1 spec: the bilateral band's negative
+    offsets, checked against Ex_{-k}, must fail lift-check."""
+    post_init = CorrespondenceSpec.__post_init__
+
+    def corrupted(self):
+        post_init(self)
+        if self.n == 1:
+            self._beta_inv = self._beta
+
+    out = str(tmp_path / "r.json")
+    assert main(["lift-check", "--preset", "crossed-z3", "--out", out]) == 0
+    monkeypatch.setattr(CorrespondenceSpec, "__post_init__", corrupted)
+    assert main(["lift-check", "--preset", "crossed-z3", "--out", out]) == 1
+
+
+def test_defect_fejer_weight_off_by_one_exit_one(monkeypatch, tmp_path):
+    """Psi_N weighted by 1/(N+2) instead of 1/(N+1): the Schur coefficients
+    miss the counting oracle."""
+    psi = fock.psi_amplify
+
+    def off_by_one(x, window):
+        big_n = x.window.hi
+        return psi(x, window) * ((big_n + 1) / (big_n + 2))
+
+    out = str(tmp_path / "t.csv")
+    assert main(["schur", "--preset", "cuntz2", "--out", out]) == 0
+    monkeypatch.setattr(fock, "psi_amplify", off_by_one)
+    assert main(["schur", "--preset", "cuntz2", "--out", out]) == 1
 
 
 def test_schur_csv_schema(tmp_path):

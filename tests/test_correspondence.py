@@ -111,6 +111,38 @@ def test_rotation_m2_amplify_matches_pinned_values():
         assert np.max(np.abs(got.blocks[0][0, 0] - np.array(want))) <= 1e-11
 
 
+# x (x) I_E on the seed-7 element, per algebra block, each block's entries
+# as a rows x cols list (all algebra blocks of these presets are 1 x 1)
+PINNED_AMPLIFY1 = {
+    # the Hadamard/phase U mixes the two blocks, the swap alpha_2 permutes them
+    "twisted2": [
+        [[-0.136453851002 - 0.295923150624j, 0.137684004360 + 0.594668688133j],
+         [0.137684004360 + 0.594668688133j, -0.136453851002 - 0.295923150624j]],
+        [[-0.274137855362 - 0.890591838757j, 0.0],
+         [0.0, 0.001230153357 + 0.298745537508j]],
+    ],
+    # beta is the cyclic shift of the three blocks
+    "crossed-z3": [
+        [[-0.454670785172 - 0.991646554996j]],
+        [[0.001230153357 + 0.298745537508j]],
+        [[-0.274137855362 - 0.890591838757j]],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AMPLIFY1))
+def test_amplify_matches_pinned_values(name):
+    """x (x) I_E on one seeded element against values pinned to 12 digits:
+    the report goldens hold only deviations near 0, which a wrong but
+    self-consistent U or beta leaves near 0."""
+    spec = build_preset(name)
+    x = AMatrix.from_element(sample(spec.algebra, "element", 7))
+    got = spec.amplify(x, 1)
+    assert (got.rows, got.cols) == (spec.n, spec.n)
+    for block, want in zip(got.blocks, PINNED_AMPLIFY1[name]):
+        assert np.max(np.abs(block[..., 0, 0] - np.array(want))) <= 1e-11
+
+
 def test_negative_amplify_requires_bimodule():
     spec = build_preset("cuntz2")
     x = AMatrix.eye(spec.algebra, 1)

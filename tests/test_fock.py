@@ -170,10 +170,10 @@ def test_band_op_support(preset, window, r, s):
         band_op(spec, x, r, window.hi + 1, window)
 
 
-def loop_psi_amplify(x, big_n):
+def loop_psi_amplify(x, window):
     """Psi_N as the sum over every (input block, shift) pair, each shift
     amplified from its input block by one spec.amplify call and weighted."""
-    window = x.window
+    big_n = x.window.hi
     out = GradedOperator(x.spec, window)
     for (i, j), val in x.blocks.items():
         k_lo = window.lo - min(i, j) if window.two_sided else 0
@@ -182,9 +182,10 @@ def loop_psi_amplify(x, big_n):
     return out
 
 
-def random_graded(spec, window, big_n, seed, stack=()):
+def random_graded(spec, big_n, seed, stack=()):
     """Random dense blocks (stacks of them for a nonempty ``stack``) on about
-    two thirds of the degree pairs in [0, N]^2, so diagonals have gaps."""
+    two thirds of the degree pairs of the window [0, N], so diagonals have
+    gaps."""
     rng = np.random.default_rng(seed)
     keys = [(i, j) for i in range(big_n + 1) for j in range(big_n + 1)
             if rng.random() < 0.65] or [(0, big_n)]
@@ -195,13 +196,13 @@ def random_graded(spec, window, big_n, seed, stack=()):
             rng.standard_normal(stack + shape + (d, d))
             + 1j * rng.standard_normal(stack + shape + (d, d))
             for d in spec.algebra.block_dims])
-    return GradedOperator(spec, window, blocks)
+    return GradedOperator(spec, FockWindow.one_sided(big_n), blocks)
 
 
 def assert_psi_matches_loop(spec, window, big_n, seed, stack=()):
-    x = random_graded(spec, window, big_n, seed, stack)
-    got = psi_amplify(x, big_n)
-    want = loop_psi_amplify(x, big_n)
+    x = random_graded(spec, big_n, seed, stack)
+    got = psi_amplify(x, window)
+    want = loop_psi_amplify(x, window)
     assert got.support() == want.support()
     assert got.shared_block_dev(want) <= 1e-12
 
@@ -291,16 +292,24 @@ def test_compress_support(cuntz):
     w = FockWindow.one_sided(5)
     t = toeplitz_op(cuntz, cuntz.sample_vector(1, 5), cuntz.sample_vector(1, 6), w)
     c = compress(t, 2)
-    assert all(0 <= i <= 2 and 0 <= j <= 2 for (i, j) in c.blocks)
+    assert c.window == FockWindow.one_sided(2)
+    assert sorted(c.blocks) == [(1, 1), (2, 2)]
+    assert all(c.blocks[key] is t.blocks[key] for key in c.blocks)
     with pytest.raises(ConfigurationError):
         compress(t, 9)
 
 
-def test_psi_amplify_rejects_unsupported_input(cuntz):
-    w = FockWindow.one_sided(4)
-    t = toeplitz_op(cuntz, cuntz.sample_vector(1, 5), cuntz.sample_vector(1, 6), w)
+def test_psi_amplify_rejects_unsupported_input(cuntz, z3):
+    """Psi_N takes an operator on a one-sided window [0, N] and needs a
+    target window that contains [0, N]."""
+    two = FockWindow.two_sided_sym(2)
+    t = toeplitz_op(z3, z3.sample_vector(1, 5), z3.sample_vector(1, 6), two, r=1, s=0)
     with pytest.raises(ConfigurationError):
-        psi_amplify(t, 1)   # support reaches degree 4 > N
+        psi_amplify(t, FockWindow.two_sided_sym(4))
+    t = toeplitz_op(cuntz, cuntz.sample_vector(1, 5), cuntz.sample_vector(1, 6),
+                    FockWindow.one_sided(4))
+    with pytest.raises(ConfigurationError):
+        psi_amplify(t, FockWindow.one_sided(3))
 
 
 def test_window_extension_invariance(cuntz, z3):

@@ -90,8 +90,7 @@ def test_submatrix_and_entries(algebra):
 # ---------------------------------------------------------------------------
 
 def identity_table(algebra, p):
-    return LinearMapTable.from_amatrix_map(algebra, p, algebra, p,
-                                           lambda x: x, name="id")
+    return LinearMapTable.from_amatrix_map(algebra, p, p, lambda x: x, name="id")
 
 
 def test_constructor_rejects_bad_blocks(algebra):
@@ -123,9 +122,8 @@ def test_choi_transpose_map_fails():
     has a -1 eigenvalue."""
     algebra = make_algebra([2])
     table = LinearMapTable.from_amatrix_map(
-        algebra, 1, algebra, 1,
-        lambda x: AMatrix(algebra, 1, 1,
-                          [np.transpose(x.blocks[0], (0, 1, 3, 2))]),
+        algebra, 1, 1,
+        lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]),
         name="transpose")
     rep = choi_cp_check(table)
     assert not rep.passed
@@ -144,9 +142,8 @@ def test_choi_cap_triggers(algebra):
 def test_probe_flags_transpose():
     algebra = make_algebra([2])
     table = LinearMapTable.from_amatrix_map(
-        algebra, 1, algebra, 1,
-        lambda x: AMatrix(algebra, 1, 1,
-                          [np.transpose(x.blocks[0], (0, 1, 3, 2))]))
+        algebra, 1, 1,
+        lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]))
     rep = positivity_probe(table, k=2, trials=20, seed=3)
     assert not rep.passed
 
@@ -155,8 +152,7 @@ def test_non_hermitian_map_fails_choi_and_probe():
     """x -> (1 + 0.5i) x keeps the Hermitian part of its outputs positive, so
     only the hermiticity deviation shows that it is not a positive map."""
     algebra = make_algebra([2])
-    table = LinearMapTable.from_amatrix_map(algebra, 1, algebra, 1,
-                                            lambda x: x * (1 + 0.5j))
+    table = LinearMapTable.from_amatrix_map(algebra, 1, 1, lambda x: x * (1 + 0.5j))
     assert not choi_cp_check(table).passed
     rep = positivity_probe(table, k=2, trials=5, seed=3)
     assert rep.min_eigenvalue > 0
@@ -164,8 +160,7 @@ def test_non_hermitian_map_fails_choi_and_probe():
 
 
 def test_compose_tables(algebra):
-    double = LinearMapTable.from_amatrix_map(algebra, 2, algebra, 2,
-                                             lambda x: x * 2.0)
+    double = LinearMapTable.from_amatrix_map(algebra, 2, 2, lambda x: x * 2.0)
     comp = double.compose(identity_table(algebra, 2))
     x = random_amatrix(algebra, 2, 2, 41).flatten()
     assert np.max(np.abs(comp.apply_flat(x) - 2.0 * x)) < 1e-12

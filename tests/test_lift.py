@@ -10,10 +10,10 @@ from pimsner_lab.expectation import _sample_matrix
 from pimsner_lab.lift import (
     EInftyContext,
     bilateral_lift,
-    compression_table,
     cpap_certificate,
     eps_hat_graded,
     einfty_inner,
+    factor_tables,
     lift_defect,
     pi_i,
     toeplitz_infty,
@@ -170,9 +170,11 @@ def test_bilateral_lift_compact_part_is_real():
     assert rep["compact_offsets"] == [-1]
 
 
-def test_compression_table_is_cp():
+def test_bilateral_compression_is_cp():
+    """The compress factor map at N = window.hi, from the two-sided window
+    onto its one-sided part."""
     spec = build_preset("crossed-z3")
-    table = compression_table(spec, FockWindow.two_sided_sym(2))
+    table, _, _ = factor_tables(spec, FockWindow.two_sided_sym(2), 2)
     rep = choi_cp_check(table)
     assert rep.passed
 

@@ -45,7 +45,7 @@ def loop_peel(spec, x):
         for q in range(m):
             acc = spec.algebra.zero()
             for i, alpha in enumerate(spec.alphas):
-                acc = acc + alpha.apply(y.entry(p * n + i, q * n + i), inverse=True)
+                acc = acc + alpha.inverse().apply(y.entry(p * n + i, q * n + i))
             out.set_entry(p, q, acc * (1.0 / n))
     return out
 
@@ -183,6 +183,26 @@ def test_random_correspondence_peel(spec, level, seed):
     nk = spec.n ** level
     t = random_amatrix(spec, 2 * nk, nk, seed)
     assert (eps_hat(spec, level, t) - loop_eps_hat(spec, level, t)).max_abs() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(correspondences(), st.integers(1, 3), st.integers(0, 1000))
+def test_stacked_eps_hat_equals_per_element_bits(spec, level, seed):
+    """eps_hat on a stack with two leading axes is eps_hat on each element,
+    bit for bit (ex_k_table hands the peel whole stacks)."""
+    nk = spec.n ** level
+    lead = (2, 2)
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal(lead + (2 * nk, nk, d, d))
+              + 1j * rng.standard_normal(lead + (2 * nk, nk, d, d))
+              for d in spec.algebra.block_dims]
+    got = eps_hat(spec, level, AMatrix(spec.algebra, 2 * nk, nk, blocks))
+    assert got.stack_shape == lead and (got.rows, got.cols) == (2, 1)
+    for idx in np.ndindex(*lead):
+        one = eps_hat(spec, level, AMatrix(spec.algebra, 2 * nk, nk,
+                                           [b[idx] for b in blocks]))
+        for g, w in zip(got.blocks, one.blocks):
+            assert g[idx].tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,6 @@ class TestAutomorphism:
         alpha = Automorphism(spec, (1, 0, 2), tuple(v.blocks))
         a = sample(spec, "element", 14)
         assert alpha.inverse().apply(alpha.apply(a)).allclose(a, 1e-12)
-        assert alpha.apply(a, inverse=True).allclose(alpha.inverse().apply(a), 1e-12)
 
     def test_is_homomorphism(self):
         spec = make_algebra([3])
@@ -205,7 +204,7 @@ def test_apply_equals_explicit_permute_and_conjugate(alpha_seed, inverse):
         AMatrix(spec, 2, 2, [gauss((2, 2, 2, d, d)) for d in spec.block_dims]),
     ]
     for x in inputs:
-        got = alpha.apply(x, inverse=inverse)
+        got = (alpha.inverse() if inverse else alpha).apply(x)
         assert type(got) is type(x)
         if isinstance(x, AMatrix):
             assert (got.rows, got.cols) == (x.rows, x.cols)
