@@ -25,7 +25,6 @@ from .correspondence import CorrespondenceSpec
 
 __all__ = [
     "ex_trace",
-    "embed_jk",
     "ex_k",
     "eps_bar",
     "eps_hat",
@@ -43,11 +42,6 @@ def ex_trace(spec: CorrespondenceSpec, x: AMatrix) -> AElement:
     for i in range(n):
         out = out + x.entry(i, i)
     return out * (1.0 / n)
-
-
-def embed_jk(spec: CorrespondenceSpec, t: AMatrix) -> AMatrix:
-    """Tower embedding T -> T (x) 1, i.e. one entrywise amplification."""
-    return spec.amplify(t, 1)
 
 
 def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
@@ -112,10 +106,9 @@ def eps_hat(spec: CorrespondenceSpec, level: int, t: AMatrix) -> AMatrix:
     return t
 
 
-def ex_k_table(spec: CorrespondenceSpec, k: int, name: str = "") -> LinearMapTable:
+def ex_k_table(spec: CorrespondenceSpec, k: int) -> LinearMapTable:
     return LinearMapTable.from_amatrix_map(
-        spec.algebra, spec.n ** k, 1, lambda x: eps_hat(spec, k, x),
-        name=name or f"Ex_{k}")
+        spec.algebra, spec.n ** k, 1, lambda x: eps_hat(spec, k, x))
 
 
 def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
@@ -152,7 +145,7 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
         for t in range(n_samples):
             x = _sample_matrix(spec, nk, seed + 100 + t)
             dev_tower = max(dev_tower, (
-                ex_k(spec, level + 1, embed_jk(spec, x))
+                ex_k(spec, level + 1, spec.amplify(x, 1))
                 - ex_k(spec, level, x)).max_abs())
     axioms["tower"] = {"max_dev": float(dev_tower), "pass": dev_tower <= tol.eq_tol}
     cp = cp_check_auto(ex_k_table(spec, level), tol, choi_cap=choi_cap,

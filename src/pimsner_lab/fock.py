@@ -173,15 +173,15 @@ class GradedOperator:
 
     # -- metrics -----------------------------------------------------------
 
-    def to_amatrix(self) -> AMatrix:
-        """Assemble the window into one square AMatrix over A (a stack of
-        them when the blocks are stacks)."""
+    def to_amatrix(self, stack_shape: tuple = ()) -> AMatrix:
+        """Assemble the window into one square AMatrix over A, or a stack of
+        them with leading axes ``stack_shape`` when the blocks are stacks (an
+        operator with no blocks gives a stack of zeros of that shape)."""
         offs = _degree_offsets(self.spec, self.window)
         total = int(offs[-1])
-        lead = next(iter(self.blocks.values())).stack_shape if self.blocks else ()
         alg = self.spec.algebra
         out = AMatrix(alg, total, total,
-                      [np.zeros(lead + (total, total, d, d), dtype=complex)
+                      [np.zeros(stack_shape + (total, total, d, d), dtype=complex)
                        for d in alg.block_dims])
         lo = self.window.lo
         for (i, j), val in self.blocks.items():
@@ -252,7 +252,7 @@ class GradedOperator:
 # generators
 # ---------------------------------------------------------------------------
 
-def band_powers(amplify, terms: dict, k_lo: int, k_hi: int):
+def band_powers(spec: CorrespondenceSpec, terms: dict, k_lo: int, k_hi: int):
     """Yield (k, sum_i terms[i] (x) I_{E^{k-i}}) along a band: first for k =
     min(terms)..k_hi, then for k = min(terms)-1 down to k_lo.
 
@@ -260,21 +260,18 @@ def band_powers(amplify, terms: dict, k_lo: int, k_hi: int):
     the single term ``{0: x}`` gives the powers x (x) I_{E^k}.  The sum runs
     over the terms at or below k, and on two-sided bands (``k_lo < 0``, n = 1
     only) over the terms above k as well, through negative powers.  Horner's
-    rule gives every offset one ``amplify(., +-1)`` step per pass: upwards
-    acc_k = terms[k] + amplify(acc_{k-1}, 1), downwards
-    below_k = amplify(terms[k+1] + below_{k+1}, -1).  ``amplify`` is any
-    ``(x, k)`` amplification: :meth:`CorrespondenceSpec.amplify`, or the
-    extended module's ``amplify_inf``, which is the same map in the extended
-    module's coordinates but one-sided, so ``k_lo`` must be 0."""
+    rule gives every offset one ``spec.amplify(., +-1)`` step per pass:
+    upwards acc_k = terms[k] + amplify(acc_{k-1}, 1), downwards
+    below_k = amplify(terms[k+1] + below_{k+1}, -1)."""
     first = min(terms)
     below = {}  # k -> the sum over the terms above k, from k = max(terms) - 1 down
     if k_lo < 0:
         acc = None
         for k in range(max(terms) - 1, k_lo - 1, -1):
-            below[k] = acc = amplify(_plus(acc, terms.get(k + 1)), -1)
+            below[k] = acc = spec.amplify(_plus(acc, terms.get(k + 1)), -1)
     acc = None
     for k in range(first, k_hi + 1):
-        acc = _plus(None if acc is None else amplify(acc, 1), terms.get(k))
+        acc = _plus(None if acc is None else spec.amplify(acc, 1), terms.get(k))
         yield k, _plus(acc, below.get(k))
     for k, val in below.items():
         if k < first:
@@ -298,7 +295,7 @@ def band_op(spec: CorrespondenceSpec, x: AMatrix, r: int, s: int,
         raise ConfigurationError(f"band degrees ({r},{s}) outside window")
     k_lo = window.lo - min(r, s) if window.two_sided else 0
     out = GradedOperator(spec, window)
-    for k, xk in band_powers(spec.amplify, {0: x}, k_lo, window.hi - max(r, s)):
+    for k, xk in band_powers(spec, {0: x}, k_lo, window.hi - max(r, s)):
         out.set_block(r + k, s + k, xk)
     return out
 
@@ -357,7 +354,7 @@ def psi_amplify(x: GradedOperator, window: FockWindow) -> GradedOperator:
     for d, terms in diagonals.items():
         r, s = max(0, -d), max(0, d)
         # window.lo is 0 on a one-sided window
-        for k, vk in band_powers(x.spec.amplify, terms, window.lo, window.hi - max(r, s)):
+        for k, vk in band_powers(x.spec, terms, window.lo, window.hi - max(r, s)):
             out.set_block(r + k, s + k, vk)
     return out
 
@@ -387,8 +384,8 @@ def printed_coefficient(big_n: int, r: int, s: int) -> Fraction:
     """The printed tail coefficient min(N-r, N-s)/(N+1) (0 when r or s > N).
 
     Direct counting gives (min(N-r, N-s)+1)/(N+1) instead; unitality of the
-    two-sided pipeline at r = s forces the +1, so the oracle wins.  Both are
-    reported, never silently."""
+    two-sided pipeline at r = s forces the +1, so the oracle wins.  The tests
+    compare the two; reports carry the oracle's value."""
     if r > big_n or s > big_n:
         return Fraction(0)
     return Fraction(min(big_n - r, big_n - s), big_n + 1)
@@ -487,30 +484,24 @@ def w_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
 # ---------------------------------------------------------------------------
 
 def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
-                 window_out: FockWindow, fn, name: str = "") -> LinearMapTable:
+                 window_out: FockWindow, fn) -> LinearMapTable:
     """A map of graded operators, ``fn`` (window_in -> window_out), as a
     linear map on flattened window algebras.  Each ``apply`` hands ``fn`` the
     whole stack as one operator whose blocks are stacks."""
     _check_window(spec, window_in)
     _check_window(spec, window_out)
-    alg = spec.algebra
     t_in, t_out = (int(_degree_offsets(spec, w)[-1]) for w in (window_in, window_out))
 
     def on_window(mat: AMatrix) -> AMatrix:
         y = fn(GradedOperator.from_amatrix(spec, window_in, mat))
-        if not y.blocks:  # the whole stack maps to zero
-            return AMatrix(alg, t_out, t_out, [
-                np.zeros(mat.stack_shape + (t_out, t_out, d, d), dtype=complex)
-                for d in alg.block_dims])
-        return y.to_amatrix()
+        return y.to_amatrix(mat.stack_shape)
 
-    return LinearMapTable.from_amatrix_map(alg, t_in, t_out, on_window, name=name)
+    return LinearMapTable.from_amatrix_map(spec.algebra, t_in, t_out, on_window)
 
 
-def pipeline_table(spec: CorrespondenceSpec, window: FockWindow, big_n: int,
-                   name: str = "") -> LinearMapTable:
+def pipeline_table(spec: CorrespondenceSpec, window: FockWindow,
+                   big_n: int) -> LinearMapTable:
     """The window-restricted pipeline as a linear map on the flattened window
     algebra, for CP certification."""
     return window_table(spec, window, window,
-                        lambda x: psi_amplify(compress(x, big_n), window),
-                        name=name or f"pipeline(N={big_n})")
+                        lambda x: psi_amplify(compress(x, big_n), window))

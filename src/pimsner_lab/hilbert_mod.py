@@ -392,16 +392,15 @@ class LinearMapTable:
     on a stack of block-diagonal elements, ``(B, n, n) -> (B, c, c)``.
     """
 
-    def __init__(self, domain_sides, codomain_sides, apply, name: str = ""):
+    def __init__(self, domain_sides, codomain_sides, apply):
         self.domain_sides = tuple(int(m) for m in domain_sides)
         self.codomain_sides = tuple(int(m) for m in codomain_sides)
         self._apply = apply
-        self.name = name
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_amatrix_map(cls, spec: AlgebraSpec, p: int, q: int, fn, name: str = ""):
+    def from_amatrix_map(cls, spec: AlgebraSpec, p: int, q: int, fn):
         """Wrap a map AMatrix(p x p) -> AMatrix(q x q) over ``spec``.  Each
         ``apply`` hands ``fn`` the whole stack as one AMatrix with a leading
         stack axis, and ``fn`` returns the stack of images the same way."""
@@ -411,7 +410,7 @@ class LinearMapTable:
         def apply(stack):
             return fn(AMatrix.from_flat(spec, p, p, stack)).flatten()
 
-        return cls(dom, cod, apply, name=name)
+        return cls(dom, cod, apply)
 
     @property
     def domain_dim(self) -> int:
@@ -455,7 +454,7 @@ class LinearMapTable:
             del choi
             off += m
 
-    def compose(self, inner_map: "LinearMapTable", name: str = "") -> "LinearMapTable":
+    def compose(self, inner_map: "LinearMapTable") -> "LinearMapTable":
         if inner_map.codomain_sides != self.domain_sides:
             raise SpecMismatchError("composition shape chain mismatch")
         outer = self
@@ -463,8 +462,7 @@ class LinearMapTable:
         def apply(stack):
             return outer._apply(inner_map._apply(stack))
 
-        return LinearMapTable(inner_map.domain_sides, self.codomain_sides,
-                              apply, name=name or f"{self.name}*{inner_map.name}")
+        return LinearMapTable(inner_map.domain_sides, self.codomain_sides, apply)
 
 
 def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError, Tolerances
 from .hilbert_mod import (
     CHOI_CAP,
@@ -67,11 +65,14 @@ TOOL_VERSION = "0.1.0"
 
 @dataclass
 class EInftyContext:
-    """Coordinates of the extended module at tower level K.
+    """Coordinates of the extended module E^m (x) B at tower level K, for
+    B = M_{n^K}(A).
 
-    Vectors of the m-th tensor power are columns over B, stored as
-    (n^m * n^K) x n^K matrices over A.  The right inner product lands in B;
-    the left one in M_n(B), one level up the tower."""
+    A vector is a column over B, stored as an (n^m * n^K) x n^K matrix over
+    A, so the module is plain matrices over A: xi (x) b is
+    (xi (x) I_{E^K}) b, the right inner product is x* y, the left one x y*,
+    and the left action of B, one level up the tower, is b (x) I_E
+    (:meth:`CorrespondenceSpec.amplify`)."""
 
     spec: CorrespondenceSpec
     level: int
@@ -84,73 +85,28 @@ class EInftyContext:
     def b_side(self) -> int:
         return self.spec.n ** self.level
 
-    def embed_element(self, a) -> AMatrix:
-        """A -> B along the tower."""
-        return self.spec.phi_k(a, self.level)
-
     def embed_compact(self, t: AMatrix, i: int) -> AMatrix:
         """K(E^i) = M_{n^i}(A) -> B via T -> T (x) 1 (requires i <= K)."""
         if i > self.level:
             raise ConfigurationError("compact level exceeds the context level")
         return self.spec.amplify(t, self.level - i)
 
-    def phi_inf1(self, b: AMatrix) -> AMatrix:
-        """Left action of B on the extended module: split off the outermost
-        tensor layer of b and push each entry one level up the tower.  With
-        the inner index least significant this is b (x) I_E."""
-        nk = self.b_side
-        if (b.rows, b.cols) != (nk, nk):
-            raise SpecMismatchError("expected an element of B")
-        return self.spec.amplify(b, 1)
-
-    def amplify_inf(self, x: AMatrix, k: int) -> AMatrix:
-        """x (x) I on the extended module: phi_inf1 on every B-entry, which in
-        these coordinates is x (x) I_{E^k}."""
-        if k < 0:
-            raise ConfigurationError("extended-module amplification is one-sided")
-        return self.spec.amplify(x, k)
-
     def vector(self, xi: AMatrix, b: AMatrix) -> AMatrix:
-        """Coordinates of xi (x) b: stack phi_K(xi_i) b over the module index."""
-        nk = self.b_side
-        m = xi.rows
-        out = AMatrix.zeros(self.spec.algebra, m * nk, nk)
-        for i in range(m):
-            blk = self.embed_element(xi.entry(i, 0)) @ b
-            for s in range(out.spec.n_blocks):
-                out.blocks[s][i * nk:(i + 1) * nk] = blk.blocks[s]
-        return out
-
-    def b_entries(self, x: AMatrix):
-        """Split a column over B into its B-entries."""
-        nk = self.b_side
-        return [x.submatrix(slice(i * nk, (i + 1) * nk), slice(0, nk))
-                for i in range(x.rows // nk)]
+        """Coordinates of xi (x) b: its i-th B-entry is phi_K(xi_i) b."""
+        return self.spec.amplify(xi, self.level) @ b
 
 
 def einfty_inner(ctx: EInftyContext, x: AMatrix, y: AMatrix, side: str) -> AMatrix:
     """Inner products of the extended bimodule in level-K coordinates.
 
-    right: <x, y> = sum_i x_i* y_i in B.
-    left:  the matrix [x_i y_j*], an element of M_{n^m}(B)."""
-    xs, ys = ctx.b_entries(x), ctx.b_entries(y)
-    if len(xs) != len(ys):
+    right: <x, y> = sum_i x_i* y_i = x* y in B.
+    left:  the matrix [x_i y_j*] = x y*, an element of M_{n^m}(B)."""
+    if x.rows != y.rows:
         raise SpecMismatchError("vectors of different module rank")
-    nk = ctx.b_side
     if side == "right":
-        acc = AMatrix.zeros(ctx.spec.algebra, nk, nk)
-        for a, b in zip(xs, ys):
-            acc = acc + a.adjoint() @ b
-        return acc
+        return x.adjoint() @ y
     if side == "left":
-        m = len(xs)
-        out = AMatrix.zeros(ctx.spec.algebra, m * nk, m * nk)
-        for i in range(m):
-            for j in range(m):
-                blk = xs[i] @ ys[j].adjoint()
-                for s in range(out.spec.n_blocks):
-                    out.blocks[s][i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = blk.blocks[s]
-        return out
+        return x @ y.adjoint()
     raise ConfigurationError(f"unknown side {side!r}")
 
 
@@ -163,7 +119,7 @@ def pi_i(spec: CorrespondenceSpec, i: int, t: AMatrix,
     if t.rows != spec.fiber_dim(i) or t.cols != spec.fiber_dim(i):
         raise SpecMismatchError("compact has wrong side for level i")
     out = GradedOperator(spec, window)
-    for k, tk in band_powers(spec.amplify, {0: t}, 0, window.hi - i):
+    for k, tk in band_powers(spec, {0: t}, 0, window.hi - i):
         out.set_block(i + k, i + k, tk)
     return out
 
@@ -181,7 +137,7 @@ def toeplitz_infty(ctx: EInftyContext, mu: AMatrix, b: AMatrix,
     yc = ctx.vector(nu, c)
     e_inf = xb @ yc.adjoint()
     return {(r + k, s + k): ek for k, ek in
-            band_powers(ctx.amplify_inf, {0: e_inf}, 0, window.hi - max(r, s))}
+            band_powers(ctx.spec, {0: e_inf}, 0, window.hi - max(r, s))}
 
 
 def eps_hat_graded(ctx: EInftyContext, blocks: dict,
@@ -352,10 +308,8 @@ def factor_tables(spec: CorrespondenceSpec, window: FockWindow, big_n: int):
     window with N = window.hi, phi is the bilateral lift's compression."""
     inner_window = FockWindow.one_sided(big_n)
     d_total = sum(spec.fiber_dim(d) for d in inner_window.degrees())
-    phi = window_table(spec, window, inner_window, lambda g: compress(g, big_n),
-                       name=f"compress(N={big_n})")
-    psi = window_table(spec, inner_window, window, lambda g: psi_amplify(g, window),
-                       name=f"amplify(N={big_n})")
+    phi = window_table(spec, window, inner_window, lambda g: compress(g, big_n))
+    psi = window_table(spec, inner_window, window, lambda g: psi_amplify(g, window))
     return phi, psi, d_total
 
 

@@ -23,7 +23,6 @@ from pimsner_lab.fock import (
 )
 from pimsner_lab.expectation import (
     _sample_matrix,
-    embed_jk,
     eps_bar,
     eps_hat,
     ex_k,
@@ -205,7 +204,7 @@ def test_criterion_05_conditional_expectation_tower():
                 z = ex_k(spec, level, x).adjoint() @ ex_k(spec, level, x)
                 assert AMatrix.from_element(y - z).min_eig() >= -1e-8, \
                     (spec.name, level, "schwarz")
-                tower = (ex_k(spec, level + 1, embed_jk(spec, x))
+                tower = (ex_k(spec, level + 1, spec.amplify(x, 1))
                          - ex_k(spec, level, x)).max_abs()
                 assert tower < 1e-9, (spec.name, level, "tower", tower)
     elapsed = time.monotonic() - t0

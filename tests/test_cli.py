@@ -281,11 +281,15 @@ for table in factor_tables(spec, FockWindow.one_sided(7), 5)[:2]:
     ["-m", "pimsner_lab.cli", "schur", "--preset", "cuntz2"],
     ["-m", "pimsner_lab.cli", "schur", "--preset", "twisted2"],
     ["-c", FACTOR_MAP_NORMS],
-], ids=["schur-cuntz2", "schur-twisted2", "factor-map-norms-twisted2-N5"])
+    ["-m", "pimsner_lab.cli", "lift-check", "--preset", "twisted2"],
+    ["-m", "pimsner_lab.cli", "expectation", "--preset", "twisted2"],
+], ids=["schur-cuntz2", "schur-twisted2", "factor-map-norms-twisted2-N5",
+        "lift-check-twisted2", "expectation-twisted2"])
 def test_measured_values_stable_across_blas_threads(args):
     """Schur coefficients and factor-map norms come from BLAS and LAPACK, and
     their last digits move with the thread count; reports print them on the
-    eq_tol grid, so the bytes do not."""
+    eq_tol grid, so the bytes do not.  The lift and expectation suites go
+    through the extended module's matrix products at n = 2."""
     assert _stdout_at_blas_threads(args, "1") == _stdout_at_blas_threads(args, "2")
 
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pimsner_lab.star_core import ConfigurationError, make_algebra, sample
 from pimsner_lab.hilbert_mod import AMatrix, inner
 from pimsner_lab.correspondence import ValidationError, default_max_degree
 from pimsner_lab.presets import PRESETS, build_preset
+
+from test_peel import correspondences
 
 
 @pytest.fixture(params=sorted(PRESETS))
@@ -47,6 +50,16 @@ def test_phi_k_against_independent_path(spec):
     a = sample(spec.algebra, "element", 29)
     for k in (1, 2, 3):
         assert (spec.phi_k(a, k) - spec.phi_k_direct(a, k)).max_abs() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(correspondences(), st.integers(1, 3), st.integers(0, 1000))
+def test_random_correspondence_phi_k_against_independent_path(spec, k, seed):
+    """With a Haar-random U, phi(a) = U* alpha~(a) U and U alpha~(a) U* are
+    different maps, so the tower must follow the same side of U as the
+    independent product construction (n <= 3 keeps n^k <= 27)."""
+    a = sample(spec.algebra, "element", seed)
+    assert (spec.phi_k(a, k) - spec.phi_k_direct(a, k)).max_abs() < 1e-10
 
 
 def test_amplify_composes(spec):

@@ -7,7 +7,6 @@ from pimsner_lab.star_core import sample
 from pimsner_lab.hilbert_mod import AMatrix, module_norm, rank_one
 from pimsner_lab.expectation import (
     _sample_matrix,
-    embed_jk,
     eps_bar,
     eps_hat,
     ex_k,
@@ -89,7 +88,7 @@ def test_ex_undoes_left_action():
 def test_tower_compatibility():
     spec = build_preset("twisted2")
     x = _sample_matrix(spec, 2, 31)
-    assert (ex_k(spec, 2, embed_jk(spec, x)) - ex_k(spec, 1, x)).max_abs() < 1e-11
+    assert (ex_k(spec, 2, spec.amplify(x, 1)) - ex_k(spec, 1, x)).max_abs() < 1e-11
 
 
 def test_verify_cond_exp_all_presets():

@@ -120,6 +120,20 @@ def test_to_amatrix_roundtrip(cuntz):
     assert t.max_block_dev(back) == 0.0
 
 
+def test_empty_operator_to_amatrix_keeps_stack_shape(cuntz):
+    """An operator with no blocks has no block to read a stack depth from; the
+    caller's stack shape decides it."""
+    w = FockWindow.one_sided(2)
+    side = sum(cuntz.fiber_dim(d) for d in w.degrees())
+    empty = GradedOperator(cuntz, w)
+    got = empty.to_amatrix((3,))
+    assert got.stack_shape == (3,) and (got.rows, got.cols) == (side, side)
+    assert [b.shape for b in got.blocks] == \
+        [(3, side, side, d, d) for d in cuntz.algebra.block_dims]
+    assert not any(b.any() for b in got.blocks)
+    assert empty.to_amatrix().stack_shape == ()
+
+
 def test_cuntz_relation(cuntz):
     """sum_i t_i t_i* = 1 - P_0 on the truncated Fock module (away from the
     top degree, which the window cuts)."""
@@ -146,7 +160,7 @@ def test_band_powers_equal_direct_amplification(preset):
     spec = build_preset(preset)
     x = AMatrix.from_element(sample(spec.algebra, "element", 7))
     k_lo = -3 if spec.n == 1 else 0
-    got = list(band_powers(spec.amplify, {0: x}, k_lo, 3))
+    got = list(band_powers(spec, {0: x}, k_lo, 3))
     assert [k for k, _ in got] == [0, 1, 2, 3] + list(range(-1, k_lo - 1, -1))
     for k, xk in got:
         assert (xk - spec.amplify(x, k)).max_abs() == 0.0, k

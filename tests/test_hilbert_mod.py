@@ -90,7 +90,7 @@ def test_submatrix_and_entries(algebra):
 # ---------------------------------------------------------------------------
 
 def identity_table(algebra, p):
-    return LinearMapTable.from_amatrix_map(algebra, p, p, lambda x: x, name="id")
+    return LinearMapTable.from_amatrix_map(algebra, p, p, lambda x: x)
 
 
 def test_constructor_rejects_bad_blocks(algebra):
@@ -123,8 +123,7 @@ def test_choi_transpose_map_fails():
     algebra = make_algebra([2])
     table = LinearMapTable.from_amatrix_map(
         algebra, 1, 1,
-        lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]),
-        name="transpose")
+        lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]))
     rep = choi_cp_check(table)
     assert not rep.passed
     assert rep.min_eigenvalue < -0.5

@@ -54,13 +54,14 @@ def test_inner_products(twisted):
 
 
 def test_phi_inf1_is_homomorphism(twisted):
-    ctx = EInftyContext(twisted, 1)
+    """The left action of B = M_2(A) one level up the tower, b (x) I_E."""
     b1 = _sample_matrix(twisted, 2, 11)
     b2 = _sample_matrix(twisted, 2, 12)
-    lhs = ctx.phi_inf1(b1 @ b2)
-    rhs = ctx.phi_inf1(b1) @ ctx.phi_inf1(b2)
+    lhs = twisted.amplify(b1 @ b2, 1)
+    rhs = twisted.amplify(b1, 1) @ twisted.amplify(b2, 1)
     assert (lhs - rhs).max_abs() < 1e-10
-    assert (ctx.phi_inf1(b1.adjoint()) - ctx.phi_inf1(b1).adjoint()).max_abs() < 1e-12
+    assert (twisted.amplify(b1.adjoint(), 1)
+            - twisted.amplify(b1, 1).adjoint()).max_abs() < 1e-12
 
 
 def test_pi_i_is_representation(cuntz):

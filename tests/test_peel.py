@@ -1,6 +1,6 @@
 """The whole-matrix peel behind Ex_k, eps-hat and eps-bar, and the extended
-module's amplifications, against the per-entry and per-block loops they
-replace, written here with a dense I (x) U.  Covered on the four presets,
+module's amplifications, vectors and inner products, against the per-entry
+and per-block loops they replace, written here with a dense I (x) U.  Covered on the four presets,
 on one n = 2 correspondence over M_2 (+) C, and on random correspondences
 drawn by hypothesis."""
 
@@ -13,7 +13,7 @@ from pimsner_lab.hilbert_mod import AMatrix
 from pimsner_lab.correspondence import CorrespondenceSpec, kron_identity_left
 from pimsner_lab.expectation import eps_bar, eps_hat, ex_k
 from pimsner_lab.fock import FockWindow
-from pimsner_lab.lift import EInftyContext, bilateral_lift
+from pimsner_lab.lift import EInftyContext, bilateral_lift, einfty_inner
 from pimsner_lab.presets import PRESETS, build_preset
 
 from test_batched_maps import build
@@ -98,6 +98,38 @@ def loop_amplify_inf(ctx, x, k):
     return x
 
 
+def loop_vector(ctx, xi, b):
+    """xi (x) b one module index at a time: phi_K(xi_i) b stacked over i."""
+    nk = ctx.b_side
+    out = AMatrix.zeros(ctx.spec.algebra, xi.rows * nk, nk)
+    for i in range(xi.rows):
+        blk = ctx.spec.phi_k(xi.entry(i, 0), ctx.level) @ b
+        for s in range(out.spec.n_blocks):
+            out.blocks[s][i * nk:(i + 1) * nk] = blk.blocks[s]
+    return out
+
+
+def loop_einfty_inner(ctx, x, y, side):
+    """The inner products one B-entry at a time: sum_i x_i* y_i (right) and
+    the matrix [x_i y_j*] (left)."""
+    nk = ctx.b_side
+    xs, ys = ([v.submatrix(slice(i * nk, (i + 1) * nk), slice(0, nk))
+               for i in range(v.rows // nk)] for v in (x, y))
+    if side == "right":
+        acc = AMatrix.zeros(ctx.spec.algebra, nk, nk)
+        for a, b in zip(xs, ys):
+            acc = acc + a.adjoint() @ b
+        return acc
+    m = len(xs)
+    out = AMatrix.zeros(ctx.spec.algebra, m * nk, m * nk)
+    for i in range(m):
+        for j in range(m):
+            blk = xs[i] @ ys[j].adjoint()
+            for s in range(out.spec.n_blocks):
+                out.blocks[s][i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = blk.blocks[s]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # presets and the mixed correspondence
 # ---------------------------------------------------------------------------
@@ -134,10 +166,35 @@ def test_extended_module_amplification_equals_block_loops(name, level):
     ctx = EInftyContext(spec, level)
     nk = ctx.b_side
     b = random_amatrix(spec, nk, nk, 60 + level)
-    assert (ctx.phi_inf1(b) - loop_phi_inf1(ctx, b)).max_abs() < 1e-12
+    assert (spec.amplify(b, 1) - loop_phi_inf1(ctx, b)).max_abs() < 1e-12
     x = random_amatrix(spec, 2 * nk, nk, 70 + level)
     for k in (1, 2, 3):
-        assert (ctx.amplify_inf(x, k) - loop_amplify_inf(ctx, x, k)).max_abs() < 1e-12
+        assert (spec.amplify(x, k) - loop_amplify_inf(ctx, x, k)).max_abs() < 1e-12
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("name", SPECS)
+def test_extended_module_vector_and_inner_equal_entry_loops(name, level):
+    """vector is (xi (x) I_{E^K}) b, bit for bit the per-entry phi_K(xi_i) b;
+    the inner products are x* y and x y*, the per-B-entry sums and products."""
+    spec = build(name)
+    ctx = EInftyContext(spec, level)
+    nk = ctx.b_side
+    for degree in (0, 1, 2):
+        rank = spec.fiber_dim(degree)
+        vecs = []
+        for t in (0, 1):
+            seed = 100 * level + 10 * degree + 2 * t
+            xi = random_amatrix(spec, rank, 1, seed)
+            b = random_amatrix(spec, nk, nk, seed + 1)
+            got, want = ctx.vector(xi, b), loop_vector(ctx, xi, b)
+            assert all(np.array_equal(g, w) for g, w in zip(got.blocks, want.blocks))
+            vecs.append(got)
+        for side in ("right", "left"):
+            got = einfty_inner(ctx, *vecs, side)
+            want = loop_einfty_inner(ctx, *vecs, side)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert (got - want).max_abs() < 1e-12, side
 
 
 # ---------------------------------------------------------------------------
