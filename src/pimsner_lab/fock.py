@@ -173,16 +173,18 @@ class GradedOperator:
 
     # -- metrics -----------------------------------------------------------
 
-    def to_amatrix(self, stack_shape: tuple = ()) -> AMatrix:
+    def to_amatrix(self, stack_shape: tuple = (), out: AMatrix | None = None) -> AMatrix:
         """Assemble the window into one square AMatrix over A, or a stack of
         them with leading axes ``stack_shape`` when the blocks are stacks (an
-        operator with no blocks gives a stack of zeros of that shape)."""
+        operator with no blocks gives a stack of zeros of that shape); or into
+        ``out``, a zeroed AMatrix of that side such as ``from_flat`` views."""
         offs = _degree_offsets(self.spec, self.window)
         total = int(offs[-1])
         alg = self.spec.algebra
-        out = AMatrix(alg, total, total,
-                      [np.zeros(stack_shape + (total, total, d, d), dtype=complex)
-                       for d in alg.block_dims])
+        if out is None:
+            out = AMatrix(alg, total, total,
+                          [np.zeros(stack_shape + (total, total, d, d), dtype=complex)
+                           for d in alg.block_dims])
         lo = self.window.lo
         for (i, j), val in self.blocks.items():
             ro, co = int(offs[i - lo]), int(offs[j - lo])
@@ -442,6 +444,10 @@ def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     offset: the output block measured against the band block itself."""
     top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
     out = psi_amplify(compress(top, big_n), window)
+    off_band = max((v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r),
+                   default=0.0)  # a Schur multiplier maps the band into itself
+    if off_band > tol.eq_tol:
+        raise ValueError(f"pipeline output off the generator's band (max {off_band:.3e})")
     rows = []
     for (i, j), ref in sorted(top.blocks.items()):
         l = i - r
@@ -487,16 +493,35 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
                  window_out: FockWindow, fn) -> LinearMapTable:
     """A map of graded operators, ``fn`` (window_in -> window_out), as a
     linear map on flattened window algebras.  Each ``apply`` hands ``fn`` the
-    whole stack as one operator whose blocks are stacks."""
+    whole stack as one operator whose blocks are stacks, and writes each
+    output block once into the zeroed flat result, through ``from_flat``
+    views of it.  Given a row hint (see :meth:`LinearMapTable.apply`), the
+    input is that row's degree blocks, as views, with no ``from_amatrix`` scan."""
     _check_window(spec, window_in)
     _check_window(spec, window_out)
-    t_in, t_out = (int(_degree_offsets(spec, w)[-1]) for w in (window_in, window_out))
+    alg, offs, degs = spec.algebra, _degree_offsets(spec, window_in), list(window_in.degrees())
+    t_in, t_out = int(offs[-1]), int(_degree_offsets(spec, window_out)[-1])
+    # the degree of each flat row of the domain, one algebra block after another
+    row_degree = np.concatenate([np.repeat(np.arange(len(degs)), np.diff(offs) * d)
+                                 for d in alg.block_dims])
 
-    def on_window(mat: AMatrix) -> AMatrix:
-        y = fn(GradedOperator.from_amatrix(spec, window_in, mat))
-        return y.to_amatrix(mat.stack_shape)
+    def apply(stack, row):
+        mat = AMatrix.from_flat(alg, t_in, t_in, stack)
+        if row is None:
+            x = GradedOperator.from_amatrix(spec, window_in, mat)
+        else:
+            a = row_degree[row]
+            rows = slice(offs[a], offs[a + 1])
+            x = GradedOperator(spec, window_in, {
+                (degs[a], degs[b]): mat.submatrix(rows, slice(offs[b], offs[b + 1]))
+                for b in range(len(degs))})
+        y = fn(x)  # before the result is allocated: a lower peak RSS, measured
+        flat = np.zeros(stack.shape[:-2] + 2 * (t_out * sum(alg.block_dims),), dtype=complex)
+        y.to_amatrix(out=AMatrix.from_flat(alg, t_out, t_out, flat))
+        return flat
 
-    return LinearMapTable.from_amatrix_map(spec.algebra, t_in, t_out, on_window)
+    return LinearMapTable([t_in * d for d in alg.block_dims],
+                          [t_out * d for d in alg.block_dims], apply)
 
 
 def pipeline_table(spec: CorrespondenceSpec, window: FockWindow,

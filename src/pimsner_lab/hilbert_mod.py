@@ -389,7 +389,8 @@ class LinearMapTable:
     The flattened domain is a direct sum of full matrix algebras with sides
     ``domain_sides``; a map is completely positive iff each block restriction
     is, which is what the Choi assembly checks.  ``apply`` evaluates the map
-    on a stack of block-diagonal elements, ``(B, n, n) -> (B, c, c)``.
+    on a stack of block-diagonal elements, ``(B, n, n) -> (B, c, c)``; the
+    callable passed in takes the stack and that method's row hint, or None.
     """
 
     def __init__(self, domain_sides, codomain_sides, apply):
@@ -407,7 +408,7 @@ class LinearMapTable:
         dom = tuple(p * d for d in spec.block_dims)
         cod = tuple(q * d for d in spec.block_dims)
 
-        def apply(stack):
+        def apply(stack, row):
             return fn(AMatrix.from_flat(spec, p, p, stack)).flatten()
 
         return cls(dom, cod, apply)
@@ -420,12 +421,15 @@ class LinearMapTable:
     def codomain_dim(self) -> int:
         return sum(self.codomain_sides)
 
-    def apply(self, stack: np.ndarray) -> np.ndarray:
-        """The map on each element of a stack: (B, n, n) -> (B, c, c)."""
-        return self._apply(stack)
+    def apply(self, stack: np.ndarray, row: int | None = None) -> np.ndarray:
+        """The map on each element of a stack: (B, n, n) -> (B, c, c).  A
+        ``row`` hint promises that every nonzero entry of the stack lies in
+        that flat row; a map may use it to skip finding where the stack is
+        nonzero, and returns the same images either way."""
+        return self._apply(stack, row)
 
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
-        return self._apply(flat[None])[0]
+        return self._apply(flat[None], None)[0]
 
     def domain_identity(self) -> np.ndarray:
         return np.eye(self.domain_dim, dtype=complex)
@@ -436,7 +440,8 @@ class LinearMapTable:
     def basis_images(self):
         """Images of the matrix-unit basis, one domain block at a time: an
         (m, m, C, C) array whose [u, v] is the image of e_uv, built with one
-        ``apply`` per row u.  It is a view of storage in Choi order, so the
+        ``apply`` per row u, hinted with the flat row ``off + u`` that holds
+        the row's unit stack.  It is a view of storage in Choi order, so the
         Choi matrix is a reshape that copies nothing; each block is released
         before the next one is built."""
         n = self.domain_dim
@@ -448,7 +453,7 @@ class LinearMapTable:
             cols = np.arange(m)
             for u in range(m):
                 units[cols, off + u, off + cols] = 1.0
-                choi[u] = self.apply(units).transpose(1, 0, 2)
+                choi[u] = self.apply(units, off + u).transpose(1, 0, 2)
                 units[cols, off + u, off + cols] = 0.0
             yield choi.transpose(0, 2, 1, 3)
             del choi
@@ -459,8 +464,8 @@ class LinearMapTable:
             raise SpecMismatchError("composition shape chain mismatch")
         outer = self
 
-        def apply(stack):
-            return outer._apply(inner_map._apply(stack))
+        def apply(stack, row):  # the hint describes the inner map's input only
+            return outer._apply(inner_map._apply(stack, row), None)
 
         return LinearMapTable(inner_map.domain_sides, self.codomain_sides, apply)
 

@@ -8,7 +8,7 @@ import pytest
 
 from pimsner_lab.star_core import AlgebraSpec, Automorphism
 from pimsner_lab.correspondence import CorrespondenceSpec
-from pimsner_lab.hilbert_mod import AMatrix
+from pimsner_lab.hilbert_mod import AMatrix, choi_cp_check, positivity_probe
 from pimsner_lab.fock import (
     FockWindow,
     GradedOperator,
@@ -183,3 +183,55 @@ def test_identity_map_basis_images_are_the_matrix_units(spec_name):
         units[rows, cols, off + rows, off + cols] = 1.0
         assert np.array_equal(arr, units)
         off += m
+
+
+def row_unit_stacks(table):
+    """(flat row, the stack of matrix units in that row), as basis_images
+    builds them."""
+    n = table.domain_dim
+    off = 0
+    for m in table.domain_sides:
+        for u in range(m):
+            units = np.zeros((m, n, n), dtype=complex)
+            units[np.arange(m), off + u, off + np.arange(m)] = 1.0
+            yield off + u, units
+        off += m
+
+
+@pytest.mark.parametrize("spec_name, name", CASES)
+def test_row_hint_gives_the_unhinted_images(spec_name, name):
+    """A row hint only spares the map the search for the stack's support:
+    on every row's unit stack the images are exactly the unhinted ones."""
+    spec = build(spec_name)
+    table, _ = reference_maps(spec, window_for(spec))[name]
+    for row, units in row_unit_stacks(table):
+        assert np.array_equal(table.apply(units, row), table.apply(units))
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The stack shapes that GradedOperator.from_amatrix scans, in order."""
+    shapes = []
+    scan = GradedOperator.from_amatrix.__func__
+
+    def spy(cls, spec, window, mat):
+        shapes.append(mat.stack_shape)
+        return scan(cls, spec, window, mat)
+
+    monkeypatch.setattr(GradedOperator, "from_amatrix", classmethod(spy))
+    return shapes
+
+
+@pytest.mark.parametrize("spec_name", ["twisted2", "crossed-z3", "mixed"])
+def test_choi_assembly_never_scans_a_unit_stack(spec_name, scanned):
+    """basis_images hints every row, so the window tables build their input
+    from that row with no scan; the only scan left in a Choi check is the
+    unhinted image of the unit.  The probe's stacks are dense and scanned."""
+    spec = build(spec_name)
+    for table in factor_tables(spec, window_for(spec), BIG_N)[:2]:
+        scanned.clear()
+        assert choi_cp_check(table).passed
+        assert scanned == [(1,)]
+        scanned.clear()
+        positivity_probe(table, k=2, trials=2, seed=0)
+        assert scanned == [(4,), (4,), (1,)]

@@ -148,6 +148,28 @@ def test_defect_fejer_weight_off_by_one_exit_one(monkeypatch, tmp_path):
     assert main(["schur", "--preset", "cuntz2", "--out", out]) == 1
 
 
+@pytest.mark.parametrize("command", ["schur", "certificate"])
+@pytest.mark.parametrize("preset", ["cuntz2", "twisted2", "crossed-z3", "rotation-m2"])
+def test_defect_off_band_leak_exit_one(monkeypatch, tmp_path, command, preset):
+    """Psi_N leaking 0.1 x the top-left corner of each output block (i, j)
+    onto (i, j-1): a Schur multiplier maps each band into itself, so output
+    off the generator's band must fail both commands."""
+    psi = fock.psi_amplify
+
+    def leak(x, window):
+        out = psi(x, window)
+        for (i, j), val in list(out.blocks.items()):
+            if j - 1 >= window.lo:
+                corner = val.submatrix(slice(None), slice(0, out.spec.fiber_dim(j - 1)))
+                out.add_block(i, j - 1, corner * 0.1)
+        return out
+
+    args = [command, "--preset", preset, "--N", "2..3", "--out", str(tmp_path / "r.out")]
+    assert main(args) == 0
+    monkeypatch.setattr(fock, "psi_amplify", leak)
+    assert main(args) == 1
+
+
 def test_schur_csv_schema(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["schur", "--preset", "crossed-z3", "--N", "1..3",
