@@ -9,14 +9,12 @@ positive approximation certificates.
 """
 
 from .star_core import (
-    AElement,
     AlgebraSpec,
     Automorphism,
     ConfigurationError,
     DEFAULT_TOL,
     SpecMismatchError,
     Tolerances,
-    sample,
 )
 from .hilbert_mod import (
     AMatrix,
@@ -28,6 +26,7 @@ from .hilbert_mod import (
     module_norm,
     positivity_probe,
     rank_one,
+    sample,
 )
 from .correspondence import CorrespondenceSpec, ValidationError
 from .fock import (

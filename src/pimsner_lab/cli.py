@@ -63,7 +63,8 @@ class RunConfig:
     choi_cap: int = CHOI_CAP
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("band", self.band)):
+        for name, value in (("seed", self.seed), ("band", self.band),
+                            ("choi_cap", self.choi_cap)):
             if value < 0:
                 raise ConfigurationError(f"{name} must be non-negative, got {value}")
 

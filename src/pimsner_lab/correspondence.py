@@ -27,16 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .star_core import (
-    AElement,
     AlgebraSpec,
     Automorphism,
     ConfigurationError,
     DEFAULT_TOL,
     SpecMismatchError,
     Tolerances,
-    sample,
 )
-from .hilbert_mod import AMatrix, inner
+from .hilbert_mod import AMatrix, inner, matrix_units, sample
 
 __all__ = [
     "CorrespondenceSpec",
@@ -103,22 +101,25 @@ class CorrespondenceSpec:
 
     # -- the left action ---------------------------------------------------
 
-    def alpha_tilde(self, a: AElement) -> AMatrix:
-        """diag[alpha_1(a), ..., alpha_n(a)] in M_n(A)."""
-        out = AMatrix.zeros(self.algebra, self.n, self.n)
+    def alpha_tilde(self, x: AMatrix) -> AMatrix:
+        """diag[alpha_1(a), ..., alpha_n(a)] in M_n(A) for a in A (1 x 1),
+        entrywise on a p x q matrix x, inner index least significant: entry
+        (p' n + i, q' n + i) is alpha_i(x[p', q'])."""
+        n = self.n
+        out = AMatrix.zeros(self.algebra, x.rows * n, x.cols * n)
         for i, al in enumerate(self.alphas):
-            out.set_entry(i, i, al.apply(a))
+            for b, img in zip(out.blocks, al.apply(x).blocks):
+                b[i::n, i::n] = img
         return out
 
-    def phi1(self, a: AElement) -> AMatrix:
+    def phi1(self, a: AMatrix) -> AMatrix:
         u = self.unitary
         return u.adjoint() @ self.alpha_tilde(a) @ u
 
     def _effective_automorphism(self) -> Automorphism:
         """n = 1: phi_1 = Ad u o alpha_1 is itself an automorphism of A."""
-        u = self.unitary.entry(0, 0)
         ad_u = Automorphism(self.algebra, tuple(range(self.algebra.n_blocks)),
-                            tuple(u.blocks))
+                            tuple(b[0, 0] for b in self.unitary.blocks))
         return ad_u.compose(self.alphas[0])
 
     @property
@@ -132,7 +133,7 @@ class CorrespondenceSpec:
         block t: row (s, u, v) holds block t of phi_1(e^s_{uv}) as an
         (n, n, d_t, d_t) array, flattened, so that entrywise amplification
         is one matrix product per target block."""
-        imgs = [self.phi1(e) for _, _, _, e in self.algebra.basis()]
+        imgs = [self.phi1(e) for e in matrix_units(self.algebra)]
         return [np.stack([img.blocks[t].ravel() for img in imgs])
                 for t in range(self.algebra.n_blocks)]
 
@@ -168,28 +169,19 @@ class CorrespondenceSpec:
             x = self.amplify1(x)
         return x
 
-    def phi_k(self, a: AElement, k: int) -> AMatrix:
-        """The embedding A -> M_{n^k}(A); phi_0 = id."""
+    def phi_k(self, a: AMatrix, k: int) -> AMatrix:
+        """The embedding A -> M_{n^k}(A) of a in A (1 x 1); phi_0 = id."""
         if k < 0 or k > self.max_degree:
             raise ConfigurationError(f"degree {k} outside cache limit {self.max_degree}")
-        return self.amplify(AMatrix.from_element(a), k)
+        return self.amplify(a, k)
 
-    def phi_k_direct(self, a: AElement, k: int) -> AMatrix:
+    def phi_k_direct(self, a: AMatrix, k: int) -> AMatrix:
         """Independent code path: the recursion via the explicit unitary
         I_{n^{k-1}} (x) U and entrywise alpha-tilde, as matrix products."""
-        out = AMatrix.from_element(a)
+        out = a
         for j in range(1, k + 1):
-            m = self.n ** (j - 1)
-            # entrywise alpha_tilde, inner index least significant
-            expanded = AMatrix.zeros(self.algebra, m * self.n, m * self.n)
-            for p in range(m):
-                for q in range(m):
-                    blk = self.alpha_tilde(out.entry(p, q))
-                    for i in range(self.n):
-                        expanded.set_entry(p * self.n + i, q * self.n + i,
-                                           blk.entry(i, i))
-            big_u = kron_identity_left(m, self.unitary)
-            out = big_u.adjoint() @ expanded @ big_u
+            big_u = kron_identity_left(self.n ** (j - 1), self.unitary)
+            out = big_u.adjoint() @ self.alpha_tilde(out) @ big_u
         return out
 
     # -- module vectors ----------------------------------------------------
@@ -227,11 +219,10 @@ class CorrespondenceSpec:
 
     def sample_vector(self, degree: int, seed: int, unit_norm: bool = True) -> AMatrix:
         """Seeded module vector in E^degree (column AMatrix)."""
-        rank = self.fiber_dim(degree)
-        rows = []
-        for i in range(rank):
-            rows.append([sample(self.algebra, "element", seed * 7919 + i)])
-        v = AMatrix.from_elements(rows)
+        rows = [sample(self.algebra, "element", seed * 7919 + i)
+                for i in range(self.fiber_dim(degree))]
+        v = AMatrix._new(self.algebra, len(rows), 1,
+                         [np.concatenate(bs) for bs in zip(*(x.blocks for x in rows))])
         if unit_norm:
             nrm = np.sqrt(max(inner(v, v).norm(), 1e-300))
             v = v * (1.0 / nrm)
@@ -246,7 +237,7 @@ class CorrespondenceSpec:
         u = self.unitary
         eye_n = AMatrix.eye(self.algebra, self.n)
         checks["unitarity"] = (u.adjoint() @ u - eye_n).norm()
-        checks["unitality"] = (self.phi1(self.algebra.unit()) - eye_n).max_abs()
+        checks["unitality"] = (self.phi1(AMatrix.eye(self.algebra, 1)) - eye_n).max_abs()
         a = sample(self.algebra, "element", seed)
         b = sample(self.algebra, "element", seed + 1)
         checks["multiplicativity"] = (
@@ -256,7 +247,7 @@ class CorrespondenceSpec:
         # faithfulness: the flattened matrix of phi_1 on the basis of A has
         # trivial kernel
         cols = []
-        for _, _, _, e in self.algebra.basis():
+        for e in matrix_units(self.algebra):
             cols.append(self.phi1(e).flatten().ravel())
         mat = np.array(cols).T
         sv = np.linalg.svd(mat, compute_uv=False)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .star_core import AElement, SpecMismatchError, sample
-from .hilbert_mod import CHOI_CAP, AMatrix, LinearMapTable, cp_check_auto
+from .star_core import SpecMismatchError
+from .hilbert_mod import CHOI_CAP, AMatrix, LinearMapTable, cp_check_auto, sample
 from .correspondence import CorrespondenceSpec
 
 __all__ = [
@@ -33,14 +33,14 @@ __all__ = [
 ]
 
 
-def ex_trace(spec: CorrespondenceSpec, x: AMatrix) -> AElement:
-    """Normalised trace M_n(A) -> A: average of the diagonal entries."""
+def ex_trace(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
+    """Normalised trace M_n(A) -> A: average of the diagonal entries, 1 x 1."""
     if x.rows != x.cols:
         raise SpecMismatchError("normalised trace expects a square matrix")
     n = x.rows
-    out = spec.algebra.zero()
+    out = AMatrix.zeros(spec.algebra, 1, 1)
     for i in range(n):
-        out = out + x.entry(i, i)
+        out = out + x.submatrix(slice(i, i + 1), slice(i, i + 1))
     return out * (1.0 / n)
 
 
@@ -76,11 +76,11 @@ def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
     return acc * (1.0 / n)
 
 
-def ex_k(spec: CorrespondenceSpec, k: int, x: AMatrix) -> AElement:
-    """Ex_k: M_{n^k}(A) -> A, peeling one tensor layer at a time."""
+def ex_k(spec: CorrespondenceSpec, k: int, x: AMatrix) -> AMatrix:
+    """Ex_k: M_{n^k}(A) -> A (1 x 1), peeling one tensor layer at a time."""
     if x.rows != spec.n ** k or x.rows != x.cols:
         raise SpecMismatchError(f"expected a {spec.n ** k} x {spec.n ** k} matrix")
-    return eps_hat(spec, k, x).entry(0, 0)
+    return eps_hat(spec, k, x)
 
 
 def eps_bar(spec: CorrespondenceSpec, level: int, zeta: AMatrix) -> AMatrix:
@@ -134,8 +134,7 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
         dev_bimod = max(dev_bimod, (lhs - rhs).max_abs())
         y = ex_k(spec, level, x.adjoint() @ x)
         z = ex_k(spec, level, x).adjoint() @ ex_k(spec, level, x)
-        diff = AMatrix.from_element(y - z)
-        schwarz_min = min(schwarz_min, diff.min_eig())
+        schwarz_min = min(schwarz_min, (y - z).min_eig())
     axioms["idempotence"] = {"max_dev": float(dev_id), "pass": dev_id <= tol.eq_tol}
     axioms["bimodule"] = {"max_dev": float(dev_bimod), "pass": dev_bimod <= tol.eq_tol}
     axioms["schwarz"] = {"min_eig": float(schwarz_min),
@@ -167,5 +166,5 @@ def _sample_matrix(spec: CorrespondenceSpec, side: int, seed: int) -> AMatrix:
         for j in range(side):
             x = sample(spec.algebra, "element", seed * 613 + i * side + j)
             for out, b in zip(blocks, x.blocks):
-                out[i, j] = b
+                out[i, j] = b[0, 0]
     return AMatrix(spec.algebra, side, side, blocks)

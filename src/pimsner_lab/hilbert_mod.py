@@ -1,7 +1,9 @@
 """Free Hilbert A-modules and complete-positivity certification.
 
 An :class:`AMatrix` is a p x q matrix over A = direct sum of matrix blocks,
-i.e. an adjointable map A^q -> A^p between free modules.  Positivity and
+i.e. an adjointable map A^q -> A^p between free modules.  An element of A
+is a 1 x 1 AMatrix (:func:`sample`, :func:`matrix_units` and ``AMatrix.eye``
+make them), so A shares the arithmetic of M_D(A).  Positivity and
 norms of A-matrices are *defined* through :meth:`AMatrix.flatten`, which is
 a faithful unital *-homomorphism onto block-diagonal complex matrices.
 
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .star_core import (
-    AElement,
     AlgebraSpec,
     ConfigurationError,
     DEFAULT_TOL,
@@ -38,6 +39,8 @@ from .star_core import (
 __all__ = [
     "AMatrix",
     "LinearMapTable",
+    "matrix_units",
+    "sample",
     "CPReport",
     "inner",
     "rank_one",
@@ -61,7 +64,7 @@ class AMatrix:
 
     Only the public constructor converts and checks its blocks (complex
     dtype, block shapes, one stack depth); arithmetic, ``adjoint``,
-    ``submatrix``, ``copy``, ``scale_element``, ``amplify1`` and
+    ``submatrix``, ``copy``, ``amplify1``, :func:`sample` and
     ``Automorphism.apply`` build their results, correct by construction,
     through :meth:`_new`.  A result may share arrays with its operands
     (``submatrix``, ``from_flat`` and the identity blocks of ``apply``), so
@@ -71,11 +74,13 @@ class AMatrix:
     __slots__ = ("spec", "rows", "cols", "blocks")
 
     def __init__(self, spec: AlgebraSpec, rows: int, cols: int, blocks):
+        if len(blocks) != spec.n_blocks:
+            raise SpecMismatchError(f"{len(blocks)} block arrays for {spec.n_blocks} blocks")
         self.spec = spec
         self.rows = rows
         self.cols = cols
         self.blocks = [np.asarray(b, dtype=complex) for b in blocks]
-        ndim = self.blocks[0].ndim if self.blocks else 4
+        ndim = self.blocks[0].ndim
         for b, d in zip(self.blocks, spec.block_dims):
             if b.shape[-4:] != (rows, cols, d, d) or b.ndim != ndim:
                 raise SpecMismatchError(f"block array {b.shape} != {(rows, cols, d, d)}")
@@ -109,33 +114,6 @@ class AMatrix:
             idx = np.arange(n)
             out.blocks[s][idx, idx] = np.eye(d)
         return out
-
-    @classmethod
-    def from_elements(cls, grid) -> "AMatrix":
-        """Build from a nested list of AElements (rows of columns)."""
-        rows = len(grid)
-        cols = len(grid[0])
-        spec = grid[0][0].spec
-        out = cls.zeros(spec, rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                e = grid[i][j]
-                if e.spec != spec:
-                    raise SpecMismatchError("mixed algebra specs in grid")
-                for s in range(spec.n_blocks):
-                    out.blocks[s][i, j] = e.blocks[s]
-        return out
-
-    @classmethod
-    def from_element(cls, e: AElement) -> "AMatrix":
-        return cls.from_elements([[e]])
-
-    def entry(self, i: int, j: int) -> AElement:
-        return AElement(self.spec, [b[i, j] for b in self.blocks])
-
-    def set_entry(self, i: int, j: int, e: AElement):
-        for s in range(self.spec.n_blocks):
-            self.blocks[s][i, j] = e.blocks[s]
 
     def submatrix(self, row_slice, col_slice) -> "AMatrix":
         bs = [b[..., row_slice, col_slice, :, :] for b in self.blocks]
@@ -189,14 +167,6 @@ class AMatrix:
     def adjoint(self) -> "AMatrix":
         out = [np.conj(np.transpose(b, (1, 0, 3, 2))) for b in self.blocks]
         return AMatrix._new(self.spec, self.cols, self.rows, out)
-
-    def scale_element(self, a: AElement, side: str = "right") -> "AMatrix":
-        """Entrywise multiply by a in A (module action for column vectors)."""
-        if side == "right":
-            out = [b @ e for b, e in zip(self.blocks, a.blocks)]
-        else:
-            out = [e @ b for e, b in zip(a.blocks, self.blocks)]
-        return AMatrix._new(self.spec, self.rows, self.cols, out)
 
     # -- flattening and metrics -------------------------------------------
 
@@ -261,12 +231,45 @@ class AMatrix:
         return f"AMatrix({self.rows}x{self.cols}, dims={self.spec.block_dims})"
 
 
-def inner(xi: AMatrix, eta: AMatrix) -> AElement:
-    """Module inner product <xi, eta> = sum_i xi_i* eta_i for column vectors."""
+def sample(spec: AlgebraSpec, kind: str, seed: int) -> AMatrix:
+    """Deterministic random element of A (a 1 x 1 AMatrix) of the requested kind."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for d in spec.block_dims:
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if kind == "element":
+            blocks.append(z)
+        elif kind == "hermitian":
+            blocks.append((z + z.conj().T) / 2)
+        elif kind == "positive":
+            blocks.append(z.conj().T @ z / d)
+        elif kind == "unitary":
+            q, r = np.linalg.qr(z)
+            # fix the phase ambiguity of QR so the result is seed-stable
+            ph = np.diag(r).copy()
+            ph[ph == 0] = 1.0
+            blocks.append(q * (ph / np.abs(ph)))
+        else:
+            raise ConfigurationError(f"unknown sample kind {kind!r}")
+    return AMatrix._new(spec, 1, 1, [b[None, None] for b in blocks])
+
+
+def matrix_units(spec: AlgebraSpec):
+    """The matrix-unit basis of A as 1 x 1 AMatrices: e^s_uv for each block
+    s, row u and column v, in that order."""
+    for s, d in enumerate(spec.block_dims):
+        for u in range(d):
+            for v in range(d):
+                e = AMatrix.zeros(spec, 1, 1)
+                e.blocks[s][0, 0, u, v] = 1.0
+                yield e
+
+
+def inner(xi: AMatrix, eta: AMatrix) -> AMatrix:
+    """Module inner product <xi, eta> = sum_i xi_i* eta_i in A for column vectors."""
     if xi.cols != 1 or eta.cols != 1:
         raise SpecMismatchError("inner product expects column vectors")
-    res = (xi.adjoint() @ eta)
-    return res.entry(0, 0)
+    return xi.adjoint() @ eta
 
 
 def rank_one(mu: AMatrix, nu: AMatrix) -> AMatrix:

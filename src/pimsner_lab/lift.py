@@ -224,7 +224,7 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     # through the alpha inverses and U, one layer per step
     e = rank_one(mu, nu)
     offsets = range(two_sided.lo - min(r, s), two_sided.hi - max(r, s) + 1)
-    ref = {k: spec.phi_k_direct(e.entry(0, 0), k) for k in offsets if k >= 0}
+    ref = {k: spec.phi_k_direct(e, k) for k in offsets if k >= 0}
     for k in range(-1, offsets.start - 1, -1):
         ref[k] = eps_hat(spec, 1, ref[k + 1])
     band_dev = max((lifted.block(r + k, s + k) - ref[k]).max_abs()

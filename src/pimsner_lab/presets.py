@@ -30,6 +30,9 @@ GOLDEN_ANGLE = 2.0 * np.pi * 0.3819660112501051
 def _unitary_from_blocks(algebra: AlgebraSpec, n: int, per_block) -> AMatrix:
     """Assemble U in M_n(A) from one (n*d_s) x (n*d_s)-shaped spec per block,
     given as a list of n x n scalar matrices acting on each algebra block."""
+    if len(per_block) != algebra.n_blocks:
+        raise ConfigurationError(
+            f"unitary has {len(per_block)} blocks for {algebra.n_blocks} algebra blocks")
     out = AMatrix.zeros(algebra, n, n)
     for s, d in enumerate(algebra.block_dims):
         mat = np.asarray(per_block[s], dtype=complex)

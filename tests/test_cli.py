@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pimsner_lab
-from pimsner_lab import cli, fock
+from pimsner_lab import cli, fock, lift
 from pimsner_lab.cli import RunConfig, _parse_n_range, main, run, serialize
 from pimsner_lab.correspondence import CorrespondenceSpec
 from pimsner_lab.star_core import ConfigurationError, SpecMismatchError
@@ -69,6 +69,35 @@ def test_unreadable_config_is_configuration_error(tmp_path, capsys, text):
     assert err.startswith("error: bad config") and "violation" not in err
 
 
+# the 2 x 2 identity with [re, im] leaves, and the 1 x 1 one
+IDENTITY_2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+IDENTITY_1 = [[[1, 0]]]
+
+
+def two_block_config(alpha_unitaries: int, unitary_blocks: int) -> dict:
+    """A = C (+) C, n = 2, with the given numbers of per-block data."""
+    return {"block_dims": [1, 1], "n": 2,
+            "unitary": [IDENTITY_2] * unitary_blocks,
+            "alphas": [{"perm": [0, 1], "unitaries": [IDENTITY_1] * alpha_unitaries},
+                       {"perm": [0, 1]}]}
+
+
+@pytest.mark.parametrize("counts", [(1, 2), (3, 2), (2, 1), (2, 3)], ids=[
+    "alpha-one-unitary", "alpha-three-unitaries", "unitary-one-block",
+    "unitary-three-blocks"])
+def test_wrong_block_count_exit_two(tmp_path, capsys, counts):
+    """Per-block data comes one per algebra block: too few would crash on an
+    index, too many would be dropped silently.  Both are configuration
+    errors; the same config with two of each validates."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(two_block_config(2, 2)))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps(two_block_config(*counts)))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_corrupted_unitary_exit_one(tmp_path, capsys):
     """A single injected violation (U scaled by 2) flips exit to 1."""
     cfg = tmp_path / "bad_u.json"
@@ -101,15 +130,16 @@ def test_window_too_small_exit_two(capsys):
     assert "window" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--band"])
+@pytest.mark.parametrize("flag", ["--seed", "--band", "--choi-cap"])
 def test_negative_seed_or_band_exit_two(capsys, flag):
     """A negative seed would reach numpy's seeding as a ValueError (read as a
-    violation), and a negative band would pass with no Schur rows at all."""
+    violation), a negative band would pass with no Schur rows at all, and a
+    negative Choi cap would send every map to the probe."""
     assert main(["schur", "--preset", "cuntz2", "--N", "2", flag, "-5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-negative" in err
     with pytest.raises(ConfigurationError):
-        RunConfig(spec=build_preset("cuntz2"), **{flag[2:]: -1})
+        RunConfig(spec=build_preset("cuntz2"), **{flag[2:].replace("-", "_"): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +176,40 @@ def test_defect_fejer_weight_off_by_one_exit_one(monkeypatch, tmp_path):
     assert main(["schur", "--preset", "cuntz2", "--out", out]) == 0
     monkeypatch.setattr(fock, "psi_amplify", off_by_one)
     assert main(["schur", "--preset", "cuntz2", "--out", out]) == 1
+
+
+def test_defect_wrong_row_of_u_exit_one(monkeypatch, tmp_path):
+    """phi_1 built from U with its rows reversed is still a unital
+    *-homomorphism, so validation passes; but the tower no longer matches
+    the peel through U (expectation) or the independent phi_k_direct
+    (lift-check).  On cuntz2 (U = 1, alpha = id) the swap changes nothing,
+    so twisted2 is the case."""
+    def wrong_row(self, a):
+        u = self.unitary.submatrix(slice(None, None, -1), slice(None))
+        return u.adjoint() @ self.alpha_tilde(a) @ u
+
+    runs = [[command, "--preset", "twisted2", "--N", "2..3",
+             "--out", str(tmp_path / "r.json")] for command in ("expectation", "lift-check")]
+    assert [main(args) for args in runs] == [0, 0]
+    monkeypatch.setattr(CorrespondenceSpec, "phi1", wrong_row)
+    assert [main(args) for args in runs] == [1, 1]
+
+
+@pytest.mark.parametrize("preset", ["twisted2", "crossed-z3"])
+def test_defect_band_offset_dropped_exit_one(monkeypatch, tmp_path, preset):
+    """band_powers skipping k = 1 in both its callers: the Schur multipliers,
+    the certificate's Fejer bound and the lifted band all miss that block."""
+    band_powers = fock.band_powers
+
+    def skip_one(*args):
+        return ((k, x) for k, x in band_powers(*args) if k != 1)
+
+    runs = [[command, "--preset", preset, "--N", "2..3", "--out", str(tmp_path / "r.out")]
+            for command in ("schur", "certificate", "lift-check")]
+    assert [main(args) for args in runs] == [0, 0, 0]
+    monkeypatch.setattr(fock, "band_powers", skip_one)
+    monkeypatch.setattr(lift, "band_powers", skip_one)
+    assert [main(args) for args in runs] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("command", ["schur", "certificate"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pimsner_lab.star_core import SpecMismatchError, make_algebra, sample
+from pimsner_lab.star_core import AlgebraSpec, SpecMismatchError
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     ChoiCapExceeded,
@@ -14,18 +14,33 @@ from pimsner_lab.hilbert_mod import (
     module_norm,
     positivity_probe,
     rank_one,
+    sample,
 )
 
 
 @pytest.fixture
 def algebra():
-    return make_algebra([2, 1])
+    return AlgebraSpec((2, 1))
+
+
+def entry(x, i, j):
+    """Entry (i, j) of x as an element of A (a 1 x 1 view)."""
+    return x.submatrix(slice(i, i + 1), slice(j, j + 1))
+
+
+def set_entry(x, i, j, a):
+    """Write the element a of A (1 x 1) into entry (i, j) of x."""
+    for b, e in zip(x.blocks, a.blocks):
+        b[i, j] = e[0, 0]
 
 
 def random_amatrix(algebra, rows, cols, seed):
-    grid = [[sample(algebra, "element", seed + 97 * i + j)
-             for j in range(cols)] for i in range(rows)]
-    return AMatrix.from_elements(grid)
+    """Entry (i, j) is sample(algebra, "element", seed + 97 i + j)."""
+    out = AMatrix.zeros(algebra, rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            set_entry(out, i, j, sample(algebra, "element", seed + 97 * i + j))
+    return out
 
 
 def test_flatten_roundtrip(algebra):
@@ -71,18 +86,18 @@ def test_inner_and_rank_one(algebra):
     xi = random_amatrix(algebra, 3, 1, 23)
     # e_{mu,nu} xi = mu <nu, xi>
     lhs = rank_one(mu, nu) @ xi
-    rhs = mu.scale_element(inner(nu, xi), side="right")
+    rhs = mu @ inner(nu, xi)
     assert (lhs - rhs).max_abs() < 1e-12
     assert module_norm(mu) > 0.0
     # <xi, xi> is positive
-    assert AMatrix.from_element(inner(xi, xi)).is_positive()
+    assert inner(xi, xi).is_positive()
 
 
 def test_submatrix_and_entries(algebra):
     x = random_amatrix(algebra, 4, 4, 31)
     sub = x.submatrix(slice(1, 3), slice(0, 2))
     assert (sub.rows, sub.cols) == (2, 2)
-    assert sub.entry(0, 0).allclose(x.entry(1, 0), 0.0)
+    assert entry(sub, 0, 0).allclose(entry(x, 1, 0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +109,13 @@ def identity_table(algebra, p):
 
 
 def test_constructor_rejects_bad_blocks(algebra):
-    """The public constructor checks block shapes and one stack depth; the
-    unchecked results of arithmetic rely on that."""
+    """The public constructor checks the block count, block shapes and one
+    stack depth; the unchecked results of arithmetic rely on that."""
+    with pytest.raises(SpecMismatchError):
+        AMatrix(algebra, 2, 2, [np.zeros((2, 2, 2, 2))])
+    with pytest.raises(SpecMismatchError):
+        AMatrix(algebra, 2, 2, [np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 1, 1)),
+                                np.zeros((2, 2, 1, 1))])
     with pytest.raises(SpecMismatchError):
         AMatrix(algebra, 2, 2, [np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2))])
     with pytest.raises(SpecMismatchError):
@@ -120,7 +140,7 @@ def test_choi_identity_map_is_cp(algebra):
 def test_choi_transpose_map_fails():
     """The transpose is positive but not completely positive: its Choi matrix
     has a -1 eigenvalue."""
-    algebra = make_algebra([2])
+    algebra = AlgebraSpec((2,))
     table = LinearMapTable.from_amatrix_map(
         algebra, 1, 1,
         lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]))
@@ -139,7 +159,7 @@ def test_choi_cap_triggers(algebra):
 
 
 def test_probe_flags_transpose():
-    algebra = make_algebra([2])
+    algebra = AlgebraSpec((2,))
     table = LinearMapTable.from_amatrix_map(
         algebra, 1, 1,
         lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]))
@@ -150,7 +170,7 @@ def test_probe_flags_transpose():
 def test_non_hermitian_map_fails_choi_and_probe():
     """x -> (1 + 0.5i) x keeps the Hermitian part of its outputs positive, so
     only the hermiticity deviation shows that it is not a positive map."""
-    algebra = make_algebra([2])
+    algebra = AlgebraSpec((2,))
     table = LinearMapTable.from_amatrix_map(algebra, 1, 1, lambda x: x * (1 + 0.5j))
     assert not choi_cp_check(table).passed
     rep = positivity_probe(table, k=2, trials=5, seed=3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimsner_lab.star_core import DEFAULT_TOL, make_algebra, sample
+from pimsner_lab.star_core import DEFAULT_TOL, AlgebraSpec
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     CPReport,
@@ -14,10 +14,13 @@ from pimsner_lab.hilbert_mod import (
     _probe_outputs,
     tol_grid,
     positivity_probe,
+    sample,
 )
 from pimsner_lab.fock import FockWindow, GradedOperator
 from pimsner_lab.lift import factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
+
+from test_hilbert_mod import entry, random_amatrix
 
 
 def dense_reference(mat):
@@ -213,14 +216,8 @@ def test_from_amatrix_keeps_the_per_pair_support(preset, window):
 # products and amplification
 # ---------------------------------------------------------------------------
 
-def random_amatrix(algebra, rows, cols, seed):
-    grid = [[sample(algebra, "element", seed + 97 * i + j)
-             for j in range(cols)] for i in range(rows)]
-    return AMatrix.from_elements(grid)
-
-
 def test_matmul_equals_flattened_block_products():
-    algebra = make_algebra([3, 1, 2])
+    algebra = AlgebraSpec((3, 1, 2))
     x = random_amatrix(algebra, 4, 3, 1)
     y = random_amatrix(algebra, 3, 5, 2)
     prod = x @ y
@@ -230,9 +227,9 @@ def test_matmul_equals_flattened_block_products():
         assert np.max(np.abs(prod.flatten_block(s) - want)) < 1e-13
     for i in range(4):
         for j in range(5):
-            entry = sum((x.entry(i, k) @ y.entry(k, j) for k in range(1, 3)),
-                        x.entry(i, 0) @ y.entry(0, j))
-            assert prod.entry(i, j).allclose(entry, 1e-12)
+            want = sum((entry(x, i, k) @ entry(y, k, j) for k in range(1, 3)),
+                       entry(x, i, 0) @ entry(y, 0, j))
+            assert entry(prod, i, j).allclose(want, 1e-12)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -252,7 +249,7 @@ def test_cached_inverses():
     for al, inv in zip(spec.alphas, spec._alpha_invs):
         assert inv.apply(al.apply(a)).allclose(a, 1e-12)
     z3 = build_preset("crossed-z3")
-    x = AMatrix.from_element(sample(z3.algebra, "element", 5))
+    x = sample(z3.algebra, "element", 5)
     assert (z3.amplify(z3.amplify(x, 3), -3) - x).max_abs() < 1e-12
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimsner_lab.star_core import AlgebraSpec, Automorphism, sample
-from pimsner_lab.hilbert_mod import AMatrix
+from pimsner_lab.star_core import AlgebraSpec, Automorphism
+from pimsner_lab.hilbert_mod import AMatrix, sample
 from pimsner_lab.correspondence import CorrespondenceSpec, kron_identity_left
 from pimsner_lab.expectation import eps_bar, eps_hat, ex_k
 from pimsner_lab.fock import FockWindow
@@ -17,6 +17,7 @@ from pimsner_lab.lift import EInftyContext, bilateral_lift, einfty_inner
 from pimsner_lab.presets import PRESETS, build_preset
 
 from test_batched_maps import build
+from test_hilbert_mod import entry, set_entry
 
 SPECS = sorted(PRESETS) + ["mixed"]
 
@@ -43,33 +44,35 @@ def loop_peel(spec, x):
     out = AMatrix.zeros(spec.algebra, m, m)
     for p in range(m):
         for q in range(m):
-            acc = spec.algebra.zero()
+            acc = AMatrix.zeros(spec.algebra, 1, 1)
             for i, alpha in enumerate(spec.alphas):
-                acc = acc + alpha.inverse().apply(y.entry(p * n + i, q * n + i))
-            out.set_entry(p, q, acc * (1.0 / n))
+                acc = acc + alpha.inverse().apply(entry(y, p * n + i, q * n + i))
+            set_entry(out, p, q, acc * (1.0 / n))
     return out
 
 
 def loop_ex_k(spec, k, x):
     for _ in range(k):
         x = loop_peel(spec, x)
-    return x.entry(0, 0)
+    return x
 
 
 def loop_eps_hat(spec, level, t):
     """Ex_level on every B-entry, one at a time."""
     nk = spec.n ** level
-    return AMatrix.from_elements(
-        [[loop_ex_k(spec, level, t.submatrix(slice(i * nk, (i + 1) * nk),
-                                             slice(j * nk, (j + 1) * nk)))
-          for j in range(t.cols // nk)] for i in range(t.rows // nk)])
+    out = AMatrix.zeros(spec.algebra, t.rows // nk, t.cols // nk)
+    for i in range(out.rows):
+        for j in range(out.cols):
+            set_entry(out, i, j, loop_ex_k(spec, level, t.submatrix(
+                slice(i * nk, (i + 1) * nk), slice(j * nk, (j + 1) * nk))))
+    return out
 
 
 def loop_phi_inf1(ctx, b):
     """Split off the outermost tensor layer of b and amplify each piece."""
     n, nk = ctx.spec.n, ctx.b_side
     if ctx.level == 0:
-        return ctx.spec.phi1(b.entry(0, 0))
+        return ctx.spec.phi1(b)
     inner = nk // n
     out = AMatrix.zeros(ctx.spec.algebra, n * nk, n * nk)
     for i in range(n):
@@ -103,7 +106,7 @@ def loop_vector(ctx, xi, b):
     nk = ctx.b_side
     out = AMatrix.zeros(ctx.spec.algebra, xi.rows * nk, nk)
     for i in range(xi.rows):
-        blk = ctx.spec.phi_k(xi.entry(i, 0), ctx.level) @ b
+        blk = ctx.spec.phi_k(entry(xi, i, 0), ctx.level) @ b
         for s in range(out.spec.n_blocks):
             out.blocks[s][i * nk:(i + 1) * nk] = blk.blocks[s]
     return out

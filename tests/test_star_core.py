@@ -1,27 +1,28 @@
-"""Blockwise algebra arithmetic, norms, and automorphisms."""
+"""Blockwise algebra arithmetic on elements of A (1 x 1 AMatrices), norms,
+and automorphisms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimsner_lab.hilbert_mod import AMatrix
+from pimsner_lab import star_core
+from pimsner_lab.expectation import ex_k
+from pimsner_lab.hilbert_mod import AMatrix, matrix_units, sample
+from pimsner_lab.presets import build_preset
 from pimsner_lab.star_core import (
-    AElement,
     AlgebraSpec,
     Automorphism,
     ConfigurationError,
     DEFAULT_TOL,
     SpecMismatchError,
     Tolerances,
-    make_algebra,
-    sample,
     spectral_norm,
 )
 
 
 @pytest.fixture
 def algebra():
-    return make_algebra([2, 1, 3])
+    return AlgebraSpec((2, 1, 3))
 
 
 def test_algebra_spec_rejects_bad_dims():
@@ -32,19 +33,21 @@ def test_algebra_spec_rejects_bad_dims():
 
 
 def test_unit_and_scalar(algebra):
-    one = algebra.unit()
+    one = AMatrix.eye(algebra, 1)
     assert one.is_positive()
     assert abs(one.norm() - 1.0) < 1e-12
-    z = algebra.scalar(2.5)
+    z = one * 2.5
     assert abs(z.norm() - 2.5) < 1e-10
 
 
 def test_basis_spans_total_dim(algebra):
-    units = list(algebra.basis())
+    units = list(matrix_units(algebra))
     assert len(units) == sum(d * d for d in algebra.block_dims)
-    # the basis elements are matrix units: e_uv e_vw = e_uw within a block
-    s, u, v, e1 = units[0]
-    prod = e1 @ e1.adjoint()
+    assert all((e.rows, e.cols) == (1, 1) for e in units)
+    # the basis elements are matrix units, row-major within a block:
+    # e_01 e_10 = e_00 in the first block
+    assert (units[1] @ units[2]).allclose(units[0], 0.0)
+    prod = units[0] @ units[0].adjoint()
     assert prod.is_positive()
 
 
@@ -60,7 +63,7 @@ def test_star_algebra_identities(algebra):
 
 
 def test_spec_mismatch_raises(algebra):
-    other = make_algebra([2, 2])
+    other = AlgebraSpec((2, 2))
     a = sample(algebra, "element", 1)
     b = sample(other, "element", 1)
     with pytest.raises(SpecMismatchError):
@@ -72,7 +75,7 @@ def test_sample_determinism_and_kinds(algebra):
     a2 = sample(algebra, "element", 42)
     assert a1.allclose(a2, 0.0)
     u = sample(algebra, "unitary", 7)
-    assert (u.adjoint() @ u).allclose(algebra.unit(), 1e-10)
+    assert (u.adjoint() @ u).allclose(AMatrix.eye(algebra, 1), 1e-10)
     p = sample(algebra, "positive", 7)
     assert p.is_positive()
     h = sample(algebra, "hermitian", 7)
@@ -119,28 +122,35 @@ class TestAutomorphism:
             Automorphism(algebra, (1, 0, 2))  # swaps a 2-block with a 1-block
 
     def test_unitary_data_checked(self):
-        spec = make_algebra([2])
+        spec = AlgebraSpec((2,))
         with pytest.raises(ConfigurationError):
             Automorphism(spec, (0,), (2.0 * np.eye(2),))
 
+    def test_unitary_count_checked(self):
+        """One unitary per algebra block, no fewer and no more."""
+        spec = AlgebraSpec((1, 1))
+        for count in (1, 3):
+            with pytest.raises(ConfigurationError):
+                Automorphism(spec, (0, 1), (np.eye(1),) * count)
+
     def test_inverse_roundtrip(self):
-        spec = make_algebra([2, 2, 1])
+        spec = AlgebraSpec((2, 2, 1))
         v = sample(spec, "unitary", 13)
-        alpha = Automorphism(spec, (1, 0, 2), tuple(v.blocks))
+        alpha = Automorphism(spec, (1, 0, 2), tuple(b[0, 0] for b in v.blocks))
         a = sample(spec, "element", 14)
         assert alpha.inverse().apply(alpha.apply(a)).allclose(a, 1e-12)
 
     def test_is_homomorphism(self):
-        spec = make_algebra([3])
+        spec = AlgebraSpec((3,))
         v = sample(spec, "unitary", 2)
-        alpha = Automorphism(spec, (0,), tuple(v.blocks))
+        alpha = Automorphism(spec, (0,), tuple(b[0, 0] for b in v.blocks))
         a = sample(spec, "element", 21)
         b = sample(spec, "element", 22)
         assert alpha.apply(a @ b).allclose(alpha.apply(a) @ alpha.apply(b), 1e-10)
         assert alpha.apply(a.adjoint()).allclose(alpha.apply(a).adjoint(), 1e-12)
 
     def test_compose_matches_sequential(self):
-        spec = make_algebra([1, 1, 1])
+        spec = AlgebraSpec((1, 1, 1))
         shift = Automorphism(spec, (1, 2, 0))
         a = sample(spec, "element", 31)
         comp = shift.compose(shift)
@@ -165,7 +175,7 @@ def mixed_automorphisms(draw):
             perm[s] = t
     keep = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    haar = sample(spec, "unitary", seed).blocks
+    haar = [b[0, 0] for b in sample(spec, "unitary", seed).blocks]
     us = tuple(np.eye(d, dtype=complex) if k else v
                for k, d, v in zip(keep, dims, haar))
     return Automorphism(spec, tuple(perm), us), seed
@@ -199,15 +209,14 @@ def test_apply_equals_explicit_permute_and_conjugate(alpha_seed, inverse):
         return z
 
     inputs = [
-        AElement(spec, [gauss((d, d)) for d in spec.block_dims]),
+        AMatrix(spec, 1, 1, [gauss((1, 1, d, d)) for d in spec.block_dims]),
         AMatrix(spec, 2, 3, [gauss((2, 3, d, d)) for d in spec.block_dims]),
         AMatrix(spec, 2, 2, [gauss((2, 2, 2, d, d)) for d in spec.block_dims]),
     ]
     for x in inputs:
         got = (alpha.inverse() if inverse else alpha).apply(x)
-        assert type(got) is type(x)
-        if isinstance(x, AMatrix):
-            assert (got.rows, got.cols) == (x.rows, x.cols)
+        assert type(got) is AMatrix
+        assert (got.rows, got.cols) == (x.rows, x.cols)
         for blk, (want, src, identity) in zip(
                 got.blocks, _explicit_apply(alpha, x.blocks, inverse)):
             assert blk.shape == x.blocks[src].shape and blk.dtype == complex
@@ -215,3 +224,26 @@ def test_apply_equals_explicit_permute_and_conjugate(alpha_seed, inverse):
                 assert blk.tobytes() == x.blocks[src].tobytes()
             else:
                 assert np.max(np.abs(blk - want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the element constructor the benchmark's expectation check calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["twisted2", "rotation-m2"])
+def test_aelement_constructor_contract(name):
+    """star_core.AElement(spec, [(d, d) arrays]) is a 1 x 1 AMatrix, and
+    Ex_k undoes phi_k_direct on it, its (1, 1, d, d) blocks compared against
+    the (d, d) arrays it was built from."""
+    spec = build_preset(name)
+    rng = np.random.default_rng(7)
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for d in spec.algebra.block_dims]
+    a = star_core.AElement(spec.algebra, blocks)
+    assert type(a) is AMatrix and (a.rows, a.cols) == (1, 1)
+    for k in (1, 2):
+        back = ex_k(spec, k, spec.phi_k_direct(a, k))
+        dev = max(float(np.max(np.abs(x - y))) for x, y in zip(back.blocks, blocks))
+        assert dev <= spec.tol.eq_tol, (k, dev)
+    with pytest.raises(SpecMismatchError):
+        star_core.AElement(spec.algebra, blocks[:1] * (spec.algebra.n_blocks + 1))
