@@ -33,7 +33,7 @@ from .star_core import ConfigurationError, SpecMismatchError
 from .correspondence import CorrespondenceSpec, ValidationError
 from .fock import FockWindow, v_n, w_n
 from .expectation import _sample_matrix, verify_cond_exp
-from .hilbert_mod import CHOI_CAP
+from .hilbert_mod import CHOI_CAP, tol_grid
 from .lift import (
     EInftyContext,
     TOOL_VERSION,
@@ -140,7 +140,7 @@ def suite_schur(cfg: RunConfig):
                 worst = max(worst, max(g.abs_err for g in got))
     report = {
         "rows": len(rows),
-        "max_abs_err": worst,
+        "max_abs_err": tol_grid(worst, spec.tol.eq_tol),
         "pass": worst <= spec.tol.eq_tol,
     }
     return report, rows

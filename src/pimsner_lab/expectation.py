@@ -50,28 +50,41 @@ def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
     average.  The diagonal is contracted against U's blocks directly.  A
     stack is peeled element by element: its leading axes stay outside every
     matrix product, so each element gets the same BLAS calls, and the same
-    bits, as it does alone."""
+    bits, as it does alone.
+
+    The contraction against U* runs over an axis of length n d only, so it
+    is a multiply-add per index rather than a BLAS call: over thousands of
+    rows a threaded BLAS product of that shape wakes a second thread that
+    then spins for no gain."""
     n = spec.n
     if x.rows % n or x.cols % n:
         raise SpecMismatchError("matrix sides must be multiples of n")
     m, mc = x.rows // n, x.cols // n
     lead = x.stack_shape
+    k = len(lead)
+    stack = tuple(range(k))
+    # (..., m, n, mc, n, d, d) -> (..., m, n, d, mc, n, d): each cell row (i, y)
+    to_cells = stack + (k, k + 1, k + 4, k + 2, k + 3, k + 5)
+    # (..., n, m, d, mc, d) -> (n, ..., m, mc, d, d): the layer first
+    to_layer = (k,) + stack + (k + 1, k + 3, k + 2, k + 4)
     diags = []
     for b, u, d in zip(x.blocks, spec.unitary.blocks, spec.algebra.block_dims):
         # rows (i, x) of U against the cells' rows (a, y): every row i of
         # U x_cell at once, then row i of that against row i of U
-        cells = np.moveaxis(b.reshape(lead + (m, n, mc, n, d, d)), -2, -4)
+        cells = b.reshape(lead + (m, n, mc, n, d, d)).transpose(to_cells)
         rows = u.transpose(0, 2, 1, 3).reshape(n * d, n * d) @ cells.reshape(
             lead + (m, n * d, mc * n * d))
         rows = (rows.reshape(lead + (m, n, d, mc, n * d)).swapaxes(-5, -4)
                 .reshape(lead + (n, m * d * mc, n * d)))
-        diag = rows @ u.conj().transpose(0, 1, 3, 2).reshape(n, n * d, d)
-        # the cells' diagonals, (n, ..., m, mc, d, d) with the layer first
-        diags.append(np.moveaxis(
-            diag.reshape(lead + (n, m, d, mc, d)).swapaxes(-3, -2), -5, 0))
+        # row i of U*'s columns, (n, 1, d) per contracted index (j, z)
+        u_star = u.conj().transpose(0, 1, 3, 2).reshape(n, n * d, 1, d)
+        diag = rows[..., 0:1] * u_star[:, 0]
+        for c in range(1, n * d):
+            diag += rows[..., c:c + 1] * u_star[:, c]
+        diags.append(diag.reshape(lead + (n, m, d, mc, d)).transpose(to_layer))
     acc = None
     for i, inv_alpha in enumerate(spec._alpha_invs):
-        term = inv_alpha.apply(AMatrix(spec.algebra, m, mc, [dg[i] for dg in diags]))
+        term = inv_alpha.apply(AMatrix._new(spec.algebra, m, mc, [dg[i] for dg in diags]))
         acc = term if acc is None else acc + term
     return acc * (1.0 / n)
 

@@ -28,6 +28,7 @@ from .hilbert_mod import (
     AMatrix,
     cp_check_auto,
     rank_one,
+    tol_grid,
 )
 from .correspondence import CorrespondenceSpec
 from .expectation import eps_hat
@@ -258,13 +259,16 @@ class GeneratorRecord:
     coeff_measured: float
     error: float
     norm: float
+    tol: Tolerances = DEFAULT_TOL
 
     def to_dict(self):
+        """The record as reported: ``coeff_measured`` on the eq_tol grid, as
+        the Schur rows' ``measured`` is (:func:`tol_grid`)."""
         return {
             "r": self.r, "s": self.s, "seed": self.seed,
             "coeff_expected": [self.coeff_expected.numerator,
                                self.coeff_expected.denominator],
-            "coeff_measured": self.coeff_measured,
+            "coeff_measured": tol_grid(self.coeff_measured, self.tol.eq_tol),
             "error": self.error,
             "generator_norm": self.norm,
         }
@@ -359,8 +363,8 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
             raise ValueError(
                 f"generator ({r},{s}): error {err:.3e} exceeds the Fejer "
                 f"bound {bound:.3e}")
-        gen_records.append(GeneratorRecord(r, s, gseed, expected,
-                                           float(coeff), float(err), float(gnorm)))
+        gen_records.append(GeneratorRecord(r, s, gseed, expected, float(coeff),
+                                           float(err), float(gnorm), tol))
     fingerprint = {
         "preset": spec.name,
         "block_dims": list(spec.algebra.block_dims),

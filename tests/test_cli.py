@@ -234,6 +234,22 @@ def test_defect_off_band_leak_exit_one(monkeypatch, tmp_path, command, preset):
     assert main(args) == 1
 
 
+@pytest.mark.parametrize("preset", ["cuntz2", "twisted2", "crossed-z3", "rotation-m2"])
+def test_defect_complex_phase_exit_one(monkeypatch, tmp_path, preset):
+    """Psi_N's output multiplied by 1 + 0.3i: every band block is still a
+    multiple of the generator's, by a complex coefficient, so a fit that
+    reported only Re c passed.  A Schur coefficient must be real."""
+    psi = fock.psi_amplify
+
+    def phased(x, window):
+        return psi(x, window) * (1 + 0.3j)
+
+    args = ["schur", "--preset", preset, "--N", "2..3", "--out", str(tmp_path / "t.csv")]
+    assert main(args) == 0
+    monkeypatch.setattr(fock, "psi_amplify", phased)
+    assert main(args) == 1
+
+
 def test_schur_csv_schema(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["schur", "--preset", "crossed-z3", "--N", "1..3",

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from pimsner_lab.star_core import ConfigurationError
 from pimsner_lab.hilbert_mod import AMatrix, rank_one, sample
+from pimsner_lab import fock
 from pimsner_lab.fock import (
     FockWindow,
     GradedOperator,
+    _measure_band,
     band_op,
     band_powers,
     compress,
@@ -300,6 +302,148 @@ def test_w_n_uniform_and_unital(z3):
     # the one-sided pipeline refuses a two-sided window
     with pytest.raises(ConfigurationError):
         v_n(z3, mu, nu, 4, w, r=3, s=1)
+
+
+# ---------------------------------------------------------------------------
+# the band measurement against a per-block np.vdot reference
+# ---------------------------------------------------------------------------
+
+EQ_TOL = 1e-9
+
+
+def vdot_measure(block, ref):
+    """One pair at a time through np.vdot: the complex least-squares c (0
+    below eq_tol) and the residual max |block - Re(c) ref|."""
+    num = sum(np.vdot(r, b) for b, r in zip(block.blocks, ref.blocks))
+    den = sum(np.vdot(r, r).real for r in ref.blocks)
+    if den <= EQ_TOL ** 2:
+        return 0.0, block.max_abs()
+    c = num / den
+    return c, (block - ref * c.real).max_abs()
+
+
+def assert_measure_matches_vdot(pairs):
+    coef, resid = _measure_band(pairs, EQ_TOL)
+    assert coef.shape == resid.shape == (len(pairs),)
+    for (block, ref), c, res in zip(pairs, coef, resid):
+        if block is None:
+            assert c == 0 and res == 0
+            continue
+        want_c, want_res = vdot_measure(block, ref)
+        assert abs(c - want_c) <= 1e-12 * max(1.0, abs(want_c))
+        assert abs(res - want_res) <= 1e-12 * max(1.0, want_res)
+
+
+def window_to(spec, hi):
+    """The window the CLI uses for a spec: two-sided when n = 1."""
+    return FockWindow.two_sided_sym(hi) if spec.n == 1 else FockWindow.one_sided(hi)
+
+
+def band_pairs(spec, big_n, r, s, hi, seed):
+    """(Psi_N phi_N output block, band block) on the band of a seeded
+    generator, as ``_schur_measure`` pairs them."""
+    window = window_to(spec, hi)
+    mu, nu = spec.sample_vector(r, seed), spec.sample_vector(s, seed + 1)
+    top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
+    out = fock.psi_amplify(compress(top, big_n), window)
+    return [(out.blocks.get(key), top.blocks[key]) for key in sorted(top.blocks)]
+
+
+def perturbed(pairs, seed):
+    """The pairs with each block moved off its band multiple: a complex
+    phase and seeded noise, so that coefficients and residuals are generic."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for block, ref in pairs:
+        if block is None:
+            block = AMatrix.zeros(ref.spec, ref.rows, ref.cols)
+        noise = AMatrix(ref.spec, ref.rows, ref.cols,
+                        [rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+                         for b in ref.blocks])
+        out.append((block * (0.7 - 0.4j) + noise * 1e-3, ref))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])
+@pytest.mark.parametrize("big_n", [2, 3, 4, 5])
+def test_band_measure_equals_vdot_reference(name, big_n):
+    """On every generator band of the CLI's grid (window N + 2), the pipeline
+    output and a perturbed copy of it: the stacked path (n = 1, where every
+    band block has one shape) and the view path (n = 2) alike."""
+    spec = build(name)
+    for r in range(3):
+        for s in range(3):
+            pairs = band_pairs(spec, big_n, r, s, big_n + 2, 7001 * r + 31 * s)
+            assert_measure_matches_vdot(pairs)
+            assert_measure_matches_vdot(perturbed(pairs, 7001 * r + 31 * s))
+
+
+@settings(max_examples=15, deadline=None)
+@given(correspondences(), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 1000))
+def test_random_correspondence_band_measure(spec, big_n, r, s, seed):
+    hi = big_n + 1 if spec.n > 1 else big_n + 2
+    if max(r, s) > hi:
+        return
+    pairs = band_pairs(spec, big_n, r, s, hi, seed)
+    assert_measure_matches_vdot(pairs)
+    assert_measure_matches_vdot(perturbed(pairs, seed))
+
+
+def test_band_measure_zero_reference_and_absent_block(z3):
+    """A reference below eq_tol gives coefficient 0 and residual max |block|,
+    alone or stacked with a pair of its shape; an absent block gives 0, 0."""
+    rng = np.random.default_rng(5)
+    block = AMatrix(z3.algebra, 1, 1, [rng.standard_normal((1, 1, 1, 1)) + 0j
+                                        for _ in range(3)])
+    zero = AMatrix.zeros(z3.algebra, 1, 1)
+    ref = sample(z3.algebra, "element", 3)
+    for pairs in ([(block, zero)], [(block * 2.0, ref), (block, zero), (None, ref)]):
+        coef, resid = _measure_band(pairs, EQ_TOL)
+        k = [i for i, (_, r) in enumerate(pairs) if r is zero][0]
+        assert coef[k] == 0 and resid[k] == block.max_abs()
+        assert_measure_matches_vdot(pairs)
+
+
+@pytest.mark.parametrize("name", ["cuntz2", "twisted2", "crossed-z3"])
+def test_band_block_off_by_a_constant_raises(monkeypatch, name):
+    """Psi_N adding a constant to one output block of the band: the block is
+    no longer a multiple of the band block, and the measurement must raise."""
+    spec = build_preset(name)
+    psi = fock.psi_amplify
+
+    def shifted(x, window):
+        out = psi(x, window)
+        key = min(out.blocks)
+        val = out.blocks[key]
+        out.blocks[key] = val + AMatrix(spec.algebra, val.rows, val.cols,
+                                        [np.full(b.shape, 1e-3) for b in val.blocks])
+        return out
+
+    window = window_to(spec, 4)
+    mu, nu = spec.sample_vector(1, 3), spec.sample_vector(1, 4)
+    pipeline = w_n if spec.n == 1 else v_n
+    pipeline(spec, mu, nu, 2, window, r=1, s=1)
+    monkeypatch.setattr(fock, "psi_amplify", shifted)
+    with pytest.raises(ValueError, match="not a real multiple"):
+        pipeline(spec, mu, nu, 2, window, r=1, s=1)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_imaginary_coefficient_above_eq_tol_raises(monkeypatch, name):
+    """Psi_N's output times 1 + 5e-9 i: the residual against Re c stays
+    under its 1e-8 floor, but Im c reaches 5e-9 x c > eq_tol on the rows with
+    c >= 1/4, and a Schur coefficient must be real to within eq_tol."""
+    spec = build_preset(name)
+    psi = fock.psi_amplify
+    monkeypatch.setattr(fock, "psi_amplify", lambda x, w: psi(x, w) * (1 + 5e-9j))
+    pairs = band_pairs(spec, 3, 1, 1, 5, 11)
+    coef, resid = _measure_band(pairs, EQ_TOL)
+    assert resid.max() < 1e-8 and np.abs(coef.imag).max() > EQ_TOL
+    window = window_to(spec, 5)
+    mu, nu = spec.sample_vector(1, 11), spec.sample_vector(1, 12)
+    with pytest.raises(ValueError, match="not a real multiple"):
+        (w_n if spec.n == 1 else v_n)(spec, mu, nu, 3, window, r=1, s=1)
 
 
 def test_compress_support(cuntz):
