@@ -430,41 +430,36 @@ def _measure_band(pairs: list, eq_tol: float) -> tuple[np.ndarray, np.ndarray]:
     ``None`` block is zero.
 
     No BLAS call: the inner products are ``einsum`` sums, as over thousands
-    of entries a BLAS dot wakes a second thread that then spins.  Pairs of
-    one shape are measured as one stack; a pair whose shape is unique (every
-    pair when n > 1) is measured on views of its blocks, with no stacked
-    copy, in scalars."""
+    of entries a BLAS dot wakes a second thread that then spins.  The K pairs
+    of one shape are measured together, per algebra block as (K, entries)
+    rows: a stacked copy when K > 1 (every band block on n = 1), a view of
+    the blocks themselves when K = 1 (every block on n = 2)."""
     coef, resid = np.zeros(len(pairs), dtype=complex), np.zeros(len(pairs))
     groups: dict[tuple, list[int]] = {}
     for k, (block, ref) in enumerate(pairs):
         if block is not None:  # else c = 0 and the residual is 0
             groups.setdefault((ref.rows, ref.cols), []).append(k)
     for idx in groups.values():
-        # per algebra block, the flattened block and reference: views of a
-        # unique pair, or (K, entries) stacks of a shared shape
-        if len(idx) == 1:
-            block, ref = pairs[idx[0]]
-            parts = [(g.reshape(-1), w.reshape(-1)) for g, w in zip(block.blocks, ref.blocks)]
-            subscripts = "i,i"
-        else:
-            parts = [tuple(np.stack([pairs[k][j].blocks[s] for k in idx]).reshape(len(idx), -1)
-                           for j in (0, 1)) for s in range(pairs[idx[0]][1].spec.n_blocks)]
-            subscripts = "ki,ki->k"
+        parts = [tuple(_rows([pairs[k][j].blocks[s] for k in idx]) for j in (0, 1))
+                 for s in range(pairs[idx[0]][1].spec.n_blocks)]
         num = den = 0.0
         for g, w in parts:
             w_conj = w.conj()
-            num = num + np.einsum(subscripts, w_conj, g)
-            den = den + np.einsum(subscripts, w_conj, w).real
-        if len(idx) == 1:
-            c = complex(num / den) if den > eq_tol ** 2 else 0j
-            coef[idx[0]] = c
-            resid[idx[0]] = max(np.abs(g - c.real * w).max() for g, w in parts)
-        else:
-            c = np.where(den > eq_tol ** 2, num, 0.0) / np.maximum(den, eq_tol ** 2)
-            coef[idx] = c
-            resid[idx] = np.max([np.abs(g - c.real[:, None] * w).max(axis=1)
-                                 for g, w in parts], axis=0)
+            num = num + np.einsum("ki,ki->k", w_conj, g)
+            den = den + np.einsum("ki,ki->k", w_conj, w).real
+        c = np.divide(num, den, out=np.zeros_like(num), where=den > eq_tol ** 2)
+        coef[idx] = c
+        res = 0.0
+        for g, w in parts:
+            res = np.maximum(res, np.abs(g - c.real[:, None] * w).max(axis=1))
+        resid[idx] = res
     return coef, resid
+
+
+def _rows(arrs: list) -> np.ndarray:
+    """The K arrays of one shape as (K, entries) rows: a stack when K > 1, a
+    view when K = 1 (a copy only if the array is not contiguous)."""
+    return (np.stack(arrs) if len(arrs) > 1 else arrs[0][None]).reshape(len(arrs), -1)
 
 
 def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
