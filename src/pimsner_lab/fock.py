@@ -516,13 +516,19 @@ def w_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
 # ---------------------------------------------------------------------------
 
 def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
-                 window_out: FockWindow, fn) -> LinearMapTable:
+                 window_out: FockWindow, fn, reads: FockWindow | None = None
+                 ) -> LinearMapTable:
     """A map of graded operators, ``fn`` (window_in -> window_out), as a
     linear map on flattened window algebras.  Each ``apply`` hands ``fn`` the
     whole stack as one operator whose blocks are stacks, and writes each
     output block once into the zeroed flat result, through ``from_flat``
     views of it.  Given a row hint (see :meth:`LinearMapTable.apply`), the
-    input is that row's degree blocks, as views, with no ``from_amatrix`` scan."""
+    input is that row's degree blocks, as views, with no ``from_amatrix`` scan.
+
+    ``reads``, a sub-window of ``window_in``, declares that ``fn`` reads only
+    the blocks with both degrees in it; the table's ``reads`` are then the
+    flat rows of those degrees in each algebra block, and the CP checks
+    assemble and probe that corner alone (and test the promise first)."""
     _check_window(spec, window_in)
     _check_window(spec, window_out)
     alg, offs, degs = spec.algebra, _degree_offsets(spec, window_in), list(window_in.degrees())
@@ -530,6 +536,12 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
     # the degree of each flat row of the domain, one algebra block after another
     row_degree = np.concatenate([np.repeat(np.arange(len(degs)), np.diff(offs) * d)
                                  for d in alg.block_dims])
+    read_rows = None
+    if reads is not None:
+        if not (window_in.lo <= reads.lo and reads.hi <= window_in.hi):
+            raise ConfigurationError("reads must be a sub-window of the input window")
+        lo, hi = int(offs[reads.lo - window_in.lo]), int(offs[reads.hi - window_in.lo + 1])
+        read_rows = [np.arange(lo * d, hi * d) for d in alg.block_dims]
 
     def apply(stack, row):
         mat = AMatrix.from_flat(alg, t_in, t_in, stack)
@@ -547,12 +559,13 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
         return flat
 
     return LinearMapTable([t_in * d for d in alg.block_dims],
-                          [t_out * d for d in alg.block_dims], apply)
+                          [t_out * d for d in alg.block_dims], apply, reads=read_rows)
 
 
 def pipeline_table(spec: CorrespondenceSpec, window: FockWindow,
                    big_n: int) -> LinearMapTable:
     """The window-restricted pipeline as a linear map on the flattened window
-    algebra, for CP certification."""
+    algebra, for CP certification.  The compression reads [0, N] alone."""
     return window_table(spec, window, window,
-                        lambda x: psi_amplify(compress(x, big_n), window))
+                        lambda x: psi_amplify(compress(x, big_n), window),
+                        reads=FockWindow.one_sided(big_n))

@@ -10,6 +10,9 @@ a faithful unital *-homomorphism onto block-diagonal complex matrices.
 Complete positivity of linear maps between such flattened matrix spaces is
 certified either by assembling Choi matrices per algebra block (exact, for
 small sides) or by a randomized positivity probe (necessary condition only).
+A map that reads only some rows and columns of its domain
+(``LinearMapTable.reads``) is checked on that corner alone, once a seeded
+test of the promise passes.
 Eigenvalues are solved exactly per connected component of the matrix's
 nonzero pattern (these Choi matrices are almost diagonal), and serialized
 on a grid derived from ``psd_tol`` (:func:`tol_grid`) so reports do not
@@ -49,6 +52,8 @@ __all__ = [
 ]
 
 CHOI_CAP = 4096
+# seed of the Gaussian element on which a CP check tests a table's ``reads``
+READS_SEED = 0
 # largest max |M - M*| a CP check accepts (Choi matrices and probe outputs)
 HERMITIAN_DEV_TOL = 1e-7
 
@@ -394,12 +399,24 @@ class LinearMapTable:
     is, which is what the Choi assembly checks.  ``apply`` evaluates the map
     on a stack of block-diagonal elements, ``(B, n, n) -> (B, c, c)``; the
     callable passed in takes the stack and that method's row hint, or None.
+
+    ``reads`` holds, per domain block, the sorted index array of the flat
+    rows (and columns) the map reads: a promise that Phi = Phi o Ad Q for the
+    coordinate projection Q onto them.  It defaults to the whole block.  The
+    CP checks work on that corner alone, and test the promise first.
     """
 
-    def __init__(self, domain_sides, codomain_sides, apply):
+    def __init__(self, domain_sides, codomain_sides, apply, reads=None):
         self.domain_sides = tuple(int(m) for m in domain_sides)
         self.codomain_sides = tuple(int(m) for m in codomain_sides)
         self._apply = apply
+        if reads is None:
+            reads = [np.arange(m) for m in self.domain_sides]
+        self.reads = tuple(np.asarray(r, dtype=np.intp) for r in reads)
+        if len(self.reads) != len(self.domain_sides) or any(
+                r.size and (r[0] < 0 or r[-1] >= m or np.any(np.diff(r) <= 0))
+                for r, m in zip(self.reads, self.domain_sides)):
+            raise SpecMismatchError("reads must be sorted rows inside each domain block")
 
     # -- constructors ------------------------------------------------------
 
@@ -424,6 +441,11 @@ class LinearMapTable:
     def codomain_dim(self) -> int:
         return sum(self.codomain_sides)
 
+    @property
+    def restricted(self) -> bool:
+        """Whether ``reads`` leaves out a row of some domain block."""
+        return any(r.size < m for r, m in zip(self.reads, self.domain_sides))
+
     def apply(self, stack: np.ndarray, row: int | None = None) -> np.ndarray:
         """The map on each element of a stack: (B, n, n) -> (B, c, c).  A
         ``row`` hint promises that every nonzero entry of the stack lies in
@@ -441,28 +463,33 @@ class LinearMapTable:
         return np.eye(self.codomain_dim, dtype=complex)
 
     def basis_images(self):
-        """Images of the matrix-unit basis, one domain block at a time: an
-        (m, m, C, C) array whose [u, v] is the image of e_uv, built with one
-        ``apply`` per row u, hinted with the flat row ``off + u`` that holds
-        the row's unit stack.  It is a view of storage in Choi order, so the
-        Choi matrix is a reshape that copies nothing; each block is released
-        before the next one is built."""
+        """Images of the matrix units the map reads, one domain block at a
+        time: an (r, r, C, C) array whose [i, j] is the image of e_uv for u,
+        v the i-th and j-th entries of the block's ``reads``.  Every other
+        unit's image is zero by the ``reads`` promise, so these are the
+        nonzero rows and columns of the block's Choi matrix.  It is built
+        with one ``apply`` per row u, hinted with the flat row ``off + u``
+        that holds the row's unit stack, as a view of storage in Choi order,
+        so the Choi matrix is a reshape that copies nothing; each block is
+        released before the next one is built."""
         n = self.domain_dim
         c = self.codomain_dim
         off = 0
-        for m in self.domain_sides:
-            choi = np.empty((m, c, m, c), dtype=complex)
-            units = np.zeros((m, n, n), dtype=complex)
-            cols = np.arange(m)
-            for u in range(m):
-                units[cols, off + u, off + cols] = 1.0
-                choi[u] = self.apply(units, off + u).transpose(1, 0, 2)
-                units[cols, off + u, off + cols] = 0.0
+        for m, rows in zip(self.domain_sides, self.reads):
+            r = rows.size
+            choi = np.empty((r, c, r, c), dtype=complex)
+            units = np.zeros((r, n, n), dtype=complex)
+            stack, cols = np.arange(r), off + rows
+            for i, u in enumerate(rows.tolist()):
+                units[stack, off + u, cols] = 1.0
+                choi[i] = self.apply(units, off + u).transpose(1, 0, 2)
+                units[stack, off + u, cols] = 0.0
             yield choi.transpose(0, 2, 1, 3)
             del choi
             off += m
 
     def compose(self, inner_map: "LinearMapTable") -> "LinearMapTable":
+        """self o inner_map, which reads what the inner map reads."""
         if inner_map.codomain_sides != self.domain_sides:
             raise SpecMismatchError("composition shape chain mismatch")
         outer = self
@@ -470,53 +497,96 @@ class LinearMapTable:
         def apply(stack, row):  # the hint describes the inner map's input only
             return outer._apply(inner_map._apply(stack, row), None)
 
-        return LinearMapTable(inner_map.domain_sides, self.codomain_sides, apply)
+        return LinearMapTable(inner_map.domain_sides, self.codomain_sides, apply,
+                              reads=inner_map.reads)
+
+
+def _reads_deviation(table: LinearMapTable) -> float:
+    """max |Phi(G) - Phi(Q G Q)| for one seeded Gaussian element G of the
+    domain and Q the coordinate projection onto ``reads``: exactly 0 for a map
+    that keeps its ``reads`` promise, and above 0 for almost every G when it
+    reads elsewhere."""
+    rng = np.random.default_rng(READS_SEED)
+    n = table.domain_dim
+    pair = np.zeros((2, n, n), dtype=complex)
+    off = 0
+    for m, rows in zip(table.domain_sides, table.reads):
+        pair[0, off:off + m, off:off + m] = \
+            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        kept = np.ix_(off + rows, off + rows)
+        pair[1][kept] = pair[0][kept]
+        off += m
+    out = table.apply(pair)
+    return float(np.max(np.abs(out[0] - out[1]), initial=0.0))
 
 
 def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
                   choi_cap: int = CHOI_CAP) -> CPReport:
-    """Exact CP check: per domain block assemble the Choi matrix and test PSD."""
+    """Exact CP check: per domain block assemble the Choi matrix and test PSD.
+
+    The cap applies to the full side m c.  Only the (r c)-side corner of the
+    rows in ``reads`` is assembled and eigen-solved: the other rows of the
+    Choi matrix are zero (Choi 1975; C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so
+    a table that reads less than its domain adds the eigenvalue 0.  Such a
+    table first has its ``reads`` tested (:func:`_reads_deviation`), and a
+    deviation above ``eq_tol`` fails the check."""
     c = table.codomain_dim
     for m in table.domain_sides:
         if m * c > choi_cap:
             raise ChoiCapExceeded(
                 f"Choi side {m * c} exceeds cap {choi_cap}; use positivity_probe")
-    min_eig = np.inf
+    reads_ok, detail = _reads_check(table, tol)
+    # the zero rows outside ``reads`` hold the eigenvalue 0
+    min_eig = 0.0 if table.restricted else np.inf
     herm_dev = 0.0
     for arr in table.basis_images():
-        m = arr.shape[0]
-        choi = arr.transpose(0, 2, 1, 3).reshape(m * c, m * c)
+        r = arr.shape[0]
+        choi = arr.transpose(0, 2, 1, 3).reshape(r * c, r * c)
         min_eig, dev = _hermitian_min_eig(choi, min_eig)
         del arr, choi  # one block's images alive at a time
         herm_dev = max(herm_dev, dev)
     unital_defect, norm_bound = _unit_image_norms(table)
-    passed = (herm_dev <= HERMITIAN_DEV_TOL) and (min_eig >= -tol.psd_tol)
+    passed = reads_ok and (herm_dev <= HERMITIAN_DEV_TOL) and (min_eig >= -tol.psd_tol)
     return CPReport("choi", float(min_eig), unital_defect, norm_bound,
-                    passed, detail=f"hermitian_dev={herm_dev:.3e}", tol=tol)
+                    passed, detail=f"hermitian_dev={herm_dev:.3e}{detail}", tol=tol)
+
+
+def _reads_check(table: LinearMapTable, tol: Tolerances) -> tuple[bool, str]:
+    """(whether the table keeps its ``reads`` promise, the detail to report):
+    a table that reads its whole domain keeps it with nothing to report."""
+    if not table.restricted:
+        return True, ""
+    dev = _reads_deviation(table)
+    return dev <= tol.eq_tol, f" reads_dev={dev:.3e}"
 
 
 def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int,
                      tol: Tolerances = DEFAULT_TOL) -> CPReport:
     """Necessary-condition CP check: apply (Phi x id_{M_k}) to seeded random
     positive elements and record the worst output eigenvalue.  An output
-    that is not Hermitian fails it as it fails the Choi check."""
+    that is not Hermitian fails it as it fails the Choi check, and so does a
+    table that reads outside its ``reads`` (tested first, as there)."""
     if k < 1:
         raise ConfigurationError("k must be >= 1")
+    reads_ok, detail = _reads_check(table, tol)
     worst = np.inf
     herm_dev = 0.0
     for out in _probe_outputs(table, k, trials, seed):
         worst, dev = _hermitian_min_eig(out, worst)
         herm_dev = max(herm_dev, dev)
     unital_defect, norm_bound = _unit_image_norms(table)
-    passed = (herm_dev <= HERMITIAN_DEV_TOL) and (worst >= -tol.psd_tol)
+    passed = reads_ok and (herm_dev <= HERMITIAN_DEV_TOL) and (worst >= -tol.psd_tol)
     return CPReport("probe", float(worst), unital_defect, norm_bound, passed,
-                    detail=f"k={k} trials={trials} hermitian_dev={herm_dev:.3e}",
+                    detail=f"k={k} trials={trials} hermitian_dev={herm_dev:.3e}{detail}",
                     tol=tol)
 
 
 def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
     """The (k c, k c) images under Phi x id_{M_k} of the probe's seeded random
-    positive elements, one per trial."""
+    positive elements, one per trial.  Each element is z* z / (m k) per
+    domain block for a seeded complex Gaussian z; only the cells in
+    ``reads`` x ``reads`` are formed, from the columns of z that reach them,
+    as the map reads no other."""
     c = table.codomain_dim
     n = table.domain_dim
     for t in range(trials):
@@ -525,11 +595,15 @@ def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
         # stack of its k^2 cells (a, b), each a block-diagonal domain element
         cells = np.zeros((k * k, n, n), dtype=complex)
         off = 0
-        for m in table.domain_sides:
-            z = rng.standard_normal((m * k, m * k)) + 1j * rng.standard_normal((m * k, m * k))
-            x = z.conj().T @ z / (m * k)
-            cells[:, off:off + m, off:off + m] = \
-                x.reshape(k, m, k, m).transpose(0, 2, 1, 3).reshape(k * k, m, m)
+        for m, rows in zip(table.domain_sides, table.reads):
+            z = np.empty((m * k, m * k), dtype=complex)
+            z.real = rng.standard_normal((m * k, m * k))
+            z.imag = rng.standard_normal((m * k, m * k))
+            r = rows.size
+            zr = z[:, (np.arange(k)[:, None] * m + rows).ravel()]
+            x = zr.conj().T @ zr / (m * k)
+            cells[:, (off + rows)[:, None], off + rows] = \
+                x.reshape(k, r, k, r).transpose(0, 2, 1, 3).reshape(k * k, r, r)
             off += m
         out = table.apply(cells).reshape(k, k, c, c).transpose(0, 2, 1, 3)
         yield out.reshape(k * c, k * c)

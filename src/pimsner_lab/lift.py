@@ -309,10 +309,13 @@ class CPAPCertificate:
 def factor_tables(spec: CorrespondenceSpec, window: FockWindow, big_n: int):
     """The two factor maps of the pipeline: compress into the window algebra
     of [0, N] (a matrix algebra over A) and amplify back.  On a two-sided
-    window with N = window.hi, phi is the bilateral lift's compression."""
+    window with N = window.hi, phi is the bilateral lift's compression.  phi
+    reads the blocks of [0, N] alone, which its CP check relies on (and
+    tests)."""
     inner_window = FockWindow.one_sided(big_n)
     d_total = sum(spec.fiber_dim(d) for d in inner_window.degrees())
-    phi = window_table(spec, window, inner_window, lambda g: compress(g, big_n))
+    phi = window_table(spec, window, inner_window, lambda g: compress(g, big_n),
+                       reads=inner_window)
     psi = window_table(spec, inner_window, window, lambda g: psi_amplify(g, window))
     return phi, psi, d_total
 

@@ -8,7 +8,7 @@ import pytest
 
 from pimsner_lab.star_core import AlgebraSpec, Automorphism
 from pimsner_lab.correspondence import CorrespondenceSpec
-from pimsner_lab.hilbert_mod import AMatrix, choi_cp_check, positivity_probe
+from pimsner_lab.hilbert_mod import AMatrix, choi_cp_check, cp_check_auto, positivity_probe
 from pimsner_lab.fock import (
     FockWindow,
     GradedOperator,
@@ -112,19 +112,84 @@ def test_batched_maps_equal_graded_operator_path(spec_name, name):
 
 @pytest.mark.parametrize("spec_name, name", CASES)
 def test_basis_images_equal_per_unit_loop(spec_name, name):
+    """basis_images holds the images of the units in reads x reads, one
+    (r, r, c, c) array per domain block; every other unit's image is exactly
+    zero, so those are all the nonzero rows of the Choi matrix."""
     spec = build(spec_name)
     table, _ = reference_maps(spec, window_for(spec))[name]
     n, c = table.domain_dim, table.codomain_dim
     blocks = list(table.basis_images())
-    assert [b.shape for b in blocks] == [(m, m, c, c) for m in table.domain_sides]
+    assert [b.shape for b in blocks] == [(r.size, r.size, c, c) for r in table.reads]
     off = 0
-    for m, arr in zip(table.domain_sides, blocks):
+    for m, rows, arr in zip(table.domain_sides, table.reads, blocks):
+        where = {u: i for i, u in enumerate(rows.tolist())}
         for u in range(m):
             for v in range(m):
                 unit = np.zeros((n, n), dtype=complex)
                 unit[off + u, off + v] = 1.0
-                assert np.max(np.abs(arr[u, v] - table.apply_flat(unit))) <= 1e-12
+                image = table.apply_flat(unit)
+                if u in where and v in where:
+                    assert np.max(np.abs(arr[where[u], where[v]] - image)) <= 1e-12
+                else:
+                    assert not image.any()
         off += m
+
+
+def test_factor_maps_read_the_compressed_window():
+    """phi and the pipeline read the rows of degrees [0, N]; Psi_N and a
+    composition with phi inside read what their inner map reads."""
+    spec = build("mixed")
+    window = FockWindow.one_sided(3)
+    maps = reference_maps(spec, window)
+    # degrees 0..N = 2 hold 1 + 2 + 4 = 7 rows over A, 7 b flat rows in a block of side b
+    for name in ("compress", "pipeline", "compose"):
+        table = maps[name][0]
+        assert table.restricted
+        assert [r.tolist() for r in table.reads] == [
+            list(range(7 * b)) for b in spec.algebra.block_dims]
+    assert not maps["amplify"][0].restricted
+
+
+def compression_and_pipeline(spec, window, big_n):
+    """name -> (the table as factor_tables and pipeline_table build it, which
+    reads [0, N] alone, the same map with reads left at the whole domain)."""
+    inner = FockWindow.one_sided(big_n)
+    return {
+        "compress": (factor_tables(spec, window, big_n)[0], window_table(
+            spec, window, inner, lambda g: compress(g, big_n))),
+        "pipeline": (pipeline_table(spec, window, big_n), window_table(
+            spec, window, window, lambda g: psi_amplify(compress(g, big_n), window))),
+    }
+
+
+@pytest.mark.parametrize("big_n", [2, 3])
+@pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
+def test_reads_change_no_cp_verdict(spec_name, big_n):
+    """The CP record of the restricted compression and pipeline, on the
+    window [0, N+1] (two-sided for n = 1), equals that of the same map read
+    on its whole domain: method, min_eig on the tol_grid, pass, norm_bound.
+    The cap decides on the full side for both; above it both probe."""
+    spec = build(spec_name)
+    hi = big_n + 1
+    window = FockWindow.two_sided_sym(hi) if spec.n == 1 else FockWindow.one_sided(hi)
+    for restricted, full in compression_and_pipeline(spec, window, big_n).values():
+        assert restricted.restricted and not full.restricted
+        got = cp_check_auto(restricted, probe_trials=10, seed=1)
+        want = cp_check_auto(full, probe_trials=10, seed=1)
+        assert got.to_dict() == want.to_dict()
+        assert got.passed
+
+
+def test_reads_change_no_probe_verdict():
+    """The probe (k = 2, 50 trials) on twisted2 at N = 4, on the
+    certificate's window [0, 6]: the restricted compression and pipeline
+    give the records of the maps read on their whole domain."""
+    spec = build_preset("twisted2")
+    for restricted, full in compression_and_pipeline(spec, FockWindow.one_sided(6), 4).values():
+        got = positivity_probe(restricted, k=2, trials=50, seed=5)
+        want = positivity_probe(full, k=2, trials=50, seed=5)
+        assert got.to_dict() == want.to_dict()
+        assert got.passed
 
 
 @pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
@@ -225,13 +290,16 @@ def scanned(monkeypatch):
 @pytest.mark.parametrize("spec_name", ["twisted2", "crossed-z3", "mixed"])
 def test_choi_assembly_never_scans_a_unit_stack(spec_name, scanned):
     """basis_images hints every row, so the window tables build their input
-    from that row with no scan; the only scan left in a Choi check is the
-    unhinted image of the unit.  The probe's stacks are dense and scanned."""
+    from that row with no scan; the only scans left in a Choi check are the
+    unhinted image of the unit and, for phi, which reads [0, N] alone, the
+    pair G, Q G Q that tests its reads first.  The probe's stacks are dense
+    and scanned."""
     spec = build(spec_name)
-    for table in factor_tables(spec, window_for(spec), BIG_N)[:2]:
+    phi, psi, _ = factor_tables(spec, window_for(spec), BIG_N)
+    for table, reads_scan in ((phi, [(2,)]), (psi, [])):
         scanned.clear()
         assert choi_cp_check(table).passed
-        assert scanned == [(1,)]
+        assert scanned == reads_scan + [(1,)]
         scanned.clear()
         positivity_probe(table, k=2, trials=2, seed=0)
-        assert scanned == [(4,), (4,), (1,)]
+        assert scanned == reads_scan + [(4,), (4,), (1,)]

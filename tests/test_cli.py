@@ -250,6 +250,43 @@ def test_defect_complex_phase_exit_one(monkeypatch, tmp_path, preset):
     assert main(args) == 1
 
 
+@pytest.mark.parametrize("big_n, method", [(3, "choi"), (4, "probe")])
+def test_defect_compress_reads_past_n_exit_one(monkeypatch, tmp_path, big_n, method):
+    """phi leaking 0.1 x the top-left corner of the degree-(N+1) block into
+    degree N reads outside the [0, N] corner that its Choi check assembles
+    (N = 3) and its probe fills (N = 4).  The check of its reads must fail
+    the certificate, with the deviation named in the CP record's detail."""
+    compress = lift.compress
+
+    def leak(x, n):
+        out = compress(x, n)
+        if (n + 1, n + 1) in x.blocks:
+            side = x.spec.fiber_dim(n)
+            top = x.blocks[(n + 1, n + 1)].submatrix(slice(0, side), slice(0, side))
+            out.add_block(n, n, top * 0.1)
+        return out
+
+    records = []
+    check = lift.cp_check_auto
+
+    def spy(table, *args, **kwargs):
+        records.append(check(table, *args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(lift, "cp_check_auto", spy)
+    args = ["certificate", "--preset", "twisted2", "--N", str(big_n),
+            "--out", str(tmp_path / "c.json")]
+    assert main(args) == 0
+    assert "reads_dev=0.000e+00" in records[0].detail
+    records.clear()
+    monkeypatch.setattr(lift, "compress", leak)
+    assert main(args) == 1
+    phi, psi = records
+    assert phi.method == method and not phi.passed
+    assert float(phi.detail.split("reads_dev=")[1]) > 1e-9
+    assert psi.passed
+
+
 def test_schur_csv_schema(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["schur", "--preset", "crossed-z3", "--N", "1..3",

@@ -185,6 +185,59 @@ def test_compose_tables(algebra):
     assert np.max(np.abs(comp.apply_flat(x) - 2.0 * x)) < 1e-12
 
 
+def corner_table(algebra, p, keep, honest):
+    """The identity on p x p matrices over A, declared to read the flat rows
+    below ``keep`` in each block: honest when it zeroes every other entry
+    first, and reading outside its reads when it does not."""
+    table = identity_table(algebra, p)
+    reads = [np.arange(keep) for _ in table.domain_sides]
+    mask = np.zeros((table.domain_dim,) * 2, dtype=bool)
+    off = 0
+    for m in table.domain_sides:
+        mask[off:off + keep, off:off + keep] = True
+        off += m
+
+    def apply(stack, row):
+        return table.apply(np.where(mask, stack, 0) if honest else stack, row)
+
+    return LinearMapTable(table.domain_sides, table.codomain_sides, apply, reads=reads)
+
+
+def test_reads_restrict_the_choi_and_probe_checks(algebra):
+    """A map that keeps its reads promise: both checks pass on the corner,
+    with the reads deviation exactly 0, and the Choi minimum is the full
+    Choi matrix's (0, from the zero rows) on the reported grid."""
+    table = corner_table(algebra, 3, 2, honest=True)
+    full = LinearMapTable(table.domain_sides, table.codomain_sides, table._apply)
+    assert table.restricted and not full.restricted
+    rep, want = choi_cp_check(table), choi_cp_check(full)
+    assert rep.passed and "reads_dev=0.000e+00" in rep.detail
+    assert rep.to_dict() == want.to_dict() and rep.to_dict()["min_eig"] == 0.0
+    probe = positivity_probe(table, k=2, trials=5, seed=3)
+    assert probe.passed and "reads_dev=0.000e+00" in probe.detail
+    assert probe.to_dict() == positivity_probe(full, k=2, trials=5, seed=3).to_dict()
+
+
+def test_map_reading_outside_its_reads_fails_choi_and_probe(algebra):
+    """The identity declared to read a corner is CP, and its corner is too,
+    but it reads outside the rows its checks assemble and probe: both checks
+    fail it on the reads deviation."""
+    table = corner_table(algebra, 3, 2, honest=False)
+    for rep in (choi_cp_check(table), positivity_probe(table, k=2, trials=5, seed=3)):
+        assert rep.min_eigenvalue > -1e-12
+        assert not rep.passed
+        dev = float(rep.detail.split("reads_dev=")[1])
+        assert dev > 1e-9
+
+
+def test_reads_must_lie_sorted_inside_each_block(algebra):
+    sides = identity_table(algebra, 2).domain_sides
+    for reads in ([np.arange(2)], [np.array([1, 0]), np.arange(2)],
+                  [np.arange(5), np.arange(2)]):
+        with pytest.raises(SpecMismatchError):
+            LinearMapTable(sides, sides, None, reads=reads)
+
+
 def test_cp_report_serializes(algebra):
     d = choi_cp_check(identity_table(algebra, 1)).to_dict()
     assert set(d) == {"method", "min_eig", "unital_defect", "norm_bound", "pass"}
