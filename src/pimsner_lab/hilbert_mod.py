@@ -307,7 +307,7 @@ class CPReport:
         return {
             "method": self.method,
             "min_eig": tol_grid(self.min_eigenvalue, self.tol.psd_tol),
-            "unital_defect": self.unital_defect,
+            "unital_defect": tol_grid(self.unital_defect, self.tol.eq_tol),
             "norm_bound": tol_grid(self.norm_bound, self.tol.eq_tol),
             "pass": bool(self.passed),
         }

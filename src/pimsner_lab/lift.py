@@ -262,14 +262,14 @@ class GeneratorRecord:
     tol: Tolerances = DEFAULT_TOL
 
     def to_dict(self):
-        """The record as reported: ``coeff_measured`` on the eq_tol grid, as
-        the Schur rows' ``measured`` is (:func:`tol_grid`)."""
+        """The record as reported: ``coeff_measured`` and ``error`` on the
+        eq_tol grid, as the Schur rows' ``measured`` is (:func:`tol_grid`)."""
         return {
             "r": self.r, "s": self.s, "seed": self.seed,
             "coeff_expected": [self.coeff_expected.numerator,
                                self.coeff_expected.denominator],
             "coeff_measured": tol_grid(self.coeff_measured, self.tol.eq_tol),
-            "error": self.error,
+            "error": tol_grid(self.error, self.tol.eq_tol),
             "generator_norm": self.norm,
         }
 

@@ -6,6 +6,7 @@ import pytest
 from pimsner_lab.star_core import AlgebraSpec, SpecMismatchError
 from pimsner_lab.hilbert_mod import (
     AMatrix,
+    CPReport,
     ChoiCapExceeded,
     LinearMapTable,
     choi_cp_check,
@@ -241,3 +242,7 @@ def test_reads_must_lie_sorted_inside_each_block(algebra):
 def test_cp_report_serializes(algebra):
     d = choi_cp_check(identity_table(algebra, 1)).to_dict()
     assert set(d) == {"method", "min_eig", "unital_defect", "norm_bound", "pass"}
+    # computed values on the grid of the tolerance each is checked against
+    d = CPReport("choi", -1.23456789012345e-9, 4.56789012345678e-13,
+                 1.0000000000000004, True).to_dict()
+    assert (d["min_eig"], d["unital_defect"], d["norm_bound"]) == (-1.23e-9, 0.0, 1.0)

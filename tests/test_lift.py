@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pimsner_lab.star_core import ConfigurationError
-from pimsner_lab.hilbert_mod import AMatrix, choi_cp_check
+from pimsner_lab.hilbert_mod import AMatrix, choi_cp_check, tol_grid
 from pimsner_lab.fock import FockWindow, toeplitz_op
 from pimsner_lab.expectation import _sample_matrix
 from pimsner_lab.lift import (
@@ -202,6 +202,10 @@ def test_certificate_schema_and_bounds(cuntz):
     for fm in d["factor_maps"]:
         assert fm["cp"]["pass"]
         assert fm["direction"] in ("compress", "amplify")
+    # the computed values print on the eq_tol grid, not at BLAS-dependent digits
+    for g, rec in zip(d["generators"], cert.generators):
+        assert g["error"] == tol_grid(rec.error, cuntz.tol.eq_tol)
+        assert g["coeff_measured"] == tol_grid(rec.coeff_measured, cuntz.tol.eq_tol)
 
 
 def test_certificate_error_within_fejer_bound():
