@@ -52,8 +52,6 @@ __all__ = [
 ]
 
 CHOI_CAP = 4096
-# seed of the Gaussian element on which a CP check tests a table's ``reads``
-READS_SEED = 0
 # largest max |M - M*| a CP check accepts (Choi matrices and probe outputs)
 HERMITIAN_DEV_TOL = 1e-7
 
@@ -501,25 +499,6 @@ class LinearMapTable:
                               reads=inner_map.reads)
 
 
-def _reads_deviation(table: LinearMapTable) -> float:
-    """max |Phi(G) - Phi(Q G Q)| for one seeded Gaussian element G of the
-    domain and Q the coordinate projection onto ``reads``: exactly 0 for a map
-    that keeps its ``reads`` promise, and above 0 for almost every G when it
-    reads elsewhere."""
-    rng = np.random.default_rng(READS_SEED)
-    n = table.domain_dim
-    pair = np.zeros((2, n, n), dtype=complex)
-    off = 0
-    for m, rows in zip(table.domain_sides, table.reads):
-        pair[0, off:off + m, off:off + m] = \
-            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        kept = np.ix_(off + rows, off + rows)
-        pair[1][kept] = pair[0][kept]
-        off += m
-    out = table.apply(pair)
-    return float(np.max(np.abs(out[0] - out[1]), initial=0.0))
-
-
 def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
                   choi_cap: int = CHOI_CAP) -> CPReport:
     """Exact CP check: per domain block assemble the Choi matrix and test PSD.
@@ -528,7 +507,7 @@ def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
     rows in ``reads`` is assembled and eigen-solved: the other rows of the
     Choi matrix are zero (Choi 1975; C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so
     a table that reads less than its domain adds the eigenvalue 0.  Such a
-    table first has its ``reads`` tested (:func:`_reads_deviation`), and a
+    table first has its ``reads`` tested (:func:`_reads_check`), and a
     deviation above ``eq_tol`` fails the check."""
     c = table.codomain_dim
     for m in table.domain_sides:
@@ -552,11 +531,27 @@ def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
 
 
 def _reads_check(table: LinearMapTable, tol: Tolerances) -> tuple[bool, str]:
-    """(whether the table keeps its ``reads`` promise, the detail to report):
-    a table that reads its whole domain keeps it with nothing to report."""
+    """(whether the table keeps its ``reads`` promise, the detail to report).
+
+    The test is max |Phi(G) - Phi(Q G Q)| <= eq_tol for one Gaussian element
+    G of the domain, seeded with 0, and Q the coordinate projection onto
+    ``reads``: exactly 0 for a map that keeps the promise, and above 0 for
+    almost every G when it reads elsewhere.  A table that reads its whole
+    domain keeps it with nothing to test or report."""
     if not table.restricted:
         return True, ""
-    dev = _reads_deviation(table)
+    rng = np.random.default_rng(0)
+    n = table.domain_dim
+    pair = np.zeros((2, n, n), dtype=complex)
+    off = 0
+    for m, rows in zip(table.domain_sides, table.reads):
+        pair[0, off:off + m, off:off + m] = \
+            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        kept = np.ix_(off + rows, off + rows)
+        pair[1][kept] = pair[0][kept]
+        off += m
+    out = table.apply(pair)
+    dev = float(np.max(np.abs(out[0] - out[1])))
     return dev <= tol.eq_tol, f" reads_dev={dev:.3e}"
 
 
