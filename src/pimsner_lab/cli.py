@@ -12,8 +12,7 @@ report       all of the above in one bundle
 Exit codes: 0 all suites pass, 1 any violation, 2 configuration error,
 3 internal error (operands that do not fit together, a failed LAPACK call).
 Output is byte-stable for a fixed (config, seed, tool version): floats are
-printed with 17 significant digits, rationals as integer num/den pairs, and
-runtime statistics are kept out of the serialized payload.
+printed with 17 significant digits and rationals as integer num/den pairs.
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ import argparse
 import csv
 import io
 import sys
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
-from .star_core import ConfigurationError, SpecMismatchError
+from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
 from .correspondence import CorrespondenceSpec, ValidationError
 from .fock import FockWindow, v_n, w_n
 from .expectation import _sample_matrix, verify_cond_exp
@@ -49,6 +47,7 @@ CSV_HEADER = ["N", "r", "s", "l", "expected_num", "expected_den",
               "measured", "abs_err", "sided"]
 COMMANDS = ("validate", "schur", "lift-check", "expectation",
             "certificate", "report")
+EXPECTATION_LEVELS = 3  # the expectation suite checks Ex_1 .. Ex_3
 
 
 @dataclass
@@ -89,7 +88,6 @@ class ReportBundle:
     suites: dict = field(default_factory=dict)      # name -> report dict
     schur_rows: list = field(default_factory=list)  # SchurRow
     certificates: list = field(default_factory=list)
-    runtime: dict = field(default_factory=dict)     # not serialized
     created: str = ""
 
     @property
@@ -140,8 +138,8 @@ def suite_schur(cfg: RunConfig):
                 worst = max(worst, max(g.abs_err for g in got))
     report = {
         "rows": len(rows),
-        "max_abs_err": tol_grid(worst, spec.tol.eq_tol),
-        "pass": worst <= spec.tol.eq_tol,
+        "max_abs_err": tol_grid(worst, DEFAULT_TOL.eq_tol),
+        "pass": worst <= DEFAULT_TOL.eq_tol,
     }
     return report, rows
 
@@ -161,7 +159,7 @@ def suite_lift_check(cfg: RunConfig) -> dict:
                 gseed = cfg.seed + 53 * level + 17 * i + idx
                 mu = spec.sample_vector(r, gseed)
                 nu = spec.sample_vector(s, gseed + 1)
-                side = spec.fiber_dim(i) if spec.n > 1 else 1
+                side = spec.fiber_dim(i)
                 b0 = _sample_matrix(spec, side, gseed + 2)
                 c0 = _sample_matrix(spec, side, gseed + 3)
                 _, rep = lift_defect(ctx, mu, nu, b0, c0, i, window, r=r, s=s)
@@ -190,9 +188,9 @@ def suite_lift_check(cfg: RunConfig) -> dict:
     return out
 
 
-def suite_expectation(cfg: RunConfig, k_max: int = 3) -> dict:
+def suite_expectation(cfg: RunConfig) -> dict:
     levels = {}
-    for k in range(1, min(k_max, cfg.spec.max_degree) + 1):
+    for k in range(1, min(EXPECTATION_LEVELS, cfg.spec.max_degree) + 1):
         levels[str(k)] = verify_cond_exp(cfg.spec, k, seed=cfg.seed + 23,
                                          choi_cap=cfg.choi_cap)
     return {"levels": levels,
@@ -236,12 +234,10 @@ def run(command: str, cfg: RunConfig, created: str | None = None) -> ReportBundl
         seed=cfg.seed,
         created=created,
     )
-    t0 = time.monotonic()
     if command in ("validate", "report"):
         bundle.suites["validate"] = suite_validate(cfg)
         if not bundle.suites["validate"]["pass"]:
             # nothing downstream is meaningful over a broken correspondence
-            bundle.runtime["seconds"] = time.monotonic() - t0
             return bundle
     if command in ("schur", "report"):
         rep, rows = suite_schur(cfg)
@@ -255,7 +251,6 @@ def run(command: str, cfg: RunConfig, created: str | None = None) -> ReportBundl
         rep, certs = suite_certificate(cfg, created)
         bundle.suites["certificate"] = rep
         bundle.certificates = certs
-    bundle.runtime["seconds"] = time.monotonic() - t0
     return bundle
 
 

@@ -78,7 +78,6 @@ class CorrespondenceSpec:
     alphas: tuple[Automorphism, ...]
     max_degree: int = 0
     name: str = "custom"
-    tol: Tolerances = DEFAULT_TOL
     _phi1_units: list = field(default=None, repr=False)
     _alpha_invs: tuple = field(default=None, repr=False)
     _beta: Automorphism = field(default=None, repr=False)
@@ -98,6 +97,11 @@ class CorrespondenceSpec:
         if self.n == 1:
             self._beta = self._effective_automorphism()
             self._beta_inv = self._beta.inverse()
+
+    @property
+    def tol(self) -> Tolerances:
+        """The thresholds every check applies: ``DEFAULT_TOL``."""
+        return DEFAULT_TOL
 
     # -- the left action ---------------------------------------------------
 
@@ -217,22 +221,30 @@ class CorrespondenceSpec:
             k += 1
         return k
 
-    def sample_vector(self, degree: int, seed: int, unit_norm: bool = True) -> AMatrix:
-        """Seeded module vector in E^degree (column AMatrix)."""
+    def sample_vector(self, degree: int, seed: int) -> AMatrix:
+        """Seeded unit-norm module vector in E^degree (column AMatrix)."""
         rows = [sample(self.algebra, "element", seed * 7919 + i)
                 for i in range(self.fiber_dim(degree))]
         v = AMatrix._new(self.algebra, len(rows), 1,
                          [np.concatenate(bs) for bs in zip(*(x.blocks for x in rows))])
-        if unit_norm:
-            nrm = np.sqrt(max(inner(v, v).norm(), 1e-300))
-            v = v * (1.0 / nrm)
-        return v
+        return v * (1.0 / np.sqrt(max(inner(v, v).norm(), 1e-300)))
 
     # -- validation --------------------------------------------------------
 
     def validate(self, seed: int = 11) -> dict:
         """Check the correspondence axioms; returns a report dict."""
-        tol = self.tol
+        return self._validate(seed)[0]
+
+    def validate_or_raise(self, seed: int = 11) -> dict:
+        """:meth:`validate`, raising a ValidationError that names each failing
+        check and its value when any fails."""
+        rep, violated = self._validate(seed)
+        if violated:
+            raise ValidationError(f"correspondence axioms violated: {violated}")
+        return rep
+
+    def _validate(self, seed: int) -> tuple[dict, dict]:
+        """(the report of :meth:`validate`, the failing checks and values)."""
         checks = {}
         u = self.unitary
         eye_n = AMatrix.eye(self.algebra, self.n)
@@ -259,17 +271,13 @@ class CorrespondenceSpec:
             aut_dev = max(aut_dev, (al.apply(x @ y) - al.apply(x) @ al.apply(y)).max_abs())
             aut_dev = max(aut_dev, (al.inverse().apply(al.apply(x)) - x).max_abs())
         checks["automorphisms"] = aut_dev
-        ok = (checks["unitarity"] <= 1e-8 and checks["unitality"] <= tol.eq_tol
-              and checks["multiplicativity"] <= 1e-8
-              and checks["star_property"] <= tol.eq_tol
-              and checks["faithfulness_min_sv"] >= 1e-8
-              and checks["automorphisms"] <= 1e-8)
-        return {"pass": bool(ok), "checks": checks, "preset": self.name,
-                "n": self.n, "block_dims": list(self.algebra.block_dims)}
-
-    def validate_or_raise(self, seed: int = 11) -> dict:
-        rep = self.validate(seed)
-        if not rep["pass"]:
-            bad = {k: v for k, v in rep["checks"].items()}
-            raise ValidationError(f"correspondence axioms violated: {bad}")
-        return rep
+        # each check's limit: the least singular value must reach it, every
+        # other check (a deviation) must stay within it
+        eq_tol = DEFAULT_TOL.eq_tol
+        limits = {"unitarity": 1e-8, "unitality": eq_tol, "multiplicativity": 1e-8,
+                  "star_property": eq_tol, "faithfulness_min_sv": 1e-8,
+                  "automorphisms": 1e-8}
+        violated = {k: v for k, v in checks.items()
+                    if not (v >= limits[k] if k == "faithfulness_min_sv" else v <= limits[k])}
+        return ({"pass": not violated, "checks": checks, "preset": self.name,
+                 "n": self.n, "block_dims": list(self.algebra.block_dims)}, violated)

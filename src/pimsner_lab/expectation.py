@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .star_core import SpecMismatchError
+from .star_core import DEFAULT_TOL, SpecMismatchError
 from .hilbert_mod import CHOI_CAP, AMatrix, LinearMapTable, cp_check_auto, sample
 from .correspondence import CorrespondenceSpec
 
@@ -31,6 +31,9 @@ __all__ = [
     "ex_k_table",
     "verify_cond_exp",
 ]
+
+# random samples per axiom that ``verify_cond_exp`` checks
+COND_EXP_SAMPLES = 5
 
 
 def ex_trace(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
@@ -125,18 +128,17 @@ def ex_k_table(spec: CorrespondenceSpec, k: int) -> LinearMapTable:
 
 
 def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
-                    n_samples: int = 5, choi_cap: int = CHOI_CAP) -> dict:
+                    choi_cap: int = CHOI_CAP) -> dict:
     """Check the conditional-expectation axioms for Ex_level.
 
     (i) Ex o phi = id; (ii) bimodule property; (iii) Schwarz positivity;
     (iv) tower compatibility Ex_{level+1} o j_level = Ex_level; (v) CP and
     contractivity.  Returns a report with the worst deviation per axiom."""
-    tol = spec.tol
     nk = spec.n ** level
     axioms = {}
     dev_id = dev_bimod = 0.0
     schwarz_min = np.inf
-    for t in range(n_samples):
+    for t in range(COND_EXP_SAMPLES):
         a = sample(spec.algebra, "element", seed + 10 * t)
         b = sample(spec.algebra, "element", seed + 10 * t + 1)
         x = _sample_matrix(spec, nk, seed + 10 * t + 2)
@@ -148,20 +150,19 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
         y = ex_k(spec, level, x.adjoint() @ x)
         z = ex_k(spec, level, x).adjoint() @ ex_k(spec, level, x)
         schwarz_min = min(schwarz_min, (y - z).min_eig())
-    axioms["idempotence"] = {"max_dev": float(dev_id), "pass": dev_id <= tol.eq_tol}
-    axioms["bimodule"] = {"max_dev": float(dev_bimod), "pass": dev_bimod <= tol.eq_tol}
+    axioms["idempotence"] = {"max_dev": float(dev_id), "pass": dev_id <= DEFAULT_TOL.eq_tol}
+    axioms["bimodule"] = {"max_dev": float(dev_bimod), "pass": dev_bimod <= DEFAULT_TOL.eq_tol}
     axioms["schwarz"] = {"min_eig": float(schwarz_min),
-                         "pass": schwarz_min >= -tol.psd_tol}
+                         "pass": schwarz_min >= -DEFAULT_TOL.psd_tol}
     dev_tower = 0.0
     if level + 1 <= spec.max_degree:
-        for t in range(n_samples):
+        for t in range(COND_EXP_SAMPLES):
             x = _sample_matrix(spec, nk, seed + 100 + t)
             dev_tower = max(dev_tower, (
                 ex_k(spec, level + 1, spec.amplify(x, 1))
                 - ex_k(spec, level, x)).max_abs())
-    axioms["tower"] = {"max_dev": float(dev_tower), "pass": dev_tower <= tol.eq_tol}
-    cp = cp_check_auto(ex_k_table(spec, level), tol, choi_cap=choi_cap,
-                       seed=seed + 999)
+    axioms["tower"] = {"max_dev": float(dev_tower), "pass": dev_tower <= DEFAULT_TOL.eq_tol}
+    cp = cp_check_auto(ex_k_table(spec, level), choi_cap=choi_cap, seed=seed + 999)
     axioms["cp"] = cp.to_dict()
     axioms["cp"]["contractive"] = cp.norm_bound <= 1.0 + 1e-8
     ok = all(v.get("pass", True) for v in axioms.values()) \

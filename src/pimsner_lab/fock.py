@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError, Tolerances
+from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
 from .hilbert_mod import AMatrix, LinearMapTable, rank_one, tol_grid
 from .correspondence import CorrespondenceSpec
 
@@ -173,18 +173,16 @@ class GradedOperator:
 
     # -- metrics -----------------------------------------------------------
 
-    def to_amatrix(self, stack_shape: tuple = (), out: AMatrix | None = None) -> AMatrix:
-        """Assemble the window into one square AMatrix over A, or a stack of
-        them with leading axes ``stack_shape`` when the blocks are stacks (an
-        operator with no blocks gives a stack of zeros of that shape); or into
-        ``out``, a zeroed AMatrix of that side such as ``from_flat`` views."""
+    def to_amatrix(self, out: AMatrix | None = None) -> AMatrix:
+        """Assemble the window into one square AMatrix over A, or into
+        ``out``: a zeroed AMatrix of that side, such as ``from_flat`` views,
+        and a stack of them when the blocks are stacks (an operator with no
+        blocks leaves ``out`` zero)."""
         offs = _degree_offsets(self.spec, self.window)
         total = int(offs[-1])
         alg = self.spec.algebra
         if out is None:
-            out = AMatrix(alg, total, total,
-                          [np.zeros(stack_shape + (total, total, d, d), dtype=complex)
-                           for d in alg.block_dims])
+            out = AMatrix.zeros(alg, total, total)
         lo = self.window.lo
         for (i, j), val in self.blocks.items():
             ro, co = int(offs[i - lo]), int(offs[j - lo])
@@ -403,7 +401,6 @@ class SchurRow:
     measured: float
     abs_err: float
     sided: str
-    tol: Tolerances = DEFAULT_TOL
 
     def to_dict(self) -> dict:
         """The row as reported: ``measured`` and ``abs_err`` on the eq_tol
@@ -411,8 +408,8 @@ class SchurRow:
         return {
             "N": self.N, "r": self.r, "s": self.s, "l": self.l,
             "expected": [self.expected.numerator, self.expected.denominator],
-            "measured": tol_grid(self.measured, self.tol.eq_tol),
-            "abs_err": tol_grid(self.abs_err, self.tol.eq_tol),
+            "measured": tol_grid(self.measured, DEFAULT_TOL.eq_tol),
+            "abs_err": tol_grid(self.abs_err, DEFAULT_TOL.eq_tol),
             "sided": self.sided,
         }
 
@@ -423,7 +420,7 @@ class SchurRow:
                 f"{row['measured']:.17g}", f"{row['abs_err']:.17g}", self.sided]
 
 
-def _measure_band(pairs: list, eq_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _measure_band(pairs: list) -> tuple[np.ndarray, np.ndarray]:
     """For (block, reference) pairs of like shape, the least-squares complex
     c with block ~ c * reference (0 when the reference is below eq_tol), and
     the residual max |block - Re(c) reference| against its real part; a
@@ -447,7 +444,7 @@ def _measure_band(pairs: list, eq_tol: float) -> tuple[np.ndarray, np.ndarray]:
             w_conj = w.conj()
             num = num + np.einsum("ki,ki->k", w_conj, g)
             den = den + np.einsum("ki,ki->k", w_conj, w).real
-        c = np.divide(num, den, out=np.zeros_like(num), where=den > eq_tol ** 2)
+        c = np.divide(num, den, out=np.zeros_like(num), where=den > DEFAULT_TOL.eq_tol ** 2)
         coef[idx] = c
         res = 0.0
         for g, w in parts:
@@ -463,52 +460,50 @@ def _rows(arrs: list) -> np.ndarray:
 
 
 def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
-                   big_n: int, window: FockWindow, r: int, s: int, sided: str,
-                   tol: Tolerances):
+                   big_n: int, window: FockWindow, r: int, s: int, sided: str):
     """Psi_N o phi_N on the band of e_{mu,nu}, with one Schur row per band
     offset: the output block measured against the band block itself."""
+    eq_tol = DEFAULT_TOL.eq_tol
     top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
     out = psi_amplify(compress(top, big_n), window)
     off_band = max((v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r),
                    default=0.0)  # a Schur multiplier maps the band into itself
-    if off_band > tol.eq_tol:
+    if off_band > eq_tol:
         raise ValueError(f"pipeline output off the generator's band (max {off_band:.3e})")
     keys = sorted(top.blocks)
-    coef, resid = _measure_band([(out.blocks.get(key), top.blocks[key]) for key in keys],
-                                tol.eq_tol)
+    coef, resid = _measure_band([(out.blocks.get(key), top.blocks[key]) for key in keys])
     rows = []
     for (i, _), c, res in zip(keys, coef.tolist(), resid.tolist()):
         l = i - r
-        if res > max(tol.eq_tol, 1e-8) or abs(c.imag) > tol.eq_tol:
+        if res > max(eq_tol, 1e-8) or abs(c.imag) > eq_tol:
             raise ValueError(
                 f"pipeline output at offset {l} is not a real multiple of the "
                 f"generator band (coefficient {c:.3e}, residual {res:.3e})")
         expected = schur_oracle(big_n, r, s, l, sided)
         rows.append(SchurRow(big_n, r, s, l, expected, c.real,
-                             abs(c.real - float(expected)), sided, tol))
+                             abs(c.real - float(expected)), sided))
     return out, rows
 
 
 def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
-        window: FockWindow, r: int | None = None, s: int | None = None,
-        tol: Tolerances = DEFAULT_TOL):
+        window: FockWindow, r: int | None = None, s: int | None = None):
     """One-sided pipeline Psi_N o phi_N on t_mu t_nu*, with measured Schur rows."""
     if window.two_sided:
         raise ConfigurationError("one-sided pipeline needs a one-sided window")
     r = spec._degree_of(mu.rows) if r is None else r
     s = spec._degree_of(nu.rows) if s is None else s
-    return _schur_measure(spec, mu, nu, big_n, window, r, s, "one", tol)
+    return _schur_measure(spec, mu, nu, big_n, window, r, s, "one")
 
 
 def w_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
-        window: FockWindow, r: int, s: int, tol: Tolerances = DEFAULT_TOL):
+        window: FockWindow, r: int, s: int):
     """Two-sided pipeline (n = 1 only): every representable offset carries the
     same coefficient; there is no perturbation term."""
     if spec.n != 1:
         raise ConfigurationError("two-sided pipeline requires n = 1")
     if not window.two_sided:
         raise ConfigurationError("two-sided pipeline needs a two-sided window")
-    return _schur_measure(spec, mu, nu, big_n, window, r, s, "two", tol)
+    return _schur_measure(spec, mu, nu, big_n, window, r, s, "two")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .star_core import (
     ConfigurationError,
     DEFAULT_TOL,
     SpecMismatchError,
-    Tolerances,
     spectral_norm,
 )
 
@@ -52,6 +51,8 @@ __all__ = [
 ]
 
 CHOI_CAP = 4096
+# the probe ``cp_check_auto`` falls back to above the cap: Phi x id_{M_k}, trials
+PROBE_K, PROBE_TRIALS = 2, 50
 # largest max |M - M*| a CP check accepts (Choi matrices and probe outputs)
 HERMITIAN_DEV_TOL = 1e-7
 
@@ -214,15 +215,15 @@ class AMatrix:
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(b))) if b.size else 0.0 for b in self.blocks)
 
-    def allclose(self, other: "AMatrix", tol: float = DEFAULT_TOL.eq_tol) -> bool:
+    def allclose(self, other: "AMatrix", atol: float = DEFAULT_TOL.eq_tol) -> bool:
         self._check(other)
-        return (self - other).max_abs() <= tol
+        return (self - other).max_abs() <= atol
 
-    def is_hermitian(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.rows == self.cols and (self - self.adjoint()).max_abs() <= tol.eq_tol
+    def is_hermitian(self) -> bool:
+        return self.rows == self.cols and (self - self.adjoint()).max_abs() <= DEFAULT_TOL.eq_tol
 
-    def is_positive(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.is_hermitian(tol) and self.min_eig() >= -tol.psd_tol
+    def is_positive(self) -> bool:
+        return self.is_hermitian() and self.min_eig() >= -DEFAULT_TOL.psd_tol
 
     def min_eig(self) -> float:
         low = np.inf
@@ -299,25 +300,24 @@ class CPReport:
     norm_bound: float          # ||Phi(1)||, an upper bound on ||Phi||_cb for CP maps
     passed: bool
     detail: str = ""
-    tol: Tolerances = DEFAULT_TOL
 
     def to_dict(self):
         return {
             "method": self.method,
-            "min_eig": tol_grid(self.min_eigenvalue, self.tol.psd_tol),
-            "unital_defect": tol_grid(self.unital_defect, self.tol.eq_tol),
-            "norm_bound": tol_grid(self.norm_bound, self.tol.eq_tol),
+            "min_eig": tol_grid(self.min_eigenvalue, DEFAULT_TOL.psd_tol),
+            "unital_defect": tol_grid(self.unital_defect, DEFAULT_TOL.eq_tol),
+            "norm_bound": tol_grid(self.norm_bound, DEFAULT_TOL.eq_tol),
             "pass": bool(self.passed),
         }
 
 
-def tol_grid(value: float, tol: float) -> float:
-    """``value`` rounded three decimal places below the tolerance it is
+def tol_grid(value: float, threshold: float) -> float:
+    """``value`` rounded three decimal places below the ``threshold`` it is
     checked against (to 1e-11 for psd_tol = 1e-8, to 1e-12 for eq_tol =
     1e-9), -0.0 read as 0.0: the last digits of BLAS and LAPACK results vary
     with the BLAS thread count.  Reports serialize computed values this way;
     verdicts use the unrounded value."""
-    digits = 3 - math.floor(math.log10(tol))
+    digits = 3 - math.floor(math.log10(threshold))
     return round(value, digits) + 0.0
 
 
@@ -499,22 +499,20 @@ class LinearMapTable:
                               reads=inner_map.reads)
 
 
-def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
-                  choi_cap: int = CHOI_CAP) -> CPReport:
+def choi_cp_check(table: LinearMapTable, choi_cap: int = CHOI_CAP) -> CPReport:
     """Exact CP check: per domain block assemble the Choi matrix and test PSD.
 
     The cap applies to the full side m c.  Only the (r c)-side corner of the
     rows in ``reads`` is assembled and eigen-solved: the other rows of the
     Choi matrix are zero (Choi 1975; C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so
     a table that reads less than its domain adds the eigenvalue 0.  Such a
-    table first has its ``reads`` tested (:func:`_reads_check`), and a
-    deviation above ``eq_tol`` fails the check."""
+    table first has its ``reads`` tested (:func:`_reads_check`)."""
     c = table.codomain_dim
     for m in table.domain_sides:
         if m * c > choi_cap:
             raise ChoiCapExceeded(
                 f"Choi side {m * c} exceeds cap {choi_cap}; use positivity_probe")
-    reads_ok, detail = _reads_check(table, tol)
+    reads = _reads_check(table)
     # the zero rows outside ``reads`` hold the eigenvalue 0
     min_eig = 0.0 if table.restricted else np.inf
     herm_dev = 0.0
@@ -524,13 +522,26 @@ def choi_cp_check(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
         min_eig, dev = _hermitian_min_eig(choi, min_eig)
         del arr, choi  # one block's images alive at a time
         herm_dev = max(herm_dev, dev)
+    return _cp_report(table, "choi", reads, min_eig, herm_dev, "")
+
+
+def _cp_report(table: LinearMapTable, method: str, reads: tuple[bool, str],
+               min_eig: float, herm_dev: float, detail: str) -> CPReport:
+    """The CP record of ``table`` from what a Choi check or probe found: the
+    outcome of :func:`_reads_check`, the least eigenvalue and the largest
+    max |M - M*|; with the unit-image norms.  The one place a CP verdict is
+    decided: it passes when the table keeps its ``reads`` promise, the
+    deviation is at most HERMITIAN_DEV_TOL and the eigenvalue at least
+    -psd_tol."""
+    reads_ok, reads_detail = reads
     unital_defect, norm_bound = _unit_image_norms(table)
-    passed = reads_ok and (herm_dev <= HERMITIAN_DEV_TOL) and (min_eig >= -tol.psd_tol)
-    return CPReport("choi", float(min_eig), unital_defect, norm_bound,
-                    passed, detail=f"hermitian_dev={herm_dev:.3e}{detail}", tol=tol)
+    passed = (reads_ok and herm_dev <= HERMITIAN_DEV_TOL
+              and min_eig >= -DEFAULT_TOL.psd_tol)
+    return CPReport(method, float(min_eig), unital_defect, norm_bound, passed,
+                    detail=f"{detail}hermitian_dev={herm_dev:.3e}{reads_detail}")
 
 
-def _reads_check(table: LinearMapTable, tol: Tolerances) -> tuple[bool, str]:
+def _reads_check(table: LinearMapTable) -> tuple[bool, str]:
     """(whether the table keeps its ``reads`` promise, the detail to report).
 
     The test is max |Phi(G) - Phi(Q G Q)| <= eq_tol for one Gaussian element
@@ -552,28 +563,23 @@ def _reads_check(table: LinearMapTable, tol: Tolerances) -> tuple[bool, str]:
         off += m
     out = table.apply(pair)
     dev = float(np.max(np.abs(out[0] - out[1])))
-    return dev <= tol.eq_tol, f" reads_dev={dev:.3e}"
+    return dev <= DEFAULT_TOL.eq_tol, f" reads_dev={dev:.3e}"
 
 
-def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int,
-                     tol: Tolerances = DEFAULT_TOL) -> CPReport:
+def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int) -> CPReport:
     """Necessary-condition CP check: apply (Phi x id_{M_k}) to seeded random
     positive elements and record the worst output eigenvalue.  An output
     that is not Hermitian fails it as it fails the Choi check, and so does a
     table that reads outside its ``reads`` (tested first, as there)."""
     if k < 1:
         raise ConfigurationError("k must be >= 1")
-    reads_ok, detail = _reads_check(table, tol)
+    reads = _reads_check(table)
     worst = np.inf
     herm_dev = 0.0
     for out in _probe_outputs(table, k, trials, seed):
         worst, dev = _hermitian_min_eig(out, worst)
         herm_dev = max(herm_dev, dev)
-    unital_defect, norm_bound = _unit_image_norms(table)
-    passed = reads_ok and (herm_dev <= HERMITIAN_DEV_TOL) and (worst >= -tol.psd_tol)
-    return CPReport("probe", float(worst), unital_defect, norm_bound, passed,
-                    detail=f"k={k} trials={trials} hermitian_dev={herm_dev:.3e}{detail}",
-                    tol=tol)
+    return _cp_report(table, "probe", reads, worst, herm_dev, f"k={k} trials={trials} ")
 
 
 def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
@@ -611,11 +617,10 @@ def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
             spectral_norm(one_img))
 
 
-def cp_check_auto(table: LinearMapTable, tol: Tolerances = DEFAULT_TOL,
-                  choi_cap: int = CHOI_CAP, probe_k: int = 2,
-                  probe_trials: int = 50, seed: int = 0) -> CPReport:
+def cp_check_auto(table: LinearMapTable, choi_cap: int = CHOI_CAP,
+                  seed: int = 0) -> CPReport:
     """Choi check when within cap, probe fallback otherwise."""
     try:
-        return choi_cp_check(table, tol, choi_cap)
+        return choi_cp_check(table, choi_cap)
     except ChoiCapExceeded:
-        return positivity_probe(table, probe_k, probe_trials, seed, tol)
+        return positivity_probe(table, PROBE_K, PROBE_TRIALS, seed)

@@ -19,10 +19,10 @@ Three constructions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError, Tolerances
+from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
 from .hilbert_mod import (
     CHOI_CAP,
     AMatrix,
@@ -152,8 +152,7 @@ def eps_hat_graded(ctx: EInftyContext, blocks: dict,
 
 def lift_defect(ctx: EInftyContext, mu: AMatrix, nu: AMatrix,
                 b0: AMatrix, c0: AMatrix, i: int, window: FockWindow,
-                r: int | None = None, s: int | None = None,
-                tol: Tolerances = DEFAULT_TOL):
+                r: int | None = None, s: int | None = None):
     """Defect of the lifted generator against t_mu pi_i(b c*) t_nu*.
 
     b0, c0 are level-i compacts (n^i x n^i over A); they are embedded into
@@ -176,7 +175,7 @@ def lift_defect(ctx: EInftyContext, mu: AMatrix, nu: AMatrix,
         dev = defect.block(r + k, s + k).max_abs()
         if k >= i:
             max_dev_tail = max(max_dev_tail, dev)
-        if dev > tol.eq_tol:
+        if dev > DEFAULT_TOL.eq_tol:
             support.append(k)
     report = {
         "i": i,
@@ -185,7 +184,7 @@ def lift_defect(ctx: EInftyContext, mu: AMatrix, nu: AMatrix,
         "s": s,
         "max_dev_at_or_above_i": float(max_dev_tail),
         "support": support,
-        "pass": max_dev_tail <= tol.eq_tol and all(k < i for k in support),
+        "pass": max_dev_tail <= DEFAULT_TOL.eq_tol and all(k < i for k in support),
     }
     return defect, report
 
@@ -201,8 +200,7 @@ def _col_degree(spec: CorrespondenceSpec, v: AMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
-                   r: int, s: int, two_sided: FockWindow,
-                   tol: Tolerances = DEFAULT_TOL):
+                   r: int, s: int, two_sided: FockWindow):
     """Compression of the bilateral generator to nonnegative degrees.
 
     Returns (compressed operator on the one-sided window, report).  On the
@@ -235,13 +233,13 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     # extra blocks are indexed by their (negative) band offset
     extra = sorted({j - s for (i, j) in lifted.blocks
                     if i - r == j - s and j - s < 0
-                    and lifted.blocks[(i, j)].max_abs() > tol.eq_tol})
+                    and lifted.blocks[(i, j)].max_abs() > DEFAULT_TOL.eq_tol})
     report = {
         "r": r, "s": s,
         "band_dev": float(band_dev),
         "compact_offsets": extra,
         "bilateral_tail_dev": float(tail_dev),
-        "pass": band_dev <= tol.eq_tol and tail_dev <= tol.eq_tol,
+        "pass": band_dev <= DEFAULT_TOL.eq_tol and tail_dev <= DEFAULT_TOL.eq_tol,
     }
     return lifted, report
 
@@ -259,7 +257,6 @@ class GeneratorRecord:
     coeff_measured: float
     error: float
     norm: float
-    tol: Tolerances = DEFAULT_TOL
 
     def to_dict(self):
         """The record as reported: ``coeff_measured`` and ``error`` on the
@@ -268,8 +265,8 @@ class GeneratorRecord:
             "r": self.r, "s": self.s, "seed": self.seed,
             "coeff_expected": [self.coeff_expected.numerator,
                                self.coeff_expected.denominator],
-            "coeff_measured": tol_grid(self.coeff_measured, self.tol.eq_tol),
-            "error": tol_grid(self.error, self.tol.eq_tol),
+            "coeff_measured": tol_grid(self.coeff_measured, DEFAULT_TOL.eq_tol),
+            "error": tol_grid(self.error, DEFAULT_TOL.eq_tol),
             "generator_norm": self.norm,
         }
 
@@ -282,7 +279,6 @@ class CPAPCertificate:
     flatten_dim: int
     generators: list
     factor_maps: list
-    tolerances: Tolerances
     seed: int
     created: str
     tool_version: str = TOOL_VERSION
@@ -295,11 +291,7 @@ class CPAPCertificate:
             "flatten_dim": self.flatten_dim,
             "generators": [g.to_dict() for g in self.generators],
             "factor_maps": self.factor_maps,
-            "tolerances": {
-                "eq_tol": self.tolerances.eq_tol,
-                "psd_tol": self.tolerances.psd_tol,
-                "norm_rel_tol": self.tolerances.norm_rel_tol,
-            },
+            "tolerances": asdict(DEFAULT_TOL),
             "seed": self.seed,
             "created": self.created,
             "tool_version": self.tool_version,
@@ -327,19 +319,17 @@ def generator_band(spec: CorrespondenceSpec, r: int, s: int) -> int:
 
 def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
                      window: FockWindow, seed: int, created: str = "",
-                     choi_cap: int = CHOI_CAP,
-                     tol: Tolerances | None = None) -> CPAPCertificate:
+                     choi_cap: int = CHOI_CAP) -> CPAPCertificate:
     """Build and certify the degree-N approximation of the quotient map.
 
     ``generators`` is a list of (r, s) degree pairs; seeded unit-norm vectors
     are drawn per pair.  The bimodule case measures || W_N(g) - g || directly;
     the general case measures the tail deviation from the oracle symbol."""
-    tol = tol or spec.tol
     if big_n > window.hi:
         raise ConfigurationError("window too small for requested N")
     phi, psi, d_total = factor_tables(spec, window, big_n)
-    phi_cp = cp_check_auto(phi, tol, choi_cap=choi_cap, seed=seed + 1)
-    psi_cp = cp_check_auto(psi, tol, choi_cap=choi_cap, seed=seed + 2)
+    phi_cp = cp_check_auto(phi, choi_cap=choi_cap, seed=seed + 1)
+    psi_cp = cp_check_auto(psi, choi_cap=choi_cap, seed=seed + 2)
     gen_records = []
     for idx, (r, s) in enumerate(generators):
         gseed = seed + 100 * idx
@@ -349,25 +339,25 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         gnorm = e.norm()
         band = generator_band(spec, r, s)
         if spec.n == 1:
-            out, rows = w_n(spec, mu, nu, big_n, window, r=r, s=s, tol=tol)
+            out, rows = w_n(spec, mu, nu, big_n, window, r=r, s=s)
             target = toeplitz_op(spec, mu, nu, window, r=r, s=s)
             err = (out - target).norm()
             coeff = rows[0].measured if rows else 0.0
             expected = schur_oracle(big_n, r, s, 0, "two")
         else:
-            _, rows = v_n(spec, mu, nu, big_n, window, r=r, s=s, tol=tol)
+            _, rows = v_n(spec, mu, nu, big_n, window, r=r, s=s)
             stab = max(0, big_n - max(r, s))
             tail_rows = [row for row in rows if row.l >= stab]
             coeff = tail_rows[0].measured if tail_rows else 0.0
             expected = schur_oracle(big_n, r, s, big_n, "one")
             err = abs(coeff - 1.0) * gnorm
-        bound = band / (big_n + 1) * gnorm + tol.eq_tol
+        bound = band / (big_n + 1) * gnorm + DEFAULT_TOL.eq_tol
         if err > bound + 1e-12 and band <= big_n + 1:
             raise ValueError(
                 f"generator ({r},{s}): error {err:.3e} exceeds the Fejer "
                 f"bound {bound:.3e}")
         gen_records.append(GeneratorRecord(r, s, gseed, expected, float(coeff),
-                                           float(err), float(gnorm), tol))
+                                           float(err), float(gnorm)))
     fingerprint = {
         "preset": spec.name,
         "block_dims": list(spec.algebra.block_dims),
@@ -384,7 +374,6 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         factor_maps=[{"direction": direction, "cp": cp, "norm": cp["norm_bound"]}
                      for direction, cp in (("compress", phi_cp.to_dict()),
                                            ("amplify", psi_cp.to_dict()))],
-        tolerances=tol,
         seed=seed,
         created=created,
     )

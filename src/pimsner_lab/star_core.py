@@ -3,8 +3,8 @@
 The coefficient algebra is always A = M_{d_1} + ... + M_{d_B} (a finite
 direct sum of full complex matrix algebras), stored blockwise; its elements
 are 1 x 1 :class:`~pimsner_lab.hilbert_mod.AMatrix` values.  All
-comparisons are tolerance based; tolerances live in a single
-:class:`Tolerances` record so certificates can embed them.
+comparisons are tolerance based; every check reads its threshold from the
+one :class:`Tolerances` record, ``DEFAULT_TOL``, and certificates embed it.
 """
 
 from __future__ import annotations

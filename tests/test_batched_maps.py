@@ -174,8 +174,8 @@ def test_reads_change_no_cp_verdict(spec_name, big_n):
     window = FockWindow.two_sided_sym(hi) if spec.n == 1 else FockWindow.one_sided(hi)
     for restricted, full in compression_and_pipeline(spec, window, big_n).values():
         assert restricted.restricted and not full.restricted
-        got = cp_check_auto(restricted, probe_trials=10, seed=1)
-        want = cp_check_auto(full, probe_trials=10, seed=1)
+        got = cp_check_auto(restricted, seed=1)
+        want = cp_check_auto(full, seed=1)
         assert got.to_dict() == want.to_dict()
         assert got.passed
 

@@ -110,6 +110,23 @@ def test_corrupted_unitary_exit_one(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+def test_violation_names_only_the_failing_checks(tmp_path, capsys):
+    """U = diag(2, 1) over A = C breaks unitarity, unitality and
+    multiplicativity; the message names those and none of the checks that
+    pass (star_property reads 0, the least singular value sqrt(17))."""
+    cfg = tmp_path / "diag_2_1.json"
+    cfg.write_text(json.dumps({
+        "block_dims": [1], "n": 2,
+        "unitary": [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        "alphas": [{"perm": [0]}, {"perm": [0]}],
+    }))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("unitarity", "unitality", "multiplicativity"))
+    assert not any(name in err for name in ("star_property", "faithfulness_min_sv",
+                                            "automorphisms"))
+
+
 @pytest.mark.parametrize("error", [
     SpecMismatchError("block array (1, 1, 2, 2) != (1, 1, 1, 1)"),
     np.linalg.LinAlgError("Eigenvalues did not converge"),
@@ -411,8 +428,8 @@ from pimsner_lab.presets import build_preset
 spec = build_preset("twisted2")
 for table in factor_tables(spec, FockWindow.one_sided(7), 5)[:2]:
     unital_defect, norm_bound = _unit_image_norms(table)
-    _emit_json(CPReport("probe", 0.0, unital_defect, norm_bound, True,
-                        tol=spec.tol).to_dict(), sys.stdout)
+    _emit_json(CPReport("probe", 0.0, unital_defect, norm_bound, True).to_dict(),
+               sys.stdout)
 """
 
 

@@ -124,11 +124,12 @@ def test_to_amatrix_roundtrip(cuntz):
 
 def test_empty_operator_to_amatrix_keeps_stack_shape(cuntz):
     """An operator with no blocks has no block to read a stack depth from; the
-    caller's stack shape decides it."""
+    stack shape of the caller's ``out`` decides it."""
     w = FockWindow.one_sided(2)
     side = sum(cuntz.fiber_dim(d) for d in w.degrees())
     empty = GradedOperator(cuntz, w)
-    got = empty.to_amatrix((3,))
+    flat = np.zeros((3,) + 2 * (side * cuntz.algebra.total_dim,), dtype=complex)
+    got = empty.to_amatrix(out=AMatrix.from_flat(cuntz.algebra, side, side, flat))
     assert got.stack_shape == (3,) and (got.rows, got.cols) == (side, side)
     assert [b.shape for b in got.blocks] == \
         [(3, side, side, d, d) for d in cuntz.algebra.block_dims]
@@ -323,7 +324,7 @@ def vdot_measure(block, ref):
 
 
 def assert_measure_matches_vdot(pairs):
-    coef, resid = _measure_band(pairs, EQ_TOL)
+    coef, resid = _measure_band(pairs)
     assert coef.shape == resid.shape == (len(pairs),)
     for (block, ref), c, res in zip(pairs, coef, resid):
         if block is None:
@@ -399,7 +400,7 @@ def test_band_measure_zero_reference_and_absent_block(z3):
     zero = AMatrix.zeros(z3.algebra, 1, 1)
     ref = sample(z3.algebra, "element", 3)
     for pairs in ([(block, zero)], [(block * 2.0, ref), (block, zero), (None, ref)]):
-        coef, resid = _measure_band(pairs, EQ_TOL)
+        coef, resid = _measure_band(pairs)
         k = [i for i, (_, r) in enumerate(pairs) if r is zero][0]
         assert coef[k] == 0 and resid[k] == block.max_abs()
         assert_measure_matches_vdot(pairs)
@@ -438,7 +439,7 @@ def test_imaginary_coefficient_above_eq_tol_raises(monkeypatch, name):
     psi = fock.psi_amplify
     monkeypatch.setattr(fock, "psi_amplify", lambda x, w: psi(x, w) * (1 + 5e-9j))
     pairs = band_pairs(spec, 3, 1, 1, 5, 11)
-    coef, resid = _measure_band(pairs, EQ_TOL)
+    coef, resid = _measure_band(pairs)
     assert resid.max() < 1e-8 and np.abs(coef.imag).max() > EQ_TOL
     window = window_to(spec, 5)
     mu, nu = spec.sample_vector(1, 11), spec.sample_vector(1, 12)

@@ -154,7 +154,7 @@ def test_choi_cap_triggers(algebra):
     table = identity_table(algebra, 40)
     with pytest.raises(ChoiCapExceeded):
         choi_cp_check(table, choi_cap=64)
-    rep = cp_check_auto(table, choi_cap=64, probe_trials=10, seed=1)
+    rep = cp_check_auto(table, choi_cap=64, seed=1)
     assert rep.method == "probe"
     assert rep.passed
 

@@ -269,7 +269,7 @@ def test_cp_verdict_uses_the_unrounded_value():
     tol = DEFAULT_TOL
     just_below = -tol.psd_tol * (1 + 1e-6)
     rep = CPReport("choi", just_below, 0.0, 1.0,
-                   passed=just_below >= -tol.psd_tol, tol=tol)
+                   passed=just_below >= -tol.psd_tol)
     d = rep.to_dict()
     assert d["pass"] is False
     assert d["min_eig"] == tol_grid(just_below, tol.psd_tol)
