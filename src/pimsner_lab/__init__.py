@@ -23,7 +23,6 @@ from .hilbert_mod import (
     choi_cp_check,
     cp_check_auto,
     inner,
-    module_norm,
     positivity_probe,
     rank_one,
     sample,
@@ -41,13 +40,12 @@ from .fock import (
     v_n,
     w_n,
 )
-from .expectation import eps_bar, eps_hat, ex_k, ex_trace, verify_cond_exp
+from .expectation import eps_hat, ex_k, verify_cond_exp
 from .lift import (
     CPAPCertificate,
     EInftyContext,
     bilateral_lift,
     cpap_certificate,
-    einfty_inner,
     lift_defect,
     pi_i,
     toeplitz_infty,

@@ -7,6 +7,7 @@ once and for all:
   C1  E^k is identified with A^{n^k}; multi-indices (i_1, ..., i_k) are read
       with i_1 (the first tensor factor) most significant.
   C2  (xi (x) eta)_{(i,m)} = [phi_k(xi_i) eta]_m for xi in E^j, eta in E^k.
+      That is, xi (x) eta = amplify(xi, k) @ eta.
   C3  x (x) I_{E^k} is "apply phi_k entrywise"; the tower embedding
       T -> T (x) 1 is the k = 1 case.
 
@@ -197,17 +198,6 @@ class CorrespondenceSpec:
         if k < 0:
             raise ConfigurationError("negative degrees require n = 1")
         return self.n ** k
-
-    def tensor_vec(self, xi: AMatrix, eta: AMatrix, eta_degree: int | None = None) -> AMatrix:
-        """Internal tensor of module vectors, (xi (x) eta)_{(i,m)} = [phi_k(xi_i) eta]_m.
-
-        For n = 1 every tensor power has a single coordinate, so the degree
-        of eta must be passed explicitly (it may be negative, two-sided case).
-        """
-        if xi.cols != 1 or eta.cols != 1:
-            raise SpecMismatchError("tensor_vec expects column vectors")
-        k = self._degree_of(eta.rows) if eta_degree is None else eta_degree
-        return self.amplify(xi, k) @ eta
 
     def _degree_of(self, rank: int) -> int:
         if self.n == 1:

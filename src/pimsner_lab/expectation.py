@@ -4,12 +4,14 @@ The tower consists of the embeddings j_k: T -> T (x) 1 with inductive limit
 represented only by finitely many compatible levels.  The expectations are
 built by inverting one tensor layer at a time: undo the twist by U, undo the
 diagonal automorphisms, then average the diagonal (normalised trace).  The
-induced module map (eps-bar) and operator map (eps-hat) are *defined* as
-entrywise applications of the level expectation in the fixed coordinates;
-the defining formulas from the lifting machinery are then asserted as
-theorems by the test-suite rather than used as definitions.
+induced operator map eps-hat is *defined* as the entrywise application of
+the level expectation in the fixed coordinates, and the induced module map
+eps-bar is eps-hat on a column over B = M_{n^level}(A), which is stored as
+a (rank * n^level) x n^level matrix over A; the defining formulas from the
+lifting machinery are then asserted as theorems by the test-suite rather
+than used as definitions.
 
-Both are computed as ``level`` peels of the whole matrix rather than one
+eps-hat is computed as ``level`` peels of the whole matrix rather than one
 Ex_level per B-entry: a B-entry is a contiguous n^level x n^level block of
 the outer indices, and every tensor layer is the least significant index,
 so peeling the n x n cells of the whole matrix peels every B-entry at once.
@@ -24,9 +26,7 @@ from .hilbert_mod import CHOI_CAP, AMatrix, LinearMapTable, cp_check_auto, sampl
 from .correspondence import CorrespondenceSpec
 
 __all__ = [
-    "ex_trace",
     "ex_k",
-    "eps_bar",
     "eps_hat",
     "ex_k_table",
     "verify_cond_exp",
@@ -34,17 +34,6 @@ __all__ = [
 
 # random samples per axiom that ``verify_cond_exp`` checks
 COND_EXP_SAMPLES = 5
-
-
-def ex_trace(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
-    """Normalised trace M_n(A) -> A: average of the diagonal entries, 1 x 1."""
-    if x.rows != x.cols:
-        raise SpecMismatchError("normalised trace expects a square matrix")
-    n = x.rows
-    out = AMatrix.zeros(spec.algebra, 1, 1)
-    for i in range(n):
-        out = out + x.submatrix(slice(i, i + 1), slice(i, i + 1))
-    return out * (1.0 / n)
 
 
 def _peel_layer(spec: CorrespondenceSpec, x: AMatrix) -> AMatrix:
@@ -99,18 +88,6 @@ def ex_k(spec: CorrespondenceSpec, k: int, x: AMatrix) -> AMatrix:
     return eps_hat(spec, k, x)
 
 
-def eps_bar(spec: CorrespondenceSpec, level: int, zeta: AMatrix) -> AMatrix:
-    """The contraction E^m (x) B -> E^m for B = M_{n^level}(A).
-
-    Coordinates: a vector of (E^m (x) B) is a column over B, stored as a
-    (rank * n^level) x n^level matrix over A; the map applies Ex_level to
-    each B-entry."""
-    nk = spec.n ** level
-    if zeta.cols != nk or zeta.rows % nk:
-        raise SpecMismatchError("vector does not match the requested level")
-    return eps_hat(spec, level, zeta)
-
-
 def eps_hat(spec: CorrespondenceSpec, level: int, t: AMatrix) -> AMatrix:
     """Entrywise Ex_level on an m x m' matrix over B = M_{n^level}(A), or on
     each element of a stack of them, as ``level`` peels of the whole matrix."""
@@ -145,10 +122,11 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
         dev_id = max(dev_id, (ex_k(spec, level, spec.phi_k(a, level)) - a).max_abs())
         lhs = ex_k(spec, level,
                    spec.phi_k(a, level) @ x @ spec.phi_k(b, level))
-        rhs = a @ ex_k(spec, level, x) @ b
+        ex_x = ex_k(spec, level, x)
+        rhs = a @ ex_x @ b
         dev_bimod = max(dev_bimod, (lhs - rhs).max_abs())
         y = ex_k(spec, level, x.adjoint() @ x)
-        z = ex_k(spec, level, x).adjoint() @ ex_k(spec, level, x)
+        z = ex_x.adjoint() @ ex_x
         schwarz_min = min(schwarz_min, (y - z).min_eig())
     axioms["idempotence"] = {"max_dev": float(dev_id), "pass": dev_id <= DEFAULT_TOL.eq_tol}
     axioms["bimodule"] = {"max_dev": float(dev_bimod), "pass": dev_bimod <= DEFAULT_TOL.eq_tol}

@@ -43,8 +43,6 @@ __all__ = [
     "v_n",
     "w_n",
     "schur_oracle",
-    "printed_coefficient",
-    "pipeline_table",
 ]
 
 
@@ -228,10 +226,6 @@ class GradedOperator:
             return 0.0
         return self.to_amatrix().norm()
 
-    def max_block_dev(self, other: "GradedOperator") -> float:
-        self._check(other)
-        return self.shared_block_dev(other)
-
     def shared_block_dev(self, other: "GradedOperator") -> float:
         """Deviation on degree pairs representable in both windows."""
         w1, w2 = self.window, other.window
@@ -378,17 +372,6 @@ def schur_oracle(big_n: int, r: int, s: int, l: int, sided: str) -> Fraction:
                 count += 1
         return Fraction(count, big_n + 1)
     raise ConfigurationError(f"unknown sidedness {sided!r}")
-
-
-def printed_coefficient(big_n: int, r: int, s: int) -> Fraction:
-    """The printed tail coefficient min(N-r, N-s)/(N+1) (0 when r or s > N).
-
-    Direct counting gives (min(N-r, N-s)+1)/(N+1) instead; unitality of the
-    two-sided pipeline at r = s forces the +1, so the oracle wins.  The tests
-    compare the two; reports carry the oracle's value."""
-    if r > big_n or s > big_n:
-        return Fraction(0)
-    return Fraction(min(big_n - r, big_n - s), big_n + 1)
 
 
 @dataclass
@@ -555,12 +538,3 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
 
     return LinearMapTable([t_in * d for d in alg.block_dims],
                           [t_out * d for d in alg.block_dims], apply, reads=read_rows)
-
-
-def pipeline_table(spec: CorrespondenceSpec, window: FockWindow,
-                   big_n: int) -> LinearMapTable:
-    """The window-restricted pipeline as a linear map on the flattened window
-    algebra, for CP certification.  The compression reads [0, N] alone."""
-    return window_table(spec, window, window,
-                        lambda x: psi_amplify(compress(x, big_n), window),
-                        reads=FockWindow.one_sided(big_n))

@@ -222,9 +222,6 @@ class AMatrix:
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and (self - self.adjoint()).max_abs() <= DEFAULT_TOL.eq_tol
 
-    def is_positive(self) -> bool:
-        return self.is_hermitian() and self.min_eig() >= -DEFAULT_TOL.psd_tol
-
     def min_eig(self) -> float:
         low = np.inf
         for s in range(self.spec.n_blocks):
@@ -281,11 +278,6 @@ def rank_one(mu: AMatrix, nu: AMatrix) -> AMatrix:
     if mu.cols != 1 or nu.cols != 1:
         raise SpecMismatchError("rank_one expects column vectors")
     return mu @ nu.adjoint()
-
-
-def module_norm(xi: AMatrix) -> float:
-    """Hilbert module norm ||<xi,xi>||^(1/2)."""
-    return float(np.sqrt(max(inner(xi, xi).norm(), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +446,6 @@ class LinearMapTable:
     def apply_flat(self, flat: np.ndarray) -> np.ndarray:
         return self._apply(flat[None], None)[0]
 
-    def domain_identity(self) -> np.ndarray:
-        return np.eye(self.domain_dim, dtype=complex)
-
-    def codomain_identity(self) -> np.ndarray:
-        return np.eye(self.codomain_dim, dtype=complex)
-
     def basis_images(self):
         """Images of the matrix units the map reads, one domain block at a
         time: an (r, r, C, C) array whose [i, j] is the image of e_uv for u,
@@ -612,8 +598,8 @@ def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
 
 def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
     """(||Phi(1) - 1||, ||Phi(1)||): the unital defect and the norm bound."""
-    one_img = table.apply_flat(table.domain_identity())
-    return (spectral_norm(one_img - table.codomain_identity()),
+    one_img = table.apply_flat(np.eye(table.domain_dim, dtype=complex))
+    return (spectral_norm(one_img - np.eye(table.codomain_dim, dtype=complex)),
             spectral_norm(one_img))
 
 

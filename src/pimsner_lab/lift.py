@@ -49,7 +49,6 @@ from .fock import (
 __all__ = [
     "EInftyContext",
     "CPAPCertificate",
-    "einfty_inner",
     "pi_i",
     "toeplitz_infty",
     "lift_defect",
@@ -97,20 +96,6 @@ class EInftyContext:
         return self.spec.amplify(xi, self.level) @ b
 
 
-def einfty_inner(ctx: EInftyContext, x: AMatrix, y: AMatrix, side: str) -> AMatrix:
-    """Inner products of the extended bimodule in level-K coordinates.
-
-    right: <x, y> = sum_i x_i* y_i = x* y in B.
-    left:  the matrix [x_i y_j*] = x y*, an element of M_{n^m}(B)."""
-    if x.rows != y.rows:
-        raise SpecMismatchError("vectors of different module rank")
-    if side == "right":
-        return x.adjoint() @ y
-    if side == "left":
-        return x @ y.adjoint()
-    raise ConfigurationError(f"unknown side {side!r}")
-
-
 def pi_i(spec: CorrespondenceSpec, i: int, t: AMatrix,
          window: FockWindow) -> GradedOperator:
     """Nonunital band representation of K(E^i): acts on the first i tensor
@@ -130,8 +115,8 @@ def toeplitz_infty(ctx: EInftyContext, mu: AMatrix, b: AMatrix,
                    r: int | None = None, s: int | None = None) -> dict:
     """t_{mu (x) b} t_{nu (x) c}* on the extended Fock module, as a dict of
     graded blocks over B keyed by degree pairs (r+k, s+k)."""
-    r = _col_degree(ctx.spec, mu) if r is None else r
-    s = _col_degree(ctx.spec, nu) if s is None else s
+    r = ctx.spec._degree_of(mu.rows) if r is None else r
+    s = ctx.spec._degree_of(nu.rows) if s is None else s
     if r > window.hi or s > window.hi:
         raise ConfigurationError("generator degree exceeds window")
     xb = ctx.vector(mu, b)
@@ -159,8 +144,8 @@ def lift_defect(ctx: EInftyContext, mu: AMatrix, nu: AMatrix,
     B along the tower.  Returns the defect operator together with a support
     report: offsets k >= i must vanish, the compact part sits below i."""
     spec = ctx.spec
-    r = _col_degree(spec, mu) if r is None else r
-    s = _col_degree(spec, nu) if s is None else s
+    r = spec._degree_of(mu.rows) if r is None else r
+    s = spec._degree_of(nu.rows) if s is None else s
     b = ctx.embed_compact(b0, i)
     c = ctx.embed_compact(c0, i)
     lifted = eps_hat_graded(
@@ -187,12 +172,6 @@ def lift_defect(ctx: EInftyContext, mu: AMatrix, nu: AMatrix,
         "pass": max_dev_tail <= DEFAULT_TOL.eq_tol and all(k < i for k in support),
     }
     return defect, report
-
-
-def _col_degree(spec: CorrespondenceSpec, v: AMatrix) -> int:
-    if spec.n == 1:
-        raise ConfigurationError("pass degrees explicitly for n = 1")
-    return spec._degree_of(v.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,20 @@ import pytest
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     choi_cp_check,
+    inner,
     positivity_probe,
     rank_one,
     sample,
 )
 from pimsner_lab.fock import (
     FockWindow,
-    pipeline_table,
     schur_oracle,
-    printed_coefficient,
     toeplitz_op,
     v_n,
     w_n,
 )
 from pimsner_lab.expectation import (
     _sample_matrix,
-    eps_bar,
     eps_hat,
     ex_k,
     ex_k_table,
@@ -37,12 +35,14 @@ from pimsner_lab.lift import (
     EInftyContext,
     bilateral_lift,
     cpap_certificate,
-    einfty_inner,
     factor_tables,
     lift_defect,
 )
 from pimsner_lab.presets import PRESETS, build_preset
 from pimsner_lab.cli import main
+
+from test_batched_maps import pipeline_table
+from test_fock import printed_coefficient
 
 
 SPECS = {name: build_preset(name) for name in PRESETS}
@@ -219,8 +219,6 @@ def test_criterion_05_conditional_expectation_tower():
 def test_criterion_06_induced_expectation_maps():
     """eps-bar contraction ratio <= 1 + 1e-8 over 100 seeded vectors;
     eps-hat unital, CP, with the exact rank-one formula e_{xi.eps(bc*), eta}."""
-    from pimsner_lab.hilbert_mod import module_norm
-
     count = 0
     for name in ("twisted2", "rotation-m2", "cuntz2", "crossed-z3"):
         spec = SPECS[name]
@@ -230,8 +228,9 @@ def test_criterion_06_induced_expectation_maps():
             xi = spec.sample_vector(1, 5000 + t)
             b = _sample_matrix(spec, spec.n ** level, 6000 + t)
             zeta = ctx.vector(xi, b)
-            num = module_norm(eps_bar(spec, level, zeta))
-            den = np.sqrt(max(einfty_inner(ctx, zeta, zeta, "right").norm(), 0.0))
+            eps_bar = eps_hat(spec, level, zeta)  # eps-bar: eps-hat on a column
+            num = np.sqrt(inner(eps_bar, eps_bar).norm())
+            den = np.sqrt((zeta.adjoint() @ zeta).norm())
             assert num <= den * (1.0 + 1e-8) + 1e-12, (name, t)
             count += 1
     assert count == 100

@@ -13,7 +13,6 @@ from pimsner_lab.fock import (
     FockWindow,
     GradedOperator,
     compress,
-    pipeline_table,
     psi_amplify,
     window_table,
 )
@@ -40,6 +39,15 @@ def mixed_spec():
 
 def build(name):
     return mixed_spec() if name == "mixed" else build_preset(name)
+
+
+def pipeline_table(spec, window, big_n):
+    """The window-restricted pipeline Psi_N o phi_N as a linear map on the
+    flattened window algebra, for CP certification.  The compression reads
+    [0, N] alone."""
+    return window_table(spec, window, window,
+                        lambda x: psi_amplify(compress(x, big_n), window),
+                        reads=FockWindow.one_sided(big_n))
 
 
 def window_for(spec):

@@ -142,6 +142,35 @@ def test_internal_error_exit_three(monkeypatch, capsys, error):
     assert err.startswith("internal error: ") and "violation" not in err
 
 
+def test_each_command_validates_once_at_the_run_seed(monkeypatch, tmp_path):
+    """One validation per command, at seed --seed + 11: by the validate
+    suite for validate and report, by main's gate for the other commands,
+    and none at all inside run for those."""
+    seeds = []
+    original = CorrespondenceSpec._validate
+
+    def spy(self, seed):
+        seeds.append(seed)
+        return original(self, seed)
+
+    monkeypatch.setattr(CorrespondenceSpec, "_validate", spy)
+    out = str(tmp_path / "out")
+    assert main(["report", "--preset", "twisted2", "--N", "2", "--seed", "5",
+                 "--out", out]) == 0
+    assert seeds == [16]
+    assert json.loads(Path(out).read_text())["suites"]["validate"]["pass"] is True
+    seeds.clear()
+    assert main(["validate", "--preset", "twisted2", "--out", out]) == 0
+    assert seeds == [11]
+    seeds.clear()
+    assert main(["schur", "--preset", "cuntz2", "--N", "2", "--seed", "3",
+                 "--out", out]) == 0
+    assert seeds == [14]
+    seeds.clear()
+    run("schur", RunConfig(spec=build_preset("cuntz2"), n_values=(2,)))
+    assert seeds == []
+
+
 def test_window_too_small_exit_two(capsys):
     assert main(["schur", "--preset", "cuntz2", "--N", "5", "--M", "3"]) == 2
     assert "window" in capsys.readouterr().err

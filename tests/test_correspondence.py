@@ -76,17 +76,16 @@ def test_tensor_inner_product_identity(spec):
         xi2 = spec.sample_vector(1, 2)
         eta = spec.sample_vector(1, 3)
         eta2 = spec.sample_vector(1, 4)
-        t1 = spec.tensor_vec(xi, eta, eta_degree=1)
-        t2 = spec.tensor_vec(xi2, eta2, eta_degree=1)
         k = 1
     else:
         xi = spec.sample_vector(1, 1)
         xi2 = spec.sample_vector(1, 2)
         eta = spec.sample_vector(2, 3)
         eta2 = spec.sample_vector(2, 4)
-        t1 = spec.tensor_vec(xi, eta)
-        t2 = spec.tensor_vec(xi2, eta2)
         k = 2
+    # xi (x) eta = (xi (x) I_{E^k}) eta, convention C2
+    t1 = spec.amplify(xi, k) @ eta
+    t2 = spec.amplify(xi2, k) @ eta2
     lhs = inner(t1, t2)
     mid = spec.phi_k(inner(xi, xi2), k)
     rhs = inner(eta, mid @ eta2)

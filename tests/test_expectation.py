@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from pimsner_lab.hilbert_mod import AMatrix, module_norm, rank_one, sample
+from pimsner_lab.hilbert_mod import AMatrix, inner, rank_one, sample
 from pimsner_lab.expectation import (
     _sample_matrix,
-    eps_bar,
     eps_hat,
     ex_k,
     ex_k_table,
-    ex_trace,
     verify_cond_exp,
 )
 from pimsner_lab.hilbert_mod import choi_cp_check
+from pimsner_lab import expectation
 from pimsner_lab.lift import EInftyContext
 from pimsner_lab.presets import PRESETS, build_preset
 
@@ -59,6 +58,17 @@ def test_ex_k_equals_trace_on_cuntz(cuntz):
         assert (ex_k(cuntz, k, x) - want).max_abs() < 1e-12
 
 
+def ex_trace(spec, x):
+    """Normalised trace M_n(A) -> A: average of the diagonal entries, 1 x 1,
+    the Ex_1 of U = 1 and alpha = id."""
+    assert x.rows == x.cols
+    n = x.rows
+    out = AMatrix.zeros(spec.algebra, 1, 1)
+    for i in range(n):
+        out = out + x.submatrix(slice(i, i + 1), slice(i, i + 1))
+    return out * (1.0 / n)
+
+
 def _partial_trace_like(spec, x):
     """ex_trace of every 2 x 2 cell of x."""
     out = AMatrix.zeros(spec.algebra, x.rows // 2, x.cols // 2)
@@ -100,6 +110,24 @@ def test_verify_cond_exp_all_presets():
         assert rep["pass"], (name, rep)
 
 
+def test_verify_cond_exp_peels_each_sample_once(monkeypatch):
+    """Ex_k(x) is computed once per sample and reused for the bimodule
+    right-hand side and both factors of the Schwarz term: 4 calls for each
+    of the 5 samples and 2 for each of the 5 tower samples (level + 1 <=
+    max_degree), 30 in all."""
+    calls = []
+    original = expectation.ex_k
+
+    def spy(spec, k, x):
+        calls.append(k)
+        return original(spec, k, x)
+
+    monkeypatch.setattr(expectation, "ex_k", spy)
+    rep = verify_cond_exp(build_preset("twisted2"), 1)
+    assert rep["pass"]
+    assert len(calls) == 30
+
+
 def test_ex_table_is_ucp(cuntz):
     rep = choi_cp_check(ex_k_table(cuntz, 2))
     assert rep.passed
@@ -108,17 +136,17 @@ def test_ex_table_is_ucp(cuntz):
 
 
 def test_eps_bar_contracts():
-    from pimsner_lab.lift import einfty_inner
-
+    """eps-bar, eps-hat on a column over B, is contractive for the module
+    norms ||<zeta, zeta>||^(1/2), with <zeta, zeta> = zeta* zeta in B."""
     spec = build_preset("twisted2")
     ctx = EInftyContext(spec, 1)
     for t in range(20):
         xi = spec.sample_vector(1, 200 + t)
         b = _sample_matrix(spec, 2, 300 + t)
         zeta = ctx.vector(xi, b)
-        out = eps_bar(spec, 1, zeta)
-        num = module_norm(out)
-        den = np.sqrt(max(einfty_inner(ctx, zeta, zeta, "right").norm(), 0.0))
+        out = eps_hat(spec, 1, zeta)
+        num = np.sqrt(inner(out, out).norm())
+        den = np.sqrt((zeta.adjoint() @ zeta).norm())
         assert num <= den * (1.0 + 1e-8) + 1e-12
 
 

@@ -12,13 +12,14 @@ from pimsner_lab.lift import (
     bilateral_lift,
     cpap_certificate,
     eps_hat_graded,
-    einfty_inner,
     factor_tables,
     lift_defect,
     pi_i,
     toeplitz_infty,
 )
 from pimsner_lab.presets import build_preset
+
+from conftest import is_positive
 
 
 @pytest.fixture(scope="module")
@@ -36,21 +37,20 @@ def twisted():
 # ---------------------------------------------------------------------------
 
 def test_inner_products(twisted):
+    """The extended module's inner products in level-K coordinates: the
+    right one <x, y> = x* y in B, the left one [x_i y_j*] = x y*."""
     ctx = EInftyContext(twisted, 1)
     x = ctx.vector(twisted.sample_vector(1, 1), _sample_matrix(twisted, 2, 2))
     y = ctx.vector(twisted.sample_vector(1, 3), _sample_matrix(twisted, 2, 4))
     z = ctx.vector(twisted.sample_vector(1, 5), _sample_matrix(twisted, 2, 6))
-    right = einfty_inner(ctx, x, y, "right")
-    assert (right.adjoint() - einfty_inner(ctx, y, x, "right")).max_abs() < 1e-12
-    assert einfty_inner(ctx, x, x, "right").is_positive()
-    left = einfty_inner(ctx, x, x, "left")
-    assert left.is_positive()
+    right = x.adjoint() @ y
+    assert (right.adjoint() - y.adjoint() @ x).max_abs() < 1e-12
+    assert is_positive(x.adjoint() @ x)
+    assert is_positive(x @ x.adjoint())
     # bimodule link: <x, y>_left z = x <y, z>_right
-    lhs = einfty_inner(ctx, x, y, "left") @ z
-    rhs = x @ einfty_inner(ctx, y, z, "right")
+    lhs = (x @ y.adjoint()) @ z
+    rhs = x @ (y.adjoint() @ z)
     assert (lhs - rhs).max_abs() < 1e-10
-    with pytest.raises(ConfigurationError):
-        einfty_inner(ctx, x, y, "middle")
 
 
 def test_phi_inf1_is_homomorphism(twisted):
@@ -70,7 +70,7 @@ def test_pi_i_is_representation(cuntz):
     t2 = _sample_matrix(cuntz, 2, 22)
     lhs = pi_i(cuntz, 1, t1, w) @ pi_i(cuntz, 1, t2, w)
     rhs = pi_i(cuntz, 1, t1 @ t2, w)
-    assert lhs.max_block_dev(rhs) < 1e-10
+    assert lhs.shared_block_dev(rhs) < 1e-10
     # support starts at degree i
     assert all(i >= 1 and i == j for (i, j) in pi_i(cuntz, 1, t1, w).blocks)
 
@@ -97,7 +97,7 @@ def test_unit_lift_reduces_to_toeplitz(cuntz):
     nu = cuntz.sample_vector(2, 32)
     one = AMatrix.eye(cuntz.algebra, ctx.b_side)
     lifted = eps_hat_graded(ctx, toeplitz_infty(ctx, mu, one, nu, one, w), w)
-    assert lifted.max_block_dev(toeplitz_op(cuntz, mu, nu, w)) < 1e-12
+    assert lifted.shared_block_dev(toeplitz_op(cuntz, mu, nu, w)) < 1e-12
 
 
 @pytest.mark.parametrize("preset", ["cuntz2", "twisted2"])
@@ -217,6 +217,22 @@ def test_certificate_error_within_fejer_bound():
         for g in cert.generators:
             band = abs(g.r - g.s)
             assert g.error <= band / (big_n + 1) * g.norm + 1e-9
+
+
+def test_n1_degrees_are_passed_explicitly():
+    """Every E^k has rank 1 when n = 1, so no degree can be read off a
+    vector: lift_defect and toeplitz_infty without r and s refuse."""
+    spec = build_preset("rotation-m2")
+    w = FockWindow.one_sided(5)
+    ctx = EInftyContext(spec, 2)
+    mu = spec.sample_vector(1, 51)
+    nu = spec.sample_vector(1, 52)
+    b0 = _sample_matrix(spec, 1, 53)
+    c0 = _sample_matrix(spec, 1, 54)
+    with pytest.raises(ConfigurationError):
+        lift_defect(ctx, mu, nu, b0, c0, 1, w)
+    with pytest.raises(ConfigurationError):
+        toeplitz_infty(ctx, mu, b0, nu, c0, w, r=1)
 
 
 def test_window_too_small_rejected(cuntz):
