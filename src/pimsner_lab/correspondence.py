@@ -221,20 +221,18 @@ class CorrespondenceSpec:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, seed: int = 11) -> dict:
-        """Check the correspondence axioms; returns a report dict."""
-        return self._validate(seed)[0]
-
     def validate_or_raise(self, seed: int = 11) -> dict:
-        """:meth:`validate`, raising a ValidationError that names each failing
-        check and its value when any fails."""
+        """Check the correspondence axioms and return the report dict;
+        raise a ValidationError that names each failing check and its value
+        when any fails."""
         rep, violated = self._validate(seed)
         if violated:
             raise ValidationError(f"correspondence axioms violated: {violated}")
         return rep
 
     def _validate(self, seed: int) -> tuple[dict, dict]:
-        """(the report of :meth:`validate`, the failing checks and values)."""
+        """(the report of :meth:`validate_or_raise`, the failing checks and
+        values)."""
         checks = {}
         u = self.unitary
         eye_n = AMatrix.eye(self.algebra, self.n)

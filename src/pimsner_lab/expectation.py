@@ -150,13 +150,15 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
 
 def _sample_matrix(spec: CorrespondenceSpec, side: int, seed: int) -> AMatrix:
     """Random side x side matrix over A whose (i, j) entry is
-    ``sample(A, "element", seed * 613 + i * side + j)``, its blocks copied
-    straight into the (side, side, d, d) arrays."""
-    blocks = [np.empty((side, side, d, d), dtype=complex)
-              for d in spec.algebra.block_dims]
+    ``sample(A, "element", seed * 613 + i * side + j)``: that entry's
+    generator draws, per algebra block, the real and then the imaginary
+    (d, d) part straight into the (side, side, d, d) arrays."""
+    dims = spec.algebra.block_dims
+    blocks = [np.empty((side, side, d, d), dtype=complex) for d in dims]
     for i in range(side):
         for j in range(side):
-            x = sample(spec.algebra, "element", seed * 613 + i * side + j)
-            for out, b in zip(blocks, x.blocks):
-                out[i, j] = b[0, 0]
+            rng = np.random.default_rng(seed * 613 + i * side + j)
+            for out, d in zip(blocks, dims):
+                out[i, j].real = rng.standard_normal((d, d))
+                out[i, j].imag = rng.standard_normal((d, d))
     return AMatrix(spec.algebra, side, side, blocks)

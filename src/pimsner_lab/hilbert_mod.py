@@ -8,15 +8,18 @@ norms of A-matrices are *defined* through :meth:`AMatrix.flatten`, which is
 a faithful unital *-homomorphism onto block-diagonal complex matrices.
 
 Complete positivity of linear maps between such flattened matrix spaces is
-certified either by assembling Choi matrices per algebra block (exact, for
-small sides) or by a randomized positivity probe (necessary condition only).
+certified either by the Choi matrix of each domain block (exact, for small
+sides) or by a randomized positivity probe (necessary condition only).
 A map that reads only some rows and columns of its domain
 (``LinearMapTable.reads``) is checked on that corner alone, once a seeded
 test of the promise passes.
 Eigenvalues are solved exactly per connected component of the matrix's
-nonzero pattern (these Choi matrices are almost diagonal), and serialized
-on a grid derived from ``psd_tol`` (:func:`tol_grid`) so reports do not
-depend on BLAS threads.
+nonzero pattern, and serialized on a grid derived from ``psd_tol``
+(:func:`tol_grid`) so reports do not depend on BLAS threads.  The Choi
+matrices are almost diagonal, so a Choi check keeps only their nonzero
+entries: a row linked to no other is a 1 x 1 component read off the
+diagonal, and the linked rows alone are gathered into one dense matrix
+(see :func:`_choi_min_eig`).
 The checks need only the least eigenvalue, so one running minimum is carried
 through every component, probe trial, domain block and algebra block, and a
 component is solved only when a Cholesky screen cannot rule out that it sets
@@ -214,13 +217,6 @@ class AMatrix:
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(b))) if b.size else 0.0 for b in self.blocks)
-
-    def allclose(self, other: "AMatrix", atol: float = DEFAULT_TOL.eq_tol) -> bool:
-        self._check(other)
-        return (self - other).max_abs() <= atol
-
-    def is_hermitian(self) -> bool:
-        return self.rows == self.cols and (self - self.adjoint()).max_abs() <= DEFAULT_TOL.eq_tol
 
     def min_eig(self) -> float:
         low = np.inf
@@ -448,29 +444,27 @@ class LinearMapTable:
 
     def basis_images(self):
         """Images of the matrix units the map reads, one domain block at a
-        time: an (r, r, C, C) array whose [i, j] is the image of e_uv for u,
-        v the i-th and j-th entries of the block's ``reads``.  Every other
-        unit's image is zero by the ``reads`` promise, so these are the
-        nonzero rows and columns of the block's Choi matrix.  It is built
-        with one ``apply`` per row u, hinted with the flat row ``off + u``
-        that holds the row's unit stack, as a view of storage in Choi order,
-        so the Choi matrix is a reshape that copies nothing; each block is
-        released before the next one is built."""
-        n = self.domain_dim
-        c = self.codomain_dim
+        time: for each block, an iterator over its read rows u, in order,
+        that yields the (r, C, C) stack whose [j] is the image of e_uv for v
+        the j-th entry of the block's ``reads``.  Every other unit's image is
+        zero by the ``reads`` promise, so these are the nonzero rows of the
+        block's Choi matrix.  Each stack is the result of one ``apply``,
+        hinted with the flat row ``off + u`` that holds the row's unit stack;
+        that unit stack is rewritten for the next row once the iterator is
+        advanced."""
         off = 0
         for m, rows in zip(self.domain_sides, self.reads):
-            r = rows.size
-            choi = np.empty((r, c, r, c), dtype=complex)
-            units = np.zeros((r, n, n), dtype=complex)
-            stack, cols = np.arange(r), off + rows
-            for i, u in enumerate(rows.tolist()):
-                units[stack, off + u, cols] = 1.0
-                choi[i] = self.apply(units, off + u).transpose(1, 0, 2)
-                units[stack, off + u, cols] = 0.0
-            yield choi.transpose(0, 2, 1, 3)
-            del choi
+            yield self._row_images(off, rows)
             off += m
+
+    def _row_images(self, off: int, rows: np.ndarray):
+        n = self.domain_dim
+        units = np.zeros((rows.size, n, n), dtype=complex)
+        stack, cols = np.arange(rows.size), off + rows
+        for u in rows.tolist():
+            units[stack, off + u, cols] = 1.0
+            yield self.apply(units, off + u)
+            units[stack, off + u, cols] = 0.0
 
     def compose(self, inner_map: "LinearMapTable") -> "LinearMapTable":
         """self o inner_map, which reads what the inner map reads."""
@@ -486,10 +480,11 @@ class LinearMapTable:
 
 
 def choi_cp_check(table: LinearMapTable, choi_cap: int = CHOI_CAP) -> CPReport:
-    """Exact CP check: per domain block assemble the Choi matrix and test PSD.
+    """Exact CP check: per domain block, test the Choi matrix for PSD from
+    its nonzero entries (:func:`_choi_min_eig`).
 
     The cap applies to the full side m c.  Only the (r c)-side corner of the
-    rows in ``reads`` is assembled and eigen-solved: the other rows of the
+    rows in ``reads`` is read and eigen-solved: the other rows of the
     Choi matrix are zero (Choi 1975; C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so
     a table that reads less than its domain adds the eigenvalue 0.  Such a
     table first has its ``reads`` tested (:func:`_reads_check`)."""
@@ -499,16 +494,73 @@ def choi_cp_check(table: LinearMapTable, choi_cap: int = CHOI_CAP) -> CPReport:
             raise ChoiCapExceeded(
                 f"Choi side {m * c} exceeds cap {choi_cap}; use positivity_probe")
     reads = _reads_check(table)
-    # the zero rows outside ``reads`` hold the eigenvalue 0
-    min_eig = 0.0 if table.restricted else np.inf
-    herm_dev = 0.0
-    for arr in table.basis_images():
-        r = arr.shape[0]
-        choi = arr.transpose(0, 2, 1, 3).reshape(r * c, r * c)
-        min_eig, dev = _hermitian_min_eig(choi, min_eig)
-        del arr, choi  # one block's images alive at a time
-        herm_dev = max(herm_dev, dev)
+    min_eig, herm_dev = _choi_min_eig(table)
     return _cp_report(table, "choi", reads, min_eig, herm_dev, "")
+
+
+def _choi_min_eig(table: LinearMapTable) -> tuple[float, float]:
+    """(least eigenvalue, max |C - C*|) over the Choi matrices C of the
+    table's domain blocks, as :func:`_hermitian_min_eig` finds them on each
+    dense C, with a running minimum carried from block to block.
+
+    No dense C is formed.  Each row's image stack from ``basis_images`` is
+    cut down to its nonzero flat indices and values at once, and a block's
+    entries are decoded into Choi rows and columns in one pass.  A row with
+    no off-diagonal nonzero in its row or column is a 1 x 1 component: it
+    adds its diagonal entry, or 0 where that is absent.  The other rows
+    form one dense principal submatrix, which ``_hermitian_min_eig`` splits
+    into the same components, with the same entries and in the same order,
+    as it would split C."""
+    c = table.codomain_dim
+    # the zero rows outside ``reads`` hold the eigenvalue 0
+    low = 0.0 if table.restricted else np.inf
+    herm_dev = 0.0
+    for rows, images in zip(table.reads, table.basis_images()):
+        flat_idx, values = [], []
+        for stack in images:
+            flat = stack.reshape(-1)
+            k = np.flatnonzero(flat != 0)  # faster than on complex values
+            flat_idx.append(k)
+            values.append(flat[k])
+        counts = [k.size for k in flat_idx]
+        k = np.concatenate(flat_idx) if counts else np.zeros(0, dtype=np.intp)
+        val = np.concatenate(values) if counts else np.zeros(0, dtype=complex)
+        # flat index k of row i's (r, c, c) stack is (j, a, b): Choi entry
+        # ((i, a), (j, b)) = Phi(e_{u_i u_j})[a, b]
+        j, ab = np.divmod(k, c * c)
+        a, b = np.divmod(ab, c)
+        row = np.repeat(np.arange(rows.size) * c, counts) + a
+        col = j * c + b
+        low, dev = _sparse_hermitian_min_eig(row, col, val, rows.size * c, low)
+        herm_dev = max(herm_dev, dev)
+    return low, herm_dev
+
+
+def _sparse_hermitian_min_eig(row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                              side: int, bound: float) -> tuple[float, float]:
+    """:func:`_hermitian_min_eig` of the side x side matrix whose nonzero
+    entries are ``val`` at (``row``, ``col``), each position at most once,
+    from those entries alone."""
+    off_diag = row != col
+    linked = np.zeros(side, dtype=bool)
+    linked[row[off_diag]] = True
+    linked[col[off_diag]] = True
+    on_diag = ~off_diag
+    diag = np.zeros(side, dtype=complex)
+    diag[row[on_diag]] = val[on_diag]
+    diag = diag[~linked]
+    low = min(bound, float(diag.real.min())) if diag.size else bound
+    herm_dev = float(2 * np.abs(diag.imag).max()) if diag.size else 0.0
+    # an entry in a linked row has a linked column: off the diagonal it
+    # links that column too
+    idx = np.flatnonzero(linked)
+    pos = np.zeros(side, dtype=np.intp)
+    pos[idx] = np.arange(idx.size)
+    keep = linked[row]
+    sub = np.zeros((idx.size, idx.size), dtype=complex)
+    sub[pos[row[keep]], pos[col[keep]]] = val[keep]
+    low, dev = _hermitian_min_eig(sub, low)
+    return low, max(herm_dev, dev)
 
 
 def _cp_report(table: LinearMapTable, method: str, reads: tuple[bool, str],

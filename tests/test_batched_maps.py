@@ -120,27 +120,32 @@ def test_batched_maps_equal_graded_operator_path(spec_name, name):
 
 @pytest.mark.parametrize("spec_name, name", CASES)
 def test_basis_images_equal_per_unit_loop(spec_name, name):
-    """basis_images holds the images of the units in reads x reads, one
-    (r, r, c, c) array per domain block; every other unit's image is exactly
-    zero, so those are all the nonzero rows of the Choi matrix."""
+    """basis_images yields, per domain block and per row u in reads, the
+    (r, c, c) images of the units e_uv for v in reads; every other unit's
+    image is exactly zero, so those are all the nonzero rows of the Choi
+    matrix."""
     spec = build(spec_name)
     table, _ = reference_maps(spec, window_for(spec))[name]
     n, c = table.domain_dim, table.codomain_dim
-    blocks = list(table.basis_images())
-    assert [b.shape for b in blocks] == [(r.size, r.size, c, c) for r in table.reads]
+    blocks = table.basis_images()
     off = 0
-    for m, rows, arr in zip(table.domain_sides, table.reads, blocks):
-        where = {u: i for i, u in enumerate(rows.tolist())}
+    for m, rows in zip(table.domain_sides, table.reads):
+        stacks = iter(next(blocks))
         for u in range(m):
+            stack = next(stacks) if u in rows else None
+            assert stack is None or stack.shape == (rows.size, c, c)
             for v in range(m):
                 unit = np.zeros((n, n), dtype=complex)
                 unit[off + u, off + v] = 1.0
                 image = table.apply_flat(unit)
-                if u in where and v in where:
-                    assert np.max(np.abs(arr[where[u], where[v]] - image)) <= 1e-12
+                if stack is not None and v in rows:
+                    j = int(np.searchsorted(rows, v))
+                    assert np.max(np.abs(stack[j] - image)) <= 1e-12
                 else:
                     assert not image.any()
+        assert next(stacks, None) is None
         off += m
+    assert next(blocks, None) is None
 
 
 def test_factor_maps_read_the_compressed_window():
@@ -243,18 +248,21 @@ def test_stacked_amatrix_acts_per_element(spec_name):
 def test_identity_map_basis_images_are_the_matrix_units(spec_name):
     """from_flat's blocks are views of the unit stack that basis_images
     rewrites row by row; a map that handed such a view back would see its
-    images overwritten.  The identity window map must return every unit."""
+    images overwritten.  The identity window map must return every unit,
+    and each row's stack must still hold its units after every later row
+    has been built."""
     spec = build(spec_name)
     window = FockWindow.two_sided_sym(1) if spec.n == 1 else FockWindow.one_sided(2)
     table = window_table(spec, window, window, lambda g: g.restrict(window))
     n = table.domain_dim
     off = 0
-    for m, arr in zip(table.domain_sides, table.basis_images()):
-        units = np.zeros((m, m, n, n), dtype=complex)
-        rows = np.arange(m)[:, None]
-        cols = np.arange(m)[None, :]
-        units[rows, cols, off + rows, off + cols] = 1.0
-        assert np.array_equal(arr, units)
+    for m, images in zip(table.domain_sides, table.basis_images()):
+        stacks = list(images)
+        assert len(stacks) == m
+        for u, stack in enumerate(stacks):
+            units = np.zeros((m, n, n), dtype=complex)
+            units[np.arange(m), off + u, off + np.arange(m)] = 1.0
+            assert np.array_equal(stack, units)
         off += m
 
 

@@ -9,6 +9,7 @@ from pimsner_lab.hilbert_mod import AMatrix, inner, sample
 from pimsner_lab.correspondence import ValidationError, default_max_degree
 from pimsner_lab.presets import PRESETS, build_preset
 
+from conftest import allclose, validate
 from test_peel import correspondences
 
 
@@ -18,7 +19,7 @@ def spec(request):
 
 
 def test_presets_validate(spec):
-    report = spec.validate(seed=11)
+    report = validate(spec, seed=11)
     assert report["pass"], report["checks"]
 
 
@@ -101,7 +102,7 @@ def test_bimodule_amplification_invertible():
     a = sample(spec.algebra, "element", 10)
     lhs = spec.phi1(a)
     rhs = spec.beta.apply(a)
-    assert lhs.allclose(rhs, 1e-12)
+    assert allclose(lhs, rhs, 1e-12)
 
 
 def test_rotation_m2_amplify_matches_pinned_values():
@@ -182,7 +183,7 @@ def test_validate_negative_control():
     good = build_preset("cuntz2")
     import dataclasses
     bad = dataclasses.replace(good, unitary=good.unitary * 2.0)
-    report = bad.validate()
+    report = validate(bad)
     assert not report["pass"]
     assert abs(report["checks"]["unitarity"] - 3.0) < 1e-9
     with pytest.raises(ValidationError):

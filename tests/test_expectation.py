@@ -16,6 +16,7 @@ from pimsner_lab import expectation
 from pimsner_lab.lift import EInftyContext
 from pimsner_lab.presets import PRESETS, build_preset
 
+from conftest import allclose
 from test_batched_maps import build
 from test_hilbert_mod import set_entry
 
@@ -28,15 +29,20 @@ def cuntz():
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])
 def test_sample_matrix_entries_are_seeded_samples(name):
     """Entry (i, j) is sample(A, "element", seed * 613 + i * side + j) to the
-    bit, so the expectation reports keep their bytes."""
+    bit, so the expectation reports keep their bytes: the blocks equal, byte
+    for byte, those of the per-entry loop of ``sample`` calls, at the sides
+    the suites draw (fibre dimensions and n^level up to level 3)."""
     spec = build(name)
-    for side, seed in ((1, 3), (3, 11)):
+    for side, seed in ((1, 3), (2, 25), (3, 11), (spec.n ** 3, 43)):
         got = _sample_matrix(spec, side, seed)
+        want = [np.empty_like(b) for b in got.blocks]
         for i in range(side):
             for j in range(side):
-                want = sample(spec.algebra, "element", seed * 613 + i * side + j)
-                assert all(g[i, j].tobytes() == w[0, 0].tobytes()
-                           for g, w in zip(got.blocks, want.blocks))
+                x = sample(spec.algebra, "element", seed * 613 + i * side + j)
+                for w, b in zip(want, x.blocks):
+                    w[i, j] = b[0, 0]
+        assert (got.rows, got.cols) == (side, side)
+        assert [g.tobytes() for g in got.blocks] == [w.tobytes() for w in want]
 
 
 def test_trace_collapse_on_cuntz(cuntz):
@@ -46,7 +52,7 @@ def test_trace_collapse_on_cuntz(cuntz):
     x.blocks[0][0, 0] = 1.0
     x.blocks[0][1, 1] = 3.0
     got = ex_k(cuntz, 1, x)
-    assert got.allclose(AMatrix.eye(cuntz.algebra, 1) * 2.0, 1e-12)
+    assert allclose(got, AMatrix.eye(cuntz.algebra, 1) * 2.0, 1e-12)
 
 
 def test_ex_k_equals_trace_on_cuntz(cuntz):
@@ -85,7 +91,7 @@ def test_bimodule_case_inverts_effective_automorphism():
         spec = build_preset(name)
         a = sample(spec.algebra, "element", 7)
         x = spec.beta.apply(a)
-        assert ex_k(spec, 1, x).allclose(a, 1e-12)
+        assert allclose(ex_k(spec, 1, x), a, 1e-12)
 
 
 def test_ex_undoes_left_action():
@@ -94,7 +100,7 @@ def test_ex_undoes_left_action():
         a = sample(spec.algebra, "element", 19)
         for k in (1, 2):
             got = ex_k(spec, k, spec.phi_k(a, k))
-            assert got.allclose(a, 1e-10), name
+            assert allclose(got, a, 1e-10), name
 
 
 def test_tower_compatibility():

@@ -17,7 +17,7 @@ from pimsner_lab.hilbert_mod import (
     sample,
 )
 
-from conftest import is_positive
+from conftest import allclose, is_positive
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ def test_submatrix_and_entries(algebra):
     x = random_amatrix(algebra, 4, 4, 31)
     sub = x.submatrix(slice(1, 3), slice(0, 2))
     assert (sub.rows, sub.cols) == (2, 2)
-    assert entry(sub, 0, 0).allclose(entry(x, 1, 0), 0.0)
+    assert allclose(entry(sub, 0, 0), entry(x, 1, 0), 0.0)
 
 
 # ---------------------------------------------------------------------------
