@@ -38,7 +38,6 @@ from .fock import (
     schur_oracle,
     toeplitz_op,
     v_n,
-    w_n,
 )
 from .expectation import eps_hat, ex_k, verify_cond_exp
 from .lift import (

@@ -29,7 +29,7 @@ import numpy as np
 
 from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
 from .correspondence import CorrespondenceSpec, ValidationError
-from .fock import FockWindow, v_n, w_n
+from .fock import FockWindow, v_n
 from .expectation import _sample_matrix, verify_cond_exp
 from .hilbert_mod import CHOI_CAP, tol_grid
 from .lift import (
@@ -121,7 +121,8 @@ def suite_validate(cfg: RunConfig) -> dict:
 
 
 def suite_schur(cfg: RunConfig):
-    """V_N/W_N tables against the counting oracle over the (N, r, s) grid."""
+    """Schur tables against the counting oracle over the (N, r, s) grid: V_N
+    on one-sided windows, W_N on two-sided ones."""
     spec = cfg.spec
     rows = []
     worst = 0.0
@@ -134,10 +135,7 @@ def suite_schur(cfg: RunConfig):
                 gseed = cfg.seed + 7001 * r + 31 * s + 1
                 mu = spec.sample_vector(r, gseed)
                 nu = spec.sample_vector(s, gseed + 1)
-                if spec.n == 1:
-                    _, got = w_n(spec, mu, nu, big_n, window, r=r, s=s)
-                else:
-                    _, got = v_n(spec, mu, nu, big_n, window, r=r, s=s)
+                _, got = v_n(spec, mu, nu, big_n, window, r, s)
                 rows.extend(got)
                 worst = max(worst, max(g.abs_err for g in got))
     report = {
@@ -149,24 +147,25 @@ def suite_schur(cfg: RunConfig):
 
 
 def suite_lift_check(cfg: RunConfig) -> dict:
-    """Defect vanishing on the extended module; bimodule lift when n = 1."""
+    """Defect vanishing on the extended module; bimodule lift when n = 1.
+    Degree pairs that a suite's window cannot hold are skipped."""
     spec = cfg.spec
     window = FockWindow.one_sided(min(5, spec.max_degree))
     defects = []
     degree_pairs = [(1, 0), (1, 1), (2, 1)]
-    for level in (1, 2):
-        for i in (1, min(2, level)):
-            if i > level or level > spec.max_degree:
-                continue
-            ctx = EInftyContext(spec, level)
+    for level in range(1, min(2, spec.max_degree) + 1):
+        ctx = EInftyContext(spec, level)
+        for i in range(1, level + 1):
             for idx, (r, s) in enumerate(degree_pairs):
+                if max(r, s) > window.hi:
+                    continue
                 gseed = cfg.seed + 53 * level + 17 * i + idx
                 mu = spec.sample_vector(r, gseed)
                 nu = spec.sample_vector(s, gseed + 1)
                 side = spec.fiber_dim(i)
                 b0 = _sample_matrix(spec, side, gseed + 2)
                 c0 = _sample_matrix(spec, side, gseed + 3)
-                _, rep = lift_defect(ctx, mu, nu, b0, c0, i, window, r=r, s=s)
+                _, rep = lift_defect(ctx, mu, nu, b0, c0, i, window, r, s)
                 defects.append(rep)
     out = {
         "defect": {
@@ -179,6 +178,8 @@ def suite_lift_check(cfg: RunConfig) -> dict:
         lifts = []
         for r in range(cfg.band + 1):
             for s in range(cfg.band + 1):
+                if max(r, s) > two.hi:
+                    continue
                 gseed = cfg.seed + 101 * r + 13 * s
                 mu = spec.sample_vector(r, gseed)
                 nu = spec.sample_vector(s, gseed + 1)

@@ -32,7 +32,6 @@ from .star_core import (
     Automorphism,
     ConfigurationError,
     DEFAULT_TOL,
-    SpecMismatchError,
     Tolerances,
 )
 from .hilbert_mod import AMatrix, inner, matrix_units, sample
@@ -127,12 +126,6 @@ class CorrespondenceSpec:
                             tuple(b[0, 0] for b in self.unitary.blocks))
         return ad_u.compose(self.alphas[0])
 
-    @property
-    def beta(self) -> Automorphism:
-        if self.n != 1:
-            raise ConfigurationError("effective automorphism only exists for n = 1")
-        return self._beta
-
     def _build_phi1_units(self):
         """phi_1 images of the matrix-unit basis of A, one matrix per target
         block t: row (s, u, v) holds block t of phi_1(e^s_{uv}) as an
@@ -177,7 +170,7 @@ class CorrespondenceSpec:
     def phi_k(self, a: AMatrix, k: int) -> AMatrix:
         """The embedding A -> M_{n^k}(A) of a in A (1 x 1); phi_0 = id."""
         if k < 0 or k > self.max_degree:
-            raise ConfigurationError(f"degree {k} outside cache limit {self.max_degree}")
+            raise ConfigurationError(f"degree {k} outside [0, max_degree={self.max_degree}]")
         return self.amplify(a, k)
 
     def phi_k_direct(self, a: AMatrix, k: int) -> AMatrix:
@@ -199,21 +192,9 @@ class CorrespondenceSpec:
             raise ConfigurationError("negative degrees require n = 1")
         return self.n ** k
 
-    def _degree_of(self, rank: int) -> int:
-        if self.n == 1:
-            raise ConfigurationError("degree of an n = 1 vector is ambiguous; pass it explicitly")
-        k = 0
-        r = rank
-        while r > 1:
-            if r % self.n:
-                raise SpecMismatchError(f"rank {rank} is not a power of n = {self.n}")
-            r //= self.n
-            k += 1
-        return k
-
     def sample_vector(self, degree: int, seed: int) -> AMatrix:
         """Seeded unit-norm module vector in E^degree (column AMatrix)."""
-        rows = [sample(self.algebra, "element", seed * 7919 + i)
+        rows = [sample(self.algebra, seed * 7919 + i)
                 for i in range(self.fiber_dim(degree))]
         v = AMatrix._new(self.algebra, len(rows), 1,
                          [np.concatenate(bs) for bs in zip(*(x.blocks for x in rows))])
@@ -238,8 +219,8 @@ class CorrespondenceSpec:
         eye_n = AMatrix.eye(self.algebra, self.n)
         checks["unitarity"] = (u.adjoint() @ u - eye_n).norm()
         checks["unitality"] = (self.phi1(AMatrix.eye(self.algebra, 1)) - eye_n).max_abs()
-        a = sample(self.algebra, "element", seed)
-        b = sample(self.algebra, "element", seed + 1)
+        a = sample(self.algebra, seed)
+        b = sample(self.algebra, seed + 1)
         checks["multiplicativity"] = (
             self.phi1(a @ b) - self.phi1(a) @ self.phi1(b)).max_abs()
         checks["star_property"] = (
@@ -254,8 +235,8 @@ class CorrespondenceSpec:
         checks["faithfulness_min_sv"] = float(sv.min())
         aut_dev = 0.0
         for al in self.alphas:
-            x = sample(self.algebra, "element", seed + 2)
-            y = sample(self.algebra, "element", seed + 3)
+            x = sample(self.algebra, seed + 2)
+            y = sample(self.algebra, seed + 3)
             aut_dev = max(aut_dev, (al.apply(x @ y) - al.apply(x) @ al.apply(y)).max_abs())
             aut_dev = max(aut_dev, (al.inverse().apply(al.apply(x)) - x).max_abs())
         checks["automorphisms"] = aut_dev

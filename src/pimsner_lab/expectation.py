@@ -116,8 +116,8 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
     dev_id = dev_bimod = 0.0
     schwarz_min = np.inf
     for t in range(COND_EXP_SAMPLES):
-        a = sample(spec.algebra, "element", seed + 10 * t)
-        b = sample(spec.algebra, "element", seed + 10 * t + 1)
+        a = sample(spec.algebra, seed + 10 * t)
+        b = sample(spec.algebra, seed + 10 * t + 1)
         x = _sample_matrix(spec, nk, seed + 10 * t + 2)
         dev_id = max(dev_id, (ex_k(spec, level, spec.phi_k(a, level)) - a).max_abs())
         lhs = ex_k(spec, level,
@@ -150,7 +150,7 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
 
 def _sample_matrix(spec: CorrespondenceSpec, side: int, seed: int) -> AMatrix:
     """Random side x side matrix over A whose (i, j) entry is
-    ``sample(A, "element", seed * 613 + i * side + j)``: that entry's
+    ``sample(A, seed * 613 + i * side + j)``: that entry's
     generator draws, per algebra block, the real and then the imaginary
     (d, d) part straight into the (side, side, d, d) arrays."""
     dims = spec.algebra.block_dims

@@ -41,7 +41,6 @@ __all__ = [
     "compress",
     "psi_amplify",
     "v_n",
-    "w_n",
     "schur_oracle",
 ]
 
@@ -162,13 +161,6 @@ class GradedOperator:
         return GradedOperator(self.spec, self.window,
                               {(j, i): v.adjoint() for (i, j), v in self.blocks.items()})
 
-    @classmethod
-    def identity(cls, spec: CorrespondenceSpec, window: FockWindow) -> "GradedOperator":
-        out = cls(spec, window)
-        for d in window.degrees():
-            out.set_block(d, d, AMatrix.eye(spec.algebra, spec.fiber_dim(d)))
-        return out
-
     # -- metrics -----------------------------------------------------------
 
     def to_amatrix(self, out: AMatrix | None = None) -> AMatrix:
@@ -225,17 +217,6 @@ class GradedOperator:
         if not self.blocks:
             return 0.0
         return self.to_amatrix().norm()
-
-    def shared_block_dev(self, other: "GradedOperator") -> float:
-        """Deviation on degree pairs representable in both windows."""
-        w1, w2 = self.window, other.window
-        lo, hi = max(w1.lo, w2.lo), min(w1.hi, w2.hi)
-        dev = 0.0
-        keys = {k for k in (set(self.blocks) | set(other.blocks))
-                if lo <= k[0] <= hi and lo <= k[1] <= hi}
-        for i, j in keys:
-            dev = max(dev, (self.block(i, j) - other.block(i, j)).max_abs())
-        return dev
 
     def __repr__(self):
         return (f"GradedOperator(window=[{self.window.lo},{self.window.hi}], "
@@ -295,7 +276,7 @@ def band_op(spec: CorrespondenceSpec, x: AMatrix, r: int, s: int,
 
 
 def creation_op(spec: CorrespondenceSpec, xi: AMatrix, window: FockWindow,
-                r: int = 1) -> GradedOperator:
+                r: int) -> GradedOperator:
     """t_xi: eta -> xi (x) eta for xi in E^r, blocks (r+k, k)."""
     if xi.cols != 1 or xi.rows != spec.fiber_dim(r):
         raise SpecMismatchError(f"creation vector must lie in E^{r}")
@@ -303,12 +284,9 @@ def creation_op(spec: CorrespondenceSpec, xi: AMatrix, window: FockWindow,
 
 
 def toeplitz_op(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
-                window: FockWindow, r: int | None = None,
-                s: int | None = None) -> GradedOperator:
+                window: FockWindow, r: int, s: int) -> GradedOperator:
     """t_mu t_nu* (one-sided) or s_mu s_nu* (two-sided): the band of
-    e_{mu,nu} at degrees (r, s)."""
-    r = spec._degree_of(mu.rows) if r is None else r
-    s = spec._degree_of(nu.rows) if s is None else s
+    e_{mu,nu} at degrees (r, s), for mu in E^r and nu in E^s."""
     return band_op(spec, rank_one(mu, nu), r, s, window)
 
 
@@ -442,12 +420,16 @@ def _rows(arrs: list) -> np.ndarray:
     return (np.stack(arrs) if len(arrs) > 1 else arrs[0][None]).reshape(len(arrs), -1)
 
 
-def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
-                   big_n: int, window: FockWindow, r: int, s: int, sided: str):
-    """Psi_N o phi_N on the band of e_{mu,nu}, with one Schur row per band
-    offset: the output block measured against the band block itself."""
+def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
+        window: FockWindow, r: int, s: int):
+    """Psi_N o phi_N on the band of e_{mu,nu} at degrees (r, s), with one
+    Schur row per band offset: the output block measured against the band
+    block itself.  A one-sided window gives the Pimsner pipeline V_N; a
+    two-sided one (n = 1 only) the bimodule pipeline W_N, whose representable
+    offsets all carry the same coefficient."""
     eq_tol = DEFAULT_TOL.eq_tol
-    top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
+    sided = "two" if window.two_sided else "one"
+    top = toeplitz_op(spec, mu, nu, window, r, s)
     out = psi_amplify(compress(top, big_n), window)
     off_band = max((v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r),
                    default=0.0)  # a Schur multiplier maps the band into itself
@@ -466,27 +448,6 @@ def _schur_measure(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
         rows.append(SchurRow(big_n, r, s, l, expected, c.real,
                              abs(c.real - float(expected)), sided))
     return out, rows
-
-
-def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
-        window: FockWindow, r: int | None = None, s: int | None = None):
-    """One-sided pipeline Psi_N o phi_N on t_mu t_nu*, with measured Schur rows."""
-    if window.two_sided:
-        raise ConfigurationError("one-sided pipeline needs a one-sided window")
-    r = spec._degree_of(mu.rows) if r is None else r
-    s = spec._degree_of(nu.rows) if s is None else s
-    return _schur_measure(spec, mu, nu, big_n, window, r, s, "one")
-
-
-def w_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
-        window: FockWindow, r: int, s: int):
-    """Two-sided pipeline (n = 1 only): every representable offset carries the
-    same coefficient; there is no perturbation term."""
-    if spec.n != 1:
-        raise ConfigurationError("two-sided pipeline requires n = 1")
-    if not window.two_sided:
-        raise ConfigurationError("two-sided pipeline needs a two-sided window")
-    return _schur_measure(spec, mu, nu, big_n, window, r, s, "two")
 
 
 # ---------------------------------------------------------------------------

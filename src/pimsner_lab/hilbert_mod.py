@@ -228,26 +228,12 @@ class AMatrix:
         return f"AMatrix({self.rows}x{self.cols}, dims={self.spec.block_dims})"
 
 
-def sample(spec: AlgebraSpec, kind: str, seed: int) -> AMatrix:
-    """Deterministic random element of A (a 1 x 1 AMatrix) of the requested kind."""
+def sample(spec: AlgebraSpec, seed: int) -> AMatrix:
+    """Deterministic random element of A (a 1 x 1 AMatrix): per algebra
+    block, a real and then an imaginary standard normal (d, d) draw."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for d in spec.block_dims:
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if kind == "element":
-            blocks.append(z)
-        elif kind == "hermitian":
-            blocks.append((z + z.conj().T) / 2)
-        elif kind == "positive":
-            blocks.append(z.conj().T @ z / d)
-        elif kind == "unitary":
-            q, r = np.linalg.qr(z)
-            # fix the phase ambiguity of QR so the result is seed-stable
-            ph = np.diag(r).copy()
-            ph[ph == 0] = 1.0
-            blocks.append(q * (ph / np.abs(ph)))
-        else:
-            raise ConfigurationError(f"unknown sample kind {kind!r}")
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for d in spec.block_dims]
     return AMatrix._new(spec, 1, 1, [b[None, None] for b in blocks])
 
 
@@ -372,10 +358,6 @@ def _components(link: np.ndarray, todo: np.ndarray):
         yield np.flatnonzero(members)
 
 
-class ChoiCapExceeded(RuntimeError):
-    """Choi side would exceed the cap; use positivity_probe instead."""
-
-
 class LinearMapTable:
     """Linear map between flattened matrix spaces, defined on the matrix-unit
     basis of the domain.
@@ -466,33 +448,17 @@ class LinearMapTable:
             yield self.apply(units, off + u)
             units[stack, off + u, cols] = 0.0
 
-    def compose(self, inner_map: "LinearMapTable") -> "LinearMapTable":
-        """self o inner_map, which reads what the inner map reads."""
-        if inner_map.codomain_sides != self.domain_sides:
-            raise SpecMismatchError("composition shape chain mismatch")
-        outer = self
 
-        def apply(stack, row):  # the hint describes the inner map's input only
-            return outer._apply(inner_map._apply(stack, row), None)
-
-        return LinearMapTable(inner_map.domain_sides, self.codomain_sides, apply,
-                              reads=inner_map.reads)
-
-
-def choi_cp_check(table: LinearMapTable, choi_cap: int = CHOI_CAP) -> CPReport:
+def choi_cp_check(table: LinearMapTable) -> CPReport:
     """Exact CP check: per domain block, test the Choi matrix for PSD from
     its nonzero entries (:func:`_choi_min_eig`).
 
-    The cap applies to the full side m c.  Only the (r c)-side corner of the
-    rows in ``reads`` is read and eigen-solved: the other rows of the
-    Choi matrix are zero (Choi 1975; C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so
-    a table that reads less than its domain adds the eigenvalue 0.  Such a
-    table first has its ``reads`` tested (:func:`_reads_check`)."""
-    c = table.codomain_dim
-    for m in table.domain_sides:
-        if m * c > choi_cap:
-            raise ChoiCapExceeded(
-                f"Choi side {m * c} exceeds cap {choi_cap}; use positivity_probe")
+    Only the (r c)-side corner of the rows in ``reads`` is read and
+    eigen-solved: the other rows of the Choi matrix are zero (Choi 1975;
+    C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so a table that reads less than its
+    domain adds the eigenvalue 0.  Such a table first has its ``reads``
+    tested (:func:`_reads_check`).  It runs at any side; ``cp_check_auto``
+    applies the cap."""
     reads = _reads_check(table)
     min_eig, herm_dev = _choi_min_eig(table)
     return _cp_report(table, "choi", reads, min_eig, herm_dev, "")
@@ -657,8 +623,8 @@ def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
 
 def cp_check_auto(table: LinearMapTable, choi_cap: int = CHOI_CAP,
                   seed: int = 0) -> CPReport:
-    """Choi check when within cap, probe fallback otherwise."""
-    try:
-        return choi_cp_check(table, choi_cap)
-    except ChoiCapExceeded:
-        return positivity_probe(table, PROBE_K, PROBE_TRIALS, seed)
+    """The Choi check when the full side m c of every domain block's Choi
+    matrix is within ``choi_cap``, the probe otherwise."""
+    if max(table.domain_sides) * table.codomain_dim <= choi_cap:
+        return choi_cp_check(table)
+    return positivity_probe(table, PROBE_K, PROBE_TRIALS, seed)

@@ -42,7 +42,6 @@ from .fock import (
     schur_oracle,
     toeplitz_op,
     v_n,
-    w_n,
     window_table,
 )
 
@@ -79,11 +78,7 @@ class EInftyContext:
 
     def __post_init__(self):
         if self.level < 0 or self.level > self.spec.max_degree:
-            raise ConfigurationError("level outside the cached tower")
-
-    @property
-    def b_side(self) -> int:
-        return self.spec.n ** self.level
+            raise ConfigurationError("level outside [0, max_degree]")
 
     def embed_compact(self, t: AMatrix, i: int) -> AMatrix:
         """K(E^i) = M_{n^i}(A) -> B via T -> T (x) 1 (requires i <= K)."""
@@ -112,11 +107,10 @@ def pi_i(spec: CorrespondenceSpec, i: int, t: AMatrix,
 
 def toeplitz_infty(ctx: EInftyContext, mu: AMatrix, b: AMatrix,
                    nu: AMatrix, c: AMatrix, window: FockWindow,
-                   r: int | None = None, s: int | None = None) -> dict:
-    """t_{mu (x) b} t_{nu (x) c}* on the extended Fock module, as a dict of
-    graded blocks over B keyed by degree pairs (r+k, s+k)."""
-    r = ctx.spec._degree_of(mu.rows) if r is None else r
-    s = ctx.spec._degree_of(nu.rows) if s is None else s
+                   r: int, s: int) -> dict:
+    """t_{mu (x) b} t_{nu (x) c}* for mu in E^r and nu in E^s on the extended
+    Fock module, as a dict of graded blocks over B keyed by degree pairs
+    (r+k, s+k)."""
     if r > window.hi or s > window.hi:
         raise ConfigurationError("generator degree exceeds window")
     xb = ctx.vector(mu, b)
@@ -137,19 +131,17 @@ def eps_hat_graded(ctx: EInftyContext, blocks: dict,
 
 def lift_defect(ctx: EInftyContext, mu: AMatrix, nu: AMatrix,
                 b0: AMatrix, c0: AMatrix, i: int, window: FockWindow,
-                r: int | None = None, s: int | None = None):
+                r: int, s: int):
     """Defect of the lifted generator against t_mu pi_i(b c*) t_nu*.
 
     b0, c0 are level-i compacts (n^i x n^i over A); they are embedded into
     B along the tower.  Returns the defect operator together with a support
     report: offsets k >= i must vanish, the compact part sits below i."""
     spec = ctx.spec
-    r = spec._degree_of(mu.rows) if r is None else r
-    s = spec._degree_of(nu.rows) if s is None else s
     b = ctx.embed_compact(b0, i)
     c = ctx.embed_compact(c0, i)
     lifted = eps_hat_graded(
-        ctx, toeplitz_infty(ctx, mu, b, nu, c, window, r=r, s=s), window)
+        ctx, toeplitz_infty(ctx, mu, b, nu, c, window, r, s), window)
     band = creation_op(spec, mu, window, r) \
         @ pi_i(spec, i, b0 @ c0.adjoint(), window) \
         @ creation_op(spec, nu, window, s).adjoint()
@@ -194,7 +186,7 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
         raise ConfigurationError("bimodule lift requires n = 1")
     if not two_sided.two_sided:
         raise ConfigurationError("need a two-sided window")
-    bilateral = toeplitz_op(spec, mu, nu, two_sided, r=r, s=s)
+    bilateral = toeplitz_op(spec, mu, nu, two_sided, r, s)
     lifted = compress(bilateral, two_sided.hi)
     # the band e (x) I_{E^k} from code that shares none with the
     # amplification that built the bilateral band: phi_k_direct for k >= 0,
@@ -291,9 +283,9 @@ def factor_tables(spec: CorrespondenceSpec, window: FockWindow, big_n: int):
     return phi, psi, d_total
 
 
-def generator_band(spec: CorrespondenceSpec, r: int, s: int) -> int:
+def generator_band(window: FockWindow, r: int, s: int) -> int:
     """The band parameter governing the Fejer error rate."""
-    return abs(r - s) if spec.n == 1 else max(r, s)
+    return abs(r - s) if window.two_sided else max(r, s)
 
 
 def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
@@ -302,8 +294,9 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
     """Build and certify the degree-N approximation of the quotient map.
 
     ``generators`` is a list of (r, s) degree pairs; seeded unit-norm vectors
-    are drawn per pair.  The bimodule case measures || W_N(g) - g || directly;
-    the general case measures the tail deviation from the oracle symbol."""
+    are drawn per pair.  On a two-sided window (the bimodule case) it measures
+    || W_N(g) - g || directly; on a one-sided one, the tail deviation from the
+    oracle symbol."""
     if big_n > window.hi:
         raise ConfigurationError("window too small for requested N")
     phi, psi, d_total = factor_tables(spec, window, big_n)
@@ -316,15 +309,14 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         nu = spec.sample_vector(s, gseed + 1)
         e = rank_one(mu, nu)
         gnorm = e.norm()
-        band = generator_band(spec, r, s)
-        if spec.n == 1:
-            out, rows = w_n(spec, mu, nu, big_n, window, r=r, s=s)
-            target = toeplitz_op(spec, mu, nu, window, r=r, s=s)
+        band = generator_band(window, r, s)
+        out, rows = v_n(spec, mu, nu, big_n, window, r, s)
+        if window.two_sided:
+            target = toeplitz_op(spec, mu, nu, window, r, s)
             err = (out - target).norm()
             coeff = rows[0].measured if rows else 0.0
             expected = schur_oracle(big_n, r, s, 0, "two")
         else:
-            _, rows = v_n(spec, mu, nu, big_n, window, r=r, s=s)
             stab = max(0, big_n - max(r, s))
             tail_rows = [row for row in rows if row.l >= stab]
             coeff = tail_rows[0].measured if tail_rows else 0.0

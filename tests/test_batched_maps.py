@@ -19,6 +19,8 @@ from pimsner_lab.fock import (
 from pimsner_lab.lift import factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
 
+from conftest import compose
+
 BIG_N = 2
 
 
@@ -71,7 +73,7 @@ def reference_maps(spec, window):
         "amplify": (psi, lambda x: psi_amplify(graded(spec, inner, x), window)),
         "pipeline": (pipeline_table(spec, window, BIG_N), lambda x: psi_amplify(
             compress(graded(spec, window, x), BIG_N), window)),
-        "compose": (psi.compose(phi), lambda x: psi_amplify(
+        "compose": (compose(psi, phi), lambda x: psi_amplify(
             graded(spec, window, x).restrict(inner), window)),
     }
     if spec.n == 1:

@@ -98,6 +98,36 @@ def test_wrong_block_count_exit_two(tmp_path, capsys, counts):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("config", [
+    two_block_config(2, 2),
+    {"block_dims": [1, 1], "n": 1, "alphas": [{"perm": [1, 0]}]},
+], ids=["n2", "n1"])
+def test_lift_check_skips_degrees_outside_its_windows(tmp_path, config):
+    """max_degree = 1 leaves windows of degree 1: lift-check runs the two
+    level-1 defect cases whose degrees fit, (1, 0) and (1, 1), and on n = 1
+    the bimodule lifts of degrees up to 1, and passes."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(config, max_degree=1)))
+    out = tmp_path / "l.json"
+    assert main(["lift-check", "--config", str(cfg), "--out", str(out)]) == 0
+    suite = json.loads(out.read_text())["suites"]["lift_check"]
+    assert [(c["level"], c["i"], c["r"], c["s"]) for c in suite["defect"]["cases"]] == \
+        [(1, 1, 1, 0), (1, 1, 1, 1)]
+    lifts = suite.get("bimodule_lift", {"cases": []})["cases"]
+    assert [(c["r"], c["s"]) for c in lifts] == \
+        ([(r, s) for r in range(2) for s in range(2)] if config["n"] == 1 else [])
+
+
+def test_lift_check_runs_each_defect_case_once():
+    """Level 1 has one compact level, i = 1, and level 2 has i = 1 and 2:
+    nine defect cases, none repeated."""
+    suite = run("lift-check", RunConfig(spec=build_preset("twisted2"), n_values=(2,)))
+    cases = [(c["level"], c["i"], c["r"], c["s"]) for c in
+             suite.suites["lift_check"]["defect"]["cases"]]
+    assert cases == [(level, i, r, s) for level, i in ((1, 1), (2, 1), (2, 2))
+                     for r, s in ((1, 0), (1, 1), (2, 1))]
+
+
 def test_corrupted_unitary_exit_one(tmp_path, capsys):
     """A single injected violation (U scaled by 2) flips exit to 1."""
     cfg = tmp_path / "bad_u.json"

@@ -28,7 +28,7 @@ def cuntz():
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])
 def test_sample_matrix_entries_are_seeded_samples(name):
-    """Entry (i, j) is sample(A, "element", seed * 613 + i * side + j) to the
+    """Entry (i, j) is sample(A, seed * 613 + i * side + j) to the
     bit, so the expectation reports keep their bytes: the blocks equal, byte
     for byte, those of the per-entry loop of ``sample`` calls, at the sides
     the suites draw (fibre dimensions and n^level up to level 3)."""
@@ -38,7 +38,7 @@ def test_sample_matrix_entries_are_seeded_samples(name):
         want = [np.empty_like(b) for b in got.blocks]
         for i in range(side):
             for j in range(side):
-                x = sample(spec.algebra, "element", seed * 613 + i * side + j)
+                x = sample(spec.algebra, seed * 613 + i * side + j)
                 for w, b in zip(want, x.blocks):
                     w[i, j] = b[0, 0]
         assert (got.rows, got.cols) == (side, side)
@@ -89,15 +89,15 @@ def test_bimodule_case_inverts_effective_automorphism():
     """For n = 1, M_{n^k}(A) = A and Ex_k = beta^{-k}."""
     for name in ("crossed-z3", "rotation-m2"):
         spec = build_preset(name)
-        a = sample(spec.algebra, "element", 7)
-        x = spec.beta.apply(a)
+        a = sample(spec.algebra, 7)
+        x = spec.amplify(a, 1)
         assert allclose(ex_k(spec, 1, x), a, 1e-12)
 
 
 def test_ex_undoes_left_action():
     for name in sorted(PRESETS):
         spec = build_preset(name)
-        a = sample(spec.algebra, "element", 19)
+        a = sample(spec.algebra, 19)
         for k in (1, 2):
             got = ex_k(spec, k, spec.phi_k(a, k))
             assert allclose(got, a, 1e-10), name

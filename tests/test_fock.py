@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pimsner_lab.star_core import ConfigurationError
+from pimsner_lab.star_core import ConfigurationError, SpecMismatchError
 from pimsner_lab.hilbert_mod import AMatrix, rank_one, sample
 from pimsner_lab import fock
 from pimsner_lab.fock import (
@@ -21,11 +21,11 @@ from pimsner_lab.fock import (
     schur_oracle,
     toeplitz_op,
     v_n,
-    w_n,
 )
 from pimsner_lab.hilbert_mod import choi_cp_check
 from pimsner_lab.presets import PRESETS, build_preset
 
+from conftest import shared_block_dev
 from test_batched_maps import build, pipeline_table
 from test_peel import correspondences
 
@@ -104,31 +104,32 @@ def test_graded_algebra(cuntz):
     w = FockWindow.one_sided(4)
     xi = cuntz.sample_vector(1, 3)
     eta = cuntz.sample_vector(1, 4)
-    t_xi = creation_op(cuntz, xi, w)
-    t_eta = creation_op(cuntz, eta, w)
+    t_xi = creation_op(cuntz, xi, w, 1)
+    t_eta = creation_op(cuntz, eta, w, 1)
     prod = t_xi @ t_eta
     # compare t_xi t_eta t_eta* t_xi* with the degree-2 rank-one band
     lhs = prod @ prod.adjoint()
     xi_eta = cuntz.amplify(xi, 1) @ eta  # xi (x) eta, convention C2
-    rhs = toeplitz_op(cuntz, xi_eta, xi_eta, w)
+    rhs = toeplitz_op(cuntz, xi_eta, xi_eta, w, 2, 2)
     for k in range(0, w.hi - 2):   # blocks unaffected by the window edge
         assert (lhs.block(2 + k, 2 + k) - rhs.block(2 + k, 2 + k)).max_abs() < 1e-10
 
 
 def test_adjoint_and_identity(cuntz):
     w = FockWindow.one_sided(3)
-    ident = GradedOperator.identity(cuntz, w)
+    ident = GradedOperator(cuntz, w, {(d, d): AMatrix.eye(cuntz.algebra, cuntz.fiber_dim(d))
+                                      for d in w.degrees()})
     xi = cuntz.sample_vector(1, 9)
-    t = creation_op(cuntz, xi, w)
-    assert (ident @ t).shared_block_dev(t) == 0.0
-    assert t.adjoint().adjoint().shared_block_dev(t) == 0.0
+    t = creation_op(cuntz, xi, w, 1)
+    assert shared_block_dev(ident @ t, t) == 0.0
+    assert shared_block_dev(t.adjoint().adjoint(), t) == 0.0
 
 
 def test_to_amatrix_roundtrip(cuntz):
     w = FockWindow.one_sided(3)
-    t = toeplitz_op(cuntz, cuntz.sample_vector(1, 1), cuntz.sample_vector(2, 2), w)
+    t = toeplitz_op(cuntz, cuntz.sample_vector(1, 1), cuntz.sample_vector(2, 2), w, 1, 2)
     back = GradedOperator.from_amatrix(cuntz, w, t.to_amatrix())
-    assert t.shared_block_dev(back) == 0.0
+    assert shared_block_dev(t, back) == 0.0
 
 
 def test_empty_operator_to_amatrix_keeps_stack_shape(cuntz):
@@ -154,7 +155,7 @@ def test_cuntz_relation(cuntz):
     for i in range(2):
         col = AMatrix.zeros(cuntz.algebra, 2, 1)
         col.blocks[0][i, 0] = 1.0
-        acc = acc + toeplitz_op(cuntz, col, col, w)
+        acc = acc + toeplitz_op(cuntz, col, col, w, 1, 1)
     for k in range(1, w.hi):   # degree 0 excluded: that is P_0
         dev = (acc.block(k, k) - AMatrix.eye(cuntz.algebra, 2 ** k)).max_abs()
         assert dev < 1e-12
@@ -170,7 +171,7 @@ def test_band_powers_equal_direct_amplification(preset):
     """Every incremental power equals spec.amplify(x, k) computed from x in
     one call, including the negative powers of the bimodule case."""
     spec = build_preset(preset)
-    x = sample(spec.algebra, "element", 7)
+    x = sample(spec.algebra, 7)
     k_lo = -3 if spec.n == 1 else 0
     got = list(band_powers(spec, {0: x}, k_lo, 3))
     assert [k for k, _ in got] == [0, 1, 2, 3] + list(range(-1, k_lo - 1, -1))
@@ -230,7 +231,7 @@ def assert_psi_matches_loop(spec, window, big_n, seed, stack=()):
     got = psi_amplify(x, window)
     want = loop_psi_amplify(x, window)
     assert got.support() == want.support()
-    assert got.shared_block_dev(want) <= 1e-12
+    assert shared_block_dev(got, want) <= 1e-12
 
 
 PSI_CASES = [(name, sided, big_n) for name in sorted(PRESETS) + ["mixed"]
@@ -261,7 +262,7 @@ def test_random_correspondence_psi_amplify(spec, big_n, seed):
 def test_creation_op_two_sided_carries_negative_offsets(z3):
     w = FockWindow.two_sided_sym(3)
     xi = z3.sample_vector(1, 5)
-    t = creation_op(z3, xi, w, r=1)
+    t = creation_op(z3, xi, w, 1)
     assert sorted(t.blocks) == [(k + 1, k) for k in range(-3, 3)]
     for k in range(-3, 3):
         assert (t.block(k + 1, k) - z3.amplify(xi, k)).max_abs() == 0.0
@@ -271,7 +272,7 @@ def test_creation_op_two_sided_carries_negative_offsets(z3):
                                     FockWindow(-1, 1), FockWindow.two_sided_sym(5)])
 def test_restrict_keeps_blocks_inside_window(z3, target):
     w = FockWindow.two_sided_sym(4)
-    t = toeplitz_op(z3, z3.sample_vector(2, 1), z3.sample_vector(0, 2), w, r=2, s=0)
+    t = toeplitz_op(z3, z3.sample_vector(2, 1), z3.sample_vector(0, 2), w, 2, 0)
     got = t.restrict(target)
     assert got.window == target
     inside = [key for key in t.blocks
@@ -289,7 +290,7 @@ def test_v_n_frozen_coefficients(cuntz):
     w = FockWindow.one_sided(6)
     mu = cuntz.sample_vector(1, 11)
     nu = cuntz.sample_vector(0, 12)
-    _, rows = v_n(cuntz, mu, nu, 3, w)
+    _, rows = v_n(cuntz, mu, nu, 3, w, 1, 0)
     got = {r.l: r.measured for r in rows}
     assert abs(got[0] - 0.25) < 1e-12
     assert abs(got[1] - 0.50) < 1e-12
@@ -303,15 +304,54 @@ def test_w_n_uniform_and_unital(z3):
     mu = z3.sample_vector(1, 3)
     nu = z3.sample_vector(1, 4)
     # j = 0: the pipeline is unital, coefficient exactly 1
-    _, rows = w_n(z3, mu, mu, 4, w, r=2, s=2)
+    _, rows = v_n(z3, mu, mu, 4, w, 2, 2)
     assert all(abs(r.measured - 1.0) < 1e-12 for r in rows)
     # j = 2: uniform coefficient 3/5 at every representable offset
-    _, rows = w_n(z3, mu, nu, 4, w, r=3, s=1)
+    _, rows = v_n(z3, mu, nu, 4, w, 3, 1)
     assert all(abs(r.measured - 0.6) < 1e-12 for r in rows)
     assert len({round(r.measured, 12) for r in rows}) == 1
-    # the one-sided pipeline refuses a two-sided window
+    assert {r.sided for r in rows} == {"two"}
+
+
+@pytest.mark.parametrize("name", ["crossed-z3", "rotation-m2"])
+@pytest.mark.parametrize("sided", ["one", "two"])
+def test_v_n_rows_equal_oracle_on_either_window(name, sided):
+    """On n = 1, v_n takes its sidedness from the window: every row carries
+    that ``sided`` label and the oracle's coefficient for it."""
+    spec = build_preset(name)
+    for big_n in (2, 3):
+        hi = big_n + 2
+        window = FockWindow.two_sided_sym(hi) if sided == "two" else FockWindow.one_sided(hi)
+        for r in range(3):
+            for s in range(3):
+                mu, nu = spec.sample_vector(r, 5 + r), spec.sample_vector(s, 9 + s)
+                _, rows = v_n(spec, mu, nu, big_n, window, r, s)
+                assert rows and {row.sided for row in rows} == {sided}
+                for row in rows:
+                    assert row.expected == schur_oracle(big_n, r, s, row.l, sided)
+                    assert row.abs_err <= EQ_TOL
+
+
+def test_v_n_two_sided_window_needs_bimodule(cuntz):
+    """A two-sided window exists for n = 1 only: v_n on n = 2 refuses it."""
+    mu, nu = cuntz.sample_vector(1, 3), cuntz.sample_vector(1, 4)
     with pytest.raises(ConfigurationError):
-        v_n(z3, mu, nu, 4, w, r=3, s=1)
+        v_n(cuntz, mu, nu, 2, FockWindow.two_sided_sym(4), 1, 1)
+
+
+def test_wrong_explicit_degree_raises(cuntz):
+    """Degrees are passed, never inferred; one that does not match the
+    vector's rank n^r gives a block of the wrong shape."""
+    w = FockWindow.one_sided(4)
+    mu, nu = cuntz.sample_vector(1, 3), cuntz.sample_vector(2, 4)
+    for r, s in ((2, 2), (1, 1), (0, 2)):
+        with pytest.raises(SpecMismatchError):
+            toeplitz_op(cuntz, mu, nu, w, r, s)
+        with pytest.raises(SpecMismatchError):
+            v_n(cuntz, mu, nu, 2, w, r, s)
+    with pytest.raises(SpecMismatchError):
+        creation_op(cuntz, mu, w, 2)
+    assert set(toeplitz_op(cuntz, mu, nu, w, 1, 2).blocks) == {(1, 2), (2, 3), (3, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +391,10 @@ def window_to(spec, hi):
 
 def band_pairs(spec, big_n, r, s, hi, seed):
     """(Psi_N phi_N output block, band block) on the band of a seeded
-    generator, as ``_schur_measure`` pairs them."""
+    generator, as ``v_n`` pairs them."""
     window = window_to(spec, hi)
     mu, nu = spec.sample_vector(r, seed), spec.sample_vector(s, seed + 1)
-    top = toeplitz_op(spec, mu, nu, window, r=r, s=s)
+    top = toeplitz_op(spec, mu, nu, window, r, s)
     out = fock.psi_amplify(compress(top, big_n), window)
     return [(out.blocks.get(key), top.blocks[key]) for key in sorted(top.blocks)]
 
@@ -407,7 +447,7 @@ def test_band_measure_zero_reference_and_absent_block(z3):
     block = AMatrix(z3.algebra, 1, 1, [rng.standard_normal((1, 1, 1, 1)) + 0j
                                         for _ in range(3)])
     zero = AMatrix.zeros(z3.algebra, 1, 1)
-    ref = sample(z3.algebra, "element", 3)
+    ref = sample(z3.algebra, 3)
     for pairs in ([(block, zero)], [(block * 2.0, ref), (block, zero), (None, ref)]):
         coef, resid = _measure_band(pairs)
         k = [i for i, (_, r) in enumerate(pairs) if r is zero][0]
@@ -432,11 +472,10 @@ def test_band_block_off_by_a_constant_raises(monkeypatch, name):
 
     window = window_to(spec, 4)
     mu, nu = spec.sample_vector(1, 3), spec.sample_vector(1, 4)
-    pipeline = w_n if spec.n == 1 else v_n
-    pipeline(spec, mu, nu, 2, window, r=1, s=1)
+    v_n(spec, mu, nu, 2, window, 1, 1)
     monkeypatch.setattr(fock, "psi_amplify", shifted)
     with pytest.raises(ValueError, match="not a real multiple"):
-        pipeline(spec, mu, nu, 2, window, r=1, s=1)
+        v_n(spec, mu, nu, 2, window, 1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -453,12 +492,12 @@ def test_imaginary_coefficient_above_eq_tol_raises(monkeypatch, name):
     window = window_to(spec, 5)
     mu, nu = spec.sample_vector(1, 11), spec.sample_vector(1, 12)
     with pytest.raises(ValueError, match="not a real multiple"):
-        (w_n if spec.n == 1 else v_n)(spec, mu, nu, 3, window, r=1, s=1)
+        v_n(spec, mu, nu, 3, window, 1, 1)
 
 
 def test_compress_support(cuntz):
     w = FockWindow.one_sided(5)
-    t = toeplitz_op(cuntz, cuntz.sample_vector(1, 5), cuntz.sample_vector(1, 6), w)
+    t = toeplitz_op(cuntz, cuntz.sample_vector(1, 5), cuntz.sample_vector(1, 6), w, 1, 1)
     c = compress(t, 2)
     assert c.window == FockWindow.one_sided(2)
     assert sorted(c.blocks) == [(1, 1), (2, 2)]
@@ -471,11 +510,11 @@ def test_psi_amplify_rejects_unsupported_input(cuntz, z3):
     """Psi_N takes an operator on a one-sided window [0, N] and needs a
     target window that contains [0, N]."""
     two = FockWindow.two_sided_sym(2)
-    t = toeplitz_op(z3, z3.sample_vector(1, 5), z3.sample_vector(1, 6), two, r=1, s=0)
+    t = toeplitz_op(z3, z3.sample_vector(1, 5), z3.sample_vector(1, 6), two, 1, 0)
     with pytest.raises(ConfigurationError):
         psi_amplify(t, FockWindow.two_sided_sym(4))
     t = toeplitz_op(cuntz, cuntz.sample_vector(1, 5), cuntz.sample_vector(1, 6),
-                    FockWindow.one_sided(4))
+                    FockWindow.one_sided(4), 1, 1)
     with pytest.raises(ConfigurationError):
         psi_amplify(t, FockWindow.one_sided(3))
 
@@ -484,14 +523,14 @@ def test_window_extension_invariance(cuntz, z3):
     """Pipelines at windows M and M+2 agree on shared blocks."""
     mu = cuntz.sample_vector(2, 7)
     nu = cuntz.sample_vector(1, 8)
-    small, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(5))
-    large, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(7))
-    assert small.shared_block_dev(large) < 1e-12
+    small, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(5), 2, 1)
+    large, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(7), 2, 1)
+    assert shared_block_dev(small, large) < 1e-12
     mu1 = z3.sample_vector(1, 7)
     nu1 = z3.sample_vector(1, 8)
-    small, _ = w_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(5), r=2, s=1)
-    large, _ = w_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(7), r=2, s=1)
-    assert small.shared_block_dev(large) < 1e-12
+    small, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(5), 2, 1)
+    large, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(7), 2, 1)
+    assert shared_block_dev(small, large) < 1e-12
 
 
 def test_pipeline_table_is_cp(z3):

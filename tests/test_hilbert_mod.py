@@ -7,7 +7,6 @@ from pimsner_lab.star_core import AlgebraSpec, SpecMismatchError
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     CPReport,
-    ChoiCapExceeded,
     LinearMapTable,
     choi_cp_check,
     cp_check_auto,
@@ -17,7 +16,7 @@ from pimsner_lab.hilbert_mod import (
     sample,
 )
 
-from conftest import allclose, is_positive
+from conftest import allclose, compose, is_positive
 
 
 @pytest.fixture
@@ -37,11 +36,11 @@ def set_entry(x, i, j, a):
 
 
 def random_amatrix(algebra, rows, cols, seed):
-    """Entry (i, j) is sample(algebra, "element", seed + 97 i + j)."""
+    """Entry (i, j) is sample(algebra, seed + 97 i + j)."""
     out = AMatrix.zeros(algebra, rows, cols)
     for i in range(rows):
         for j in range(cols):
-            set_entry(out, i, j, sample(algebra, "element", seed + 97 * i + j))
+            set_entry(out, i, j, sample(algebra, seed + 97 * i + j))
     return out
 
 
@@ -152,12 +151,14 @@ def test_choi_transpose_map_fails():
 
 
 def test_choi_cap_triggers(algebra):
+    """The Choi check runs while the full Choi side m c of the widest domain
+    block is at most the cap, and the probe takes over one below it."""
     table = identity_table(algebra, 40)
-    with pytest.raises(ChoiCapExceeded):
-        choi_cp_check(table, choi_cap=64)
-    rep = cp_check_auto(table, choi_cap=64, seed=1)
-    assert rep.method == "probe"
-    assert rep.passed
+    side = max(table.domain_sides) * table.codomain_dim  # 80 * 120
+    rep = cp_check_auto(table, choi_cap=side, seed=1)
+    assert rep.method == "choi" and rep.passed
+    rep = cp_check_auto(table, choi_cap=side - 1, seed=1)
+    assert rep.method == "probe" and rep.passed
 
 
 def test_probe_flags_transpose():
@@ -182,7 +183,7 @@ def test_non_hermitian_map_fails_choi_and_probe():
 
 def test_compose_tables(algebra):
     double = LinearMapTable.from_amatrix_map(algebra, 2, 2, lambda x: x * 2.0)
-    comp = double.compose(identity_table(algebra, 2))
+    comp = compose(double, identity_table(algebra, 2))
     x = random_amatrix(algebra, 2, 2, 41).flatten()
     assert np.max(np.abs(comp.apply_flat(x) - 2.0 * x)) < 1e-12
 

@@ -238,7 +238,7 @@ def test_amplify_matches_phi_k_direct(preset):
     """amplify(phi_j(a), k) = phi_{j+k}(a), with phi_{j+k} from the
     independent I (x) U construction."""
     spec = build_preset(preset)
-    a = sample(spec.algebra, "element", 41)
+    a = sample(spec.algebra, 41)
     for j, k in ((0, 1), (1, 1), (1, 2), (2, 1)):
         lhs = spec.amplify(spec.phi_k_direct(a, j), k)
         assert (lhs - spec.phi_k_direct(a, j + k)).max_abs() < 1e-12
@@ -246,11 +246,11 @@ def test_amplify_matches_phi_k_direct(preset):
 
 def test_cached_inverses():
     spec = build_preset("twisted2")
-    a = sample(spec.algebra, "element", 3)
+    a = sample(spec.algebra, 3)
     for al, inv in zip(spec.alphas, spec._alpha_invs):
         assert allclose(inv.apply(al.apply(a)), a, 1e-12)
     z3 = build_preset("crossed-z3")
-    x = sample(z3.algebra, "element", 5)
+    x = sample(z3.algebra, 5)
     assert (z3.amplify(z3.amplify(x, 3), -3) - x).max_abs() < 1e-12
 
 

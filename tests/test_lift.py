@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from pimsner_lab.star_core import ConfigurationError
+from pimsner_lab.star_core import ConfigurationError, SpecMismatchError
 from pimsner_lab.hilbert_mod import AMatrix, choi_cp_check, tol_grid
-from pimsner_lab.fock import FockWindow, toeplitz_op
+from pimsner_lab.fock import FockWindow, schur_oracle, toeplitz_op
 from pimsner_lab.expectation import _sample_matrix
 from pimsner_lab.lift import (
     EInftyContext,
@@ -19,7 +19,7 @@ from pimsner_lab.lift import (
 )
 from pimsner_lab.presets import build_preset
 
-from conftest import is_positive
+from conftest import is_positive, shared_block_dev
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def test_pi_i_is_representation(cuntz):
     t2 = _sample_matrix(cuntz, 2, 22)
     lhs = pi_i(cuntz, 1, t1, w) @ pi_i(cuntz, 1, t2, w)
     rhs = pi_i(cuntz, 1, t1 @ t2, w)
-    assert lhs.shared_block_dev(rhs) < 1e-10
+    assert shared_block_dev(lhs, rhs) < 1e-10
     # support starts at degree i
     assert all(i >= 1 and i == j for (i, j) in pi_i(cuntz, 1, t1, w).blocks)
 
@@ -95,9 +95,9 @@ def test_unit_lift_reduces_to_toeplitz(cuntz):
     ctx = EInftyContext(cuntz, 1)
     mu = cuntz.sample_vector(1, 31)
     nu = cuntz.sample_vector(2, 32)
-    one = AMatrix.eye(cuntz.algebra, ctx.b_side)
-    lifted = eps_hat_graded(ctx, toeplitz_infty(ctx, mu, one, nu, one, w), w)
-    assert lifted.shared_block_dev(toeplitz_op(cuntz, mu, nu, w)) < 1e-12
+    one = AMatrix.eye(cuntz.algebra, cuntz.n ** ctx.level)
+    lifted = eps_hat_graded(ctx, toeplitz_infty(ctx, mu, one, nu, one, w, 1, 2), w)
+    assert shared_block_dev(lifted, toeplitz_op(cuntz, mu, nu, w, 1, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("preset", ["cuntz2", "twisted2"])
@@ -110,7 +110,7 @@ def test_defect_vanishes_at_and_above_i(preset, i, level):
     nu = spec.sample_vector(1, 42)
     b0 = _sample_matrix(spec, spec.fiber_dim(i), 43)
     c0 = _sample_matrix(spec, spec.fiber_dim(i), 44)
-    _, rep = lift_defect(ctx, mu, nu, b0, c0, i, w)
+    _, rep = lift_defect(ctx, mu, nu, b0, c0, i, w, 1, 1)
     assert rep["pass"], rep
     assert rep["max_dev_at_or_above_i"] < 1e-9
     assert all(k < i for k in rep["support"])
@@ -219,20 +219,36 @@ def test_certificate_error_within_fejer_bound():
             assert g.error <= band / (big_n + 1) * g.norm + 1e-9
 
 
-def test_n1_degrees_are_passed_explicitly():
-    """Every E^k has rank 1 when n = 1, so no degree can be read off a
-    vector: lift_defect and toeplitz_infty without r and s refuse."""
-    spec = build_preset("rotation-m2")
+@pytest.mark.parametrize("name", ["crossed-z3", "rotation-m2"])
+def test_n1_certificate_on_one_sided_window(name):
+    """The window, not n, picks the pipeline: on a one-sided window an n = 1
+    certificate takes the tail coefficient of V_N and the band max(r, s),
+    and every generator stays inside its Fejer bound."""
+    spec = build_preset(name)
     w = FockWindow.one_sided(5)
-    ctx = EInftyContext(spec, 2)
-    mu = spec.sample_vector(1, 51)
-    nu = spec.sample_vector(1, 52)
-    b0 = _sample_matrix(spec, 1, 53)
-    c0 = _sample_matrix(spec, 1, 54)
-    with pytest.raises(ConfigurationError):
-        lift_defect(ctx, mu, nu, b0, c0, 1, w)
-    with pytest.raises(ConfigurationError):
-        toeplitz_infty(ctx, mu, b0, nu, c0, w, r=1)
+    gens = [(r, s) for r in range(3) for s in range(3)]
+    for big_n in (2, 3):
+        cert = cpap_certificate(spec, big_n, gens, w, seed=5)
+        assert all(fm["cp"]["pass"] for fm in cert.factor_maps)
+        for g in cert.generators:
+            assert g.coeff_expected == schur_oracle(big_n, g.r, g.s, big_n, "one")
+            assert abs(g.coeff_measured - float(g.coeff_expected)) <= 1e-9
+            assert g.error <= max(g.r, g.s) / (big_n + 1) * g.norm + 1e-9
+
+
+def test_wrong_explicit_degree_raises(cuntz):
+    """A degree that does not match the vector's rank n^r gives a block of
+    the wrong shape, in the lifted generator and in the defect alike."""
+    w = FockWindow.one_sided(5)
+    ctx = EInftyContext(cuntz, 1)
+    mu, nu = cuntz.sample_vector(1, 51), cuntz.sample_vector(1, 52)
+    b0 = _sample_matrix(cuntz, 2, 53)
+    c0 = _sample_matrix(cuntz, 2, 54)
+    with pytest.raises(SpecMismatchError):
+        lift_defect(ctx, mu, nu, b0, c0, 1, w, 2, 1)
+    with pytest.raises(SpecMismatchError):
+        eps_hat_graded(ctx, toeplitz_infty(ctx, mu, b0, nu, c0, w, 1, 2), w)
+    assert lift_defect(ctx, mu, nu, b0, c0, 1, w, 1, 1)[1]["pass"]
 
 
 def test_window_too_small_rejected(cuntz):

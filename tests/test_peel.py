@@ -71,7 +71,7 @@ def loop_eps_hat(spec, level, t):
 
 def loop_phi_inf1(ctx, b):
     """Split off the outermost tensor layer of b and amplify each piece."""
-    n, nk = ctx.spec.n, ctx.b_side
+    n, nk = ctx.spec.n, ctx.spec.n ** ctx.level
     if ctx.level == 0:
         return ctx.spec.phi1(b)
     inner = nk // n
@@ -87,7 +87,7 @@ def loop_phi_inf1(ctx, b):
 
 def loop_amplify_inf(ctx, x, k):
     """loop_phi_inf1 on every B-entry, k times."""
-    n, nk = ctx.spec.n, ctx.b_side
+    n, nk = ctx.spec.n, ctx.spec.n ** ctx.level
     for _ in range(k):
         u, v = x.rows // nk, x.cols // nk
         out = AMatrix.zeros(ctx.spec.algebra, u * n * nk, v * n * nk)
@@ -104,7 +104,7 @@ def loop_amplify_inf(ctx, x, k):
 
 def loop_vector(ctx, xi, b):
     """xi (x) b one module index at a time: phi_K(xi_i) b stacked over i."""
-    nk = ctx.b_side
+    nk = ctx.spec.n ** ctx.level
     out = AMatrix.zeros(ctx.spec.algebra, xi.rows * nk, nk)
     for i in range(xi.rows):
         blk = ctx.spec.phi_k(entry(xi, i, 0), ctx.level) @ b
@@ -116,7 +116,7 @@ def loop_vector(ctx, xi, b):
 def loop_einfty_inner(ctx, x, y, side):
     """The inner products one B-entry at a time: sum_i x_i* y_i (right) and
     the matrix [x_i y_j*] (left)."""
-    nk = ctx.b_side
+    nk = ctx.spec.n ** ctx.level
     xs, ys = ([v.submatrix(slice(i * nk, (i + 1) * nk), slice(0, nk))
                for i in range(v.rows // nk)] for v in (x, y))
     if side == "right":
@@ -168,7 +168,7 @@ def test_eps_bar_and_ex_k_equal_per_entry_loop(name, level):
 def test_extended_module_amplification_equals_block_loops(name, level):
     spec = build(name)
     ctx = EInftyContext(spec, level)
-    nk = ctx.b_side
+    nk = ctx.spec.n ** ctx.level
     b = random_amatrix(spec, nk, nk, 60 + level)
     assert (spec.amplify(b, 1) - loop_phi_inf1(ctx, b)).max_abs() < 1e-12
     x = random_amatrix(spec, 2 * nk, nk, 70 + level)
@@ -183,7 +183,7 @@ def test_extended_module_vector_and_inner_equal_entry_loops(name, level):
     the inner products are x* y and x y*, the per-B-entry sums and products."""
     spec = build(name)
     ctx = EInftyContext(spec, level)
-    nk = ctx.b_side
+    nk = ctx.spec.n ** ctx.level
     for degree in (0, 1, 2):
         rank = spec.fiber_dim(degree)
         vecs = []
@@ -240,7 +240,7 @@ def correspondences(draw):
 def test_random_correspondence_peel(spec, level, seed):
     if spec.n ** level > 9:
         level -= 1
-    a = sample(spec.algebra, "element", seed)
+    a = sample(spec.algebra, seed)
     assert allclose(ex_k(spec, level, spec.phi_k_direct(a, level)), a, 1e-12)
     nk = spec.n ** level
     t = random_amatrix(spec, 2 * nk, nk, seed)

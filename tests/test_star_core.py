@@ -19,7 +19,14 @@ from pimsner_lab.star_core import (
     spectral_norm,
 )
 
-from conftest import allclose, is_hermitian, is_positive
+from conftest import (
+    allclose,
+    is_hermitian,
+    is_positive,
+    sample_hermitian,
+    sample_positive,
+    sample_unitary,
+)
 
 
 @pytest.fixture
@@ -54,8 +61,8 @@ def test_basis_spans_total_dim(algebra):
 
 
 def test_star_algebra_identities(algebra):
-    a = sample(algebra, "element", 3)
-    b = sample(algebra, "element", 4)
+    a = sample(algebra, 3)
+    b = sample(algebra, 4)
     assert allclose((a @ b).adjoint(), b.adjoint() @ a.adjoint(), 1e-12)
     assert allclose((a + b).adjoint(), a.adjoint() + b.adjoint(), 1e-12)
     assert is_positive(a.adjoint() @ a)
@@ -66,24 +73,22 @@ def test_star_algebra_identities(algebra):
 
 def test_spec_mismatch_raises(algebra):
     other = AlgebraSpec((2, 2))
-    a = sample(algebra, "element", 1)
-    b = sample(other, "element", 1)
+    a = sample(algebra, 1)
+    b = sample(other, 1)
     with pytest.raises(SpecMismatchError):
         _ = a + b
 
 
 def test_sample_determinism_and_kinds(algebra):
-    a1 = sample(algebra, "element", 42)
-    a2 = sample(algebra, "element", 42)
+    a1 = sample(algebra, 42)
+    a2 = sample(algebra, 42)
     assert allclose(a1, a2, 0.0)
-    u = sample(algebra, "unitary", 7)
+    u = sample_unitary(algebra, 7)
     assert allclose(u.adjoint() @ u, AMatrix.eye(algebra, 1), 1e-10)
-    p = sample(algebra, "positive", 7)
+    p = sample_positive(algebra, 7)
     assert is_positive(p)
-    h = sample(algebra, "hermitian", 7)
+    h = sample_hermitian(algebra, 7)
     assert is_hermitian(h)
-    with pytest.raises(ConfigurationError):
-        sample(algebra, "nonsense", 0)
 
 
 def test_spectral_norm_matches_numpy():
@@ -116,7 +121,7 @@ def test_tolerances_must_be_positive():
 class TestAutomorphism:
     def test_identity(self, algebra):
         ident = Automorphism.identity(algebra)
-        a = sample(algebra, "element", 9)
+        a = sample(algebra, 9)
         assert allclose(ident.apply(a), a, 0.0)
 
     def test_permutation_must_preserve_dims(self, algebra):
@@ -137,24 +142,24 @@ class TestAutomorphism:
 
     def test_inverse_roundtrip(self):
         spec = AlgebraSpec((2, 2, 1))
-        v = sample(spec, "unitary", 13)
+        v = sample_unitary(spec, 13)
         alpha = Automorphism(spec, (1, 0, 2), tuple(b[0, 0] for b in v.blocks))
-        a = sample(spec, "element", 14)
+        a = sample(spec, 14)
         assert allclose(alpha.inverse().apply(alpha.apply(a)), a, 1e-12)
 
     def test_is_homomorphism(self):
         spec = AlgebraSpec((3,))
-        v = sample(spec, "unitary", 2)
+        v = sample_unitary(spec, 2)
         alpha = Automorphism(spec, (0,), tuple(b[0, 0] for b in v.blocks))
-        a = sample(spec, "element", 21)
-        b = sample(spec, "element", 22)
+        a = sample(spec, 21)
+        b = sample(spec, 22)
         assert allclose(alpha.apply(a @ b), alpha.apply(a) @ alpha.apply(b), 1e-10)
         assert allclose(alpha.apply(a.adjoint()), alpha.apply(a).adjoint(), 1e-12)
 
     def test_compose_matches_sequential(self):
         spec = AlgebraSpec((1, 1, 1))
         shift = Automorphism(spec, (1, 2, 0))
-        a = sample(spec, "element", 31)
+        a = sample(spec, 31)
         comp = shift.compose(shift)
         assert allclose(comp.apply(a), shift.apply(shift.apply(a)), 1e-12)
 
@@ -177,7 +182,7 @@ def mixed_automorphisms(draw):
             perm[s] = t
     keep = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    haar = [b[0, 0] for b in sample(spec, "unitary", seed).blocks]
+    haar = [b[0, 0] for b in sample_unitary(spec, seed).blocks]
     us = tuple(np.eye(d, dtype=complex) if k else v
                for k, d, v in zip(keep, dims, haar))
     return Automorphism(spec, tuple(perm), us), seed
