@@ -10,7 +10,7 @@ certificate  CPAP certificates over an N range
 report       all of the above in one bundle
 
 Exit codes: 0 all suites pass, 1 any violation, 2 configuration error,
-3 internal error (operands that do not fit together, a failed LAPACK call).
+3 internal error (any other exception, e.g. operands that do not fit together).
 Output is byte-stable for a fixed (config, seed, tool version): floats are
 printed with 17 significant digits and rationals as integer num/den pairs.
 """
@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
-from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
+from .star_core import ConfigurationError, DEFAULT_TOL
 from .correspondence import CorrespondenceSpec, ValidationError
 from .fock import FockWindow, v_n
 from .expectation import _sample_matrix, verify_cond_exp
@@ -135,7 +133,7 @@ def suite_schur(cfg: RunConfig):
                 gseed = cfg.seed + 7001 * r + 31 * s + 1
                 mu = spec.sample_vector(r, gseed)
                 nu = spec.sample_vector(s, gseed + 1)
-                _, got = v_n(spec, mu, nu, big_n, window, r, s)
+                _, got, _ = v_n(spec, mu, nu, big_n, window, r, s)
                 rows.extend(got)
                 worst = max(worst, max(g.abs_err for g in got))
     report = {
@@ -381,13 +379,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (SpecMismatchError, np.linalg.LinAlgError) as exc:
-        # ValueErrors too, but a crash, not a mathematical violation
+    except Exception as exc:  # a crash, not a mathematical violation
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 1
     return 0 if bundle.passed else 1
 
 

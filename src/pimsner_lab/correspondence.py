@@ -45,7 +45,7 @@ __all__ = [
 
 
 class ValidationError(ValueError):
-    """A correspondence axiom failed numerically."""
+    """A check failed numerically (an axiom, a Schur band, the Fejer bound)."""
 
 
 def default_max_degree(n: int) -> int:

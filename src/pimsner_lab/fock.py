@@ -28,7 +28,7 @@ import numpy as np
 
 from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
 from .hilbert_mod import AMatrix, LinearMapTable, rank_one, tol_grid
-from .correspondence import CorrespondenceSpec
+from .correspondence import CorrespondenceSpec, ValidationError
 
 __all__ = [
     "FockWindow",
@@ -422,11 +422,10 @@ def _rows(arrs: list) -> np.ndarray:
 
 def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
         window: FockWindow, r: int, s: int):
-    """Psi_N o phi_N on the band of e_{mu,nu} at degrees (r, s), with one
-    Schur row per band offset: the output block measured against the band
-    block itself.  A one-sided window gives the Pimsner pipeline V_N; a
-    two-sided one (n = 1 only) the bimodule pipeline W_N, whose representable
-    offsets all carry the same coefficient."""
+    """(Psi_N o phi_N of the band of e_{mu,nu} at degrees (r, s), one Schur
+    row per band offset, the band); an output block off the band or not a
+    real multiple of it raises :class:`ValidationError`.  One-sided windows
+    give the Pimsner pipeline V_N; two-sided (n = 1) the bimodule one W_N."""
     eq_tol = DEFAULT_TOL.eq_tol
     sided = "two" if window.two_sided else "one"
     top = toeplitz_op(spec, mu, nu, window, r, s)
@@ -434,20 +433,20 @@ def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
     off_band = max((v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r),
                    default=0.0)  # a Schur multiplier maps the band into itself
     if off_band > eq_tol:
-        raise ValueError(f"pipeline output off the generator's band (max {off_band:.3e})")
+        raise ValidationError(f"pipeline output off the generator's band (max {off_band:.3e})")
     keys = sorted(top.blocks)
     coef, resid = _measure_band([(out.blocks.get(key), top.blocks[key]) for key in keys])
     rows = []
     for (i, _), c, res in zip(keys, coef.tolist(), resid.tolist()):
         l = i - r
         if res > max(eq_tol, 1e-8) or abs(c.imag) > eq_tol:
-            raise ValueError(
+            raise ValidationError(
                 f"pipeline output at offset {l} is not a real multiple of the "
                 f"generator band (coefficient {c:.3e}, residual {res:.3e})")
         expected = schur_oracle(big_n, r, s, l, sided)
         rows.append(SchurRow(big_n, r, s, l, expected, c.real,
                              abs(c.real - float(expected)), sided))
-    return out, rows
+    return out, rows, top
 
 
 # ---------------------------------------------------------------------------

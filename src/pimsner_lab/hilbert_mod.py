@@ -24,11 +24,17 @@ The checks need only the least eigenvalue, so one running minimum is carried
 through every component, probe trial, domain block and algebra block, and a
 component is solved only when a Cholesky screen cannot rule out that it sets
 a new minimum (see :func:`_hermitian_min_eig`).
+They run on sides of a few hundred, where a second OpenBLAS thread only spins
+on another core, so :func:`cp_check_auto` runs on one (:func:`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -624,7 +630,39 @@ def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
 def cp_check_auto(table: LinearMapTable, choi_cap: int = CHOI_CAP,
                   seed: int = 0) -> CPReport:
     """The Choi check when the full side m c of every domain block's Choi
-    matrix is within ``choi_cap``, the probe otherwise."""
-    if max(table.domain_sides) * table.codomain_dim <= choi_cap:
-        return choi_cp_check(table)
-    return positivity_probe(table, PROBE_K, PROBE_TRIALS, seed)
+    matrix is within ``choi_cap``, the probe otherwise, on one BLAS thread."""
+    with _one_blas_thread():
+        if max(table.domain_sides) * table.codomain_dim <= choi_cap:
+            return choi_cp_check(table)
+        return positivity_probe(table, PROBE_K, PROBE_TRIALS, seed)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count,
+    also when it raises; a no-op without OpenBLAS (see the module notes)."""
+    get, set_ = _openblas_threads() or (lambda: 1, lambda count: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as maps:  # a mapped file's path ends its line
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps})
+        libs = [ctypes.CDLL(p, mode=os.RTLD_NOLOAD)  # never loads a second copy
+                for p in paths if "openblas" in os.path.basename(p)]
+    except OSError:
+        return None
+    names = [f"{a}openblas_%s_num_threads{b}" for a in ("scipy_", "") for b in ("64_", "")]
+    for lib, name in ((lib, name) for lib in libs for name in names):
+        with contextlib.suppress(AttributeError):  # lib exports no such pair
+            return (ctypes.CFUNCTYPE(ctypes.c_int)((name % "get", lib)),
+                    ctypes.CFUNCTYPE(None, ctypes.c_int)((name % "set", lib)))
+    return None

@@ -30,7 +30,7 @@ from .hilbert_mod import (
     rank_one,
     tol_grid,
 )
-from .correspondence import CorrespondenceSpec
+from .correspondence import CorrespondenceSpec, ValidationError
 from .expectation import eps_hat
 from .fock import (
     FockWindow,
@@ -310,9 +310,8 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         e = rank_one(mu, nu)
         gnorm = e.norm()
         band = generator_band(window, r, s)
-        out, rows = v_n(spec, mu, nu, big_n, window, r, s)
+        out, rows, target = v_n(spec, mu, nu, big_n, window, r, s)
         if window.two_sided:
-            target = toeplitz_op(spec, mu, nu, window, r, s)
             err = (out - target).norm()
             coeff = rows[0].measured if rows else 0.0
             expected = schur_oracle(big_n, r, s, 0, "two")
@@ -324,7 +323,7 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
             err = abs(coeff - 1.0) * gnorm
         bound = band / (big_n + 1) * gnorm + DEFAULT_TOL.eq_tol
         if err > bound + 1e-12 and band <= big_n + 1:
-            raise ValueError(
+            raise ValidationError(
                 f"generator ({r},{s}): error {err:.3e} exceeds the Fejer "
                 f"bound {bound:.3e}")
         gen_records.append(GeneratorRecord(r, s, gseed, expected, float(coeff),

@@ -14,6 +14,7 @@ import pimsner_lab
 from pimsner_lab import cli, fock, lift
 from pimsner_lab.cli import RunConfig, _parse_n_range, main, run, serialize
 from pimsner_lab.correspondence import CorrespondenceSpec
+from pimsner_lab.hilbert_mod import AMatrix
 from pimsner_lab.star_core import ConfigurationError, SpecMismatchError
 from pimsner_lab.presets import build_preset
 
@@ -160,9 +161,11 @@ def test_violation_names_only_the_failing_checks(tmp_path, capsys):
 @pytest.mark.parametrize("error", [
     SpecMismatchError("block array (1, 1, 2, 2) != (1, 1, 1, 1)"),
     np.linalg.LinAlgError("Eigenvalues did not converge"),
-], ids=["spec-mismatch", "linalg"])
+    ValueError("cannot reshape array of size 8 into shape (2,2,1)"),
+], ids=["spec-mismatch", "linalg", "value"])
 def test_internal_error_exit_three(monkeypatch, capsys, error):
-    """Both errors are ValueErrors, but a crash is not a violation: exit 3."""
+    """All three errors are ValueErrors, but a crash is not a violation:
+    only a ValidationError exits 1, any other exception 3."""
     def crash(cfg):
         raise error
 
@@ -170,6 +173,22 @@ def test_internal_error_exit_three(monkeypatch, capsys, error):
     assert main(["validate", "--preset", "cuntz2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and "violation" not in err
+
+
+def test_broadcasting_bug_exit_three(monkeypatch, tmp_path, capsys):
+    """A misplaced axis in AMatrix.__add__ raises numpy's broadcasting
+    ValueError inside the Schur pipeline: a bug in the program, not a
+    violation of the mathematics, so exit 3."""
+    def bad_add(self, other):
+        return AMatrix._new(self.spec, self.rows, self.cols,
+                            [a + b[..., :, None, :, :] for a, b in zip(self.blocks, other.blocks)])
+
+    args = ["schur", "--preset", "cuntz2", "--N", "2", "--out", str(tmp_path / "s.csv")]
+    assert main(args) == 0
+    monkeypatch.setattr(AMatrix, "__add__", bad_add)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "broadcast" in err
 
 
 def test_each_command_validates_once_at_the_run_seed(monkeypatch, tmp_path):

@@ -23,6 +23,7 @@ from pimsner_lab.fock import (
     v_n,
 )
 from pimsner_lab.hilbert_mod import choi_cp_check
+from pimsner_lab.correspondence import ValidationError
 from pimsner_lab.presets import PRESETS, build_preset
 
 from conftest import shared_block_dev
@@ -290,7 +291,7 @@ def test_v_n_frozen_coefficients(cuntz):
     w = FockWindow.one_sided(6)
     mu = cuntz.sample_vector(1, 11)
     nu = cuntz.sample_vector(0, 12)
-    _, rows = v_n(cuntz, mu, nu, 3, w, 1, 0)
+    _, rows, _ = v_n(cuntz, mu, nu, 3, w, 1, 0)
     got = {r.l: r.measured for r in rows}
     assert abs(got[0] - 0.25) < 1e-12
     assert abs(got[1] - 0.50) < 1e-12
@@ -303,11 +304,14 @@ def test_w_n_uniform_and_unital(z3):
     w = FockWindow.two_sided_sym(5)
     mu = z3.sample_vector(1, 3)
     nu = z3.sample_vector(1, 4)
-    # j = 0: the pipeline is unital, coefficient exactly 1
-    _, rows = v_n(z3, mu, mu, 4, w, 2, 2)
+    # j = 0: the pipeline is unital, coefficient exactly 1; the band v_n
+    # returns (the certificate's target) is the generator's Toeplitz band
+    out, rows, band = v_n(z3, mu, mu, 4, w, 2, 2)
     assert all(abs(r.measured - 1.0) < 1e-12 for r in rows)
+    assert (band - toeplitz_op(z3, mu, mu, w, 2, 2)).norm() == 0.0
+    assert (out - band).norm() < 1e-12
     # j = 2: uniform coefficient 3/5 at every representable offset
-    _, rows = v_n(z3, mu, nu, 4, w, 3, 1)
+    _, rows, _ = v_n(z3, mu, nu, 4, w, 3, 1)
     assert all(abs(r.measured - 0.6) < 1e-12 for r in rows)
     assert len({round(r.measured, 12) for r in rows}) == 1
     assert {r.sided for r in rows} == {"two"}
@@ -325,7 +329,7 @@ def test_v_n_rows_equal_oracle_on_either_window(name, sided):
         for r in range(3):
             for s in range(3):
                 mu, nu = spec.sample_vector(r, 5 + r), spec.sample_vector(s, 9 + s)
-                _, rows = v_n(spec, mu, nu, big_n, window, r, s)
+                _, rows, _ = v_n(spec, mu, nu, big_n, window, r, s)
                 assert rows and {row.sided for row in rows} == {sided}
                 for row in rows:
                     assert row.expected == schur_oracle(big_n, r, s, row.l, sided)
@@ -474,7 +478,7 @@ def test_band_block_off_by_a_constant_raises(monkeypatch, name):
     mu, nu = spec.sample_vector(1, 3), spec.sample_vector(1, 4)
     v_n(spec, mu, nu, 2, window, 1, 1)
     monkeypatch.setattr(fock, "psi_amplify", shifted)
-    with pytest.raises(ValueError, match="not a real multiple"):
+    with pytest.raises(ValidationError, match="not a real multiple"):
         v_n(spec, mu, nu, 2, window, 1, 1)
 
 
@@ -491,7 +495,7 @@ def test_imaginary_coefficient_above_eq_tol_raises(monkeypatch, name):
     assert resid.max() < 1e-8 and np.abs(coef.imag).max() > EQ_TOL
     window = window_to(spec, 5)
     mu, nu = spec.sample_vector(1, 11), spec.sample_vector(1, 12)
-    with pytest.raises(ValueError, match="not a real multiple"):
+    with pytest.raises(ValidationError, match="not a real multiple"):
         v_n(spec, mu, nu, 3, window, 1, 1)
 
 
@@ -523,13 +527,13 @@ def test_window_extension_invariance(cuntz, z3):
     """Pipelines at windows M and M+2 agree on shared blocks."""
     mu = cuntz.sample_vector(2, 7)
     nu = cuntz.sample_vector(1, 8)
-    small, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(5), 2, 1)
-    large, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(7), 2, 1)
+    small, _, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(5), 2, 1)
+    large, _, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(7), 2, 1)
     assert shared_block_dev(small, large) < 1e-12
     mu1 = z3.sample_vector(1, 7)
     nu1 = z3.sample_vector(1, 8)
-    small, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(5), 2, 1)
-    large, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(7), 2, 1)
+    small, _, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(5), 2, 1)
+    large, _, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(7), 2, 1)
     assert shared_block_dev(small, large) < 1e-12
 
 

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from pimsner_lab import hilbert_mod
 from pimsner_lab.star_core import AlgebraSpec, SpecMismatchError
+from pimsner_lab.fock import FockWindow
+from pimsner_lab.lift import factor_tables
+from pimsner_lab.presets import build_preset
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     CPReport,
@@ -248,3 +252,57 @@ def test_cp_report_serializes(algebra):
     d = CPReport("choi", -1.23456789012345e-9, 4.56789012345678e-13,
                  1.0000000000000004, True).to_dict()
     assert (d["min_eig"], d["unital_defect"], d["norm_bound"]) == (-1.23e-9, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the CP checks run on one OpenBLAS thread
+# ---------------------------------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(
+    "openblas" not in str(getattr(np.__config__, "CONFIG", {})
+                          .get("Build Dependencies", {}).get("blas", {})).lower(),
+    reason="numpy is not built against OpenBLAS")
+
+
+@needs_openblas
+def test_one_blas_thread_sets_and_restores_the_count(monkeypatch, algebra):
+    """Inside the block OpenBLAS runs one thread; after it, the count set
+    before, also when the block raises.  cp_check_auto runs its check in
+    the block."""
+    get, set_ = hilbert_mod._openblas_threads()
+    before = get()
+    try:
+        set_(2)
+        with hilbert_mod._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError):
+            with hilbert_mod._one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("inside the check")
+        assert get() == 2
+        seen = []
+        monkeypatch.setattr(hilbert_mod, "choi_cp_check", lambda table: seen.append(get()))
+        cp_check_auto(identity_table(algebra, 1))
+        assert seen == [1] and get() == 2
+    finally:
+        set_(before)
+
+
+@needs_openblas
+@pytest.mark.parametrize("big_n", [3, 4], ids=["choi", "probe"])
+def test_cp_check_auto_same_report_without_the_thread_switch(monkeypatch, big_n):
+    """On twisted2's two factor maps, through Choi (N = 3) and the probe
+    (N = 4): the check on one thread records what it records at the
+    process's own count.  The record is compared as serialized: the probe's
+    unrounded least eigenvalue moves in its last digits with the count."""
+    spec = build_preset("twisted2")
+    phi, psi, _ = factor_tables(spec, FockWindow.one_sided(big_n + 2), big_n)
+    method = "choi" if big_n == 3 else "probe"
+    for table, seed in ((phi, 1), (psi, 2)):
+        one = cp_check_auto(table, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(hilbert_mod, "_openblas_threads", lambda: None)
+            own = cp_check_auto(table, seed=seed)
+        assert one.method == own.method == method and one.passed
+        assert one.to_dict() == own.to_dict()
