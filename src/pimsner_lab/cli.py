@@ -10,7 +10,8 @@ certificate  CPAP certificates over an N range
 report       all of the above in one bundle
 
 Exit codes: 0 all suites pass, 1 any violation, 2 configuration error,
-3 internal error (any other exception, e.g. operands that do not fit together).
+3 internal error (any other exception, e.g. operands that do not fit together;
+its traceback goes to stderr).
 Output is byte-stable for a fixed (config, seed, tool version): floats are
 printed with 17 significant digits and rationals as integer num/den pairs.
 """
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import sys
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -212,7 +214,7 @@ def suite_certificate(cfg: RunConfig, created: str):
                                 choi_cap=cfg.choi_cap)
         certs.append(cert)
         for fm in cert.factor_maps:
-            ok = ok and fm["cp"]["pass"]
+            ok = ok and fm["cp"]["pass"] and fm["contractive"]
     report = {"count": len(certs), "pass": ok}
     return report, certs
 
@@ -380,7 +382,8 @@ def main(argv=None) -> int:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a crash, not a mathematical violation
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 3
     return 0 if bundle.passed else 1
 

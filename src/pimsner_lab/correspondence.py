@@ -78,10 +78,10 @@ class CorrespondenceSpec:
     alphas: tuple[Automorphism, ...]
     max_degree: int = 0
     name: str = "custom"
-    _phi1_units: list = field(default=None, repr=False)
-    _alpha_invs: tuple = field(default=None, repr=False)
-    _beta: Automorphism = field(default=None, repr=False)
-    _beta_inv: Automorphism = field(default=None, repr=False)
+    _phi1_units: list = field(default=None, init=False, repr=False, compare=False)
+    _alpha_invs: tuple = field(default=None, init=False, repr=False, compare=False)
+    _beta: Automorphism = field(default=None, init=False, repr=False, compare=False)
+    _beta_inv: Automorphism = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:

@@ -17,6 +17,9 @@ call per diagonal of x.  On canonical generators they act as Schur
 multipliers; :func:`schur_oracle` computes the same coefficients by direct
 counting with no operator machinery, and is the authority whenever the two
 disagree.
+
+:func:`window_table` applies such maps to flattened window matrices, split
+one way into degree blocks that are views (:meth:`GradedOperator.from_amatrix`).
 """
 
 from __future__ import annotations
@@ -183,27 +186,18 @@ class GradedOperator:
 
     @classmethod
     def from_amatrix(cls, spec: CorrespondenceSpec, window: FockWindow,
-                     mat: AMatrix) -> "GradedOperator":
-        """Split a window matrix into its nonzero degree blocks.  A stack of
-        window matrices gives blocks that are stacks, kept where any element
-        needs them."""
+                     mat: AMatrix, row_degree: int | None = None) -> "GradedOperator":
+        """Split a window matrix into all its degree blocks, each a
+        ``submatrix`` view of ``mat`` (stacks for a stack of window matrices);
+        given the window index ``row_degree`` of a degree, only that block
+        row, for a matrix that is zero outside it."""
         offs = _degree_offsets(spec, window)
-        out = cls(spec, window)
         degs = list(window.degrees())
-        # the nonzero (row, column) entries over the stack and the algebra
-        # blocks, read from the block arrays (views when they come from
-        # from_flat) with no copy, then OR-reduced over each degree's rows
-        # and columns
-        axes = tuple(range(len(mat.stack_shape))) + (-2, -1)
-        big = np.logical_or.reduce([b.any(axis=axes) for b in mat.blocks])
-        starts = offs[:-1]
-        keep = np.logical_or.reduceat(np.logical_or.reduceat(big, starts, axis=0),
-                                      starts, axis=1)
-        for a, b in zip(*np.nonzero(keep)):
-            sub = mat.submatrix(slice(int(offs[a]), int(offs[a + 1])),
-                                slice(int(offs[b]), int(offs[b + 1])))
-            out.set_block(degs[a], degs[b], sub)
-        return out
+        rows = range(len(degs)) if row_degree is None else [row_degree]
+        return cls(spec, window, {
+            (degs[a], degs[b]): mat.submatrix(slice(offs[a], offs[a + 1]),
+                                              slice(offs[b], offs[b + 1]))
+            for a in rows for b in range(len(degs))})
 
     def restrict(self, window: FockWindow) -> "GradedOperator":
         """The blocks whose degrees both lie in ``window``, as an operator on
@@ -460,8 +454,8 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
     linear map on flattened window algebras.  Each ``apply`` hands ``fn`` the
     whole stack as one operator whose blocks are stacks, and writes each
     output block once into the zeroed flat result, through ``from_flat``
-    views of it.  Given a row hint (see :meth:`LinearMapTable.apply`), the
-    input is that row's degree blocks, as views, with no ``from_amatrix`` scan.
+    views of it.  ``from_amatrix`` splits the input stack, into one block row
+    given a row hint (see :meth:`LinearMapTable.apply`).
 
     ``reads``, a sub-window of ``window_in``, declares that ``fn`` reads only
     the blocks with both degrees in it; the table's ``reads`` are then the
@@ -469,10 +463,10 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
     assemble and probe that corner alone (and test the promise first)."""
     _check_window(spec, window_in)
     _check_window(spec, window_out)
-    alg, offs, degs = spec.algebra, _degree_offsets(spec, window_in), list(window_in.degrees())
+    alg, offs = spec.algebra, _degree_offsets(spec, window_in)
     t_in, t_out = int(offs[-1]), int(_degree_offsets(spec, window_out)[-1])
-    # the degree of each flat row of the domain, one algebra block after another
-    row_degree = np.concatenate([np.repeat(np.arange(len(degs)), np.diff(offs) * d)
+    # the window index of each flat row's degree, one algebra block after another
+    row_degree = np.concatenate([np.repeat(np.arange(len(offs) - 1), np.diff(offs) * d)
                                  for d in alg.block_dims])
     read_rows = None
     if reads is not None:
@@ -483,14 +477,8 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
 
     def apply(stack, row):
         mat = AMatrix.from_flat(alg, t_in, t_in, stack)
-        if row is None:
-            x = GradedOperator.from_amatrix(spec, window_in, mat)
-        else:
-            a = row_degree[row]
-            rows = slice(offs[a], offs[a + 1])
-            x = GradedOperator(spec, window_in, {
-                (degs[a], degs[b]): mat.submatrix(rows, slice(offs[b], offs[b + 1]))
-                for b in range(len(degs))})
+        x = GradedOperator.from_amatrix(spec, window_in, mat,
+                                        None if row is None else row_degree[row])
         y = fn(x)  # before the result is allocated: a lower peak RSS, measured
         flat = np.zeros(stack.shape[:-2] + 2 * (t_out * sum(alg.block_dims),), dtype=complex)
         y.to_amatrix(out=AMatrix.from_flat(alg, t_out, t_out, flat))

@@ -274,10 +274,14 @@ def rank_one(mu: AMatrix, nu: AMatrix) -> AMatrix:
 
 @dataclass
 class CPReport:
+    """A CP check's record.  For a CP map, ||Phi||_cb = ||Phi(1)|| (Paulsen,
+    Prop. 3.6), so ``passed`` with ``norm_bound`` <= 1 certifies a CP
+    contraction."""
+
     method: str                # "choi" or "probe"
     min_eigenvalue: float      # Choi min eigenvalue, or worst probe eigenvalue
     unital_defect: float
-    norm_bound: float          # ||Phi(1)||, an upper bound on ||Phi||_cb for CP maps
+    norm_bound: float          # ||Phi(1)||, which is ||Phi||_cb for CP maps
     passed: bool
     detail: str = ""
 
@@ -423,12 +427,9 @@ class LinearMapTable:
     def apply(self, stack: np.ndarray, row: int | None = None) -> np.ndarray:
         """The map on each element of a stack: (B, n, n) -> (B, c, c).  A
         ``row`` hint promises that every nonzero entry of the stack lies in
-        that flat row; a map may use it to skip finding where the stack is
-        nonzero, and returns the same images either way."""
+        that flat row; a map may read only that row (a window map splits off
+        its block row), and returns the same images either way."""
         return self._apply(stack, row)
-
-    def apply_flat(self, flat: np.ndarray) -> np.ndarray:
-        return self._apply(flat[None], None)[0]
 
     def basis_images(self):
         """Images of the matrix units the map reads, one domain block at a
@@ -622,7 +623,7 @@ def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
 
 def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
     """(||Phi(1) - 1||, ||Phi(1)||): the unital defect and the norm bound."""
-    one_img = table.apply_flat(np.eye(table.domain_dim, dtype=complex))
+    one_img = table.apply(np.eye(table.domain_dim, dtype=complex)[None])[0]
     return (spectral_norm(one_img - np.eye(table.codomain_dim, dtype=complex)),
             spectral_norm(one_img))
 

@@ -334,16 +334,17 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         "n": spec.n,
         "window": [window.lo, window.hi],
     }
-    total = sum(spec.fiber_dim(d) for d in window.degrees())
     return CPAPCertificate(
         spec_fingerprint=fingerprint,
         N=big_n,
         D=d_total,
         flatten_dim=d_total * spec.algebra.total_dim,
         generators=gen_records,
-        factor_maps=[{"direction": direction, "cp": cp, "norm": cp["norm_bound"]}
-                     for direction, cp in (("compress", phi_cp.to_dict()),
-                                           ("amplify", psi_cp.to_dict()))],
+        factor_maps=[{"direction": direction, "cp": rec, "norm": rec["norm_bound"],
+                      # from the unrounded norm: a CP contraction up to norm_rel_tol
+                      "contractive": cp.norm_bound <= 1 + DEFAULT_TOL.norm_rel_tol}
+                     for direction, cp in (("compress", phi_cp), ("amplify", psi_cp))
+                     for rec in [cp.to_dict()]],
         seed=seed,
         created=created,
     )

@@ -106,7 +106,7 @@ def test_stack_apply_equals_per_element(spec_name, name):
     out = table.apply(stack)
     assert out.shape == (3, table.codomain_dim, table.codomain_dim)
     for x, y in zip(stack, out):
-        assert np.max(np.abs(y - table.apply_flat(x))) <= 1e-12
+        assert np.max(np.abs(y - table.apply(x[None])[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("spec_name, name", CASES)
@@ -139,7 +139,7 @@ def test_basis_images_equal_per_unit_loop(spec_name, name):
             for v in range(m):
                 unit = np.zeros((n, n), dtype=complex)
                 unit[off + u, off + v] = 1.0
-                image = table.apply_flat(unit)
+                image = table.apply(unit[None])[0]
                 if stack is not None and v in rows:
                     j = int(np.searchsorted(rows, v))
                     assert np.max(np.abs(stack[j] - image)) <= 1e-12
@@ -292,32 +292,39 @@ def test_row_hint_gives_the_unhinted_images(spec_name, name):
 
 
 @pytest.fixture
-def scanned(monkeypatch):
-    """The stack shapes that GradedOperator.from_amatrix scans, in order."""
-    shapes = []
-    scan = GradedOperator.from_amatrix.__func__
+def splits(monkeypatch):
+    """(stack shape, row index, the degrees of the result's block rows) of
+    each GradedOperator.from_amatrix call, in order."""
+    calls = []
+    split = GradedOperator.from_amatrix.__func__
 
-    def spy(cls, spec, window, mat):
-        shapes.append(mat.stack_shape)
-        return scan(cls, spec, window, mat)
+    def spy(cls, spec, window, mat, row_degree=None):
+        out = split(cls, spec, window, mat, row_degree)
+        calls.append((mat.stack_shape, row_degree, {i for i, _ in out.blocks}))
+        return out
 
     monkeypatch.setattr(GradedOperator, "from_amatrix", classmethod(spy))
-    return shapes
+    return calls
 
 
 @pytest.mark.parametrize("spec_name", ["twisted2", "crossed-z3", "mixed"])
-def test_choi_assembly_never_scans_a_unit_stack(spec_name, scanned):
-    """basis_images hints every row, so the window tables build their input
-    from that row with no scan; the only scans left in a Choi check are the
-    unhinted image of the unit and, for phi, which reads [0, N] alone, the
-    pair G, Q G Q that tests its reads first.  The probe's stacks are dense
-    and scanned."""
+def test_choi_assembly_never_scans_a_unit_stack(spec_name, splits):
+    """basis_images hints every row it reads, so the window tables split off
+    that row's block row alone; the only unhinted applies in a Choi check
+    are, for phi, which reads [0, N] alone, the pair G, Q G Q that tests its
+    reads first, and then the image of the unit.  The probe hints nothing:
+    the reads pair, its cell stacks, then the unit."""
     spec = build(spec_name)
     phi, psi, _ = factor_tables(spec, window_for(spec), BIG_N)
-    for table, reads_scan in ((phi, [(2,)]), (psi, [])):
-        scanned.clear()
+    for table, reads_pair in ((phi, [(2,)]), (psi, [])):
+        splits.clear()
         assert choi_cp_check(table).passed
-        assert scanned == reads_scan + [(1,)]
-        scanned.clear()
+        hinted = [(shape, rows) for shape, row, rows in splits if row is not None]
+        assert [shape for shape, _ in hinted] == [(r.size,) for r in table.reads
+                                                  for _ in range(r.size)]
+        assert all(len(rows) == 1 for _, rows in hinted)
+        assert [shape for shape, row, _ in splits if row is None] == reads_pair + [(1,)]
+        splits.clear()
         positivity_probe(table, k=2, trials=2, seed=0)
-        assert scanned == reads_scan + [(4,), (4,), (1,)]
+        assert [shape for shape, row, _ in splits] == reads_pair + [(4,), (4,), (1,)]
+        assert all(row is None for _, row, _ in splits)

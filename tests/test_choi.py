@@ -24,7 +24,7 @@ def dense_choi_min_eig(table):
     """(least eigenvalue, max |C - C*|) over the dense Choi matrices C of the
     table's domain blocks, restricted to ``reads`` x ``reads`` (a table that
     reads less adds the eigenvalue 0 of its zero rows).  Entry ((i, a),
-    (j, b)) of C is Phi(e_{u_i u_j})[a, b], one ``apply_flat`` per unit."""
+    (j, b)) of C is Phi(e_{u_i u_j})[a, b], one ``apply`` per unit."""
     n, c = table.domain_dim, table.codomain_dim
     low = 0.0 if table.restricted else np.inf
     herm_dev = 0.0
@@ -36,7 +36,7 @@ def dense_choi_min_eig(table):
             for j, v in enumerate(rows.tolist()):
                 unit = np.zeros((n, n), dtype=complex)
                 unit[off + u, off + v] = 1.0
-                choi[i * c:(i + 1) * c, j * c:(j + 1) * c] = table.apply_flat(unit)
+                choi[i * c:(i + 1) * c, j * c:(j + 1) * c] = table.apply(unit[None])[0]
         low, dev = _hermitian_min_eig(choi, low)
         herm_dev = max(herm_dev, dev)
         off += m

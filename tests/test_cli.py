@@ -178,17 +178,20 @@ def test_internal_error_exit_three(monkeypatch, capsys, error):
 def test_broadcasting_bug_exit_three(monkeypatch, tmp_path, capsys):
     """A misplaced axis in AMatrix.__add__ raises numpy's broadcasting
     ValueError inside the Schur pipeline: a bug in the program, not a
-    violation of the mathematics, so exit 3."""
-    def bad_add(self, other):
+    violation of the mathematics, so exit 3, naming the exception's type and,
+    through the traceback, the function that raised it."""
+    def __add__(self, other):
         return AMatrix._new(self.spec, self.rows, self.cols,
                             [a + b[..., :, None, :, :] for a, b in zip(self.blocks, other.blocks)])
 
     args = ["schur", "--preset", "cuntz2", "--N", "2", "--out", str(tmp_path / "s.csv")]
     assert main(args) == 0
-    monkeypatch.setattr(AMatrix, "__add__", bad_add)
+    assert "Traceback" not in capsys.readouterr().err
+    monkeypatch.setattr(AMatrix, "__add__", __add__)
     assert main(args) == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error: ") and "broadcast" in err
+    assert err.startswith("internal error: ValueError: ") and "broadcast" in err
+    assert "Traceback" in err and "in __add__" in err
 
 
 def test_each_command_validates_once_at_the_run_seed(monkeypatch, tmp_path):
@@ -380,6 +383,53 @@ def test_defect_compress_reads_past_n_exit_one(monkeypatch, tmp_path, big_n, met
     assert phi.method == method and not phi.passed
     assert float(phi.detail.split("reads_dev=")[1]) > 1e-9
     assert psi.passed
+
+
+def _scaled_psi(monkeypatch, factor, above_n_only):
+    """The certificate's Psi_N factor map, with its output blocks scaled by
+    ``factor``: everywhere, or only where both degrees exceed N.  The latter
+    is a Schur product with a positive kernel, J + (factor - 1) w w^T for w
+    the indicator of the degrees above N, so the map stays CP."""
+    psi = lift.psi_amplify
+
+    def scaled(x, window):
+        out = psi(x, window)
+        big_n = x.window.hi
+        for (i, j), val in out.blocks.items():
+            if not above_n_only or min(i, j) > big_n:
+                out.blocks[(i, j)] = val * factor
+        return out
+
+    monkeypatch.setattr(lift, "psi_amplify", scaled)
+
+
+@pytest.mark.parametrize("preset", ["twisted2", "cuntz2"])
+@pytest.mark.parametrize("n_range, cap, method", [("2..3", "4096", "choi"),
+                                                  ("2", "10", "probe")],
+                         ids=["choi", "probe"])
+@pytest.mark.parametrize("factor, above_n_only", [(1.5, True), (1 + 1e-6, False)],
+                         ids=["1.5-above-N", "1e-6-everywhere"])
+def test_defect_non_contractive_psi_exit_one(monkeypatch, tmp_path, preset, n_range,
+                                             cap, method, factor, above_n_only):
+    """A Psi_N that is CP but not a contraction: its CP check still passes,
+    and only ``contractive`` (norm_bound <= 1 + norm_rel_tol) fails the
+    certificate."""
+    out = tmp_path / "c.json"
+    args = ["certificate", "--preset", preset, "--N", n_range, "--choi-cap", cap,
+            "--out", str(out)]
+
+    def factor_maps():
+        return [fm for cert in json.loads(out.read_text())["certificates"]
+                for fm in cert["factor_maps"]]
+
+    assert main(args) == 0
+    assert all(fm["contractive"] for fm in factor_maps())
+    _scaled_psi(monkeypatch, factor, above_n_only)
+    assert main(args) == 1
+    for fm in factor_maps():
+        assert fm["cp"]["method"] == method and fm["cp"]["pass"]
+        assert fm["contractive"] == (fm["direction"] == "compress")
+    assert json.loads(out.read_text())["suites"]["certificate"]["pass"] is False
 
 
 def test_schur_csv_schema(tmp_path):

@@ -1,12 +1,20 @@
 """Correspondence axioms, the left-action tower, and tensor coordinates."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pimsner_lab.star_core import ConfigurationError
 from pimsner_lab.hilbert_mod import AMatrix, inner, sample
-from pimsner_lab.correspondence import ValidationError, default_max_degree
+from pimsner_lab.correspondence import (
+    CorrespondenceSpec,
+    ValidationError,
+    default_max_degree,
+)
+from pimsner_lab.fock import FockWindow, GradedOperator
 from pimsner_lab.presets import PRESETS, build_preset
 
 from conftest import allclose, validate
@@ -179,6 +187,20 @@ def test_validate_negative_control():
     assert abs(report["checks"]["unitarity"] - 3.0) < 1e-9
     with pytest.raises(ValidationError):
         bad.validate_or_raise()
+
+
+def test_copy_compares_equal(spec):
+    """The caches built in __post_init__ are neither constructor arguments
+    nor compared, so a copy equals its original (comparing their numpy
+    arrays raised) and operators over the two add."""
+    assert list(inspect.signature(CorrespondenceSpec).parameters) == [
+        "algebra", "n", "unitary", "alphas", "max_degree", "name"]
+    copy = dataclasses.replace(spec)
+    assert copy is not spec and copy == spec
+    window = FockWindow.one_sided(1)
+    x, y = (GradedOperator(s, window, {(0, 0): AMatrix.eye(s.algebra, 1)})
+            for s in (spec, copy))
+    assert (x + y).blocks[(0, 0)].max_abs() == 2.0
 
 
 def test_default_max_degree():

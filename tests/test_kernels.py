@@ -1,6 +1,6 @@
 """Structure-aware kernels against their dense or loop reference forms:
-the per-component eigen-solve, the vectorized window scan, the flattened
-matrix product, entrywise amplification and the serialized CP grid."""
+the per-component eigen-solve, the split of a window matrix into degree
+blocks, the flattened matrix product, entrywise amplification and the serialized CP grid."""
 
 import numpy as np
 import pytest
@@ -161,22 +161,14 @@ def test_probe_minimum_equals_a_full_eigvalsh_loop(big_n):
 
 
 # ---------------------------------------------------------------------------
-# window scan
+# window split
 # ---------------------------------------------------------------------------
 
-def per_pair_support(spec, window, mat):
-    """The scan from_amatrix replaces: max_abs on every degree pair."""
-    dims = [spec.fiber_dim(d) for d in window.degrees()]
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    degs = list(window.degrees())
-    kept = []
-    for a, i in enumerate(degs):
-        for b, j in enumerate(degs):
-            sub = mat.submatrix(slice(int(offs[a]), int(offs[a + 1])),
-                                slice(int(offs[b]), int(offs[b + 1])))
-            if sub.max_abs() > 0:
-                kept.append((i, j))
-    return kept
+def same_bits(x, y):
+    """Whether two AMatrices hold the same bytes, block by block (so -0.0
+    and 0.0 differ)."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(x.blocks, y.blocks))
 
 
 @pytest.mark.parametrize("preset, window", [
@@ -185,32 +177,39 @@ def per_pair_support(spec, window, mat):
     ("rotation-m2", FockWindow.one_sided(3)),
 ])
 def test_from_amatrix_keeps_the_per_pair_support(preset, window):
+    """from_amatrix keeps every degree pair, zero or not, each block a view
+    of the window matrix, and to_amatrix gives the matrix back bit for bit:
+    for one matrix, a stack, and blocks that are strided ``from_flat``
+    views.  With a row index it splits off that block row alone."""
     spec = build_preset(preset)
-    total = sum(spec.fiber_dim(d) for d in window.degrees())
+    degs = list(window.degrees())
+    total = sum(spec.fiber_dim(d) for d in degs)
     rng = np.random.default_rng(5)
-    mat = AMatrix.zeros(spec.algebra, total, total)
-    for b in mat.blocks:
-        # sparse nonzero entries, some of them purely imaginary
+    alg = spec.algebra
+    stack = AMatrix(alg, total, total,
+                    [np.zeros((3, total, total, d, d), dtype=complex) for d in alg.block_dims])
+    for b in stack.blocks:
+        # sparse nonzero entries, some of them purely imaginary, a negative
+        # zero in both parts everywhere else, and the first matrix all zero
         hit = rng.random(b.shape) < 0.05
         b[hit] = rng.choice([0.2, 0.9, -0.5j], size=hit.sum())
-    # the corner degree pair holds one subnormal entry, which is nonzero;
-    # the opposite corner is zero
-    corner = spec.fiber_dim(window.hi)
-    first = spec.fiber_dim(window.lo)
-    for b in mat.blocks:
-        b[:first, total - corner:] = 0.0
-        b[total - corner:, :first] = 0.0
-        # every zero entry is a negative zero in both parts, which is zero
         b[b == 0] = complex(-0.0, -0.0)
-    mat.blocks[0][0, total - 1, 0, 0] = 5e-324
-    got = GradedOperator.from_amatrix(spec, window, mat)
-    assert list(got.blocks) == per_pair_support(spec, window, mat)
-    assert (window.lo, window.hi) in got.blocks
-    assert (window.hi, window.lo) not in got.blocks
-    assert (got.to_amatrix() - mat).max_abs() == 0.0
-    # the same scan over blocks that are strided views of a flat matrix
-    view = AMatrix.from_flat(spec.algebra, total, total, mat.flatten())
-    assert list(GradedOperator.from_amatrix(spec, window, view).blocks) == list(got.blocks)
+        b[0] = 0.0
+    stack.blocks[0][1, 0, total - 1, 0, 0] = 5e-324
+    one = AMatrix(alg, total, total, [b[1] for b in stack.blocks])
+    view = AMatrix.from_flat(alg, total, total, stack.flatten())
+    pairs = [(i, j) for i in degs for j in degs]
+    for mat in (one, stack, view):
+        got = GradedOperator.from_amatrix(spec, window, mat)
+        assert sorted(got.blocks) == pairs
+        for val in got.blocks.values():
+            assert all(np.shares_memory(v, m) for v, m in zip(val.blocks, mat.blocks))
+        out = AMatrix(alg, total, total, [np.zeros_like(b) for b in mat.blocks])
+        assert same_bits(got.to_amatrix(out=out), mat)
+        for a, i in enumerate(degs):
+            row = GradedOperator.from_amatrix(spec, window, mat, a)
+            assert sorted(row.blocks) == [(i, j) for j in degs]
+            assert all(same_bits(v, got.blocks[key]) for key, v in row.blocks.items())
 
 
 # ---------------------------------------------------------------------------
