@@ -141,10 +141,9 @@ def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,
                 - ex_k(spec, level, x)).max_abs())
     axioms["tower"] = {"max_dev": float(dev_tower), "pass": dev_tower <= DEFAULT_TOL.eq_tol}
     cp = cp_check_auto(ex_k_table(spec, level), choi_cap=choi_cap, seed=seed + 999)
-    axioms["cp"] = cp.to_dict()
-    axioms["cp"]["contractive"] = cp.norm_bound <= 1.0 + 1e-8
+    axioms["cp"] = dict(cp.to_dict(), contractive=cp.contractive)
     ok = all(v.get("pass", True) for v in axioms.values()) \
-        and axioms["cp"]["contractive"] and cp.unital_defect <= 1e-8
+        and cp.contractive and cp.unital_defect <= 1e-8
     return {"level": level, "pass": bool(ok), "axioms": axioms}
 
 

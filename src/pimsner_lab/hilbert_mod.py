@@ -8,11 +8,11 @@ norms of A-matrices are *defined* through :meth:`AMatrix.flatten`, which is
 a faithful unital *-homomorphism onto block-diagonal complex matrices.
 
 Complete positivity of linear maps between such flattened matrix spaces is
-certified either by the Choi matrix of each domain block (exact, for small
-sides) or by a randomized positivity probe (necessary condition only).
-A map that reads only some rows and columns of its domain
-(``LinearMapTable.reads``) is checked on that corner alone, once a seeded
-test of the promise passes.
+checked by the Choi matrix of each domain block (exact) or by a randomized
+positivity probe (necessary only); both return a :class:`CPReport` of
+numbers, which decides every CP verdict.  A map that reads only some rows
+and columns of its domain (``LinearMapTable.reads``) is checked on that
+corner alone, once a seeded test of the promise passes.
 Eigenvalues are solved exactly per connected component of the matrix's
 nonzero pattern, and serialized on a grid derived from ``psd_tol``
 (:func:`tol_grid`) so reports do not depend on BLAS threads.  The Choi
@@ -41,7 +41,6 @@ import numpy as np
 
 from .star_core import (
     AlgebraSpec,
-    ConfigurationError,
     DEFAULT_TOL,
     SpecMismatchError,
     spectral_norm,
@@ -274,16 +273,26 @@ def rank_one(mu: AMatrix, nu: AMatrix) -> AMatrix:
 
 @dataclass
 class CPReport:
-    """A CP check's record.  For a CP map, ||Phi||_cb = ||Phi(1)|| (Paulsen,
-    Prop. 3.6), so ``passed`` with ``norm_bound`` <= 1 certifies a CP
-    contraction."""
+    """A CP check's record, whose verdicts read its unrounded fields.  For a
+    CP map, ||Phi||_cb = ||Phi(1)|| (Paulsen, Prop. 3.6), so ``passed`` with
+    ``contractive`` certifies a CP contraction."""
 
     method: str                # "choi" or "probe"
     min_eigenvalue: float      # Choi min eigenvalue, or worst probe eigenvalue
-    unital_defect: float
+    unital_defect: float       # ||Phi(1) - 1||
     norm_bound: float          # ||Phi(1)||, which is ||Phi||_cb for CP maps
-    passed: bool
-    detail: str = ""
+    hermitian_dev: float       # largest max |M - M*| over Choi matrices or probe outputs
+    reads_dev: float | None = None  # the ``reads`` test's deviation (:func:`_reads_check`)
+
+    @property
+    def passed(self) -> bool:
+        return bool((self.reads_dev is None or self.reads_dev <= DEFAULT_TOL.eq_tol)
+                    and self.hermitian_dev <= HERMITIAN_DEV_TOL
+                    and self.min_eigenvalue >= -DEFAULT_TOL.psd_tol)
+
+    @property
+    def contractive(self) -> bool:
+        return bool(self.norm_bound <= 1 + DEFAULT_TOL.norm_rel_tol)
 
     def to_dict(self):
         return {
@@ -291,7 +300,7 @@ class CPReport:
             "min_eig": tol_grid(self.min_eigenvalue, DEFAULT_TOL.psd_tol),
             "unital_defect": tol_grid(self.unital_defect, DEFAULT_TOL.eq_tol),
             "norm_bound": tol_grid(self.norm_bound, DEFAULT_TOL.eq_tol),
-            "pass": bool(self.passed),
+            "pass": self.passed,
         }
 
 
@@ -464,11 +473,11 @@ def choi_cp_check(table: LinearMapTable) -> CPReport:
     eigen-solved: the other rows of the Choi matrix are zero (Choi 1975;
     C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so a table that reads less than its
     domain adds the eigenvalue 0.  Such a table first has its ``reads``
-    tested (:func:`_reads_check`).  It runs at any side; ``cp_check_auto``
-    applies the cap."""
-    reads = _reads_check(table)
+    tested; the record keeps the deviation (``reads_dev``) and the largest
+    max |C - C*|.  It runs at any side; ``cp_check_auto`` applies the cap."""
+    reads_dev = _reads_check(table)
     min_eig, herm_dev = _choi_min_eig(table)
-    return _cp_report(table, "choi", reads, min_eig, herm_dev, "")
+    return CPReport("choi", float(min_eig), *_unit_image_norms(table), herm_dev, reads_dev)
 
 
 def _choi_min_eig(table: LinearMapTable) -> tuple[float, float]:
@@ -536,32 +545,13 @@ def _sparse_hermitian_min_eig(row: np.ndarray, col: np.ndarray, val: np.ndarray,
     return low, max(herm_dev, dev)
 
 
-def _cp_report(table: LinearMapTable, method: str, reads: tuple[bool, str],
-               min_eig: float, herm_dev: float, detail: str) -> CPReport:
-    """The CP record of ``table`` from what a Choi check or probe found: the
-    outcome of :func:`_reads_check`, the least eigenvalue and the largest
-    max |M - M*|; with the unit-image norms.  The one place a CP verdict is
-    decided: it passes when the table keeps its ``reads`` promise, the
-    deviation is at most HERMITIAN_DEV_TOL and the eigenvalue at least
-    -psd_tol."""
-    reads_ok, reads_detail = reads
-    unital_defect, norm_bound = _unit_image_norms(table)
-    passed = (reads_ok and herm_dev <= HERMITIAN_DEV_TOL
-              and min_eig >= -DEFAULT_TOL.psd_tol)
-    return CPReport(method, float(min_eig), unital_defect, norm_bound, passed,
-                    detail=f"{detail}hermitian_dev={herm_dev:.3e}{reads_detail}")
-
-
-def _reads_check(table: LinearMapTable) -> tuple[bool, str]:
-    """(whether the table keeps its ``reads`` promise, the detail to report).
-
-    The test is max |Phi(G) - Phi(Q G Q)| <= eq_tol for one Gaussian element
-    G of the domain, seeded with 0, and Q the coordinate projection onto
-    ``reads``: exactly 0 for a map that keeps the promise, and above 0 for
-    almost every G when it reads elsewhere.  A table that reads its whole
-    domain keeps it with nothing to test or report."""
+def _reads_check(table: LinearMapTable) -> float | None:
+    """max |Phi(G) - Phi(Q G Q)| for one Gaussian element G of the domain,
+    seeded with 0, and Q the coordinate projection onto ``reads``: exactly 0
+    for a map that keeps that promise, and above 0 for almost every G when
+    it reads elsewhere.  None for a table that reads its whole domain."""
     if not table.restricted:
-        return True, ""
+        return None
     rng = np.random.default_rng(0)
     n = table.domain_dim
     pair = np.zeros((2, n, n), dtype=complex)
@@ -573,24 +563,21 @@ def _reads_check(table: LinearMapTable) -> tuple[bool, str]:
         pair[1][kept] = pair[0][kept]
         off += m
     out = table.apply(pair)
-    dev = float(np.max(np.abs(out[0] - out[1])))
-    return dev <= DEFAULT_TOL.eq_tol, f" reads_dev={dev:.3e}"
+    return float(np.max(np.abs(out[0] - out[1])))
 
 
-def positivity_probe(table: LinearMapTable, k: int, trials: int, seed: int) -> CPReport:
-    """Necessary-condition CP check: apply (Phi x id_{M_k}) to seeded random
-    positive elements and record the worst output eigenvalue.  An output
-    that is not Hermitian fails it as it fails the Choi check, and so does a
-    table that reads outside its ``reads`` (tested first, as there)."""
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
-    reads = _reads_check(table)
+def positivity_probe(table: LinearMapTable, trials: int, seed: int) -> CPReport:
+    """Necessary-condition CP check: apply Phi x id_{M_k}, k = PROBE_K, to
+    seeded random positive elements and record the worst output eigenvalue.
+    An output that is not Hermitian fails it as it fails the Choi check, and
+    so does a table that reads outside its ``reads`` (tested first, as there)."""
+    reads_dev = _reads_check(table)
     worst = np.inf
     herm_dev = 0.0
-    for out in _probe_outputs(table, k, trials, seed):
+    for out in _probe_outputs(table, PROBE_K, trials, seed):
         worst, dev = _hermitian_min_eig(out, worst)
         herm_dev = max(herm_dev, dev)
-    return _cp_report(table, "probe", reads, worst, herm_dev, f"k={k} trials={trials} ")
+    return CPReport("probe", float(worst), *_unit_image_norms(table), herm_dev, reads_dev)
 
 
 def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
@@ -635,7 +622,7 @@ def cp_check_auto(table: LinearMapTable, choi_cap: int = CHOI_CAP,
     with _one_blas_thread():
         if max(table.domain_sides) * table.codomain_dim <= choi_cap:
             return choi_cp_check(table)
-        return positivity_probe(table, PROBE_K, PROBE_TRIALS, seed)
+        return positivity_probe(table, PROBE_TRIALS, seed)
 
 
 @contextlib.contextmanager

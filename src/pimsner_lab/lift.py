@@ -249,7 +249,7 @@ class CPAPCertificate:
     D: int
     flatten_dim: int
     generators: list
-    factor_maps: list
+    factor_maps: list          # (direction, CPReport) pairs
     seed: int
     created: str
     tool_version: str = TOOL_VERSION
@@ -261,7 +261,10 @@ class CPAPCertificate:
             "D": self.D,
             "flatten_dim": self.flatten_dim,
             "generators": [g.to_dict() for g in self.generators],
-            "factor_maps": self.factor_maps,
+            "factor_maps": [{"direction": direction, "cp": cp.to_dict(),
+                             "norm": tol_grid(cp.norm_bound, DEFAULT_TOL.eq_tol),
+                             "contractive": cp.contractive}
+                            for direction, cp in self.factor_maps],
             "tolerances": asdict(DEFAULT_TOL),
             "seed": self.seed,
             "created": self.created,
@@ -340,11 +343,7 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         D=d_total,
         flatten_dim=d_total * spec.algebra.total_dim,
         generators=gen_records,
-        factor_maps=[{"direction": direction, "cp": rec, "norm": rec["norm_bound"],
-                      # from the unrounded norm: a CP contraction up to norm_rel_tol
-                      "contractive": cp.norm_bound <= 1 + DEFAULT_TOL.norm_rel_tol}
-                     for direction, cp in (("compress", phi_cp), ("amplify", psi_cp))
-                     for rec in [cp.to_dict()]],
+        factor_maps=[("compress", phi_cp), ("amplify", psi_cp)],
         seed=seed,
         created=created,
     )

@@ -7,9 +7,10 @@ multiplicity-2 correspondence mixing a swap automorphism with a nontrivial
 unitary, and an irrational-angle inner rotation on M_2.
 
 Config files are JSON with the same fields a preset would produce:
-``block_dims``, ``n``, ``unitary`` (nested [n][n][block] complex entries as
-[re, im] pairs or block matrices), ``alphas`` (list of {perm, unitaries}),
-and optional ``max_degree`` / ``name``.
+``block_dims``, ``n``, ``unitary`` (nested [block][n][n] scalars, or
+[block][n][n][d][d]), ``alphas`` (list of {perm, unitaries}, the unitaries
+nested [block][d][d]), and optional ``max_degree`` / ``name``.  Every leaf
+is a number or an [re, im] pair.
 """
 
 from __future__ import annotations
@@ -109,12 +110,17 @@ def build_preset(name: str) -> CorrespondenceSpec:
     return PRESETS[name]()
 
 
-def _complex_array(data) -> np.ndarray:
-    """Parse nested lists whose leaves are numbers or [re, im] pairs."""
+def _complex_array(data, *ndims) -> np.ndarray:
+    """Nested lists whose leaves are numbers or [re, im] pairs, as a complex
+    array with one of ``ndims`` axes, those of the shape the caller expects
+    and checks: pairs add a last axis of length 2, so the depth tells them apart."""
     arr = np.asarray(data, dtype=float)
-    if arr.shape and arr.shape[-1] == 2:
+    if arr.ndim in ndims:
+        return arr.astype(complex)
+    if arr.ndim - 1 in ndims and arr.shape[-1] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
-    return arr.astype(complex)
+    raise ConfigurationError(f"array of shape {arr.shape}: expected {' or '.join(map(str, ndims))}"
+                             " axes of numbers, or one more axis of [re, im] pairs")
 
 
 def load_config(path: str) -> CorrespondenceSpec:
@@ -129,14 +135,14 @@ def load_config(path: str) -> CorrespondenceSpec:
             perm = tuple(int(p) for p in a.get("perm", range(algebra.n_blocks)))
             us = a.get("unitaries")
             if us is not None:
-                us = tuple(_complex_array(u) for u in us)
+                us = tuple(_complex_array(u, 2) for u in us)  # (d, d) each
             alphas.append(Automorphism(algebra, perm, us))
         u_cfg = cfg.get("unitary")
         if u_cfg is None:
             unitary = AMatrix.eye(algebra, n)
         else:
             unitary = _unitary_from_blocks(
-                algebra, n, [_complex_array(b) for b in u_cfg])
+                algebra, n, [_complex_array(b, 2, 4) for b in u_cfg])  # (n, n) / (n, n, d, d)
         return CorrespondenceSpec(
             algebra=algebra, n=n, unitary=unitary, alphas=tuple(alphas),
             max_degree=int(cfg.get("max_degree", 0)),

@@ -150,7 +150,7 @@ def test_criterion_03_complete_positivity():
         assert rep.passed and rep.min_eigenvalue >= -1e-8
     # larger instances: probe fallback must come back clean
     big = pipeline_table(cuntz, FockWindow.one_sided(6), 3)
-    rep = positivity_probe(big, k=2, trials=50, seed=17)
+    rep = positivity_probe(big, trials=50, seed=17)
     assert rep.passed and rep.min_eigenvalue >= -1e-8
 
 

@@ -201,8 +201,8 @@ def test_reads_change_no_probe_verdict():
     give the records of the maps read on their whole domain."""
     spec = build_preset("twisted2")
     for restricted, full in compression_and_pipeline(spec, FockWindow.one_sided(6), 4).values():
-        got = positivity_probe(restricted, k=2, trials=50, seed=5)
-        want = positivity_probe(full, k=2, trials=50, seed=5)
+        got = positivity_probe(restricted, trials=50, seed=5)
+        want = positivity_probe(full, trials=50, seed=5)
         assert got.to_dict() == want.to_dict()
         assert got.passed
 
@@ -325,6 +325,6 @@ def test_choi_assembly_never_scans_a_unit_stack(spec_name, splits):
         assert all(len(rows) == 1 for _, rows in hinted)
         assert [shape for shape, row, _ in splits if row is None] == reads_pair + [(1,)]
         splits.clear()
-        positivity_probe(table, k=2, trials=2, seed=0)
+        positivity_probe(table, trials=2, seed=0)
         assert [shape for shape, row, _ in splits] == reads_pair + [(4,), (4,), (1,)]
         assert all(row is None for _, row, _ in splits)

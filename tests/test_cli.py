@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import pimsner_lab
-from pimsner_lab import cli, fock, lift
+from pimsner_lab import cli, expectation, fock, lift
 from pimsner_lab.cli import RunConfig, _parse_n_range, main, run, serialize
 from pimsner_lab.correspondence import CorrespondenceSpec
-from pimsner_lab.hilbert_mod import AMatrix
+from pimsner_lab.hilbert_mod import AMatrix, LinearMapTable
 from pimsner_lab.star_core import ConfigurationError, SpecMismatchError
 from pimsner_lab.presets import build_preset
 
@@ -99,6 +99,45 @@ def test_wrong_block_count_exit_two(tmp_path, capsys, counts):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# a real rotation alpha on M_2 and a real swap U for n = 2, with plain-number
+# leaves and with [re, im] leaves: a side of 2 is not a pair axis
+ROTATION_M2 = {"block_dims": [2], "n": 1,
+               "alphas": [{"perm": [0], "unitaries": [[[0, -1], [1, 0]]]}]}
+ROTATION_M2_PAIRS = dict(ROTATION_M2, alphas=[
+    {"perm": [0], "unitaries": [[[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]]}])
+SWAP_N2 = {"block_dims": [1], "n": 2, "unitary": [[[0, 1], [1, 0]]],
+           "alphas": [{"perm": [0]}, {"perm": [0]}]}
+SWAP_N2_PAIRS = dict(SWAP_N2, unitary=[[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]])
+
+
+@pytest.mark.parametrize("plain, pairs", [(ROTATION_M2, ROTATION_M2_PAIRS),
+                                          (SWAP_N2, SWAP_N2_PAIRS)],
+                         ids=["rotation-m2", "swap-n2"])
+def test_config_leaves_numbers_or_pairs(tmp_path, plain, pairs):
+    """A config matrix whose side is 2 reads the same with plain-number
+    leaves as with [re, im] leaves: each validates with the same report."""
+    reports = []
+    for config in (plain, pairs):
+        cfg, out = tmp_path / "c.json", tmp_path / "v.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["suites"]["validate"])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("config", [
+    dict(SWAP_N2, unitary=[[[0, 1, 0], [1, 0, 0], [0, 0, 1]]]),
+    dict(SWAP_N2, unitary=[[0, 1]]),
+    dict(ROTATION_M2, alphas=[{"perm": [0], "unitaries": [[[0, -1, 0], [1, 0, 0]]]}]),
+    dict(ROTATION_M2, alphas=[{"perm": [0], "unitaries": [[0, 1]]}]),
+], ids=["unitary-3x3", "unitary-one-axis", "alpha-2x3", "alpha-one-axis"])
+def test_config_block_of_wrong_shape_exit_two(tmp_path, capsys, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config")
+
+
 @pytest.mark.parametrize("config", [
     two_block_config(2, 2),
     {"block_dims": [1, 1], "n": 1, "alphas": [{"perm": [1, 0]}]},
@@ -117,6 +156,23 @@ def test_lift_check_skips_degrees_outside_its_windows(tmp_path, config):
     lifts = suite.get("bimodule_lift", {"cases": []})["cases"]
     assert [(c["r"], c["s"]) for c in lifts] == \
         ([(r, s) for r in range(2) for s in range(2)] if config["n"] == 1 else [])
+
+
+@pytest.mark.parametrize("args, pairs", [
+    (["certificate", "--preset", "cuntz2", "--N", "1", "--M", "1"],
+     [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (["report", "--preset", "rotation-m2", "--N", "1", "--M", "1"],
+     [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    (["certificate", "--preset", "crossed-z3", "--N", "0", "--M", "0"], [(0, 0)]),
+], ids=["cuntz2-M1", "rotation-m2-report-M1", "crossed-z3-M0"])
+def test_certificate_skips_pairs_outside_its_window(tmp_path, args, pairs):
+    """A window of top degree M < 2 holds only the generator pairs with
+    r, s <= M: the certificate lists those, as the Schur suite measures
+    them, and passes."""
+    out = tmp_path / "c.json"
+    assert main(args + ["--out", str(out)]) == 0
+    (cert,) = json.loads(out.read_text())["certificates"]
+    assert [(g["r"], g["s"]) for g in cert["generators"]] == pairs
 
 
 def test_lift_check_runs_each_defect_case_once():
@@ -353,7 +409,7 @@ def test_defect_compress_reads_past_n_exit_one(monkeypatch, tmp_path, big_n, met
     """phi leaking 0.1 x the top-left corner of the degree-(N+1) block into
     degree N reads outside the [0, N] corner that its Choi check assembles
     (N = 3) and its probe fills (N = 4).  The check of its reads must fail
-    the certificate, with the deviation named in the CP record's detail."""
+    the certificate, with the deviation in the CP record's ``reads_dev``."""
     compress = lift.compress
 
     def leak(x, n):
@@ -375,32 +431,52 @@ def test_defect_compress_reads_past_n_exit_one(monkeypatch, tmp_path, big_n, met
     args = ["certificate", "--preset", "twisted2", "--N", str(big_n),
             "--out", str(tmp_path / "c.json")]
     assert main(args) == 0
-    assert "reads_dev=0.000e+00" in records[0].detail
+    assert records[0].reads_dev == 0.0
     records.clear()
     monkeypatch.setattr(lift, "compress", leak)
     assert main(args) == 1
     phi, psi = records
     assert phi.method == method and not phi.passed
-    assert float(phi.detail.split("reads_dev=")[1]) > 1e-9
+    assert phi.reads_dev > 1e-9
     assert psi.passed
 
 
-def _scaled_psi(monkeypatch, factor, above_n_only):
-    """The certificate's Psi_N factor map, with its output blocks scaled by
-    ``factor``: everywhere, or only where both degrees exceed N.  The latter
-    is a Schur product with a positive kernel, J + (factor - 1) w w^T for w
-    the indicator of the degrees above N, so the map stays CP."""
+def _rewritten_psi(monkeypatch, rewrite):
+    """The certificate's Psi_N factor map, with each output block (i, j)
+    replaced by ``rewrite(i, j, block, N)``, a (degree pair, block) pair.
+    The Schur pipeline's Psi_N (``fock.psi_amplify``) is left as it is."""
     psi = lift.psi_amplify
 
-    def scaled(x, window):
+    def rewritten(x, window):
         out = psi(x, window)
-        big_n = x.window.hi
-        for (i, j), val in out.blocks.items():
-            if not above_n_only or min(i, j) > big_n:
-                out.blocks[(i, j)] = val * factor
+        out.blocks = dict(rewrite(i, j, val, x.window.hi) for (i, j), val in out.blocks.items())
         return out
 
-    monkeypatch.setattr(lift, "psi_amplify", scaled)
+    monkeypatch.setattr(lift, "psi_amplify", rewritten)
+
+
+def _scaled_psi(monkeypatch, factor, above_n_only):
+    """Psi_N with its output blocks scaled by ``factor``: everywhere, or only
+    where both degrees exceed N.  The latter is a Schur product with a
+    positive kernel, J + (factor - 1) w w^T for w the indicator of the
+    degrees above N, so the map stays CP."""
+    _rewritten_psi(monkeypatch, lambda i, j, val, big_n: (
+        (i, j), val * factor if not above_n_only or min(i, j) > big_n else val))
+
+
+def _transposed_psi(monkeypatch):
+    """Psi_N followed by the transpose: block (j, i) is the entrywise
+    transpose of block (i, j), stack axes left alone.  The transpose is
+    positive and isometric but not CP, so the map is a positive contraction
+    that is not CP."""
+    _rewritten_psi(monkeypatch, lambda i, j, val, big_n: ((j, i), AMatrix(
+        val.spec, val.cols, val.rows, [b.swapaxes(-4, -3).swapaxes(-2, -1) for b in val.blocks])))
+
+
+def _factor_maps(out):
+    """The serialized factor maps of every certificate in the report ``out``."""
+    return [fm for cert in json.loads(out.read_text())["certificates"]
+            for fm in cert["factor_maps"]]
 
 
 @pytest.mark.parametrize("preset", ["twisted2", "cuntz2"])
@@ -417,19 +493,63 @@ def test_defect_non_contractive_psi_exit_one(monkeypatch, tmp_path, preset, n_ra
     out = tmp_path / "c.json"
     args = ["certificate", "--preset", preset, "--N", n_range, "--choi-cap", cap,
             "--out", str(out)]
-
-    def factor_maps():
-        return [fm for cert in json.loads(out.read_text())["certificates"]
-                for fm in cert["factor_maps"]]
-
     assert main(args) == 0
-    assert all(fm["contractive"] for fm in factor_maps())
+    assert all(fm["contractive"] for fm in _factor_maps(out))
     _scaled_psi(monkeypatch, factor, above_n_only)
     assert main(args) == 1
-    for fm in factor_maps():
+    for fm in _factor_maps(out):
         assert fm["cp"]["method"] == method and fm["cp"]["pass"]
         assert fm["contractive"] == (fm["direction"] == "compress")
     assert json.loads(out.read_text())["suites"]["certificate"]["pass"] is False
+
+
+@pytest.mark.parametrize("preset", ["twisted2", "cuntz2", "crossed-z3"])
+@pytest.mark.parametrize("n_range, cap, method", [("2..3", "4096", "choi"),
+                                                  ("2", "10", "probe")],
+                         ids=["choi", "probe"])
+def test_defect_positive_not_cp_psi_exit_one(monkeypatch, tmp_path, preset, n_range,
+                                             cap, method):
+    """A Psi_N that is a positive contraction but not CP (followed by the
+    transpose): the run exits 1, not 3, and only the amplify map's CP check
+    fails, on a negative eigenvalue, under the Choi check and the probe
+    alike; both maps stay ``contractive``."""
+    out = tmp_path / "c.json"
+    args = ["certificate", "--preset", preset, "--N", n_range, "--choi-cap", cap,
+            "--out", str(out)]
+    _transposed_psi(monkeypatch)
+    assert main(args) == 1
+    maps = _factor_maps(out)
+    assert maps
+    for fm in maps:
+        assert fm["cp"]["method"] == method and fm["contractive"]
+        assert fm["cp"]["pass"] == (fm["direction"] == "compress")
+        assert (fm["cp"]["min_eig"] < -0.1) == (fm["direction"] == "amplify")
+    assert json.loads(out.read_text())["suites"]["certificate"]["pass"] is False
+
+
+def test_expectation_contractive_by_the_factor_map_rule(monkeypatch, tmp_path):
+    """Ex_k's CP record is ``contractive`` by the rule the factor maps use,
+    ||Ex_k(1)|| <= 1 + norm_rel_tol: Ex_k scaled by 1 + 1e-9, in its CP check
+    alone, stays CP and within the unital-defect limit, but is no longer
+    contractive, at every level, and the run exits 1."""
+    out = tmp_path / "e.json"
+    args = ["expectation", "--preset", "twisted2", "--out", str(out)]
+    assert main(args) == 0
+    table = expectation.ex_k_table
+
+    def scaled(spec, k):
+        t = table(spec, k)
+        return LinearMapTable(t.domain_sides, t.codomain_sides,
+                              lambda stack, row: t.apply(stack, row) * (1 + 1e-9))
+
+    monkeypatch.setattr(expectation, "ex_k_table", scaled)
+    assert main(args) == 1
+    levels = json.loads(out.read_text())["suites"]["expectation"]["levels"]
+    assert sorted(levels) == ["1", "2", "3"]
+    for level in levels.values():
+        cp = level["axioms"]["cp"]
+        assert cp["pass"] and cp["contractive"] is False and not level["pass"]
+        assert all(v["pass"] for v in level["axioms"].values())
 
 
 def test_schur_csv_schema(tmp_path):
@@ -556,7 +676,7 @@ from pimsner_lab.presets import build_preset
 spec = build_preset("twisted2")
 for table in factor_tables(spec, FockWindow.one_sided(7), 5)[:2]:
     unital_defect, norm_bound = _unit_image_norms(table)
-    _emit_json(CPReport("probe", 0.0, unital_defect, norm_bound, True).to_dict(),
+    _emit_json(CPReport("probe", 0.0, unital_defect, norm_bound, 0.0).to_dict(),
                sys.stdout)
 """
 

@@ -170,7 +170,7 @@ def test_probe_flags_transpose():
     table = LinearMapTable.from_amatrix_map(
         algebra, 1, 1,
         lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]))
-    rep = positivity_probe(table, k=2, trials=20, seed=3)
+    rep = positivity_probe(table, trials=20, seed=3)
     assert not rep.passed
 
 
@@ -180,7 +180,7 @@ def test_non_hermitian_map_fails_choi_and_probe():
     algebra = AlgebraSpec((2,))
     table = LinearMapTable.from_amatrix_map(algebra, 1, 1, lambda x: x * (1 + 0.5j))
     assert not choi_cp_check(table).passed
-    rep = positivity_probe(table, k=2, trials=5, seed=3)
+    rep = positivity_probe(table, trials=5, seed=3)
     assert rep.min_eigenvalue > 0
     assert not rep.passed
 
@@ -218,11 +218,11 @@ def test_reads_restrict_the_choi_and_probe_checks(algebra):
     full = LinearMapTable(table.domain_sides, table.codomain_sides, table._apply)
     assert table.restricted and not full.restricted
     rep, want = choi_cp_check(table), choi_cp_check(full)
-    assert rep.passed and "reads_dev=0.000e+00" in rep.detail
+    assert rep.passed and rep.reads_dev == 0.0
     assert rep.to_dict() == want.to_dict() and rep.to_dict()["min_eig"] == 0.0
-    probe = positivity_probe(table, k=2, trials=5, seed=3)
-    assert probe.passed and "reads_dev=0.000e+00" in probe.detail
-    assert probe.to_dict() == positivity_probe(full, k=2, trials=5, seed=3).to_dict()
+    probe = positivity_probe(table, trials=5, seed=3)
+    assert probe.passed and probe.reads_dev == 0.0
+    assert probe.to_dict() == positivity_probe(full, trials=5, seed=3).to_dict()
 
 
 def test_map_reading_outside_its_reads_fails_choi_and_probe(algebra):
@@ -230,11 +230,10 @@ def test_map_reading_outside_its_reads_fails_choi_and_probe(algebra):
     but it reads outside the rows its checks assemble and probe: both checks
     fail it on the reads deviation."""
     table = corner_table(algebra, 3, 2, honest=False)
-    for rep in (choi_cp_check(table), positivity_probe(table, k=2, trials=5, seed=3)):
+    for rep in (choi_cp_check(table), positivity_probe(table, trials=5, seed=3)):
         assert rep.min_eigenvalue > -1e-12
         assert not rep.passed
-        dev = float(rep.detail.split("reads_dev=")[1])
-        assert dev > 1e-9
+        assert rep.reads_dev > 1e-9
 
 
 def test_reads_must_lie_sorted_inside_each_block(algebra):
@@ -250,7 +249,7 @@ def test_cp_report_serializes(algebra):
     assert set(d) == {"method", "min_eig", "unital_defect", "norm_bound", "pass"}
     # computed values on the grid of the tolerance each is checked against
     d = CPReport("choi", -1.23456789012345e-9, 4.56789012345678e-13,
-                 1.0000000000000004, True).to_dict()
+                 1.0000000000000004, 0.0).to_dict()
     assert (d["min_eig"], d["unital_defect"], d["norm_bound"]) == (-1.23e-9, 0.0, 1.0)
 
 

@@ -153,7 +153,7 @@ def test_probe_minimum_equals_a_full_eigvalsh_loop(big_n):
     spec = build_preset("twisted2")
     phi, psi, _ = factor_tables(spec, FockWindow.one_sided(big_n + 2), big_n)
     for seed, table in ((1, phi), (2, psi)):
-        rep = positivity_probe(table, k=2, trials=8, seed=seed)
+        rep = positivity_probe(table, trials=8, seed=seed)
         outs = list(_probe_outputs(table, 2, 8, seed))
         want = min(dense_reference(out)[0] for out in outs)
         assert abs(rep.min_eigenvalue - want) <= 1e-12 * max(scale(o) for o in outs)
@@ -266,10 +266,23 @@ def test_psd_grid_rounds_and_drops_negative_zero():
 
 
 def test_cp_verdict_uses_the_unrounded_value():
+    """An eigenvalue just below -psd_tol is reported on the grid as
+    -psd_tol, which would pass; the verdict reads the unrounded value."""
     tol = DEFAULT_TOL
     just_below = -tol.psd_tol * (1 + 1e-6)
-    rep = CPReport("choi", just_below, 0.0, 1.0,
-                   passed=just_below >= -tol.psd_tol)
+    rep = CPReport("choi", just_below, 0.0, 1.0, 0.0)
     d = rep.to_dict()
     assert d["pass"] is False
-    assert d["min_eig"] == tol_grid(just_below, tol.psd_tol)
+    assert d["min_eig"] == tol_grid(just_below, tol.psd_tol) == -tol.psd_tol
+
+
+def test_contractive_at_the_bound_and_just_above():
+    """``contractive`` is ||Phi(1)|| <= 1 + norm_rel_tol on the unrounded
+    norm: true at the bound, and false one float above it, where the report
+    prints the same norm_bound and the CP verdict still passes."""
+    at = 1 + DEFAULT_TOL.norm_rel_tol
+    above = float(np.nextafter(at, 2.0))
+    assert CPReport("choi", 0.0, 0.0, at, 0.0).contractive
+    rep = CPReport("choi", 0.0, 0.0, above, 0.0)
+    assert not rep.contractive and rep.passed
+    assert rep.to_dict()["norm_bound"] == tol_grid(at, DEFAULT_TOL.eq_tol)

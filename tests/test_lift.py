@@ -229,7 +229,7 @@ def test_n1_certificate_on_one_sided_window(name):
     gens = [(r, s) for r in range(3) for s in range(3)]
     for big_n in (2, 3):
         cert = cpap_certificate(spec, big_n, gens, w, seed=5)
-        assert all(fm["cp"]["pass"] for fm in cert.factor_maps)
+        assert all(cp.passed for _, cp in cert.factor_maps)
         for g in cert.generators:
             assert g.coeff_expected == schur_oracle(big_n, g.r, g.s, big_n, "one")
             assert abs(g.coeff_measured - float(g.coeff_expected)) <= 1e-9
