@@ -13,7 +13,7 @@ Exit codes: 0 all suites pass, 1 any violation, 2 configuration error,
 3 internal error (any other exception, e.g. operands that do not fit together;
 its traceback goes to stderr).
 Output is byte-stable for a fixed (config, seed, tool version): floats are
-printed with 17 significant digits and rationals as integer num/den pairs.
+printed as their shortest exact repr and rationals as integer num/den pairs.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from .star_core import ConfigurationError, DEFAULT_TOL
 from .correspondence import CorrespondenceSpec, ValidationError
@@ -256,52 +256,9 @@ def run(command: str, cfg: RunConfig, created: str | None = None) -> ReportBundl
     return bundle
 
 
-def _emit_json(obj, out: io.TextIOBase, indent: int = 0):
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = list(obj.items())
-        for idx, (k, v) in enumerate(items):
-            out.write(f'{pad}  "{k}": ')
-            _emit_json(v, out, indent + 1)
-            out.write(",\n" if idx < len(items) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for idx, v in enumerate(obj):
-            out.write(pad + "  ")
-            _emit_json(v, out, indent + 1)
-            out.write(",\n" if idx < len(obj) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(format(obj, ".17g"))
-    elif isinstance(obj, Fraction):
-        _emit_json([obj.numerator, obj.denominator], out, indent)
-    elif obj is None:
-        out.write("null")
-    else:
-        # escape via the repr rules of JSON strings
-        import json
-        out.write(json.dumps(str(obj)))
-
-
 def serialize(bundle: ReportBundle, fmt: str, path: str | None):
     if fmt == "json":
-        buf = io.StringIO()
-        _emit_json(bundle.to_dict(), buf)
-        buf.write("\n")
-        text = buf.getvalue()
+        text = json.dumps(bundle.to_dict(), indent=2) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

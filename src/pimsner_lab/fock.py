@@ -372,7 +372,7 @@ class SchurRow:
         row = self.to_dict()
         return [self.N, self.r, self.s, self.l,
                 self.expected.numerator, self.expected.denominator,
-                f"{row['measured']:.17g}", f"{row['abs_err']:.17g}", self.sided]
+                row["measured"], row["abs_err"], self.sided]
 
 
 def _measure_band(pairs: list) -> tuple[np.ndarray, np.ndarray]:

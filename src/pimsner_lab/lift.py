@@ -296,18 +296,19 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
                      choi_cap: int = CHOI_CAP) -> CPAPCertificate:
     """Build and certify the degree-N approximation of the quotient map.
 
-    ``generators`` is a list of (r, s) degree pairs; seeded unit-norm vectors
-    are drawn per pair.  On a two-sided window (the bimodule case) it measures
-    || W_N(g) - g || directly; on a one-sided one, the tail deviation from the
-    oracle symbol."""
+    ``generators`` is a list of (r, s) degree pairs; unit-norm vectors are
+    drawn per pair at seed ``seed + 100 * (3 r + s)`` (distinct for r, s <= 2),
+    so a pair draws the same vectors on every window and in every list.  On a
+    two-sided window (the bimodule case) it measures || W_N(g) - g ||
+    directly; on a one-sided one, the tail deviation from the oracle symbol."""
     if big_n > window.hi:
         raise ConfigurationError("window too small for requested N")
     phi, psi, d_total = factor_tables(spec, window, big_n)
     phi_cp = cp_check_auto(phi, choi_cap=choi_cap, seed=seed + 1)
     psi_cp = cp_check_auto(psi, choi_cap=choi_cap, seed=seed + 2)
     gen_records = []
-    for idx, (r, s) in enumerate(generators):
-        gseed = seed + 100 * idx
+    for r, s in generators:
+        gseed = seed + 100 * (3 * r + s)
         mu = spec.sample_vector(r, gseed)
         nu = spec.sample_vector(s, gseed + 1)
         e = rank_one(mu, nu)

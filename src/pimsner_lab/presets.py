@@ -10,7 +10,8 @@ Config files are JSON with the same fields a preset would produce:
 ``block_dims``, ``n``, ``unitary`` (nested [block][n][n] scalars, or
 [block][n][n][d][d]), ``alphas`` (list of {perm, unitaries}, the unitaries
 nested [block][d][d]), and optional ``max_degree`` / ``name``.  Every leaf
-is a number or an [re, im] pair.
+is a number or an [re, im] pair.  ``block_dims``, ``n``, ``perm`` and
+``max_degree`` are JSON integers, and ``max_degree`` is at least 1.
 """
 
 from __future__ import annotations
@@ -123,16 +124,24 @@ def _complex_array(data, *ndims) -> np.ndarray:
                              " axes of numbers, or one more axis of [re, im] pairs")
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a float or a bool is refused, not
+    truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> CorrespondenceSpec:
     """Build a correspondence from a JSON config file."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-        algebra = AlgebraSpec(tuple(int(d) for d in cfg["block_dims"]))
-        n = int(cfg["n"])
+        algebra = AlgebraSpec(tuple(_json_int(d, "block_dims") for d in cfg["block_dims"]))
+        n = _json_int(cfg["n"], "n")
         alphas = []
         for a in cfg["alphas"]:
-            perm = tuple(int(p) for p in a.get("perm", range(algebra.n_blocks)))
+            perm = tuple(_json_int(p, "perm") for p in a.get("perm", range(algebra.n_blocks)))
             us = a.get("unitaries")
             if us is not None:
                 us = tuple(_complex_array(u, 2) for u in us)  # (d, d) each
@@ -143,9 +152,14 @@ def load_config(path: str) -> CorrespondenceSpec:
         else:
             unitary = _unitary_from_blocks(
                 algebra, n, [_complex_array(b, 2, 4) for b in u_cfg])  # (n, n) / (n, n, d, d)
+        max_degree = 0  # CorrespondenceSpec's default for n
+        if "max_degree" in cfg:
+            max_degree = _json_int(cfg["max_degree"], "max_degree")
+            if max_degree < 1:
+                raise ValueError(f"max_degree must be >= 1, got {max_degree}")
         return CorrespondenceSpec(
             algebra=algebra, n=n, unitary=unitary, alphas=tuple(alphas),
-            max_degree=int(cfg.get("max_degree", 0)),
+            max_degree=max_degree,
             name=str(cfg.get("name", "custom")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config {path}: {exc}") from exc

@@ -138,6 +138,32 @@ def test_config_block_of_wrong_shape_exit_two(tmp_path, capsys, config):
     assert capsys.readouterr().err.startswith("error: bad config")
 
 
+# the Cuntz correspondence on A = C, which validates
+CUNTZ_N2 = {"block_dims": [1], "n": 2, "alphas": [{"perm": [0]}, {"perm": [0]}]}
+
+
+@pytest.mark.parametrize("config", [
+    dict(CUNTZ_N2, n=2.7),
+    dict(CUNTZ_N2, n=True, alphas=[{"perm": [0]}]),
+    dict(CUNTZ_N2, block_dims=[1.9]),
+    dict(CUNTZ_N2, alphas=[{"perm": [0.4]}, {"perm": [0]}]),
+    dict(CUNTZ_N2, max_degree=2.5),
+    dict(CUNTZ_N2, max_degree=-3),
+], ids=["n-float", "n-bool", "block-dims-float", "perm-float",
+        "max-degree-float", "max-degree-negative"])
+def test_config_integers_are_not_truncated(tmp_path, capsys, config):
+    """block_dims, n, perm and max_degree are JSON integers, and max_degree
+    is at least 1: a float, a bool or a max_degree below 1 is a configuration
+    error (exit 2), not read as a nearby integer or the default degree."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(CUNTZ_N2))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config")
+
+
 @pytest.mark.parametrize("config", [
     two_block_config(2, 2),
     {"block_dims": [1, 1], "n": 1, "alphas": [{"perm": [1, 0]}]},
@@ -173,6 +199,17 @@ def test_certificate_skips_pairs_outside_its_window(tmp_path, args, pairs):
     assert main(args + ["--out", str(out)]) == 0
     (cert,) = json.loads(out.read_text())["certificates"]
     assert [(g["r"], g["s"]) for g in cert["generators"]] == pairs
+
+
+def test_certificate_seeds_generators_by_degrees(tmp_path):
+    """A generator pair draws its vectors at seed + 100 (3 r + s), whatever
+    pairs the window or the band keep beside it."""
+    for args in (["--N", "2"], ["--N", "1", "--M", "1"], ["--N", "2", "--band", "1"]):
+        out = tmp_path / "c.json"
+        assert main(["certificate", "--preset", "cuntz2", "--out", str(out)] + args) == 0
+        (cert,) = json.loads(out.read_text())["certificates"]
+        seeds = {(g["r"], g["s"]): g["seed"] for g in cert["generators"]}
+        assert (seeds[1, 0], seeds[1, 1]) == (300, 400), args
 
 
 def test_lift_check_runs_each_defect_case_once():
@@ -667,8 +704,7 @@ def test_certificate_bytes_stable_across_blas_threads():
 # the serialized CP record of both twisted2 factor maps at N = 5, from their
 # unit images alone (no Choi check, no probe)
 FACTOR_MAP_NORMS = """
-import sys
-from pimsner_lab.cli import _emit_json
+import json
 from pimsner_lab.fock import FockWindow
 from pimsner_lab.hilbert_mod import CPReport, _unit_image_norms
 from pimsner_lab.lift import factor_tables
@@ -676,8 +712,7 @@ from pimsner_lab.presets import build_preset
 spec = build_preset("twisted2")
 for table in factor_tables(spec, FockWindow.one_sided(7), 5)[:2]:
     unital_defect, norm_bound = _unit_image_norms(table)
-    _emit_json(CPReport("probe", 0.0, unital_defect, norm_bound, 0.0).to_dict(),
-               sys.stdout)
+    print(json.dumps(CPReport("probe", 0.0, unital_defect, norm_bound, 0.0).to_dict()))
 """
 
 
@@ -719,3 +754,38 @@ def test_serialize_json_floats_17g(tmp_path):
     assert doc["schur_table"]
     row = doc["schur_table"][0]
     assert isinstance(row["expected"], list) and len(row["expected"]) == 2
+
+
+def _assert_same_leaves(got, want):
+    """got == want, with the same type at every leaf (an int is not a float)."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_same_leaves(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_leaves(g, w)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("command, preset, n_values", [
+    ("report", "crossed-z3", (2, 3)),
+    ("certificate", "twisted2", (2,)),
+], ids=["report-crossed-z3", "certificate-twisted2"])
+def test_reports_read_back_exactly(tmp_path, command, preset, n_values):
+    """A JSON report parses back to the bundle's dict, type for type, and
+    each Schur row's measured and abs_err CSV cells are the repr of the
+    gridded floats."""
+    bundle = run(command, RunConfig(spec=build_preset(preset), n_values=n_values),
+                 created="2026-08-23")
+    text = serialize(bundle, "json", str(tmp_path / "r.json"))
+    _assert_same_leaves(json.loads(text), bundle.to_dict())
+    rows = list(csv.DictReader(serialize(bundle, "csv", str(tmp_path / "r.csv")).splitlines()))
+    assert len(rows) == len(bundle.schur_rows) and bool(rows) == (command == "report")
+    for cells, row in zip(rows, bundle.schur_rows):
+        want = row.to_dict()
+        assert (cells["measured"], cells["abs_err"]) == \
+            (repr(want["measured"]), repr(want["abs_err"]))
