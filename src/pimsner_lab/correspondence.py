@@ -227,10 +227,7 @@ class CorrespondenceSpec:
             self.phi1(a.adjoint()) - self.phi1(a).adjoint()).max_abs()
         # faithfulness: the flattened matrix of phi_1 on the basis of A has
         # trivial kernel
-        cols = []
-        for e in matrix_units(self.algebra):
-            cols.append(self.phi1(e).flatten().ravel())
-        mat = np.array(cols).T
+        mat = np.array([self.phi1(e).flatten().ravel() for e in matrix_units(self.algebra)]).T
         sv = np.linalg.svd(mat, compute_uv=False)
         checks["faithfulness_min_sv"] = float(sv.min())
         aut_dev = 0.0

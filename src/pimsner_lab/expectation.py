@@ -100,8 +100,7 @@ def eps_hat(spec: CorrespondenceSpec, level: int, t: AMatrix) -> AMatrix:
 
 
 def ex_k_table(spec: CorrespondenceSpec, k: int) -> LinearMapTable:
-    return LinearMapTable.from_amatrix_map(
-        spec.algebra, spec.n ** k, 1, lambda x: eps_hat(spec, k, x))
+    return LinearMapTable(spec.algebra, spec.n ** k, 1, lambda x, row: eps_hat(spec, k, x))
 
 
 def verify_cond_exp(spec: CorrespondenceSpec, level: int, seed: int = 23,

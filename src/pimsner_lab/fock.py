@@ -18,7 +18,7 @@ multipliers; :func:`schur_oracle` computes the same coefficients by direct
 counting with no operator machinery, and is the authority whenever the two
 disagree.
 
-:func:`window_table` applies such maps to flattened window matrices, split
+:func:`window_table` applies such maps to stacks of window matrices, split
 one way into degree blocks that are views (:meth:`GradedOperator.from_amatrix`).
 """
 
@@ -168,9 +168,8 @@ class GradedOperator:
 
     def to_amatrix(self, out: AMatrix | None = None) -> AMatrix:
         """Assemble the window into one square AMatrix over A, or into
-        ``out``: a zeroed AMatrix of that side, such as ``from_flat`` views,
-        and a stack of them when the blocks are stacks (an operator with no
-        blocks leaves ``out`` zero)."""
+        ``out``: a zeroed AMatrix of that side, and a stack of them when the
+        blocks are stacks (an operator with no blocks leaves ``out`` zero)."""
         offs = _degree_offsets(self.spec, self.window)
         total = int(offs[-1])
         alg = self.spec.algebra
@@ -444,45 +443,40 @@ def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
 
 
 # ---------------------------------------------------------------------------
-# the pipeline maps on stacks of flattened window operators
+# the pipeline maps on stacks of window matrices
 # ---------------------------------------------------------------------------
 
 def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
                  window_out: FockWindow, fn, reads: FockWindow | None = None
                  ) -> LinearMapTable:
     """A map of graded operators, ``fn`` (window_in -> window_out), as a
-    linear map on flattened window algebras.  Each ``apply`` hands ``fn`` the
-    whole stack as one operator whose blocks are stacks, and writes each
-    output block once into the zeroed flat result, through ``from_flat``
-    views of it.  ``from_amatrix`` splits the input stack, into one block row
-    given a row hint (see :meth:`LinearMapTable.apply`).
+    linear map M_p(A) -> M_q(A) of window matrices, p and q the windows'
+    sides over A.  Each ``apply`` hands ``fn`` the whole stack as one
+    operator whose blocks are stacks, split by ``from_amatrix`` (into one
+    block row given a row hint, see :meth:`LinearMapTable.apply`), and
+    writes each output block once into a zeroed window stack.
 
     ``reads``, a sub-window of ``window_in``, declares that ``fn`` reads only
     the blocks with both degrees in it; the table's ``reads`` are then the
-    flat rows of those degrees in each algebra block, and the CP checks
-    assemble and probe that corner alone (and test the promise first)."""
+    rows of those degrees, and the CP checks assemble and probe that corner
+    alone (and test the promise first)."""
     _check_window(spec, window_in)
     _check_window(spec, window_out)
     alg, offs = spec.algebra, _degree_offsets(spec, window_in)
     t_in, t_out = int(offs[-1]), int(_degree_offsets(spec, window_out)[-1])
-    # the window index of each flat row's degree, one algebra block after another
-    row_degree = np.concatenate([np.repeat(np.arange(len(offs) - 1), np.diff(offs) * d)
-                                 for d in alg.block_dims])
+    row_degree = np.repeat(np.arange(len(offs) - 1), np.diff(offs))  # window index per row
     read_rows = None
     if reads is not None:
         if not (window_in.lo <= reads.lo and reads.hi <= window_in.hi):
             raise ConfigurationError("reads must be a sub-window of the input window")
-        lo, hi = int(offs[reads.lo - window_in.lo]), int(offs[reads.hi - window_in.lo + 1])
-        read_rows = [np.arange(lo * d, hi * d) for d in alg.block_dims]
+        read_rows = np.arange(offs[reads.lo - window_in.lo], offs[reads.hi - window_in.lo + 1])
 
-    def apply(stack, row):
-        mat = AMatrix.from_flat(alg, t_in, t_in, stack)
-        x = GradedOperator.from_amatrix(spec, window_in, mat,
+    def apply(x, row):
+        g = GradedOperator.from_amatrix(spec, window_in, x,
                                         None if row is None else row_degree[row])
-        y = fn(x)  # before the result is allocated: a lower peak RSS, measured
-        flat = np.zeros(stack.shape[:-2] + 2 * (t_out * sum(alg.block_dims),), dtype=complex)
-        y.to_amatrix(out=AMatrix.from_flat(alg, t_out, t_out, flat))
-        return flat
+        y = fn(g)  # before the result is allocated: a lower peak RSS, measured
+        out = [np.zeros(x.stack_shape + (t_out, t_out, d, d), dtype=complex)
+               for d in alg.block_dims]
+        return y.to_amatrix(out=AMatrix(alg, t_out, t_out, out))
 
-    return LinearMapTable([t_in * d for d in alg.block_dims],
-                          [t_out * d for d in alg.block_dims], apply, reads=read_rows)
+    return LinearMapTable(alg, t_in, t_out, apply, reads=read_rows)

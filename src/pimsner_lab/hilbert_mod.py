@@ -4,15 +4,16 @@ An :class:`AMatrix` is a p x q matrix over A = direct sum of matrix blocks,
 i.e. an adjointable map A^q -> A^p between free modules.  An element of A
 is a 1 x 1 AMatrix (:func:`sample`, :func:`matrix_units` and ``AMatrix.eye``
 make them), so A shares the arithmetic of M_D(A).  Positivity and
-norms of A-matrices are *defined* through :meth:`AMatrix.flatten`, which is
-a faithful unital *-homomorphism onto block-diagonal complex matrices.
+norms of A-matrices are *defined* per algebra block through
+:meth:`AMatrix.flatten_block`, a *-homomorphism onto complex matrices.
 
-Complete positivity of linear maps between such flattened matrix spaces is
-checked by the Choi matrix of each domain block (exact) or by a randomized
-positivity probe (necessary only); both return a :class:`CPReport` of
-numbers, which decides every CP verdict.  A map that reads only some rows
-and columns of its domain (``LinearMapTable.reads``) is checked on that
-corner alone, once a seeded test of the promise passes.
+Complete positivity of a :class:`LinearMapTable`, a map M_p(A) -> M_q(A),
+is checked by the Choi matrix of each domain block (exact) or by a
+randomized positivity probe (necessary only), one algebra block at a time:
+an image is block diagonal over the codomain's blocks.  Both return a
+:class:`CPReport` of numbers, which decides every CP verdict.  A map that
+reads only some rows and columns of M_p(A) (``LinearMapTable.reads``) is
+checked on that corner alone, once a seeded test of the promise passes.
 Eigenvalues are solved exactly per connected component of the matrix's
 nonzero pattern, and serialized on a grid derived from ``psd_tol``
 (:func:`tol_grid`) so reports do not depend on BLAS threads.  The Choi
@@ -69,7 +70,7 @@ class AMatrix:
     """p x q matrix over A, stored per algebra block as a (p, q, d, d) array.
 
     The block arrays may carry leading axes, (..., p, q, d, d): a stack of
-    p x q matrices.  Sums, scalar multiples, ``submatrix``, ``flatten``,
+    p x q matrices.  Sums, scalar multiples, ``submatrix``, the flattenings,
     ``from_flat``, the amplifications of a correspondence and ``eps_hat``
     act on every element of a stack; products, adjoints and the metrics take
     one matrix.
@@ -189,32 +190,22 @@ class AMatrix:
 
     def flatten(self) -> np.ndarray:
         """Direct sum over algebra blocks of the (p d_s) x (q d_s) matrices
-        (a stack of them for a stack)."""
+        (a stack of them for a stack), zero between the blocks."""
         mats = [self.flatten_block(s) for s in range(self.spec.n_blocks)]
-        r = sum(m.shape[-2] for m in mats)
-        c = sum(m.shape[-1] for m in mats)
-        out = np.zeros(self.stack_shape + (r, c), dtype=complex)
-        ro = co = 0
-        for m in mats:
-            out[..., ro:ro + m.shape[-2], co:co + m.shape[-1]] = m
-            ro += m.shape[-2]
-            co += m.shape[-1]
+        offs = np.cumsum([(0, 0)] + [m.shape[-2:] for m in mats], axis=0)
+        out = np.zeros(self.stack_shape + tuple(offs[-1]), dtype=complex)
+        for m, (r, c) in zip(mats, offs):
+            out[..., r:r + m.shape[-2], c:c + m.shape[-1]] = m
         return out
 
     @classmethod
-    def from_flat(cls, spec: AlgebraSpec, rows: int, cols: int, flat: np.ndarray) -> "AMatrix":
-        """Inverse of :meth:`flatten` (off-diagonal junk between blocks is
-        dropped); a stack of flat matrices gives a stack.  The blocks of a
-        complex ``flat`` are views of it, not copies."""
-        lead = flat.shape[:-2]
-        blocks = []
-        ro = co = 0
-        for d in spec.block_dims:
-            m = flat[..., ro:ro + rows * d, co:co + cols * d]
-            blocks.append(m.reshape(lead + (rows, d, cols, d)).swapaxes(-3, -2))
-            ro += rows * d
-            co += cols * d
-        return cls(spec, rows, cols, blocks)
+    def from_flat(cls, spec: AlgebraSpec, rows: int, cols: int, flats) -> "AMatrix":
+        """Inverse of :meth:`flatten_block`, from one (..., rows d_s, cols d_s)
+        array per algebra block s; stacks give a stack.  The blocks of
+        complex arrays are views of them, not copies."""
+        return cls(spec, rows, cols,
+                   [m.reshape(m.shape[:-2] + (rows, d, cols, d)).swapaxes(-3, -2)
+                    for m, d in zip(flats, spec.block_dims)])
 
     def norm(self) -> float:
         return max(spectral_norm(self.flatten_block(s))
@@ -268,7 +259,7 @@ def rank_one(mu: AMatrix, nu: AMatrix) -> AMatrix:
 
 
 # ---------------------------------------------------------------------------
-# linear maps between flattened matrix spaces
+# linear maps M_p(A) -> M_q(A) and their CP checks
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -378,91 +369,72 @@ def _components(link: np.ndarray, todo: np.ndarray):
 
 
 class LinearMapTable:
-    """Linear map between flattened matrix spaces, defined on the matrix-unit
-    basis of the domain.
+    """Linear map M_p(A) -> M_q(A) over the algebra ``spec``.
 
-    The flattened domain is a direct sum of full matrix algebras with sides
-    ``domain_sides``; a map is completely positive iff each block restriction
-    is, which is what the Choi assembly checks.  ``apply`` evaluates the map
-    on a stack of block-diagonal elements, ``(B, n, n) -> (B, c, c)``; the
-    callable passed in takes the stack and that method's row hint, or None.
+    ``apply`` maps a stack of p x p matrices (an AMatrix with stack axes) to
+    the stack of q x q images; the callable passed in takes the stack and
+    that method's row hint, or None.  Flattened, domain block s is a full
+    matrix algebra of side p d_s (``domain_sides``); a map is completely
+    positive iff each block restriction is, which the Choi assembly checks.
 
-    ``reads`` holds, per domain block, the sorted index array of the flat
-    rows (and columns) the map reads: a promise that Phi = Phi o Ad Q for the
-    coordinate projection Q onto them.  It defaults to the whole block.  The
-    CP checks work on that corner alone, and test the promise first.
+    ``reads`` holds the sorted rows (and columns) of M_p(A) the map reads: a
+    promise that Phi = Phi o Ad Q for the coordinate projection Q onto them.
+    It defaults to every row.  The CP checks work on that corner alone, and
+    test the promise first.
     """
 
-    def __init__(self, domain_sides, codomain_sides, apply, reads=None):
-        self.domain_sides = tuple(int(m) for m in domain_sides)
-        self.codomain_sides = tuple(int(m) for m in codomain_sides)
+    def __init__(self, spec: AlgebraSpec, p: int, q: int, apply, reads=None):
+        self.spec, self.p, self.q = spec, int(p), int(q)
         self._apply = apply
-        if reads is None:
-            reads = [np.arange(m) for m in self.domain_sides]
-        self.reads = tuple(np.asarray(r, dtype=np.intp) for r in reads)
-        if len(self.reads) != len(self.domain_sides) or any(
-                r.size and (r[0] < 0 or r[-1] >= m or np.any(np.diff(r) <= 0))
-                for r, m in zip(self.reads, self.domain_sides)):
-            raise SpecMismatchError("reads must be sorted rows inside each domain block")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_amatrix_map(cls, spec: AlgebraSpec, p: int, q: int, fn):
-        """Wrap a map AMatrix(p x p) -> AMatrix(q x q) over ``spec``.  Each
-        ``apply`` hands ``fn`` the whole stack as one AMatrix with a leading
-        stack axis, and ``fn`` returns the stack of images the same way."""
-        dom = tuple(p * d for d in spec.block_dims)
-        cod = tuple(q * d for d in spec.block_dims)
-
-        def apply(stack, row):
-            return fn(AMatrix.from_flat(spec, p, p, stack)).flatten()
-
-        return cls(dom, cod, apply)
+        self.reads = np.arange(self.p) if reads is None else np.asarray(reads, dtype=np.intp)
+        r = self.reads
+        if r.ndim != 1 or r.size and (r[0] < 0 or r[-1] >= self.p or np.any(np.diff(r) <= 0)):
+            raise SpecMismatchError("reads must be sorted rows of the domain")
+        # the rows of each flattened domain block that ``reads`` covers
+        self._flat_reads = [(r[:, None] * d + np.arange(d)).ravel() for d in spec.block_dims]
 
     @property
-    def domain_dim(self) -> int:
-        return sum(self.domain_sides)
+    def domain_sides(self) -> tuple:
+        """The side p d_s of each flattened domain block."""
+        return tuple(self.p * d for d in self.spec.block_dims)
 
     @property
     def codomain_dim(self) -> int:
-        return sum(self.codomain_sides)
+        return self.q * sum(self.spec.block_dims)
 
     @property
     def restricted(self) -> bool:
-        """Whether ``reads`` leaves out a row of some domain block."""
-        return any(r.size < m for r, m in zip(self.reads, self.domain_sides))
+        """Whether ``reads`` leaves out a row of the domain."""
+        return self.reads.size < self.p
 
-    def apply(self, stack: np.ndarray, row: int | None = None) -> np.ndarray:
-        """The map on each element of a stack: (B, n, n) -> (B, c, c).  A
-        ``row`` hint promises that every nonzero entry of the stack lies in
-        that flat row; a map may read only that row (a window map splits off
-        its block row), and returns the same images either way."""
-        return self._apply(stack, row)
+    def apply(self, x: AMatrix, row: int | None = None) -> AMatrix:
+        """The map on each element of a stack.  A ``row`` hint promises that
+        every nonzero entry of the stack lies in that row of M_p(A); a map
+        may read only that row (a window map splits off its block row), and
+        returns the same images either way."""
+        return self._apply(x, row)
 
     def basis_images(self):
-        """Images of the matrix units the map reads, one domain block at a
-        time: for each block, an iterator over its read rows u, in order,
-        that yields the (r, C, C) stack whose [j] is the image of e_uv for v
-        the j-th entry of the block's ``reads``.  Every other unit's image is
-        zero by the ``reads`` promise, so these are the nonzero rows of the
-        block's Choi matrix.  Each stack is the result of one ``apply``,
-        hinted with the flat row ``off + u`` that holds the row's unit stack;
-        that unit stack is rewritten for the next row once the iterator is
-        advanced."""
-        off = 0
-        for m, rows in zip(self.domain_sides, self.reads):
-            yield self._row_images(off, rows)
-            off += m
+        """Images of the matrix units the map reads, one domain block s at a
+        time: for each block, an iterator over its read flat rows u, in
+        order, that yields the stack of r images whose [j] is the image of
+        e_uv for v the j-th of the block's r read flat rows (``_flat_reads``).
+        Every other unit's image is zero by the ``reads`` promise, so these
+        are the nonzero rows of the block's Choi matrix.  Each stack is the
+        result of one ``apply``, hinted with the row u // d_s of M_p(A) that
+        holds the row's unit stack; that unit stack is rewritten for the
+        next row once the iterator is advanced."""
+        for s, rows in enumerate(self._flat_reads):
+            yield self._row_images(s, rows)
 
-    def _row_images(self, off: int, rows: np.ndarray):
-        n = self.domain_dim
-        units = np.zeros((rows.size, n, n), dtype=complex)
-        stack, cols = np.arange(rows.size), off + rows
+    def _row_images(self, s: int, rows: np.ndarray):
+        flats = [np.zeros((rows.size, m, m), dtype=complex) for m in self.domain_sides]
+        units = AMatrix.from_flat(self.spec, self.p, self.p, flats)
+        stack, d = np.arange(rows.size), self.spec.block_dims[s]
         for u in rows.tolist():
-            units[stack, off + u, cols] = 1.0
-            yield self.apply(units, off + u)
-            units[stack, off + u, cols] = 0.0
+            flats[s][stack, u, rows] = 1.0
+            yield self.apply(units, u // d)
+            flats[s][stack, u, rows] = 0.0
 
 
 def choi_cp_check(table: LinearMapTable) -> CPReport:
@@ -485,36 +457,42 @@ def _choi_min_eig(table: LinearMapTable) -> tuple[float, float]:
     table's domain blocks, as :func:`_hermitian_min_eig` finds them on each
     dense C, with a running minimum carried from block to block.
 
-    No dense C is formed.  Each row's image stack from ``basis_images`` is
-    cut down to its nonzero flat indices and values at once, and a block's
-    entries are decoded into Choi rows and columns in one pass.  A row with
-    no off-diagonal nonzero in its row or column is a 1 x 1 component: it
-    adds its diagonal entry, or 0 where that is absent.  The other rows
+    An image is block diagonal over the codomain's algebra blocks t, so C is
+    the direct sum over t of the Choi matrices C_t of the images' block-t
+    parts.  No dense C_t is formed.  Each row's image stack is cut, per t, to
+    the nonzero flat indices and values of its block-t part at once, and
+    C_t's entries are decoded into rows and columns in one pass.  A row
+    with no off-diagonal nonzero in its row or column is a 1 x 1 component:
+    it adds its diagonal entry, or 0 where that is absent.  The other rows
     form one dense principal submatrix, which ``_hermitian_min_eig`` splits
     into the same components, with the same entries and in the same order,
-    as it would split C."""
-    c = table.codomain_dim
+    as it would split C_t."""
+    dims = table.spec.block_dims
     # the zero rows outside ``reads`` hold the eigenvalue 0
     low = 0.0 if table.restricted else np.inf
     herm_dev = 0.0
-    for rows, images in zip(table.reads, table.basis_images()):
-        flat_idx, values = [], []
+    for s, images in enumerate(table.basis_images()):
+        parts = [([], []) for _ in dims]  # per t: each row's flat indices, values
         for stack in images:
-            flat = stack.reshape(-1)
-            k = np.flatnonzero(flat != 0)  # faster than on complex values
-            flat_idx.append(k)
-            values.append(flat[k])
-        counts = [k.size for k in flat_idx]
-        k = np.concatenate(flat_idx) if counts else np.zeros(0, dtype=np.intp)
-        val = np.concatenate(values) if counts else np.zeros(0, dtype=complex)
-        # flat index k of row i's (r, c, c) stack is (j, a, b): Choi entry
-        # ((i, a), (j, b)) = Phi(e_{u_i u_j})[a, b]
-        j, ab = np.divmod(k, c * c)
-        a, b = np.divmod(ab, c)
-        row = np.repeat(np.arange(rows.size) * c, counts) + a
-        col = j * c + b
-        low, dev = _sparse_hermitian_min_eig(row, col, val, rows.size * c, low)
-        herm_dev = max(herm_dev, dev)
+            for t, (flat_idx, values) in enumerate(parts):
+                flat = stack.flatten_block(t).reshape(-1)
+                k = np.flatnonzero(flat != 0)  # faster than on complex values
+                flat_idx.append(k)
+                values.append(flat[k])
+        r = table.reads.size * dims[s]
+        for (flat_idx, values), d in zip(parts, dims):
+            c = table.q * d
+            counts = [k.size for k in flat_idx]
+            k = np.concatenate(flat_idx) if counts else np.zeros(0, dtype=np.intp)
+            val = np.concatenate(values) if counts else np.zeros(0, dtype=complex)
+            # flat index k of row i's (r, c, c) block-t stack is (j, a, b): entry
+            # ((i, a), (j, b)) of C_t = Phi(e_{u_i u_j})_t[a, b]
+            j, ab = np.divmod(k, c * c)
+            a, b = np.divmod(ab, c)
+            row = np.repeat(np.arange(r) * c, counts) + a
+            col = j * c + b
+            low, dev = _sparse_hermitian_min_eig(row, col, val, r * c, low)
+            herm_dev = max(herm_dev, dev)
     return low, herm_dev
 
 
@@ -553,17 +531,15 @@ def _reads_check(table: LinearMapTable) -> float | None:
     if not table.restricted:
         return None
     rng = np.random.default_rng(0)
-    n = table.domain_dim
-    pair = np.zeros((2, n, n), dtype=complex)
-    off = 0
-    for m, rows in zip(table.domain_sides, table.reads):
-        pair[0, off:off + m, off:off + m] = \
-            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        kept = np.ix_(off + rows, off + rows)
+    pairs = []
+    for s, m in enumerate(table.domain_sides):
+        pair = np.zeros((2, m, m), dtype=complex)
+        pair[0] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        kept = np.ix_(table._flat_reads[s], table._flat_reads[s])
         pair[1][kept] = pair[0][kept]
-        off += m
-    out = table.apply(pair)
-    return float(np.max(np.abs(out[0] - out[1])))
+        pairs.append(pair)
+    out = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, pairs))
+    return max(float(np.max(np.abs(b[0] - b[1]))) for b in out.blocks)
 
 
 def positivity_probe(table: LinearMapTable, trials: int, seed: int) -> CPReport:
@@ -581,38 +557,42 @@ def positivity_probe(table: LinearMapTable, trials: int, seed: int) -> CPReport:
 
 
 def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
-    """The (k c, k c) images under Phi x id_{M_k} of the probe's seeded random
-    positive elements, one per trial.  Each element is z* z / (m k) per
-    domain block for a seeded complex Gaussian z; only the cells in
-    ``reads`` x ``reads`` are formed, from the columns of z that reach them,
-    as the map reads no other."""
-    c = table.codomain_dim
-    n = table.domain_dim
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        # a random positive element of (direct sum domain) (x) M_k, as the
-        # stack of its k^2 cells (a, b), each a block-diagonal domain element
-        cells = np.zeros((k * k, n, n), dtype=complex)
-        off = 0
-        for m, rows in zip(table.domain_sides, table.reads):
+    """The images under Phi x id_{M_k} of the probe's seeded random positive
+    elements, one trial after another, each split into its (k c_t, k c_t)
+    parts over the codomain's algebra blocks t.  Each element is
+    z* z / (m k) per domain block for a seeded complex Gaussian z; only the
+    cells in ``reads`` x ``reads`` are formed, from the columns of z that
+    reach them, as the map reads no other."""
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        # a random positive element of M_p(A) (x) M_k, as the stack of its
+        # k^2 cells (a, b), each a domain element, one algebra block at a time
+        cells = []
+        for s, m in enumerate(table.domain_sides):
             z = np.empty((m * k, m * k), dtype=complex)
             z.real = rng.standard_normal((m * k, m * k))
             z.imag = rng.standard_normal((m * k, m * k))
+            rows = table._flat_reads[s]
             r = rows.size
             zr = z[:, (np.arange(k)[:, None] * m + rows).ravel()]
             x = zr.conj().T @ zr / (m * k)
-            cells[:, (off + rows)[:, None], off + rows] = \
+            cell = np.zeros((k * k, m, m), dtype=complex)
+            cell[:, rows[:, None], rows] = \
                 x.reshape(k, r, k, r).transpose(0, 2, 1, 3).reshape(k * k, r, r)
-            off += m
-        out = table.apply(cells).reshape(k, k, c, c).transpose(0, 2, 1, 3)
-        yield out.reshape(k * c, k * c)
+            cells.append(cell)
+        out = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, cells))
+        for t in range(table.spec.n_blocks):
+            flat = out.flatten_block(t)
+            c = flat.shape[-1]
+            yield flat.reshape(k, k, c, c).transpose(0, 2, 1, 3).reshape(k * c, k * c)
 
 
 def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
     """(||Phi(1) - 1||, ||Phi(1)||): the unital defect and the norm bound."""
-    one_img = table.apply(np.eye(table.domain_dim, dtype=complex)[None])[0]
-    return (spectral_norm(one_img - np.eye(table.codomain_dim, dtype=complex)),
-            spectral_norm(one_img))
+    eye = [np.eye(m, dtype=complex)[None] for m in table.domain_sides]
+    img = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, eye))
+    one_img = AMatrix._new(table.spec, table.q, table.q, [b[0] for b in img.blocks])
+    return (one_img - AMatrix.eye(table.spec, table.q)).norm(), one_img.norm()
 
 
 def cp_check_auto(table: LinearMapTable, choi_cap: int = CHOI_CAP,

@@ -296,13 +296,17 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
                      choi_cap: int = CHOI_CAP) -> CPAPCertificate:
     """Build and certify the degree-N approximation of the quotient map.
 
-    ``generators`` is a list of (r, s) degree pairs; unit-norm vectors are
-    drawn per pair at seed ``seed + 100 * (3 r + s)`` (distinct for r, s <= 2),
-    so a pair draws the same vectors on every window and in every list.  On a
+    ``generators`` is a list of (r, s) degree pairs, s <= 2 (refused else);
+    unit-norm vectors are drawn per pair at seed ``seed + 100 * (3 r + s)``,
+    distinct for such pairs, so a pair draws the same vectors on every window
+    and in every list.  On a
     two-sided window (the bimodule case) it measures || W_N(g) - g ||
     directly; on a one-sided one, the tail deviation from the oracle symbol."""
     if big_n > window.hi:
         raise ConfigurationError("window too small for requested N")
+    for r, s in generators:
+        if s > 2:
+            raise ConfigurationError(f"generator pair ({r}, {s}) has s > 2: its seed is not its own")
     phi, psi, d_total = factor_tables(spec, window, big_n)
     phi_cp = cp_check_auto(phi, choi_cap=choi_cap, seed=seed + 1)
     psi_cp = cp_check_auto(psi, choi_cap=choi_cap, seed=seed + 2)

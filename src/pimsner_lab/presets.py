@@ -8,10 +8,10 @@ unitary, and an irrational-angle inner rotation on M_2.
 
 Config files are JSON with the same fields a preset would produce:
 ``block_dims``, ``n``, ``unitary`` (nested [block][n][n] scalars, or
-[block][n][n][d][d]), ``alphas`` (list of {perm, unitaries}, the unitaries
-nested [block][d][d]), and optional ``max_degree`` / ``name``.  Every leaf
-is a number or an [re, im] pair.  ``block_dims``, ``n``, ``perm`` and
-``max_degree`` are JSON integers, and ``max_degree`` is at least 1.
+[block][n][n][d][d]), ``alphas`` (objects {perm, unitaries}, the unitaries
+nested [block][d][d]), and optional ``max_degree`` and string ``name``.
+Every leaf is a number or an [re, im] pair.  ``block_dims``, ``n``,
+``perm`` and ``max_degree`` are JSON integers, ``max_degree`` at least 1.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def load_config(path: str) -> CorrespondenceSpec:
         n = _json_int(cfg["n"], "n")
         alphas = []
         for a in cfg["alphas"]:
+            if not isinstance(a, dict):
+                raise TypeError(f"each alphas entry must be an object, got {a!r}")
             perm = tuple(_json_int(p, "perm") for p in a.get("perm", range(algebra.n_blocks)))
             us = a.get("unitaries")
             if us is not None:
@@ -152,6 +154,9 @@ def load_config(path: str) -> CorrespondenceSpec:
         else:
             unitary = _unitary_from_blocks(
                 algebra, n, [_complex_array(b, 2, 4) for b in u_cfg])  # (n, n) / (n, n, d, d)
+        name = cfg.get("name", "custom")
+        if type(name) is not str:
+            raise TypeError(f"name must be a string, got {name!r}")
         max_degree = 0  # CorrespondenceSpec's default for n
         if "max_degree" in cfg:
             max_degree = _json_int(cfg["max_degree"], "max_degree")
@@ -159,8 +164,7 @@ def load_config(path: str) -> CorrespondenceSpec:
                 raise ValueError(f"max_degree must be >= 1, got {max_degree}")
         return CorrespondenceSpec(
             algebra=algebra, n=n, unitary=unitary, alphas=tuple(alphas),
-            max_degree=max_degree,
-            name=str(cfg.get("name", "custom")))
+            max_degree=max_degree, name=name)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config {path}: {exc}") from exc
 

@@ -75,7 +75,7 @@ def shared_block_dev(x, y) -> float:
 def compose(outer, inner) -> LinearMapTable:
     """The table outer o inner, which reads what ``inner`` reads; a row hint
     describes the inner map's input only."""
-    assert inner.codomain_sides == outer.domain_sides
-    return LinearMapTable(inner.domain_sides, outer.codomain_sides,
-                          lambda stack, row: outer.apply(inner.apply(stack, row)),
+    assert inner.spec == outer.spec and inner.q == outer.p
+    return LinearMapTable(inner.spec, inner.p, outer.q,
+                          lambda x, row: outer.apply(inner.apply(x, row)),
                           reads=inner.reads)

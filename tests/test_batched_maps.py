@@ -56,12 +56,9 @@ def window_for(spec):
     return FockWindow.two_sided_sym(3) if spec.n == 1 else FockWindow.one_sided(3)
 
 
-def graded(spec, window, flat):
-    """The one-element path: AMatrix.from_flat (which drops the junk between
-    algebra blocks), then the degree blocks of the window."""
-    total = sum(spec.fiber_dim(d) for d in window.degrees())
-    return GradedOperator.from_amatrix(
-        spec, window, AMatrix.from_flat(spec.algebra, total, total, flat))
+def graded(spec, window, x):
+    """The one-element path: the degree blocks of the window matrix x."""
+    return GradedOperator.from_amatrix(spec, window, x)
 
 
 def reference_maps(spec, window):
@@ -86,10 +83,34 @@ def reference_maps(spec, window):
 
 
 def random_stack(table, size, seed):
-    """Dense random complex matrices: junk between algebra blocks included."""
+    """A stack of dense random p x p matrices over A."""
     rng = np.random.default_rng(seed)
-    n = table.domain_dim
-    return rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    shapes = [(size, table.p, table.p, d, d) for d in table.spec.block_dims]
+    return AMatrix(table.spec, table.p, table.p,
+                   [rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes])
+
+
+def elements(x):
+    """The elements of a stack with one stack axis, one AMatrix each."""
+    return [AMatrix(x.spec, x.rows, x.cols, [b[e] for b in x.blocks])
+            for e in range(x.stack_shape[0])]
+
+
+def stack_of(x):
+    """The one-element stack of x."""
+    return AMatrix(x.spec, x.rows, x.cols, [b[None] for b in x.blocks])
+
+
+def unit_stack(table, s, u, cols):
+    """The stack of matrix units e_{u v}, v in ``cols``, of flattened domain
+    block s, as p x p matrices over A."""
+    flats = [np.zeros((len(cols), m, m), dtype=complex) for m in table.domain_sides]
+    flats[s][np.arange(len(cols)), u, cols] = 1.0
+    return AMatrix.from_flat(table.spec, table.p, table.p, flats)
+
+
+def same_bits(x, y):
+    return all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
 
 
 CASES = [(spec_name, name) for spec_name in sorted(PRESETS) + ["mixed"]
@@ -104,9 +125,9 @@ def test_stack_apply_equals_per_element(spec_name, name):
     table, _ = reference_maps(spec, window_for(spec))[name]
     stack = random_stack(table, 3, 5)
     out = table.apply(stack)
-    assert out.shape == (3, table.codomain_dim, table.codomain_dim)
-    for x, y in zip(stack, out):
-        assert np.max(np.abs(y - table.apply(x[None])[0])) <= 1e-12
+    assert out.stack_shape == (3,) and (out.rows, out.cols) == (table.q, table.q)
+    for x, y in zip(elements(stack), elements(out)):
+        assert (y - elements(table.apply(stack_of(x)))[0]).max_abs() <= 1e-12
 
 
 @pytest.mark.parametrize("spec_name, name", CASES)
@@ -114,39 +135,36 @@ def test_batched_maps_equal_graded_operator_path(spec_name, name):
     spec = build(spec_name)
     table, reference = reference_maps(spec, window_for(spec))[name]
     stack = random_stack(table, 2, 11)
-    for x, y in zip(stack, table.apply(stack)):
-        want = reference(x).to_amatrix().flatten()
-        assert want.shape == y.shape
-        assert np.max(np.abs(y - want)) <= 1e-12
+    for x, y in zip(elements(stack), elements(table.apply(stack))):
+        want = reference(x).to_amatrix()
+        assert (want.rows, want.cols) == (y.rows, y.cols)
+        assert (y - want).max_abs() <= 1e-12
 
 
 @pytest.mark.parametrize("spec_name, name", CASES)
 def test_basis_images_equal_per_unit_loop(spec_name, name):
-    """basis_images yields, per domain block and per row u in reads, the
-    (r, c, c) images of the units e_uv for v in reads; every other unit's
-    image is exactly zero, so those are all the nonzero rows of the Choi
-    matrix."""
+    """basis_images yields, per domain block and per flat row u that reads
+    covers, the stack of r images of the units e_uv for v in those rows;
+    every other unit's image is exactly zero, so those are all the nonzero
+    rows of the Choi matrix."""
     spec = build(spec_name)
     table, _ = reference_maps(spec, window_for(spec))[name]
-    n, c = table.domain_dim, table.codomain_dim
     blocks = table.basis_images()
-    off = 0
-    for m, rows in zip(table.domain_sides, table.reads):
+    for s, (m, d) in enumerate(zip(table.domain_sides, spec.algebra.block_dims)):
+        rows = (table.reads[:, None] * d + np.arange(d)).ravel()
         stacks = iter(next(blocks))
         for u in range(m):
             stack = next(stacks) if u in rows else None
-            assert stack is None or stack.shape == (rows.size, c, c)
+            assert stack is None or (
+                stack.stack_shape == (rows.size,) and (stack.rows, stack.cols) == (table.q,) * 2)
             for v in range(m):
-                unit = np.zeros((n, n), dtype=complex)
-                unit[off + u, off + v] = 1.0
-                image = table.apply(unit[None])[0]
+                image = elements(table.apply(unit_stack(table, s, u, [v])))[0]
                 if stack is not None and v in rows:
                     j = int(np.searchsorted(rows, v))
-                    assert np.max(np.abs(stack[j] - image)) <= 1e-12
+                    assert (elements(stack)[j] - image).max_abs() <= 1e-12
                 else:
-                    assert not image.any()
+                    assert image.max_abs() == 0.0
         assert next(stacks, None) is None
-        off += m
     assert next(blocks, None) is None
 
 
@@ -156,12 +174,11 @@ def test_factor_maps_read_the_compressed_window():
     spec = build("mixed")
     window = FockWindow.one_sided(3)
     maps = reference_maps(spec, window)
-    # degrees 0..N = 2 hold 1 + 2 + 4 = 7 rows over A, 7 b flat rows in a block of side b
+    # degrees 0..N = 2 hold 1 + 2 + 4 = 7 rows over A
     for name in ("compress", "pipeline", "compose"):
         table = maps[name][0]
         assert table.restricted
-        assert [r.tolist() for r in table.reads] == [
-            list(range(7 * b)) for b in spec.algebra.block_dims]
+        assert table.reads.tolist() == list(range(7))
     assert not maps["amplify"][0].restricted
 
 
@@ -216,34 +233,39 @@ def test_stack_compressed_to_zero_gives_zero_images(spec_name):
     window = window_for(spec)
     phi, _, _ = factor_tables(spec, window, BIG_N)
     for table in (phi, pipeline_table(spec, window, BIG_N)):
-        n, c = table.domain_dim, table.codomain_dim
-        stack = np.zeros((3, n, n), dtype=complex)
-        stack[:, -1, -1] = 1.0  # the last row of the last degree
+        stack = AMatrix(spec.algebra, table.p, table.p, [
+            np.zeros((3, table.p, table.p, d, d)) for d in spec.algebra.block_dims])
+        stack.blocks[-1][:, -1, -1, -1, -1] = 1.0  # the last row of the last degree
         out = table.apply(stack)
-        assert out.shape == (3, c, c) and not out.any()
+        assert out.stack_shape == (3,) and (out.rows, out.cols) == (table.q, table.q)
+        assert out.max_abs() == 0.0
 
 
 @pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
 def test_stacked_amatrix_acts_per_element(spec_name):
-    """A stack from from_flat flattens back, and its submatrices and
-    amplifications equal those of its elements one at a time."""
+    """A stack from from_flat flattens back, block by block, and its
+    submatrices and amplifications equal those of its elements one at a
+    time."""
     spec = build(spec_name)
     alg = spec.algebra
     p = 3
-    n = p * sum(alg.block_dims)
     rng = np.random.default_rng(3)
-    flats = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    flats = [rng.standard_normal((2, p * d, p * d)) + 1j * rng.standard_normal((2, p * d, p * d))
+             for d in alg.block_dims]
     stack = AMatrix.from_flat(alg, p, p, flats)
-    singles = [AMatrix.from_flat(alg, p, p, f) for f in flats]
+    singles = [AMatrix.from_flat(alg, p, p, [f[e] for f in flats]) for e in range(2)]
     assert stack.stack_shape == (2,) and singles[0].stack_shape == ()
     ks = (1, 2, -1) if spec.n == 1 else (1, 2)
     for e, x in enumerate(singles):
-        assert np.array_equal(stack.flatten()[e], x.flatten())
-        assert np.array_equal(stack.submatrix(slice(1, 3), slice(0, 2)).flatten()[e],
-                              x.submatrix(slice(1, 3), slice(0, 2)).flatten())
-        for k in ks:
-            got = spec.amplify(stack, k).flatten()[e]
-            assert np.max(np.abs(got - spec.amplify(x, k).flatten())) <= 1e-12
+        for s in range(alg.n_blocks):
+            assert np.array_equal(stack.flatten_block(s)[e], x.flatten_block(s))
+            assert np.array_equal(stack.flatten_block(s)[e], flats[s][e])
+            assert np.array_equal(
+                stack.submatrix(slice(1, 3), slice(0, 2)).flatten_block(s)[e],
+                x.submatrix(slice(1, 3), slice(0, 2)).flatten_block(s))
+            for k in ks:
+                got = spec.amplify(stack, k).flatten_block(s)[e]
+                assert np.max(np.abs(got - spec.amplify(x, k).flatten_block(s))) <= 1e-12
 
 
 @pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
@@ -256,29 +278,19 @@ def test_identity_map_basis_images_are_the_matrix_units(spec_name):
     spec = build(spec_name)
     window = FockWindow.two_sided_sym(1) if spec.n == 1 else FockWindow.one_sided(2)
     table = window_table(spec, window, window, lambda g: g.restrict(window))
-    n = table.domain_dim
-    off = 0
-    for m, images in zip(table.domain_sides, table.basis_images()):
+    for s, (m, images) in enumerate(zip(table.domain_sides, table.basis_images())):
         stacks = list(images)
         assert len(stacks) == m
         for u, stack in enumerate(stacks):
-            units = np.zeros((m, n, n), dtype=complex)
-            units[np.arange(m), off + u, off + np.arange(m)] = 1.0
-            assert np.array_equal(stack, units)
-        off += m
+            assert same_bits(stack, unit_stack(table, s, u, np.arange(m)))
 
 
 def row_unit_stacks(table):
-    """(flat row, the stack of matrix units in that row), as basis_images
-    builds them."""
-    n = table.domain_dim
-    off = 0
-    for m in table.domain_sides:
+    """(the row of M_p(A), the stack of matrix units in one flat row of it),
+    as basis_images builds them."""
+    for s, (m, d) in enumerate(zip(table.domain_sides, table.spec.block_dims)):
         for u in range(m):
-            units = np.zeros((m, n, n), dtype=complex)
-            units[np.arange(m), off + u, off + np.arange(m)] = 1.0
-            yield off + u, units
-        off += m
+            yield u // d, unit_stack(table, s, u, np.arange(m))
 
 
 @pytest.mark.parametrize("spec_name, name", CASES)
@@ -288,7 +300,7 @@ def test_row_hint_gives_the_unhinted_images(spec_name, name):
     spec = build(spec_name)
     table, _ = reference_maps(spec, window_for(spec))[name]
     for row, units in row_unit_stacks(table):
-        assert np.array_equal(table.apply(units, row), table.apply(units))
+        assert same_bits(table.apply(units, row), table.apply(units))
 
 
 @pytest.fixture
@@ -320,8 +332,9 @@ def test_choi_assembly_never_scans_a_unit_stack(spec_name, splits):
         splits.clear()
         assert choi_cp_check(table).passed
         hinted = [(shape, rows) for shape, row, rows in splits if row is not None]
-        assert [shape for shape, _ in hinted] == [(r.size,) for r in table.reads
-                                                  for _ in range(r.size)]
+        r = table.reads.size
+        assert [shape for shape, _ in hinted] == [(r * d,) for d in spec.algebra.block_dims
+                                                  for _ in range(r * d)]
         assert all(len(rows) == 1 for _, rows in hinted)
         assert [shape for shape, row, _ in splits if row is None] == reads_pair + [(1,)]
         splits.clear()

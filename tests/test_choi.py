@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pimsner_lab.expectation import ex_k_table
 from pimsner_lab.fock import FockWindow
 from pimsner_lab.hilbert_mod import (
+    AMatrix,
     LinearMapTable,
     _choi_min_eig,
     _hermitian_min_eig,
@@ -18,79 +19,102 @@ from pimsner_lab.hilbert_mod import (
 )
 from pimsner_lab.lift import factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
+from pimsner_lab.star_core import AlgebraSpec
+
+
+def direct_sum(x):
+    """The one matrix x flattened as the direct sum of its algebra blocks."""
+    mats = [x.flatten_block(t) for t in range(x.spec.n_blocks)]
+    side = sum(m.shape[0] for m in mats)
+    out = np.zeros((side, side), dtype=complex)
+    off = 0
+    for m in mats:
+        out[off:off + m.shape[0], off:off + m.shape[0]] = m
+        off += m.shape[0]
+    return out
 
 
 def dense_choi_min_eig(table):
     """(least eigenvalue, max |C - C*|) over the dense Choi matrices C of the
-    table's domain blocks, restricted to ``reads`` x ``reads`` (a table that
-    reads less adds the eigenvalue 0 of its zero rows).  Entry ((i, a),
-    (j, b)) of C is Phi(e_{u_i u_j})[a, b], one ``apply`` per unit."""
-    n, c = table.domain_dim, table.codomain_dim
+    table's domain blocks, restricted to the flat rows of ``reads`` x
+    ``reads`` (a table that reads less adds the eigenvalue 0 of its zero
+    rows).  Entry ((i, a), (j, b)) of C is Phi(e_{u_i u_j})[a, b], the image
+    flattened whole (:func:`direct_sum`), one ``apply`` per unit."""
+    spec, p, c = table.spec, table.p, table.codomain_dim
     low = 0.0 if table.restricted else np.inf
     herm_dev = 0.0
-    off = 0
-    for m, rows in zip(table.domain_sides, table.reads):
+    for s, (m, d) in enumerate(zip(table.domain_sides, spec.block_dims)):
+        rows = (table.reads[:, None] * d + np.arange(d)).ravel()
         r = rows.size
         choi = np.zeros((r * c, r * c), dtype=complex)
         for i, u in enumerate(rows.tolist()):
             for j, v in enumerate(rows.tolist()):
-                unit = np.zeros((n, n), dtype=complex)
-                unit[off + u, off + v] = 1.0
-                choi[i * c:(i + 1) * c, j * c:(j + 1) * c] = table.apply(unit[None])[0]
+                flats = [np.zeros((m_t, m_t), dtype=complex) for m_t in table.domain_sides]
+                flats[s][u, v] = 1.0
+                unit = AMatrix.from_flat(spec, p, p, flats)
+                image = table.apply(AMatrix(spec, p, p, [b[None] for b in unit.blocks]))
+                image = AMatrix(spec, table.q, table.q, [b[0] for b in image.blocks])
+                choi[i * c:(i + 1) * c, j * c:(j + 1) * c] = direct_sum(image)
         low, dev = _hermitian_min_eig(choi, low)
         herm_dev = max(herm_dev, dev)
-        off += m
     return low, herm_dev
 
 
-def kernel_table(kernels, c, reads=None):
-    """The map X -> sum_s sum_{u,v} K_s[u, v] X_s[u, v] from the domain
-    blocks X_s onto c x c matrices, K_s of shape (m_s, m_s, c, c): its Choi
-    matrix on block s has entry ((u, a), (v, b)) = K_s[u, v, a, b]."""
-    sides = [k.shape[0] for k in kernels]
+def kernel_table(spec, p, q, kernels, reads=None):
+    """The map M_p(A) -> M_q(A) whose flattened block t of the image of X is
+    sum_s sum_{u,v} K_st[u, v] X_s[u, v], X_s the flattened block s of X and
+    K_st = ``kernels[s][t]`` of shape (p d_s, p d_s, q d_t, q d_t): the part
+    of its Choi matrix on domain block s and codomain block t has entry
+    ((u, a), (v, b)) = K_st[u, v, a, b]."""
+    n = spec.n_blocks
 
-    def apply(stack, row):
-        out = np.zeros((stack.shape[0], c, c), dtype=complex)
-        off = 0
-        for k, m in zip(kernels, sides):
-            out += np.einsum("uvab,xuv->xab", k, stack[:, off:off + m, off:off + m])
-            off += m
-        return out
+    def apply(x, row):
+        flats = [sum(np.einsum("uvab,xuv->xab", kernels[s][t], x.flatten_block(s))
+                     for s in range(n)) for t in range(n)]
+        return AMatrix.from_flat(spec, q, q, flats)
 
-    return LinearMapTable(sides, (c,), apply, reads=reads)
+    return LinearMapTable(spec, p, q, apply, reads=reads)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=3),
-       st.integers(1, 4), st.sampled_from([0.0, 0.05, 0.2, 0.7]),
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 2), min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(1, 3), st.sampled_from([0.0, 0.05, 0.2, 0.7]),
        st.booleans(), st.booleans(), st.booleans())
 def test_sparse_choi_equals_dense_reference_on_random_tables(
-        seed, sides, c, density, transpose, negative, restrict):
-    """Random kernels with non-Hermitian entries, zero Choi rows, an
-    isolated 1 x 1 component with negative real part (and the largest
-    imaginary part), the transpose map (whose Choi matrix is the swap:
-    components of side 2 with eigenvalue -1) and reads that leave rows out
-    (some of them empty): exactly the dense reference."""
+        seed, dims, p, q, density, transpose, negative, restrict):
+    """Random kernels K_st for every pair of a domain block s and a codomain
+    block t, t != s included, on blocks of unequal sides: non-Hermitian
+    entries, zero Choi rows, an isolated 1 x 1 component with negative real
+    part (and the largest imaginary part), the transpose map (whose Choi
+    matrix is the swap: components of side 2 with eigenvalue -1) and reads
+    that leave rows out (some of them empty): exactly the dense reference."""
     rng = np.random.default_rng(seed)
+    spec = AlgebraSpec(tuple(dims))
     kernels = []
-    for m in sides:
-        shape = (m, m, c, c)
-        k = np.where(rng.random(shape) < density,
-                     rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
-        k[rng.integers(m)] = 0  # the Choi rows (u, .) of one unit row are zero
-        if transpose:
-            u, v = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-            k[u, v, v % c, u % c] += 1.0
+    for d_s in dims:
+        m = p * d_s
+        zero_row = rng.integers(m)
+        row = []
+        for d_t in dims:
+            c = q * d_t
+            shape = (m, m, c, c)
+            k = np.where(rng.random(shape) < density,
+                         rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
+            k[zero_row] = 0  # the Choi rows (u, .) of one unit row are zero
+            if transpose:
+                u, v = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+                k[u, v, v % c, u % c] += 1.0
+            row.append(k)
         if negative:
+            t = rng.integers(len(dims))
+            k, c = row[t], q * dims[t]
             u, a = rng.integers(m), rng.integers(c)
             k[u, :, a, :] = 0
             k[:, u, :, a] = 0
             k[u, u, a, a] = -rng.random() - 0.5 + 10j  # sets the Hermitian deviation
-        kernels.append(k)
-    reads = None
-    if restrict:
-        reads = [np.flatnonzero(rng.random(m) < 0.6) for m in sides]
-    table = kernel_table(kernels, c, reads)
+        kernels.append(row)
+    reads = np.flatnonzero(rng.random(p) < 0.6) if restrict else None
+    table = kernel_table(spec, p, q, kernels, reads)
     want = dense_choi_min_eig(table)
     assert _choi_min_eig(table) == want
     if negative and not restrict:
@@ -102,12 +126,12 @@ def test_sparse_choi_equals_dense_reference_on_random_tables(
 
 def test_zero_map_and_empty_reads_equal_the_reference():
     """All rows zero (every row a 1 x 1 component of eigenvalue 0), and a
-    block that reads no row (no Choi rows at all)."""
-    zero = kernel_table([np.zeros((2, 2, 3, 3), dtype=complex)], 3)
+    table that reads no row (no Choi rows at all)."""
+    zero = kernel_table(AlgebraSpec((1,)), 2, 3, [[np.zeros((2, 2, 3, 3), dtype=complex)]])
     assert _choi_min_eig(zero) == dense_choi_min_eig(zero) == (0.0, 0.0)
     k = np.zeros((2, 2, 2, 2), dtype=complex)
     k[0, 0, 0, 0] = 2.0
-    empty = kernel_table([k, k], 2, reads=[np.arange(2), np.arange(0)])
+    empty = kernel_table(AlgebraSpec((1, 1)), 2, 2, [[k, k], [k, k]], reads=np.arange(0))
     assert _choi_min_eig(empty) == dense_choi_min_eig(empty) == (0.0, 0.0)
 
 

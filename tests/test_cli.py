@@ -165,6 +165,23 @@ def test_config_integers_are_not_truncated(tmp_path, capsys, config):
 
 
 @pytest.mark.parametrize("config", [
+    dict(CUNTZ_N2, alphas=[1, 2]),
+    dict(CUNTZ_N2, alphas="ab"),
+    dict(CUNTZ_N2, name=None),
+    dict(CUNTZ_N2, name=[1, 2]),
+], ids=["alphas-numbers", "alphas-string", "name-null", "name-list"])
+def test_config_entries_of_the_wrong_json_type_exit_two(tmp_path, capsys, config):
+    """Each ``alphas`` entry is a JSON object and ``name`` a JSON string: an
+    entry that is not an object, and a name that is null or a list, is a
+    configuration error (exit 2), not an internal error (exit 3) or a name
+    spelled by ``str``."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config")
+
+
+@pytest.mark.parametrize("config", [
     two_block_config(2, 2),
     {"block_dims": [1, 1], "n": 1, "alphas": [{"perm": [1, 0]}]},
 ], ids=["n2", "n1"])
@@ -576,8 +593,7 @@ def test_expectation_contractive_by_the_factor_map_rule(monkeypatch, tmp_path):
 
     def scaled(spec, k):
         t = table(spec, k)
-        return LinearMapTable(t.domain_sides, t.codomain_sides,
-                              lambda stack, row: t.apply(stack, row) * (1 + 1e-9))
+        return LinearMapTable(t.spec, t.p, t.q, lambda x, row: t.apply(x, row) * (1 + 1e-9))
 
     monkeypatch.setattr(expectation, "ex_k_table", scaled)
     assert main(args) == 1

@@ -139,8 +139,8 @@ def test_empty_operator_to_amatrix_keeps_stack_shape(cuntz):
     w = FockWindow.one_sided(2)
     side = sum(cuntz.fiber_dim(d) for d in w.degrees())
     empty = GradedOperator(cuntz, w)
-    flat = np.zeros((3,) + 2 * (side * cuntz.algebra.total_dim,), dtype=complex)
-    got = empty.to_amatrix(out=AMatrix.from_flat(cuntz.algebra, side, side, flat))
+    flats = [np.zeros((3, side * d, side * d), dtype=complex) for d in cuntz.algebra.block_dims]
+    got = empty.to_amatrix(out=AMatrix.from_flat(cuntz.algebra, side, side, flats))
     assert got.stack_shape == (3,) and (got.rows, got.cols) == (side, side)
     assert [b.shape for b in got.blocks] == \
         [(3, side, side, d, d) for d in cuntz.algebra.block_dims]

@@ -48,25 +48,30 @@ def random_amatrix(algebra, rows, cols, seed):
     return out
 
 
+def flat_blocks(x):
+    """The flattened algebra blocks of x, one complex matrix (stack) each."""
+    return [x.flatten_block(s) for s in range(x.spec.n_blocks)]
+
+
 def test_flatten_roundtrip(algebra):
     x = random_amatrix(algebra, 3, 2, 5)
-    back = AMatrix.from_flat(algebra, 3, 2, x.flatten())
+    back = AMatrix.from_flat(algebra, 3, 2, flat_blocks(x))
     assert (x - back).max_abs() == 0.0
 
 
 def test_flatten_is_multiplicative(algebra):
-    """flatten(XY) = flatten(X) flatten(Y): the norm/positivity carrier is a
-    genuine *-homomorphism."""
+    """flatten_block(XY) = flatten_block(X) flatten_block(Y) on every block:
+    the norm/positivity carrier is a genuine *-homomorphism."""
     x = random_amatrix(algebra, 3, 4, 1)
     y = random_amatrix(algebra, 4, 2, 2)
-    lhs = (x @ y).flatten()
-    rhs = x.flatten() @ y.flatten()
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    for lhs, fx, fy in zip(flat_blocks(x @ y), flat_blocks(x), flat_blocks(y)):
+        assert np.max(np.abs(lhs - fx @ fy)) < 1e-12
 
 
 def test_adjoint_against_flatten(algebra):
     x = random_amatrix(algebra, 2, 3, 7)
-    assert np.max(np.abs(x.adjoint().flatten() - x.flatten().conj().T)) < 1e-14
+    for adj, flat in zip(flat_blocks(x.adjoint()), flat_blocks(x)):
+        assert np.max(np.abs(adj - flat.conj().T)) < 1e-14
 
 
 def test_norm_against_numpy(algebra):
@@ -110,7 +115,18 @@ def test_submatrix_and_entries(algebra):
 # ---------------------------------------------------------------------------
 
 def identity_table(algebra, p):
-    return LinearMapTable.from_amatrix_map(algebra, p, p, lambda x: x)
+    return LinearMapTable(algebra, p, p, lambda x, row: x)
+
+
+def transpose_table(algebra):
+    """The transpose of each block, on A = M_p(A) for p = 1."""
+    return LinearMapTable(algebra, 1, 1, lambda x, row: AMatrix(
+        algebra, 1, 1, [np.swapaxes(b, -1, -2) for b in x.blocks]))
+
+
+def first(x):
+    """The first element of a stack."""
+    return AMatrix(x.spec, x.rows, x.cols, [b[0] for b in x.blocks])
 
 
 def test_constructor_rejects_bad_blocks(algebra):
@@ -145,11 +161,7 @@ def test_choi_identity_map_is_cp(algebra):
 def test_choi_transpose_map_fails():
     """The transpose is positive but not completely positive: its Choi matrix
     has a -1 eigenvalue."""
-    algebra = AlgebraSpec((2,))
-    table = LinearMapTable.from_amatrix_map(
-        algebra, 1, 1,
-        lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]))
-    rep = choi_cp_check(table)
+    rep = choi_cp_check(transpose_table(AlgebraSpec((2,))))
     assert not rep.passed
     assert rep.min_eigenvalue < -0.5
 
@@ -166,11 +178,7 @@ def test_choi_cap_triggers(algebra):
 
 
 def test_probe_flags_transpose():
-    algebra = AlgebraSpec((2,))
-    table = LinearMapTable.from_amatrix_map(
-        algebra, 1, 1,
-        lambda x: AMatrix(algebra, 1, 1, [np.swapaxes(x.blocks[0], -1, -2)]))
-    rep = positivity_probe(table, trials=20, seed=3)
+    rep = positivity_probe(transpose_table(AlgebraSpec((2,))), trials=20, seed=3)
     assert not rep.passed
 
 
@@ -178,7 +186,7 @@ def test_non_hermitian_map_fails_choi_and_probe():
     """x -> (1 + 0.5i) x keeps the Hermitian part of its outputs positive, so
     only the hermiticity deviation shows that it is not a positive map."""
     algebra = AlgebraSpec((2,))
-    table = LinearMapTable.from_amatrix_map(algebra, 1, 1, lambda x: x * (1 + 0.5j))
+    table = LinearMapTable(algebra, 1, 1, lambda x, row: x * (1 + 0.5j))
     assert not choi_cp_check(table).passed
     rep = positivity_probe(table, trials=5, seed=3)
     assert rep.min_eigenvalue > 0
@@ -186,28 +194,26 @@ def test_non_hermitian_map_fails_choi_and_probe():
 
 
 def test_compose_tables(algebra):
-    double = LinearMapTable.from_amatrix_map(algebra, 2, 2, lambda x: x * 2.0)
+    double = LinearMapTable(algebra, 2, 2, lambda x, row: x * 2.0)
     comp = compose(double, identity_table(algebra, 2))
-    x = random_amatrix(algebra, 2, 2, 41).flatten()
-    assert np.max(np.abs(comp.apply(x[None])[0] - 2.0 * x)) < 1e-12
+    x = random_amatrix(algebra, 2, 2, 41)
+    stack = AMatrix(algebra, 2, 2, [b[None] for b in x.blocks])
+    assert allclose(first(comp.apply(stack)), 2.0 * x, 1e-12)
 
 
 def corner_table(algebra, p, keep, honest):
-    """The identity on p x p matrices over A, declared to read the flat rows
-    below ``keep`` in each block: honest when it zeroes every other entry
-    first, and reading outside its reads when it does not."""
-    table = identity_table(algebra, p)
-    reads = [np.arange(keep) for _ in table.domain_sides]
-    mask = np.zeros((table.domain_dim,) * 2, dtype=bool)
-    off = 0
-    for m in table.domain_sides:
-        mask[off:off + keep, off:off + keep] = True
-        off += m
+    """The identity on p x p matrices over A, declared to read the rows
+    below ``keep``: honest when it zeroes every other entry first, and
+    reading outside its reads when it does not."""
+    def apply(x, row):
+        if honest:
+            x = x.copy()
+            for b in x.blocks:
+                b[..., keep:, :, :, :] = 0
+                b[..., :, keep:, :, :] = 0
+        return x
 
-    def apply(stack, row):
-        return table.apply(np.where(mask, stack, 0) if honest else stack, row)
-
-    return LinearMapTable(table.domain_sides, table.codomain_sides, apply, reads=reads)
+    return LinearMapTable(algebra, p, p, apply, reads=np.arange(keep))
 
 
 def test_reads_restrict_the_choi_and_probe_checks(algebra):
@@ -215,7 +221,7 @@ def test_reads_restrict_the_choi_and_probe_checks(algebra):
     with the reads deviation exactly 0, and the Choi minimum is the full
     Choi matrix's (0, from the zero rows) on the reported grid."""
     table = corner_table(algebra, 3, 2, honest=True)
-    full = LinearMapTable(table.domain_sides, table.codomain_sides, table._apply)
+    full = LinearMapTable(table.spec, table.p, table.q, table._apply)
     assert table.restricted and not full.restricted
     rep, want = choi_cp_check(table), choi_cp_check(full)
     assert rep.passed and rep.reads_dev == 0.0
@@ -237,11 +243,13 @@ def test_map_reading_outside_its_reads_fails_choi_and_probe(algebra):
 
 
 def test_reads_must_lie_sorted_inside_each_block(algebra):
-    sides = identity_table(algebra, 2).domain_sides
-    for reads in ([np.arange(2)], [np.array([1, 0]), np.arange(2)],
-                  [np.arange(5), np.arange(2)]):
+    """``reads`` is one sorted array of rows of M_p(A), shared by every
+    domain block: a list of arrays, unsorted or repeated rows and rows
+    outside [0, p) are refused."""
+    for reads in ([np.arange(2)], np.array([1, 0]), np.array([0, 0]),
+                  np.arange(3), np.array([-1, 0])):
         with pytest.raises(SpecMismatchError):
-            LinearMapTable(sides, sides, None, reads=reads)
+            LinearMapTable(algebra, 2, 2, None, reads=reads)
 
 
 def test_cp_report_serializes(algebra):

@@ -197,7 +197,8 @@ def test_from_amatrix_keeps_the_per_pair_support(preset, window):
         b[0] = 0.0
     stack.blocks[0][1, 0, total - 1, 0, 0] = 5e-324
     one = AMatrix(alg, total, total, [b[1] for b in stack.blocks])
-    view = AMatrix.from_flat(alg, total, total, stack.flatten())
+    view = AMatrix.from_flat(alg, total, total,
+                             [stack.flatten_block(s) for s in range(alg.n_blocks)])
     pairs = [(i, j) for i in degs for j in degs]
     for mat in (one, stack, view):
         got = GradedOperator.from_amatrix(spec, window, mat)

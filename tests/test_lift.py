@@ -254,3 +254,14 @@ def test_wrong_explicit_degree_raises(cuntz):
 def test_window_too_small_rejected(cuntz):
     with pytest.raises(ConfigurationError):
         cpap_certificate(cuntz, 6, [(0, 0)], FockWindow.one_sided(4), seed=1)
+
+
+def test_generator_pair_that_could_share_a_seed_rejected(cuntz):
+    """A pair is seeded at seed + 100 (3 r + s), its own only while s <= 2:
+    (0, 3) would draw from (1, 0)'s seed, and is refused by name before any
+    check runs.  Pairs with s <= 2 run, at their own seeds."""
+    w = FockWindow.one_sided(4)
+    with pytest.raises(ConfigurationError, match=r"\(0, 3\)"):
+        cpap_certificate(cuntz, 2, [(0, 3), (1, 0)], w, seed=0)
+    cert = cpap_certificate(cuntz, 2, [(2, 2), (1, 0)], w, seed=0)
+    assert [(g.r, g.s, g.seed) for g in cert.generators] == [(2, 2, 800), (1, 0, 300)]
