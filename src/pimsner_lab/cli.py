@@ -27,6 +27,8 @@ import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .star_core import ConfigurationError, DEFAULT_TOL
 from .correspondence import CorrespondenceSpec, ValidationError
 from .fock import FockWindow, v_n
@@ -122,10 +124,10 @@ def suite_validate(cfg: RunConfig) -> dict:
 
 def suite_schur(cfg: RunConfig):
     """Schur tables against the counting oracle over the (N, r, s) grid: V_N
-    on one-sided windows, W_N on two-sided ones."""
+    on one-sided windows, W_N on two-sided ones.  The worst error is folded
+    with ``np.max``, which carries a NaN through to a failing verdict."""
     spec = cfg.spec
     rows = []
-    worst = 0.0
     for big_n in cfg.n_values:
         window = cfg.window_for(big_n)
         for r in range(cfg.band + 1):
@@ -137,7 +139,7 @@ def suite_schur(cfg: RunConfig):
                 nu = spec.sample_vector(s, gseed + 1)
                 _, got, _ = v_n(spec, mu, nu, big_n, window, r, s)
                 rows.extend(got)
-                worst = max(worst, max(g.abs_err for g in got))
+    worst = float(np.max([g.abs_err for g in rows], initial=0.0))
     report = {
         "rows": len(rows),
         "max_abs_err": tol_grid(worst, DEFAULT_TOL.eq_tol),
@@ -258,7 +260,8 @@ def run(command: str, cfg: RunConfig, created: str | None = None) -> ReportBundl
 
 def serialize(bundle: ReportBundle, fmt: str, path: str | None):
     if fmt == "json":
-        text = json.dumps(bundle.to_dict(), indent=2) + "\n"
+        # a NaN that escapes every verdict is an internal error, never a report
+        text = json.dumps(bundle.to_dict(), indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

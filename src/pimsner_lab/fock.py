@@ -417,22 +417,23 @@ def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
         window: FockWindow, r: int, s: int):
     """(Psi_N o phi_N of the band of e_{mu,nu} at degrees (r, s), one Schur
     row per band offset, the band); an output block off the band or not a
-    real multiple of it raises :class:`ValidationError`.  One-sided windows
-    give the Pimsner pipeline V_N; two-sided (n = 1) the bimodule one W_N."""
+    real multiple of it raises :class:`ValidationError`, and so does a NaN
+    (each condition reads ``not x <= tol``).  One-sided windows give the
+    Pimsner pipeline V_N; two-sided (n = 1) the bimodule one W_N."""
     eq_tol = DEFAULT_TOL.eq_tol
     sided = "two" if window.two_sided else "one"
     top = toeplitz_op(spec, mu, nu, window, r, s)
     out = psi_amplify(compress(top, big_n), window)
-    off_band = max((v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r),
-                   default=0.0)  # a Schur multiplier maps the band into itself
-    if off_band > eq_tol:
+    off_band = np.max([v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r],
+                      initial=0.0)  # a Schur multiplier maps the band into itself
+    if not (off_band <= eq_tol):
         raise ValidationError(f"pipeline output off the generator's band (max {off_band:.3e})")
     keys = sorted(top.blocks)
     coef, resid = _measure_band([(out.blocks.get(key), top.blocks[key]) for key in keys])
     rows = []
     for (i, _), c, res in zip(keys, coef.tolist(), resid.tolist()):
         l = i - r
-        if res > max(eq_tol, 1e-8) or abs(c.imag) > eq_tol:
+        if not (res <= max(eq_tol, 1e-8) and abs(c.imag) <= eq_tol):
             raise ValidationError(
                 f"pipeline output at offset {l} is not a real multiple of the "
                 f"generator band (coefficient {c:.3e}, residual {res:.3e})")

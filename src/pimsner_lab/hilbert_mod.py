@@ -21,10 +21,12 @@ matrices are almost diagonal, so a Choi check keeps only their nonzero
 entries: a row linked to no other is a 1 x 1 component read off the
 diagonal, and the linked rows alone are gathered into one dense matrix
 (see :func:`_choi_min_eig`).
+A probe output, the image of a dense Gaussian Gram matrix, is screened whole.
 The checks need only the least eigenvalue, so one running minimum is carried
 through every component, probe trial, domain block and algebra block, and a
 component is solved only when a Cholesky screen cannot rule out that it sets
-a new minimum (see :func:`_hermitian_min_eig`).
+a new minimum (see :func:`_dense_min_eig`).  A non-finite entry reads NaN,
+which the running minimum and maximum carry through, so no verdict passes it.
 They run on sides of a few hundred, where a second OpenBLAS thread only spins
 on another core, so :func:`cp_check_auto` runs on one (:func:`_one_blas_thread`).
 """
@@ -295,47 +297,65 @@ class CPReport:
         }
 
 
-def tol_grid(value: float, threshold: float) -> float:
+def tol_grid(value: float, threshold: float) -> float | None:
     """``value`` rounded three decimal places below the ``threshold`` it is
     checked against (to 1e-11 for psd_tol = 1e-8, to 1e-12 for eq_tol =
     1e-9), -0.0 read as 0.0: the last digits of BLAS and LAPACK results vary
-    with the BLAS thread count.  Reports serialize computed values this way;
-    verdicts use the unrounded value."""
+    with the BLAS thread count.  Reports serialize computed values this way,
+    a non-finite one as None (JSON null); verdicts use the unrounded value."""
+    if not math.isfinite(value):
+        return None
     digits = 3 - math.floor(math.log10(threshold))
     return round(value, digits) + 0.0
 
 
 def _hermitian_min_eig(mat: np.ndarray, bound: float = np.inf) -> tuple[float, float]:
     """(min(bound, least eigenvalue of (M + M*)/2), max |M - M*|), solved
-    per connected component of the symmetrized nonzero pattern of M.  Exact:
-    a symmetric permutation makes M block diagonal, and every entry between
-    two components is zero in both M and M*.
-
-    Only a component that can set a new minimum is eigen-solved.  While the
-    running minimum ``low`` is finite, a component's Hermitian part H is
-    first Cholesky-factored with its diagonal shifted by -low; if that
-    succeeds, H - low I is positive definite up to the backward error of
-    Cholesky, about side * eps * ||H|| (below 2e-12 in the default
-    certificates of all four presets), so H has no eigenvalue below low less
-    that error, far under the 1e-11 grid ``min_eig`` is serialized on, and
-    the component is skipped.  The deviation max |M - M*| is taken on every
-    component."""
+    per connected component of the symmetrized nonzero pattern of M, each by
+    :func:`_dense_min_eig` (on M itself, uncopied, when one component covers
+    every row).  Exact: a symmetric permutation makes M block diagonal, and
+    every entry between two components is zero in both M and M*.  NaN for
+    both when an entry is not finite: the running minimum and maximum carry
+    NaN through."""
     link = mat != 0
     link |= link.T
     np.fill_diagonal(link, False)
     alone = ~link.any(axis=1)
-    diag = mat.diagonal()[alone]
-    low = min(bound, float(diag.real.min())) if diag.size else bound
-    herm_dev = float(2 * np.abs(diag.imag).max()) if diag.size else 0.0
+    low, herm_dev = _diagonal_min_eig(mat.diagonal()[alone], bound)
     for idx in _components(link, ~alone):
-        sub = mat[np.ix_(idx, idx)]
-        sub_adj = sub.conj().T
-        herm_dev = max(herm_dev, float(np.max(np.abs(sub - sub_adj))))
-        herm = (sub + sub_adj) / 2
-        if low < np.inf and _bounded_below(herm, low):
-            continue
-        low = min(low, float(np.linalg.eigvalsh(herm)[0]))
-    return low, herm_dev
+        low, dev = _dense_min_eig(mat if idx.size == len(mat) else mat[np.ix_(idx, idx)], low)
+        herm_dev = np.maximum(herm_dev, dev)
+    return float(low), float(herm_dev)
+
+
+def _diagonal_min_eig(diag: np.ndarray, bound: float) -> tuple[float, float]:
+    """:func:`_hermitian_min_eig` of the 1 x 1 components with entries ``diag``."""
+    if not diag.size:
+        return bound, 0.0
+    if not np.isfinite(diag).all():
+        return np.nan, np.nan
+    return float(np.minimum(bound, diag.real.min())), float(2 * np.abs(diag.imag).max())
+
+
+def _dense_min_eig(mat: np.ndarray, low: float) -> tuple[float, float]:
+    """(min(low, least eigenvalue of H), max |M - M*|) for one dense M and H =
+    (M + M*)/2, both formed in one buffer (H * 0.5: H / 2 but for zero signs).
+
+    H is eigen-solved only if it can set a new minimum: while ``low`` is
+    finite, H - low I is first Cholesky-factored, and if that succeeds H has
+    no eigenvalue below low less the backward error of Cholesky, about side *
+    eps * ||H|| (below 2e-12 in the default certificates of all four presets),
+    far under the 1e-11 grid ``min_eig`` is serialized on.  A non-finite entry
+    makes the deviation non-finite: both read NaN, before any LAPACK call."""
+    buf = np.conjugate(mat.T, order="C")
+    dev = float(np.max(np.abs(np.subtract(mat, buf, out=buf))))
+    if not math.isfinite(dev):
+        return np.nan, np.nan
+    herm = np.add(mat, np.conjugate(mat.T, out=buf), out=buf)
+    herm *= 0.5
+    if low < np.inf and _bounded_below(herm, low):
+        return low, dev
+    return float(np.minimum(low, np.linalg.eigvalsh(herm)[0])), dev
 
 
 def _bounded_below(herm: np.ndarray, low: float) -> bool:
@@ -492,8 +512,8 @@ def _choi_min_eig(table: LinearMapTable) -> tuple[float, float]:
             row = np.repeat(np.arange(r) * c, counts) + a
             col = j * c + b
             low, dev = _sparse_hermitian_min_eig(row, col, val, r * c, low)
-            herm_dev = max(herm_dev, dev)
-    return low, herm_dev
+            herm_dev = np.maximum(herm_dev, dev)
+    return low, float(herm_dev)
 
 
 def _sparse_hermitian_min_eig(row: np.ndarray, col: np.ndarray, val: np.ndarray,
@@ -508,9 +528,7 @@ def _sparse_hermitian_min_eig(row: np.ndarray, col: np.ndarray, val: np.ndarray,
     on_diag = ~off_diag
     diag = np.zeros(side, dtype=complex)
     diag[row[on_diag]] = val[on_diag]
-    diag = diag[~linked]
-    low = min(bound, float(diag.real.min())) if diag.size else bound
-    herm_dev = float(2 * np.abs(diag.imag).max()) if diag.size else 0.0
+    low, herm_dev = _diagonal_min_eig(diag[~linked], bound)
     # an entry in a linked row has a linked column: off the diagonal it
     # links that column too
     idx = np.flatnonzero(linked)
@@ -520,7 +538,7 @@ def _sparse_hermitian_min_eig(row: np.ndarray, col: np.ndarray, val: np.ndarray,
     sub = np.zeros((idx.size, idx.size), dtype=complex)
     sub[pos[row[keep]], pos[col[keep]]] = val[keep]
     low, dev = _hermitian_min_eig(sub, low)
-    return low, max(herm_dev, dev)
+    return low, float(np.maximum(herm_dev, dev))
 
 
 def _reads_check(table: LinearMapTable) -> float | None:
@@ -539,42 +557,43 @@ def _reads_check(table: LinearMapTable) -> float | None:
         pair[1][kept] = pair[0][kept]
         pairs.append(pair)
     out = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, pairs))
-    return max(float(np.max(np.abs(b[0] - b[1]))) for b in out.blocks)
+    return float(np.max([np.max(np.abs(b[0] - b[1])) for b in out.blocks]))
 
 
 def positivity_probe(table: LinearMapTable, trials: int, seed: int) -> CPReport:
     """Necessary-condition CP check: apply Phi x id_{M_k}, k = PROBE_K, to
     seeded random positive elements and record the worst output eigenvalue.
     An output that is not Hermitian fails it as it fails the Choi check, and
-    so does a table that reads outside its ``reads`` (tested first, as there)."""
+    so does a table that reads outside its ``reads`` (tested first, as there).
+    Each output, the image of a dense Gaussian Gram matrix, is one component,
+    so it is screened whole (:func:`_dense_min_eig`); a NaN in it fails."""
     reads_dev = _reads_check(table)
-    worst = np.inf
-    herm_dev = 0.0
+    worst, herm_dev = np.inf, 0.0
     for out in _probe_outputs(table, PROBE_K, trials, seed):
-        worst, dev = _hermitian_min_eig(out, worst)
-        herm_dev = max(herm_dev, dev)
-    return CPReport("probe", float(worst), *_unit_image_norms(table), herm_dev, reads_dev)
+        worst, dev = _dense_min_eig(out, worst)
+        herm_dev = np.maximum(herm_dev, dev)
+    return CPReport("probe", worst, *_unit_image_norms(table), float(herm_dev), reads_dev)
 
 
 def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
     """The images under Phi x id_{M_k} of the probe's seeded random positive
     elements, one trial after another, each split into its (k c_t, k c_t)
     parts over the codomain's algebra blocks t.  Each element is
-    z* z / (m k) per domain block for a seeded complex Gaussian z; only the
-    cells in ``reads`` x ``reads`` are formed, from the columns of z that
-    reach them, as the map reads no other."""
+    z* z / (m k) per domain block for a seeded complex Gaussian z, its real
+    and then its imaginary part drawn whole; only the cells in ``reads`` x
+    ``reads`` are formed, from the columns of z that reach them, as the map
+    reads no other."""
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         # a random positive element of M_p(A) (x) M_k, as the stack of its
         # k^2 cells (a, b), each a domain element, one algebra block at a time
         cells = []
         for s, m in enumerate(table.domain_sides):
-            z = np.empty((m * k, m * k), dtype=complex)
-            z.real = rng.standard_normal((m * k, m * k))
-            z.imag = rng.standard_normal((m * k, m * k))
             rows = table._flat_reads[s]
             r = rows.size
-            zr = z[:, (np.arange(k)[:, None] * m + rows).ravel()]
+            draw = rng.standard_normal((2, m * k, m * k))
+            zr = np.empty((m * k, k * r), dtype=complex)
+            zr.real, zr.imag = draw[..., (np.arange(k)[:, None] * m + rows).ravel()]
             x = zr.conj().T @ zr / (m * k)
             cell = np.zeros((k * k, m, m), dtype=complex)
             cell[:, rows[:, None], rows] = \
@@ -588,9 +607,12 @@ def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
 
 
 def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
-    """(||Phi(1) - 1||, ||Phi(1)||): the unital defect and the norm bound."""
+    """(||Phi(1) - 1||, ||Phi(1)||): the unital defect and the norm bound;
+    NaN for both when Phi(1) has a non-finite entry, which no SVD is given."""
     eye = [np.eye(m, dtype=complex)[None] for m in table.domain_sides]
     img = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, eye))
+    if not all(np.isfinite(b).all() for b in img.blocks):
+        return np.nan, np.nan
     one_img = AMatrix._new(table.spec, table.q, table.q, [b[0] for b in img.blocks])
     return (one_img - AMatrix.eye(table.spec, table.q)).norm(), one_img.norm()
 

@@ -330,7 +330,7 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
             expected = schur_oracle(big_n, r, s, big_n, "one")
             err = abs(coeff - 1.0) * gnorm
         bound = band / (big_n + 1) * gnorm + DEFAULT_TOL.eq_tol
-        if err > bound + 1e-12 and band <= big_n + 1:
+        if not (err <= bound + 1e-12) and band <= big_n + 1:  # a NaN error fails
             raise ValidationError(
                 f"generator ({r},{s}): error {err:.3e} exceeds the Fejer "
                 f"bound {bound:.3e}")

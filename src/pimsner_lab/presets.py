@@ -114,8 +114,11 @@ def build_preset(name: str) -> CorrespondenceSpec:
 def _complex_array(data, *ndims) -> np.ndarray:
     """Nested lists whose leaves are numbers or [re, im] pairs, as a complex
     array with one of ``ndims`` axes, those of the shape the caller expects
-    and checks: pairs add a last axis of length 2, so the depth tells them apart."""
+    and checks: pairs add a last axis of length 2, so the depth tells them apart.
+    A NaN or infinite number (a JSON literal or a string such as "NaN") is refused."""
     arr = np.asarray(data, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigurationError("a config number is not finite (NaN or Infinity)")
     if arr.ndim in ndims:
         return arr.astype(complex)
     if arr.ndim - 1 in ndims and arr.shape[-1] == 2:

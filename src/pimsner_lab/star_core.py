@@ -116,7 +116,7 @@ class Automorphism:
         for u, d in zip(us, dims):
             if u.shape != (d, d):
                 raise ConfigurationError("unitary block of wrong shape")
-            if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-8:
+            if not (np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-8):  # NaN is refused
                 raise ConfigurationError("automorphism data is not unitary")
         object.__setattr__(self, "unitaries", us)
         pinv = [0] * len(self.perm)

@@ -10,6 +10,7 @@ from pimsner_lab.star_core import DEFAULT_TOL, AlgebraSpec
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     CPReport,
+    _dense_min_eig,
     _hermitian_min_eig,
     _probe_outputs,
     tol_grid,
@@ -61,12 +62,22 @@ def scale(mat):
        st.one_of(st.just(np.inf), st.floats(-4.0, 4.0)))
 def test_components_match_dense_eigvalsh(sizes, seed, path, shift, bound):
     """min(bound, least eigenvalue): with a finite bound, components are
-    Cholesky-screened against the running minimum before any solve."""
+    Cholesky-screened against the running minimum before any solve.  The
+    dense kernel, which the probe calls on each output, gives the same on
+    the whole matrix, and on a non-Hermitian one, for bounds below, at and
+    above the least eigenvalue."""
     mat = hidden_blocks(sizes, seed, shift=shift, path=path)
     min_eig, dev = _hermitian_min_eig(mat, bound)
     want_eig, want_dev = dense_reference(mat)
     assert abs(min_eig - min(bound, want_eig)) <= 1e-12 * scale(mat)
     assert dev == want_dev == 0.0
+    skew = np.random.default_rng(seed).standard_normal(mat.shape) * 1e-3
+    for m in (mat, mat + skew):
+        want_eig, want_dev = dense_reference(m)
+        for low in (bound, want_eig - 0.5, want_eig, want_eig + 0.5):
+            got_eig, got_dev = _dense_min_eig(m, low)
+            assert abs(got_eig - min(low, want_eig)) <= 1e-12 * scale(m)
+            assert got_dev == want_dev
 
 
 def test_negative_eigenvalue_in_a_one_by_one_component():
@@ -146,18 +157,30 @@ def test_screen_skips_only_components_at_or_above_the_bound():
     assert _hermitian_min_eig(mat, 1.5)[0] == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("big_n", [3, 4])
-def test_probe_minimum_equals_a_full_eigvalsh_loop(big_n):
+@pytest.mark.parametrize("preset, big_n", [
+    ("twisted2", 3), ("twisted2", 4), ("cuntz2", 5), ("crossed-z3", 3), ("rotation-m2", 3),
+], ids=["3", "4", "cuntz2-5", "crossed-z3-3", "rotation-m2-3"])
+def test_probe_minimum_equals_a_full_eigvalsh_loop(preset, big_n):
     """The screened probe against dense eigvalsh on every trial output, for
-    both factor maps of twisted2 at the certificate's window."""
-    spec = build_preset("twisted2")
-    phi, psi, _ = factor_tables(spec, FockWindow.one_sided(big_n + 2), big_n)
+    both factor maps at the certificate's window (the windows a certificate
+    probes by default, or with ``--choi-cap 10`` on the n = 1 presets).  Its
+    record is also the one the per-component kernel gives on those outputs:
+    screening each output whole changes no bit."""
+    spec = build_preset(preset)
+    hi = big_n + 2
+    window = FockWindow.two_sided_sym(hi) if spec.n == 1 else FockWindow.one_sided(hi)
+    phi, psi, _ = factor_tables(spec, window, big_n)
     for seed, table in ((1, phi), (2, psi)):
         rep = positivity_probe(table, trials=8, seed=seed)
         outs = list(_probe_outputs(table, 2, 8, seed))
         want = min(dense_reference(out)[0] for out in outs)
         assert abs(rep.min_eigenvalue - want) <= 1e-12 * max(scale(o) for o in outs)
         assert rep.passed
+        low, herm_dev = np.inf, 0.0
+        for out in outs:
+            low, dev = _hermitian_min_eig(out, low)
+            herm_dev = max(herm_dev, dev)
+        assert (rep.min_eigenvalue, rep.hermitian_dev) == (low, herm_dev)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,253 @@
+"""Non-finite numbers: a NaN or infinity in a matrix, a map's output or a
+config never passes a verdict, never crashes, and never reaches a report.
+
+Every ordered comparison with NaN is False, so each verdict here reads
+``x <= tol`` and each running minimum or maximum is folded with numpy's
+NaN-carrying ``minimum``/``maximum``.  A run with a NaN plant exits 1 (a
+failing verdict) or 2 (a config refused), never 0 or 3, and any report it
+writes parses with every JSON constant (NaN, Infinity) refused."""
+
+import json
+
+import numpy as np
+import pytest
+
+from pimsner_lab import fock, lift
+from pimsner_lab.cli import ReportBundle, main, serialize
+from pimsner_lab.fock import FockWindow
+from pimsner_lab.hilbert_mod import (
+    AMatrix,
+    LinearMapTable,
+    _dense_min_eig,
+    _hermitian_min_eig,
+    choi_cp_check,
+    positivity_probe,
+    tol_grid,
+)
+from pimsner_lab.lift import factor_tables
+from pimsner_lab.presets import build_preset
+from pimsner_lab.star_core import AlgebraSpec, DEFAULT_TOL
+
+
+def strict_loads(text: str):
+    """``json.loads`` that refuses the constants NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"JSON constant {constant} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+def no_lapack(monkeypatch):
+    """Make every LAPACK entry point the CP checks use raise."""
+    def boom(*args, **kwargs):
+        raise AssertionError("LAPACK called on non-finite input")
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    monkeypatch.setattr(np.linalg, "cholesky", boom)
+
+
+# ---------------------------------------------------------------------------
+# the eigen kernels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("bound", [np.inf, 0.5])
+def test_isolated_diagonal_entry_reads_nan(monkeypatch, bad, bound):
+    """diag(1, bad, 2): three 1 x 1 components.  A builtin ``min(bound,
+    nan)`` kept the bound and dropped the finite minimum 1 with the NaN."""
+    no_lapack(monkeypatch)
+    mat = np.diag([1.0, 0.0, 2.0]).astype(complex)
+    mat[1, 1] = bad
+    low, dev = _hermitian_min_eig(mat, bound)
+    assert np.isnan(low) and np.isnan(dev)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_of_a_component_reads_nan(monkeypatch, where, bad):
+    """A non-finite entry inside a dense component, on or off the diagonal,
+    gives NaN from both kernels before any Cholesky screen or eigen-solve."""
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    mat = z @ z.conj().T
+    mat[where] = bad
+    no_lapack(monkeypatch)
+    for low in (np.inf, 0.25):
+        assert all(np.isnan(_hermitian_min_eig(mat, low)))
+        assert all(np.isnan(_dense_min_eig(mat, low)))
+
+
+def test_nan_running_minimum_is_carried():
+    """A NaN bound stays NaN through a finite matrix."""
+    mat = np.diag([1.0, 2.0]).astype(complex)
+    assert np.isnan(_hermitian_min_eig(mat, np.nan)[0])
+    assert np.isnan(_dense_min_eig(mat, np.nan)[0])
+
+
+def test_tol_grid_writes_non_finite_values_as_null():
+    for value in (np.nan, np.inf, -np.inf):
+        assert tol_grid(value, DEFAULT_TOL.psd_tol) is None
+    assert tol_grid(-1e-20, DEFAULT_TOL.psd_tol) == 0.0
+
+
+def test_serialize_refuses_nan():
+    """A NaN that escapes every verdict is an internal error, not a report."""
+    bundle = ReportBundle("validate", {}, 0, suites={"x": {"dev": float("nan"), "pass": False}})
+    with pytest.raises(ValueError):
+        serialize(bundle, "json", None)
+
+
+# ---------------------------------------------------------------------------
+# CP checks
+# ---------------------------------------------------------------------------
+
+def nan_corner_table():
+    """Phi(x) = diag(x_11, x_22) on M_2(C), except that a nonzero x_22 maps
+    to NaN: its Choi matrix is diagonal, diag(1, 0, 0, NaN), so the NaN sits
+    on an isolated diagonal entry, and Phi(1) = diag(1, NaN)."""
+    spec = AlgebraSpec((1,))
+
+    def apply(x, row):
+        b = x.blocks[0]
+        out = np.zeros_like(b)
+        out[..., 0, 0, :, :] = b[..., 0, 0, :, :]
+        out[..., 1, 1, :, :] = np.where(b[..., 1, 1, :, :] != 0, np.nan, 0)
+        return AMatrix(spec, 2, 2, [out])
+
+    return LinearMapTable(spec, 2, 2, apply)
+
+
+def assert_fails_and_serializes(rep):
+    assert rep.passed is False
+    text = json.dumps(rep.to_dict(), allow_nan=False)
+    assert strict_loads(text)["pass"] is False
+
+
+def test_choi_check_with_a_nan_on_an_isolated_diagonal_entry_fails():
+    """Before, the NaN was dropped and the check read min_eig = inf, a pass."""
+    rep = choi_cp_check(nan_corner_table())
+    assert np.isnan(rep.min_eigenvalue)
+    assert rep.to_dict()["min_eig"] is None
+    # Phi(1) holds the NaN: no SVD is run on it, and the map is no contraction
+    assert np.isnan(rep.norm_bound) and rep.contractive is False
+    assert_fails_and_serializes(rep)
+
+
+def plant_nan(table, when, where=(0, 0, 0, 0, 0)):
+    """``table`` with one NaN written into its output on the applications
+    for which ``when(x, row)`` holds."""
+    def apply(x, row):
+        out = table.apply(x, row)
+        if when(x, row):
+            out.blocks[0][where] = np.nan
+        return out
+    return LinearMapTable(table.spec, table.p, table.q, apply, reads=table.reads)
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 3, 0, 0, 0)],
+                         ids=["diagonal", "off-diagonal", "off-diagonal-cell"])
+def test_probe_with_a_nan_in_one_output_fails(where):
+    """One NaN in the first probe trial's image under Psi_N, twisted2 at
+    N = 2 (a k^2 = 4 stack): before, LAPACK raised "Eigenvalues did not
+    converge", an internal error.  Phi(1) is left finite."""
+    spec = build_preset("twisted2")
+    _, psi, _ = factor_tables(spec, FockWindow.one_sided(4), 2)
+    calls = []
+
+    def first_trial(x, row):
+        calls.append(x.stack_shape)
+        return x.stack_shape == (4,) and calls.count((4,)) == 1
+
+    rep = positivity_probe(plant_nan(psi, first_trial, where), trials=3, seed=2)
+    assert np.isnan(rep.min_eigenvalue) and np.isnan(rep.hermitian_dev)
+    assert rep.contractive is True
+    assert_fails_and_serializes(rep)
+
+
+def test_choi_check_with_a_nan_in_one_basis_image_fails():
+    """A NaN in the images of the units in the first block row, Psi_N of
+    twisted2 at N = 2, through the exact check."""
+    spec = build_preset("twisted2")
+    _, psi, _ = factor_tables(spec, FockWindow.one_sided(4), 2)
+    rep = choi_cp_check(plant_nan(psi, lambda x, row: row == 0))
+    assert np.isnan(rep.min_eigenvalue)
+    assert_fails_and_serializes(rep)
+
+
+# ---------------------------------------------------------------------------
+# the CLI under a NaN plant in Psi_N
+# ---------------------------------------------------------------------------
+
+def planted_psi_amplify(on_band: bool):
+    """``fock.psi_amplify`` with one NaN added to its output: in its first
+    block (on the generator's band in the Schur suite), or in a new block
+    (0, window.hi), off every band the suites use."""
+    original = fock.psi_amplify
+
+    def psi_amplify(x, window):
+        out = original(x, window)
+        if on_band:
+            key = min(out.blocks)
+            blk = out.blocks[key].copy()
+        else:
+            key = (0, window.hi)
+            blk = AMatrix.zeros(x.spec.algebra, *out._shape_of(*key))
+        blk.blocks[0][..., 0, 0, 0, 0] = np.nan
+        out.blocks[key] = blk
+        return out
+
+    return psi_amplify
+
+
+@pytest.mark.parametrize("on_band", [True, False], ids=["on-band", "off-band"])
+@pytest.mark.parametrize("args", [
+    ["schur", "--preset", "cuntz2", "--N", "2", "--format", "json"],
+    ["schur", "--preset", "twisted2", "--N", "2", "--format", "json"],
+    ["certificate", "--preset", "twisted2", "--N", "2"],
+], ids=["schur-cuntz2", "schur-twisted2", "certificate-twisted2"])
+def test_nan_in_psi_n_exits_one(monkeypatch, tmp_path, capsys, args, on_band):
+    """Before, ``schur`` exited 0 with ``"pass": true`` and NaN in its JSON,
+    and ``certificate`` exited 3 from an SVD of the NaN."""
+    planted = planted_psi_amplify(on_band)
+    monkeypatch.setattr(fock, "psi_amplify", planted)
+    monkeypatch.setattr(lift, "psi_amplify", planted)
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 1
+    assert "violation" in capsys.readouterr().err
+    if out.exists():
+        assert strict_loads(out.read_text())["pass"] is False
+
+
+# ---------------------------------------------------------------------------
+# configs with non-finite numbers
+# ---------------------------------------------------------------------------
+
+SWAP_N2 = {"block_dims": [1], "n": 2, "unitary": [[[0, 1], [1, 0]]],
+           "alphas": [{"perm": [0]}, {"perm": [0]}]}
+ROTATION_M2 = {"block_dims": [2], "n": 1,
+               "alphas": [{"perm": [0], "unitaries": [[[0, -1], [1, 0]]]}]}
+
+
+def config_with(bad):
+    """Configs that validate when ``bad`` is 0, with that leaf replaced by
+    ``bad``: in ``unitary``, in ``alphas[].unitaries``, and as the imaginary
+    part of an [re, im] pair."""
+    return [
+        dict(SWAP_N2, unitary=[[[bad, 1], [1, 0]]]),
+        dict(ROTATION_M2, alphas=[{"perm": [0], "unitaries": [[[bad, -1], [1, 0]]]}]),
+        dict(SWAP_N2, unitary=[[[[0, bad], [1, 0]], [[1, 0], [0, 0]]]]),
+    ]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "NaN", "Infinity"],
+                         ids=["NaN", "Infinity", "-Infinity", "string-NaN", "string-Infinity"])
+def test_non_finite_config_number_exits_two(tmp_path, capsys, bad):
+    """json.dumps writes the floats as the literals NaN, Infinity and
+    -Infinity, which Python's json reads back; before, they exited 3."""
+    cfg = tmp_path / "c.json"
+    for config in config_with(0):
+        cfg.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
+    for config in config_with(bad):
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config")

@@ -133,6 +133,15 @@ class TestAutomorphism:
         with pytest.raises(ConfigurationError):
             Automorphism(spec, (0,), (2.0 * np.eye(2),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unitary_data_refused(self, bad):
+        """A NaN in the data makes the unitarity deviation NaN, which fails
+        the test ``dev <= 1e-8`` as ``dev > 1e-8`` did not."""
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ConfigurationError):
+            Automorphism(AlgebraSpec((2,)), (0,), (u,))
+
     def test_unitary_count_checked(self):
         """One unitary per algebra block, no fewer and no more."""
         spec = AlgebraSpec((1, 1))
