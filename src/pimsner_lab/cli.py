@@ -31,7 +31,7 @@ import numpy as np
 
 from .star_core import ConfigurationError, DEFAULT_TOL
 from .correspondence import CorrespondenceSpec, ValidationError
-from .fock import FockWindow, v_n
+from .fock import FockWindow, toeplitz_op, v_n
 from .expectation import _sample_matrix, verify_cond_exp
 from .hilbert_mod import CHOI_CAP, tol_grid
 from .lift import (
@@ -123,22 +123,27 @@ def suite_validate(cfg: RunConfig) -> dict:
 
 
 def suite_schur(cfg: RunConfig):
-    """Schur tables against the counting oracle over the (N, r, s) grid: V_N
-    on one-sided windows, W_N on two-sided ones.  The worst error is folded
-    with ``np.max``, which carries a NaN through to a failing verdict."""
+    """Schur tables against the counting oracle over the (N, r, s) grid, in
+    that order: V_N on one-sided windows, W_N on two-sided ones.  Every window
+    is checked first; each pair (r, s) is then drawn, and its band built on the
+    widest window, once per run (:func:`v_n` restricts it).  The worst error is
+    folded with ``np.max``, which carries a NaN through to a failing verdict."""
     spec = cfg.spec
-    rows = []
-    for big_n in cfg.n_values:
-        window = cfg.window_for(big_n)
-        for r in range(cfg.band + 1):
-            for s in range(cfg.band + 1):
-                if max(r, s) > window.hi:
-                    continue
-                gseed = cfg.seed + 7001 * r + 31 * s + 1
-                mu = spec.sample_vector(r, gseed)
-                nu = spec.sample_vector(s, gseed + 1)
-                _, got, _ = v_n(spec, mu, nu, big_n, window, r, s)
-                rows.extend(got)
+    windows = [cfg.window_for(big_n) for big_n in cfg.n_values]
+    rows_by_n = [[] for _ in windows]
+    for r in range(cfg.band + 1):
+        for s in range(cfg.band + 1):
+            fit = [k for k, w in enumerate(windows) if max(r, s) <= w.hi]
+            if not fit:
+                continue
+            gseed = cfg.seed + 7001 * r + 31 * s + 1
+            mu = spec.sample_vector(r, gseed)
+            nu = spec.sample_vector(s, gseed + 1)
+            band = toeplitz_op(spec, mu, nu, max(windows, key=lambda w: w.hi), r, s)
+            for k in fit:
+                _, got, _ = v_n(spec, band, cfg.n_values[k], windows[k], r, s)
+                rows_by_n[k].extend(got)
+    rows = [row for got in rows_by_n for row in got]
     worst = float(np.max([g.abs_err for g in rows], initial=0.0))
     report = {
         "rows": len(rows),

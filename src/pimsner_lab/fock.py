@@ -413,16 +413,25 @@ def _rows(arrs: list) -> np.ndarray:
     return (np.stack(arrs) if len(arrs) > 1 else arrs[0][None]).reshape(len(arrs), -1)
 
 
-def v_n(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix, big_n: int,
+def v_n(spec: CorrespondenceSpec, band: GradedOperator, big_n: int,
         window: FockWindow, r: int, s: int):
-    """(Psi_N o phi_N of the band of e_{mu,nu} at degrees (r, s), one Schur
-    row per band offset, the band); an output block off the band or not a
-    real multiple of it raises :class:`ValidationError`, and so does a NaN
-    (each condition reads ``not x <= tol``).  One-sided windows give the
-    Pimsner pipeline V_N; two-sided (n = 1) the bimodule one W_N."""
+    """(Psi_N o phi_N of a generator band at degrees (r, s) on ``window``,
+    one Schur row per band offset, the band on ``window``); an output block
+    off the band or not a real multiple of it raises
+    :class:`ValidationError`, and so does a NaN (each condition reads ``not
+    x <= tol``).  One-sided windows give the Pimsner pipeline V_N; two-sided
+    (n = 1) the bimodule one W_N.  ``band`` (:func:`toeplitz_op`) may be
+    built on any window of the same sidedness that contains ``window``: bands
+    are degree-monotone, so its restriction (views) equals the band built on
+    ``window``."""
     eq_tol = DEFAULT_TOL.eq_tol
     sided = "two" if window.two_sided else "one"
-    top = toeplitz_op(spec, mu, nu, window, r, s)
+    if band.spec is not spec:
+        raise SpecMismatchError("the band lies over another correspondence")
+    outer = band.window
+    if outer.two_sided != window.two_sided or not outer.lo <= window.lo <= window.hi <= outer.hi:
+        raise ConfigurationError("the band's window does not contain the pipeline's window")
+    top = band.restrict(window)
     out = psi_amplify(compress(top, big_n), window)
     off_band = np.max([v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r],
                       initial=0.0)  # a Schur multiplier maps the band into itself

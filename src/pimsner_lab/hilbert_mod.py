@@ -210,11 +210,16 @@ class AMatrix:
                     for m, d in zip(flats, spec.block_dims)])
 
     def norm(self) -> float:
-        return max(spectral_norm(self.flatten_block(s))
-                   for s in range(self.spec.n_blocks))
+        """The spectral norm; NaN when an entry is not finite, which no SVD
+        is given."""
+        if not all(np.isfinite(b).all() for b in self.blocks):
+            return np.nan
+        return float(np.max([spectral_norm(self.flatten_block(s))
+                             for s in range(self.spec.n_blocks)]))
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(b))) if b.size else 0.0 for b in self.blocks)
+        """max |entry|, NaN when any algebra block holds a NaN."""
+        return float(np.max([np.max(np.abs(b)) if b.size else 0.0 for b in self.blocks]))
 
     def min_eig(self) -> float:
         low = np.inf
@@ -307,6 +312,12 @@ def tol_grid(value: float, threshold: float) -> float | None:
         return None
     digits = 3 - math.floor(math.log10(threshold))
     return round(value, digits) + 0.0
+
+
+def json_float(value: float) -> float | None:
+    """``value`` as reports write a raw (ungridded) float: exactly, or as
+    None (JSON null) when it is not finite."""
+    return float(value) if math.isfinite(value) else None
 
 
 def _hermitian_min_eig(mat: np.ndarray, bound: float = np.inf) -> tuple[float, float]:
@@ -608,11 +619,9 @@ def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
 
 def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
     """(||Phi(1) - 1||, ||Phi(1)||): the unital defect and the norm bound;
-    NaN for both when Phi(1) has a non-finite entry, which no SVD is given."""
+    NaN for both when Phi(1) has a non-finite entry (:meth:`AMatrix.norm`)."""
     eye = [np.eye(m, dtype=complex)[None] for m in table.domain_sides]
     img = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, eye))
-    if not all(np.isfinite(b).all() for b in img.blocks):
-        return np.nan, np.nan
     one_img = AMatrix._new(table.spec, table.q, table.q, [b[0] for b in img.blocks])
     return (one_img - AMatrix.eye(table.spec, table.q)).norm(), one_img.norm()
 

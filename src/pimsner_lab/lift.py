@@ -22,11 +22,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
 from .hilbert_mod import (
     CHOI_CAP,
     AMatrix,
     cp_check_auto,
+    json_float,
     rank_one,
     tol_grid,
 )
@@ -35,6 +38,7 @@ from .expectation import eps_hat
 from .fock import (
     FockWindow,
     GradedOperator,
+    band_op,
     band_powers,
     compress,
     creation_op,
@@ -146,20 +150,17 @@ def lift_defect(ctx: EInftyContext, mu: AMatrix, nu: AMatrix,
         @ pi_i(spec, i, b0 @ c0.adjoint(), window) \
         @ creation_op(spec, nu, window, s).adjoint()
     defect = lifted - band
-    support = []
-    max_dev_tail = 0.0
-    for k in range(0, window.hi - max(r, s) + 1):
-        dev = defect.block(r + k, s + k).max_abs()
-        if k >= i:
-            max_dev_tail = max(max_dev_tail, dev)
-        if dev > DEFAULT_TOL.eq_tol:
-            support.append(k)
+    # per band offset k; a NaN lands in the support and in the tail maximum
+    devs = np.array([defect.block(r + k, s + k).max_abs()
+                     for k in range(0, window.hi - max(r, s) + 1)])
+    support = [k for k, dev in enumerate(devs.tolist()) if not (dev <= DEFAULT_TOL.eq_tol)]
+    max_dev_tail = float(np.max(devs[i:], initial=0.0))
     report = {
         "i": i,
         "level": ctx.level,
         "r": r,
         "s": s,
-        "max_dev_at_or_above_i": float(max_dev_tail),
+        "max_dev_at_or_above_i": json_float(max_dev_tail),
         "support": support,
         "pass": max_dev_tail <= DEFAULT_TOL.eq_tol and all(k < i for k in support),
     }
@@ -197,19 +198,19 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     ref = {k: spec.phi_k_direct(e, k) for k in offsets if k >= 0}
     for k in range(-1, offsets.start - 1, -1):
         ref[k] = eps_hat(spec, 1, ref[k + 1])
-    band_dev = max((lifted.block(r + k, s + k) - ref[k]).max_abs()
-                   for k in offsets if k >= 0)
-    tail_dev = max((bilateral.block(r + k, s + k) - ref[k]).max_abs()
-                   for k in offsets)
+    band_dev = float(np.max([(lifted.block(r + k, s + k) - ref[k]).max_abs()
+                             for k in offsets if k >= 0]))
+    tail_dev = float(np.max([(bilateral.block(r + k, s + k) - ref[k]).max_abs()
+                             for k in offsets]))
     # extra blocks are indexed by their (negative) band offset
     extra = sorted({j - s for (i, j) in lifted.blocks
                     if i - r == j - s and j - s < 0
-                    and lifted.blocks[(i, j)].max_abs() > DEFAULT_TOL.eq_tol})
+                    and not (lifted.blocks[(i, j)].max_abs() <= DEFAULT_TOL.eq_tol)})
     report = {
         "r": r, "s": s,
-        "band_dev": float(band_dev),
+        "band_dev": json_float(band_dev),
         "compact_offsets": extra,
-        "bilateral_tail_dev": float(tail_dev),
+        "bilateral_tail_dev": json_float(tail_dev),
         "pass": band_dev <= DEFAULT_TOL.eq_tol and tail_dev <= DEFAULT_TOL.eq_tol,
     }
     return lifted, report
@@ -318,7 +319,7 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
         e = rank_one(mu, nu)
         gnorm = e.norm()
         band = generator_band(window, r, s)
-        out, rows, target = v_n(spec, mu, nu, big_n, window, r, s)
+        out, rows, target = v_n(spec, band_op(spec, e, r, s, window), big_n, window, r, s)
         if window.two_sided:
             err = (out - target).norm()
             coeff = rows[0].measured if rows else 0.0

@@ -67,7 +67,8 @@ def test_criterion_01_schur_coefficient_exactness():
                 for s in range(5):
                     mu = spec.sample_vector(r, 1000 + 10 * r + s)
                     nu = spec.sample_vector(s, 2000 + 10 * r + s)
-                    _, rows, _ = v_n(spec, mu, nu, big_n, window, r, s)
+                    band = toeplitz_op(spec, mu, nu, window, r, s)
+                    _, rows, _ = v_n(spec, band, big_n, window, r, s)
                     worst = max(worst, max(x.abs_err for x in rows))
     assert worst < 1e-9, f"worst oracle deviation {worst:.3e}"
     # the printed/oracle discrepancy, reported rather than reconciled
@@ -80,7 +81,8 @@ def test_criterion_01_schur_coefficient_exactness():
     # exactly 1, which the printed formula would put at N/(N+1))
     z3 = SPECS["crossed-z3"]
     mu = z3.sample_vector(1, 77)
-    _, rows, _ = v_n(z3, mu, mu, 4, _window(z3, 6), r=2, s=2)
+    window = _window(z3, 6)
+    _, rows, _ = v_n(z3, toeplitz_op(z3, mu, mu, window, r=2, s=2), 4, window, r=2, s=2)
     assert all(abs(x.measured - 1.0) < 1e-9 for x in rows)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f} s"
@@ -103,7 +105,7 @@ def test_criterion_02_fejer_convergence_rate():
         g_op = toeplitz_op(z3, mu, nu, window, r=r, s=s)
         g_norm = g_op.norm()
         for big_n in range(max(2, j - 1), 9):
-            out, _, _ = v_n(z3, mu, nu, big_n, window, r=r, s=s)
+            out, _, _ = v_n(z3, g_op, big_n, window, r=r, s=s)
             err = (out - g_op).norm()
             assert abs(err * (big_n + 1) - j * g_norm) <= 1e-6 * max(j * g_norm, 1.0)
     # one-sided: the quotient (tail) error has the same 1/(N+1) law
@@ -116,7 +118,8 @@ def test_criterion_02_fejer_convergence_rate():
         products = []
         for big_n in range(max(2, j - 1), 9):
             window = _window(cuntz, max(big_n, j) + 1)
-            _, rows, _ = v_n(cuntz, mu, nu, big_n, window, r=r, s=s)
+            band = toeplitz_op(cuntz, mu, nu, window, r=r, s=s)
+            _, rows, _ = v_n(cuntz, band, big_n, window, r=r, s=s)
             tail = [x for x in rows if x.l >= max(0, big_n - j)]
             err = abs(tail[0].measured - 1.0) * e_norm
             products.append(err * (big_n + 1))
@@ -163,7 +166,8 @@ def test_criterion_04_compact_correction_structure():
             window = _window(spec, big_n + 2)
             mu = spec.sample_vector(r, 700 + r)
             nu = spec.sample_vector(s, 800 + s)
-            out, rows, _ = v_n(spec, mu, nu, big_n, window, r=r, s=s)
+            band = toeplitz_op(spec, mu, nu, window, r=r, s=s)
+            out, rows, _ = v_n(spec, band, big_n, window, r=r, s=s)
             stab = big_n - max(r, s)
             tail = float(schur_oracle(big_n, r, s, big_n, "one"))
             for x in rows:
@@ -177,7 +181,8 @@ def test_criterion_04_compact_correction_structure():
     for (r, s, big_n) in [(1, 0, 3), (2, 1, 4), (3, 0, 4)]:
         mu = z3.sample_vector(1, 900 + r)
         nu = z3.sample_vector(1, 950 + s)
-        out, rows, _ = v_n(z3, mu, nu, big_n, window, r=r, s=s)
+        band = toeplitz_op(z3, mu, nu, window, r=r, s=s)
+        out, rows, _ = v_n(z3, band, big_n, window, r=r, s=s)
         coeffs = {round(x.measured, 12) for x in rows}
         assert len(coeffs) == 1, f"W_N not a single uniform band: {coeffs}"
 
@@ -302,12 +307,12 @@ def test_criterion_09_window_extension_invariance():
         for (r, s, big_n) in [(1, 0, 2), (1, 1, 3), (2, 1, 3)]:
             mu = spec.sample_vector(r, 9500 + r)
             nu = spec.sample_vector(s, 9600 + s)
-            small, _, _ = v_n(spec, mu, nu, big_n, _window(spec, m), r, s)
-            large, _, _ = v_n(spec, mu, nu, big_n, _window(spec, m + 2), r, s)
-            assert shared_block_dev(small, large) < 1e-9, (spec.name, r, s)
-            # the raw generators themselves are truncation-exact too
             t_small = toeplitz_op(spec, mu, nu, _window(spec, m), r=r, s=s)
             t_large = toeplitz_op(spec, mu, nu, _window(spec, m + 2), r=r, s=s)
+            small, _, _ = v_n(spec, t_small, big_n, _window(spec, m), r, s)
+            large, _, _ = v_n(spec, t_large, big_n, _window(spec, m + 2), r, s)
+            assert shared_block_dev(small, large) < 1e-9, (spec.name, r, s)
+            # the raw generators themselves are truncation-exact too
             assert shared_block_dev(t_small, t_large) < 1e-9
 
 

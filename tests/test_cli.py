@@ -338,6 +338,63 @@ def test_window_too_small_exit_two(capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_schur_draws_and_builds_each_generator_once(monkeypatch):
+    """twisted2 at N = 2..5, band 3: 16 generator pairs, each drawn (mu and
+    nu) and its band built once per run and shared by every N, where a draw
+    and a band per (N, r, s) made 128 draws and 64 bands."""
+    cfg = RunConfig(spec=build_preset("twisted2"))
+    draws, bands, band_ops = [], [], []
+    sample_vector, toeplitz_op, band_op = (CorrespondenceSpec.sample_vector,
+                                           fock.toeplitz_op, fock.band_op)
+
+    def spy_draw(spec, degree, seed):
+        draws.append((degree, seed))
+        return sample_vector(spec, degree, seed)
+
+    def spy_band(spec, mu, nu, window, r, s):
+        bands.append((r, s, window))
+        return toeplitz_op(spec, mu, nu, window, r, s)
+
+    def spy_band_op(*args):
+        band_ops.append(args[2:4])
+        return band_op(*args)
+
+    monkeypatch.setattr(CorrespondenceSpec, "sample_vector", spy_draw)
+    monkeypatch.setattr(cli, "toeplitz_op", spy_band)
+    monkeypatch.setattr(fock, "band_op", spy_band_op)
+    _, rows = cli.suite_schur(cfg)
+    assert len(draws) == 32 and len(set(draws)) == 32
+    assert sorted((r, s) for r, s, _ in bands) == [(r, s) for r in range(4) for s in range(4)]
+    assert {w for _, _, w in bands} == {cfg.window_for(5)}
+    assert len(band_ops) == 16
+    assert [(row.N, row.r, row.s) for row in rows] == sorted((row.N, row.r, row.s) for row in rows)
+
+
+@pytest.mark.parametrize("extra", [[], ["--M", "7"], ["--band", "1"]],
+                         ids=["default", "M7", "band1"])
+@pytest.mark.parametrize("preset", ["twisted2", "crossed-z3"])
+def test_schur_rows_equal_those_of_single_n_runs(tmp_path, preset, extra):
+    """The rows of one run over N = 2..5 are, byte for byte, those of the
+    four runs at one N each, in N order."""
+    def rows(n_range):
+        out = tmp_path / "s.csv"
+        assert main(["schur", "--preset", preset, "--N", n_range, "--out", str(out)] + extra) == 0
+        return out.read_text().splitlines()[1:]
+
+    assert rows("2..5") == [line for big_n in (2, 3, 4, 5) for line in rows(str(big_n))]
+
+
+def test_schur_checks_every_window_before_any_work(monkeypatch, capsys):
+    """N = 9..20 on twisted2 (max_degree 12): the first window that does not
+    fit, N = 11, is the error, and no generator is drawn."""
+    def refuse(*args):
+        raise AssertionError("a generator drawn before every window was checked")
+
+    monkeypatch.setattr(CorrespondenceSpec, "sample_vector", refuse)
+    with pytest.raises(ConfigurationError, match="window_m=13 exceeds max_degree=12"):
+        cli.suite_schur(RunConfig(spec=build_preset("twisted2"), n_values=tuple(range(9, 21))))
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--band", "--choi-cap"])
 def test_negative_seed_or_band_exit_two(capsys, flag):
     """A negative seed would reach numpy's seeding as a ValueError (read as a

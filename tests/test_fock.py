@@ -291,7 +291,7 @@ def test_v_n_frozen_coefficients(cuntz):
     w = FockWindow.one_sided(6)
     mu = cuntz.sample_vector(1, 11)
     nu = cuntz.sample_vector(0, 12)
-    _, rows, _ = v_n(cuntz, mu, nu, 3, w, 1, 0)
+    _, rows, _ = v_n(cuntz, toeplitz_op(cuntz, mu, nu, w, 1, 0), 3, w, 1, 0)
     got = {r.l: r.measured for r in rows}
     assert abs(got[0] - 0.25) < 1e-12
     assert abs(got[1] - 0.50) < 1e-12
@@ -306,12 +306,12 @@ def test_w_n_uniform_and_unital(z3):
     nu = z3.sample_vector(1, 4)
     # j = 0: the pipeline is unital, coefficient exactly 1; the band v_n
     # returns (the certificate's target) is the generator's Toeplitz band
-    out, rows, band = v_n(z3, mu, mu, 4, w, 2, 2)
+    out, rows, band = v_n(z3, toeplitz_op(z3, mu, mu, w, 2, 2), 4, w, 2, 2)
     assert all(abs(r.measured - 1.0) < 1e-12 for r in rows)
     assert (band - toeplitz_op(z3, mu, mu, w, 2, 2)).norm() == 0.0
     assert (out - band).norm() < 1e-12
     # j = 2: uniform coefficient 3/5 at every representable offset
-    _, rows, _ = v_n(z3, mu, nu, 4, w, 3, 1)
+    _, rows, _ = v_n(z3, toeplitz_op(z3, mu, nu, w, 3, 1), 4, w, 3, 1)
     assert all(abs(r.measured - 0.6) < 1e-12 for r in rows)
     assert len({round(r.measured, 12) for r in rows}) == 1
     assert {r.sided for r in rows} == {"two"}
@@ -329,7 +329,8 @@ def test_v_n_rows_equal_oracle_on_either_window(name, sided):
         for r in range(3):
             for s in range(3):
                 mu, nu = spec.sample_vector(r, 5 + r), spec.sample_vector(s, 9 + s)
-                _, rows, _ = v_n(spec, mu, nu, big_n, window, r, s)
+                band = toeplitz_op(spec, mu, nu, window, r, s)
+                _, rows, _ = v_n(spec, band, big_n, window, r, s)
                 assert rows and {row.sided for row in rows} == {sided}
                 for row in rows:
                     assert row.expected == schur_oracle(big_n, r, s, row.l, sided)
@@ -337,10 +338,53 @@ def test_v_n_rows_equal_oracle_on_either_window(name, sided):
 
 
 def test_v_n_two_sided_window_needs_bimodule(cuntz):
-    """A two-sided window exists for n = 1 only: v_n on n = 2 refuses it."""
+    """A two-sided window exists for n = 1 only: on n = 2 the band for v_n
+    is refused."""
     mu, nu = cuntz.sample_vector(1, 3), cuntz.sample_vector(1, 4)
+    two = FockWindow.two_sided_sym(4)
     with pytest.raises(ConfigurationError):
-        v_n(cuntz, mu, nu, 2, FockWindow.two_sided_sym(4), 1, 1)
+        v_n(cuntz, toeplitz_op(cuntz, mu, nu, two, 1, 1), 2, two, 1, 1)
+
+
+@pytest.mark.parametrize("name", ["cuntz2", "twisted2", "crossed-z3"])
+def test_v_n_on_a_wider_band_equals_v_n_on_its_own(name):
+    """A band built on the widest window of N = 2..5, restricted by v_n to
+    each N's window, gives the rows, output and band that the band built on
+    that window gives, bit for bit: band blocks are degree-monotone."""
+    spec = build_preset(name)
+    widest = window_to(spec, 7)
+    for r, s in ((0, 0), (1, 0), (2, 1), (1, 3), (3, 3)):
+        mu, nu = spec.sample_vector(r, 40 + r), spec.sample_vector(s, 50 + s)
+        wide = toeplitz_op(spec, mu, nu, widest, r, s)
+        for big_n in (2, 3, 4, 5):
+            window = window_to(spec, big_n + 2)
+            if max(r, s) > window.hi:
+                continue
+            out, rows, band = v_n(spec, wide, big_n, window, r, s)
+            want_out, want_rows, want_band = v_n(
+                spec, toeplitz_op(spec, mu, nu, window, r, s), big_n, window, r, s)
+            assert rows == want_rows
+            for got, want in ((out, want_out), (band, want_band)):
+                assert got.window == want.window and sorted(got.blocks) == sorted(want.blocks)
+                assert all(np.array_equal(a, b) for key in got.blocks
+                           for a, b in zip(got.blocks[key].blocks, want.blocks[key].blocks))
+            # the restriction is views of the wide band's blocks, not copies
+            assert all(band.blocks[key] is wide.blocks[key] for key in band.blocks)
+
+
+def test_v_n_refuses_a_band_that_does_not_cover_its_window(cuntz, z3):
+    """The band must lie over the same correspondence, on a window of the
+    same sidedness that contains the pipeline's window."""
+    mu, nu = z3.sample_vector(1, 3), z3.sample_vector(1, 4)
+    two5, two3 = FockWindow.two_sided_sym(5), FockWindow.two_sided_sym(3)
+    for band, window in ((toeplitz_op(z3, mu, nu, two3, 1, 1), two5),
+                         (toeplitz_op(z3, mu, nu, two5, 1, 1), FockWindow.one_sided(5)),
+                         (toeplitz_op(z3, mu, nu, FockWindow.one_sided(5), 1, 1), two3)):
+        with pytest.raises(ConfigurationError, match="does not contain"):
+            v_n(z3, band, 2, window, 1, 1)
+    other = build_preset("crossed-z3")
+    with pytest.raises(SpecMismatchError):
+        v_n(other, toeplitz_op(z3, mu, nu, two5, 1, 1), 2, two5, 1, 1)
 
 
 def test_wrong_explicit_degree_raises(cuntz):
@@ -352,7 +396,7 @@ def test_wrong_explicit_degree_raises(cuntz):
         with pytest.raises(SpecMismatchError):
             toeplitz_op(cuntz, mu, nu, w, r, s)
         with pytest.raises(SpecMismatchError):
-            v_n(cuntz, mu, nu, 2, w, r, s)
+            v_n(cuntz, toeplitz_op(cuntz, mu, nu, w, r, s), 2, w, r, s)
     with pytest.raises(SpecMismatchError):
         creation_op(cuntz, mu, w, 2)
     assert set(toeplitz_op(cuntz, mu, nu, w, 1, 2).blocks) == {(1, 2), (2, 3), (3, 4)}
@@ -476,10 +520,11 @@ def test_band_block_off_by_a_constant_raises(monkeypatch, name):
 
     window = window_to(spec, 4)
     mu, nu = spec.sample_vector(1, 3), spec.sample_vector(1, 4)
-    v_n(spec, mu, nu, 2, window, 1, 1)
+    band = toeplitz_op(spec, mu, nu, window, 1, 1)
+    v_n(spec, band, 2, window, 1, 1)
     monkeypatch.setattr(fock, "psi_amplify", shifted)
     with pytest.raises(ValidationError, match="not a real multiple"):
-        v_n(spec, mu, nu, 2, window, 1, 1)
+        v_n(spec, band, 2, window, 1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -496,7 +541,7 @@ def test_imaginary_coefficient_above_eq_tol_raises(monkeypatch, name):
     window = window_to(spec, 5)
     mu, nu = spec.sample_vector(1, 11), spec.sample_vector(1, 12)
     with pytest.raises(ValidationError, match="not a real multiple"):
-        v_n(spec, mu, nu, 3, window, 1, 1)
+        v_n(spec, toeplitz_op(spec, mu, nu, window, 1, 1), 3, window, 1, 1)
 
 
 def test_compress_support(cuntz):
@@ -527,13 +572,15 @@ def test_window_extension_invariance(cuntz, z3):
     """Pipelines at windows M and M+2 agree on shared blocks."""
     mu = cuntz.sample_vector(2, 7)
     nu = cuntz.sample_vector(1, 8)
-    small, _, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(5), 2, 1)
-    large, _, _ = v_n(cuntz, mu, nu, 3, FockWindow.one_sided(7), 2, 1)
+    w5, w7 = FockWindow.one_sided(5), FockWindow.one_sided(7)
+    small, _, _ = v_n(cuntz, toeplitz_op(cuntz, mu, nu, w5, 2, 1), 3, w5, 2, 1)
+    large, _, _ = v_n(cuntz, toeplitz_op(cuntz, mu, nu, w7, 2, 1), 3, w7, 2, 1)
     assert shared_block_dev(small, large) < 1e-12
     mu1 = z3.sample_vector(1, 7)
     nu1 = z3.sample_vector(1, 8)
-    small, _, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(5), 2, 1)
-    large, _, _ = v_n(z3, mu1, nu1, 3, FockWindow.two_sided_sym(7), 2, 1)
+    w5, w7 = FockWindow.two_sided_sym(5), FockWindow.two_sided_sym(7)
+    small, _, _ = v_n(z3, toeplitz_op(z3, mu1, nu1, w5, 2, 1), 3, w5, 2, 1)
+    large, _, _ = v_n(z3, toeplitz_op(z3, mu1, nu1, w7, 2, 1), 3, w7, 2, 1)
     assert shared_block_dev(small, large) < 1e-12
 
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from pimsner_lab import fock, lift
+from pimsner_lab import expectation, fock, lift
 from pimsner_lab.cli import ReportBundle, main, serialize
 from pimsner_lab.fock import FockWindow
 from pimsner_lab.hilbert_mod import (
@@ -214,6 +214,127 @@ def test_nan_in_psi_n_exits_one(monkeypatch, tmp_path, capsys, args, on_band):
     assert "violation" in capsys.readouterr().err
     if out.exists():
         assert strict_loads(out.read_text())["pass"] is False
+
+
+# ---------------------------------------------------------------------------
+# the lift and expectation suites under a NaN plant
+# ---------------------------------------------------------------------------
+
+def with_nan(mat: AMatrix) -> AMatrix:
+    """A copy of ``mat`` with a NaN at the first entry of its last algebra
+    block, where a fold over the blocks meets it after the finite ones."""
+    out = mat.copy()
+    out.blocks[-1][..., 0, 0, 0, 0] = np.nan
+    return out
+
+
+def run_planted(tmp_path, args):
+    """Run the CLI; it must exit 1, and its report must parse strictly."""
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 1
+    return strict_loads(out.read_text())
+
+
+def test_nan_in_the_lifted_generator_fails_lift_check(monkeypatch, tmp_path):
+    """A NaN in the last block of eps-hat of the lifted generator, an offset
+    at or above every compact level: before, the running maximum dropped it
+    after the finite offsets, ``dev > eq_tol`` left it out of the support,
+    and lift-check exited 0 with every case passing."""
+    original = lift.eps_hat_graded
+
+    def planted(ctx, blocks, window):
+        out = original(ctx, blocks, window)
+        key = max(out.blocks)
+        out.blocks[key] = with_nan(out.blocks[key])
+        return out
+
+    monkeypatch.setattr(lift, "eps_hat_graded", planted)
+    doc = run_planted(tmp_path, ["lift-check", "--preset", "twisted2"])
+    cases = doc["suites"]["lift_check"]["defect"]["cases"]
+    assert cases and all(c["max_dev_at_or_above_i"] is None and not c["pass"] for c in cases)
+    assert all(c["support"][-1] == 5 - max(c["r"], c["s"]) for c in cases)
+
+
+def test_nan_in_the_compressed_bilateral_band_fails_lift_check(monkeypatch, tmp_path):
+    """crossed-z3: a NaN in the last block of the bilateral lift's
+    compression, on the one-sided band, reads band_dev null and fails."""
+    original = lift.compress
+
+    def planted(x, big_n):
+        out = original(x, big_n)
+        key = max(out.blocks)
+        out.blocks[key] = with_nan(out.blocks[key])
+        return out
+
+    monkeypatch.setattr(lift, "compress", planted)
+    doc = run_planted(tmp_path, ["lift-check", "--preset", "crossed-z3"])
+    cases = doc["suites"]["lift_check"]["bimodule_lift"]["cases"]
+    assert cases and all(c["band_dev"] is None and not c["pass"] for c in cases)
+
+
+@pytest.mark.parametrize("preset", ["twisted2", "crossed-z3"])
+def test_nan_in_ex_k_fails_expectation(monkeypatch, tmp_path, preset):
+    """A NaN in Ex_k's output from its fifth call on, after a finite first
+    sample of every axiom: before, the builtin folds dropped it (exit 0 at
+    first, then exit 3 once the Schwarz minimum read NaN and the fold kept
+    its starting infinity).  Every sampled axiom now reads null and fails;
+    the CP check, on the table's own Ex_k, still passes."""
+    original, calls = expectation.ex_k, []
+
+    def planted(spec, k, x):
+        calls.append(k)
+        out = original(spec, k, x)
+        return with_nan(out) if len(calls) > 4 else out
+
+    monkeypatch.setattr(expectation, "ex_k", planted)
+    doc = run_planted(tmp_path, ["expectation", "--preset", preset])
+    for level in doc["suites"]["expectation"]["levels"].values():
+        axioms = level["axioms"]
+        assert not level["pass"] and axioms["cp"]["pass"]
+        assert [axioms[a].get("max_dev", axioms[a].get("min_eig"))
+                for a in ("idempotence", "bimodule", "schwarz", "tower")] == [None] * 4
+        assert not any(axioms[a]["pass"] for a in ("idempotence", "bimodule", "schwarz", "tower"))
+
+
+def test_nan_in_the_last_algebra_block_reads_nan(monkeypatch):
+    """max_abs and norm over A = C + C (twisted2) with the NaN only in the
+    second block: before, the builtin max over the blocks kept the first
+    block's finite value.  norm gives no SVD a non-finite matrix."""
+    spec = build_preset("twisted2")
+    mat = with_nan(spec.sample_vector(2, 5))
+    assert np.isfinite(mat.blocks[0]).all()
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: pytest.fail("SVD of a NaN"))
+    assert np.isnan(mat.max_abs()) and np.isnan(mat.norm())
+    assert np.isnan((mat @ mat.adjoint()).min_eig())
+
+
+def test_nan_in_an_inverse_automorphism_fails_validate():
+    """The second automorphism's inverse writes a NaN into the last algebra
+    block: the automorphism check follows three finite deviations and must
+    read NaN, and name itself among the failing checks."""
+    spec = build_preset("twisted2")
+
+    class NanInverse:
+        def __init__(self, al):
+            self.al = al
+
+        def apply(self, x):
+            return with_nan(self.al.apply(x))
+
+    class Planted:
+        def __init__(self, al):
+            self.al = al
+
+        def apply(self, x):
+            return self.al.apply(x)
+
+        def inverse(self):
+            return NanInverse(self.al.inverse())
+
+    spec.alphas = (spec.alphas[0], Planted(spec.alphas[1]))
+    rep, violated = spec._validate(seed=11)
+    assert np.isnan(rep["checks"]["automorphisms"])
+    assert list(violated) == ["automorphisms"]
 
 
 # ---------------------------------------------------------------------------
