@@ -24,14 +24,14 @@ import io
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .star_core import ConfigurationError, DEFAULT_TOL
 from .correspondence import CorrespondenceSpec, ValidationError
-from .fock import FockWindow, toeplitz_op, v_n
+from .fock import FockWindow, v_n_runs
 from .expectation import _sample_matrix, verify_cond_exp
 from .hilbert_mod import CHOI_CAP, tol_grid
 from .lift import (
@@ -39,6 +39,7 @@ from .lift import (
     TOOL_VERSION,
     bilateral_lift,
     cpap_certificate,
+    generator_records,
     lift_defect,
 )
 from .presets import load_spec
@@ -126,23 +127,14 @@ def suite_schur(cfg: RunConfig):
     """Schur tables against the counting oracle over the (N, r, s) grid, in
     that order: V_N on one-sided windows, W_N on two-sided ones.  Every window
     is checked first; each pair (r, s) is then drawn, and its band built on the
-    widest window, once per run (:func:`v_n` restricts it).  The worst error is
+    widest window, once per run (:func:`v_n_runs`).  The worst error is
     folded with ``np.max``, which carries a NaN through to a failing verdict."""
-    spec = cfg.spec
-    windows = [cfg.window_for(big_n) for big_n in cfg.n_values]
-    rows_by_n = [[] for _ in windows]
-    for r in range(cfg.band + 1):
-        for s in range(cfg.band + 1):
-            fit = [k for k, w in enumerate(windows) if max(r, s) <= w.hi]
-            if not fit:
-                continue
-            gseed = cfg.seed + 7001 * r + 31 * s + 1
-            mu = spec.sample_vector(r, gseed)
-            nu = spec.sample_vector(s, gseed + 1)
-            band = toeplitz_op(spec, mu, nu, max(windows, key=lambda w: w.hi), r, s)
-            for k in fit:
-                _, got, _ = v_n(spec, band, cfg.n_values[k], windows[k], r, s)
-                rows_by_n[k].extend(got)
+    runs = [(big_n, cfg.window_for(big_n)) for big_n in cfg.n_values]
+    seeds = {(r, s): cfg.seed + 7001 * r + 31 * s + 1
+             for r in range(cfg.band + 1) for s in range(cfg.band + 1)}
+    rows_by_n = [[] for _ in runs]
+    for k, _, _, (_, got, _) in v_n_runs(cfg.spec, seeds, runs):
+        rows_by_n[k].extend(got)
     rows = [row for got in rows_by_n for row in got]
     worst = float(np.max([g.abs_err for g in rows], initial=0.0))
     report = {
@@ -167,8 +159,7 @@ def suite_lift_check(cfg: RunConfig) -> dict:
                 if max(r, s) > window.hi:
                     continue
                 gseed = cfg.seed + 53 * level + 17 * i + idx
-                mu = spec.sample_vector(r, gseed)
-                nu = spec.sample_vector(s, gseed + 1)
+                mu, nu = spec.sample_vector(r, gseed), spec.sample_vector(s, gseed + 1)
                 side = spec.fiber_dim(i)
                 b0 = _sample_matrix(spec, side, gseed + 2)
                 c0 = _sample_matrix(spec, side, gseed + 3)
@@ -188,8 +179,7 @@ def suite_lift_check(cfg: RunConfig) -> dict:
                 if max(r, s) > two.hi:
                     continue
                 gseed = cfg.seed + 101 * r + 13 * s
-                mu = spec.sample_vector(r, gseed)
-                nu = spec.sample_vector(s, gseed + 1)
+                mu, nu = spec.sample_vector(r, gseed), spec.sample_vector(s, gseed + 1)
                 _, rep = bilateral_lift(spec, mu, nu, r, s, two)
                 lifts.append(rep)
         out["bimodule_lift"] = {
@@ -210,20 +200,18 @@ def suite_expectation(cfg: RunConfig) -> dict:
 
 
 def suite_certificate(cfg: RunConfig, created: str):
-    certs = []
+    """One certificate per N.  Every window is checked first; each generator
+    pair is then drawn, and its band built, once per run (:func:`generator_records`)."""
     gens = [(r, s) for r in range(min(cfg.band, 2) + 1)
             for s in range(min(cfg.band, 2) + 1)][:6]
-    ok = True
-    for big_n in cfg.n_values:
-        window = cfg.window_for(big_n)
-        fit = [(r, s) for r, s in gens if max(r, s) <= window.hi]  # as suite_schur skips
-        cert = cpap_certificate(cfg.spec, big_n, fit, window,
-                                seed=cfg.seed, created=created,
-                                choi_cap=cfg.choi_cap)
-        certs.append(cert)
-        ok = ok and all(cp.passed and cp.contractive for _, cp in cert.factor_maps)
-    report = {"count": len(certs), "pass": ok}
-    return report, certs
+    runs = [(big_n, cfg.window_for(big_n)) for big_n in cfg.n_values]
+    records = generator_records(cfg.spec, gens, runs, cfg.seed)
+    certs = [replace(cpap_certificate(cfg.spec, big_n, [], window, seed=cfg.seed,
+                                      created=created, choi_cap=cfg.choi_cap),
+                     generators=recs)
+             for (big_n, window), recs in zip(runs, records)]
+    ok = all(cp.passed and cp.contractive for cert in certs for _, cp in cert.factor_maps)
+    return {"count": len(certs), "pass": ok}, certs
 
 
 # ---------------------------------------------------------------------------

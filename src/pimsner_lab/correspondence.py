@@ -174,13 +174,18 @@ class CorrespondenceSpec:
         return self.amplify(a, k)
 
     def phi_k_direct(self, a: AMatrix, k: int) -> AMatrix:
-        """Independent code path: the recursion via the explicit unitary
-        I_{n^{k-1}} (x) U and entrywise alpha-tilde, as matrix products."""
-        out = a
+        """phi_k(a) by the direct recursion: the last entry of :meth:`phi_tower_direct`."""
+        return self.phi_tower_direct(a, k)[-1]
+
+    def phi_tower_direct(self, a: AMatrix, k: int) -> list:
+        """[phi_0(a), ..., phi_k(a)] in one pass of the recursion via the
+        explicit unitary I_{n^{j-1}} (x) U and entrywise alpha-tilde, as
+        matrix products: a code path that shares none with :meth:`amplify`."""
+        tower = [a]
         for j in range(1, k + 1):
             big_u = kron_identity_left(self.n ** (j - 1), self.unitary)
-            out = big_u.adjoint() @ self.alpha_tilde(out) @ big_u
-        return out
+            tower.append(big_u.adjoint() @ self.alpha_tilde(tower[-1]) @ big_u)
+        return tower
 
     # -- module vectors ----------------------------------------------------
 

@@ -19,7 +19,8 @@ counting with no operator machinery, and is the authority whenever the two
 disagree.
 
 :func:`window_table` applies such maps to stacks of window matrices, split
-one way into degree blocks that are views (:meth:`GradedOperator.from_amatrix`).
+one way into degree blocks that are views (:meth:`GradedOperator.from_amatrix`);
+:func:`compress_table` reads phi_N off a window matrix as its corner.
 """
 
 from __future__ import annotations
@@ -423,7 +424,8 @@ def v_n(spec: CorrespondenceSpec, band: GradedOperator, big_n: int,
     (n = 1) the bimodule one W_N.  ``band`` (:func:`toeplitz_op`) may be
     built on any window of the same sidedness that contains ``window``: bands
     are degree-monotone, so its restriction (views) equals the band built on
-    ``window``."""
+    ``window``.  A band over another spec, off the diagonal s - r, or, one-sided,
+    whose lowest block is not (r, s) is refused (:class:`SpecMismatchError`)."""
     eq_tol = DEFAULT_TOL.eq_tol
     sided = "two" if window.two_sided else "one"
     if band.spec is not spec:
@@ -431,6 +433,9 @@ def v_n(spec: CorrespondenceSpec, band: GradedOperator, big_n: int,
     outer = band.window
     if outer.two_sided != window.two_sided or not outer.lo <= window.lo <= window.hi <= outer.hi:
         raise ConfigurationError("the band's window does not contain the pipeline's window")
+    if any(j - i != s - r for i, j in band.blocks) \
+            or not window.two_sided and min(band.blocks, default=None) != (r, s):
+        raise SpecMismatchError(f"the band's blocks are not those of degrees ({r}, {s})")
     top = band.restrict(window)
     out = psi_amplify(compress(top, big_n), window)
     off_band = np.max([v.max_abs() for (i, j), v in out.blocks.items() if j - i != s - r],
@@ -452,34 +457,39 @@ def v_n(spec: CorrespondenceSpec, band: GradedOperator, big_n: int,
     return out, rows, top
 
 
+def v_n_runs(spec: CorrespondenceSpec, seeds: dict, runs):
+    """:func:`v_n` over a run: for each pair (r, s) in ``seeds``, in order,
+    and each (N, window) in ``runs`` whose window holds it, yield (the run's
+    index, r, s, v_n's result).  A pair's vectors are drawn once, at
+    ``seeds[r, s]`` and the next seed, and its band is built once, on the
+    widest window, for v_n to restrict; one band is alive at a time."""
+    widest = max((window for _, window in runs), key=lambda w: w.hi)
+    for (r, s), seed in seeds.items():
+        fit = [k for k, (_, window) in enumerate(runs) if max(r, s) <= window.hi]
+        if fit:
+            mu, nu = spec.sample_vector(r, seed), spec.sample_vector(s, seed + 1)
+            band = toeplitz_op(spec, mu, nu, widest, r, s)
+            for k in fit:
+                yield k, r, s, v_n(spec, band, *runs[k], r, s)
+
+
 # ---------------------------------------------------------------------------
 # the pipeline maps on stacks of window matrices
 # ---------------------------------------------------------------------------
 
 def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
-                 window_out: FockWindow, fn, reads: FockWindow | None = None
-                 ) -> LinearMapTable:
+                 window_out: FockWindow, fn) -> LinearMapTable:
     """A map of graded operators, ``fn`` (window_in -> window_out), as a
     linear map M_p(A) -> M_q(A) of window matrices, p and q the windows'
     sides over A.  Each ``apply`` hands ``fn`` the whole stack as one
     operator whose blocks are stacks, split by ``from_amatrix`` (into one
     block row given a row hint, see :meth:`LinearMapTable.apply`), and
-    writes each output block once into a zeroed window stack.
-
-    ``reads``, a sub-window of ``window_in``, declares that ``fn`` reads only
-    the blocks with both degrees in it; the table's ``reads`` are then the
-    rows of those degrees, and the CP checks assemble and probe that corner
-    alone (and test the promise first)."""
+    writes each output block once into a zeroed window stack."""
     _check_window(spec, window_in)
     _check_window(spec, window_out)
     alg, offs = spec.algebra, _degree_offsets(spec, window_in)
     t_in, t_out = int(offs[-1]), int(_degree_offsets(spec, window_out)[-1])
     row_degree = np.repeat(np.arange(len(offs) - 1), np.diff(offs))  # window index per row
-    read_rows = None
-    if reads is not None:
-        if not (window_in.lo <= reads.lo and reads.hi <= window_in.hi):
-            raise ConfigurationError("reads must be a sub-window of the input window")
-        read_rows = np.arange(offs[reads.lo - window_in.lo], offs[reads.hi - window_in.lo + 1])
 
     def apply(x, row):
         g = GradedOperator.from_amatrix(spec, window_in, x,
@@ -489,4 +499,19 @@ def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
                for d in alg.block_dims]
         return y.to_amatrix(out=AMatrix(alg, t_out, t_out, out))
 
-    return LinearMapTable(alg, t_in, t_out, apply, reads=read_rows)
+    return LinearMapTable(alg, t_in, t_out, apply)
+
+
+def compress_table(spec: CorrespondenceSpec, window: FockWindow, big_n: int) -> LinearMapTable:
+    """phi_N(x) = P_N x P_N as a linear map M_p(A) -> M_D(A) of window
+    matrices: the corner of each on the rows of [0, N], which is the window
+    matrix of :func:`compress`, returned as a view that shares memory with
+    its input.  Its ``reads`` are those rows, so the CP checks assemble and
+    probe that corner alone (and test the promise first)."""
+    if not 0 <= big_n <= window.hi:
+        raise ConfigurationError(f"N={big_n} out of range for window")
+    offs = _degree_offsets(spec, window)
+    lo, hi = int(offs[-window.lo]), int(offs[big_n + 1 - window.lo])
+    return LinearMapTable(spec.algebra, int(offs[-1]), hi - lo,
+                          lambda x, row: x.submatrix(slice(lo, hi), slice(lo, hi)),
+                          reads=np.arange(lo, hi))

@@ -440,9 +440,9 @@ class LinearMapTable:
 
     def apply(self, x: AMatrix, row: int | None = None) -> AMatrix:
         """The map on each element of a stack.  A ``row`` hint promises that
-        every nonzero entry of the stack lies in that row of M_p(A); a map
-        may read only that row (a window map splits off its block row), and
-        returns the same images either way."""
+        every nonzero entry of the stack lies in that row of M_p(A); a map may
+        read only that row, and returns the same images either way.  An image
+        may share memory with ``x`` (a corner view does): write nothing into it."""
         return self._apply(x, row)
 
     def basis_images(self):
@@ -453,8 +453,8 @@ class LinearMapTable:
         Every other unit's image is zero by the ``reads`` promise, so these
         are the nonzero rows of the block's Choi matrix.  Each stack is the
         result of one ``apply``, hinted with the row u // d_s of M_p(A) that
-        holds the row's unit stack; that unit stack is rewritten for the
-        next row once the iterator is advanced."""
+        holds the row's unit stack; that unit stack, and an image that is a
+        view of it, is rewritten for the next row once the iterator is advanced."""
         for s, rows in enumerate(self._flat_reads):
             yield self._row_images(s, rows)
 

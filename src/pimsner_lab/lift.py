@@ -38,14 +38,14 @@ from .expectation import eps_hat
 from .fock import (
     FockWindow,
     GradedOperator,
-    band_op,
     band_powers,
     compress,
+    compress_table,
     creation_op,
     psi_amplify,
     schur_oracle,
     toeplitz_op,
-    v_n,
+    v_n_runs,
     window_table,
 )
 
@@ -181,8 +181,8 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     many extra blocks (they are compact, and vanish in the quotient), which
     the report lists rather than hiding.  The one-sided band (``band_dev``)
     and the whole bilateral band (``bilateral_tail_dev``) are checked against
-    blocks built by :meth:`CorrespondenceSpec.phi_k_direct` (k >= 0) and by
-    Ex_{-k} (k < 0)."""
+    blocks built by :meth:`CorrespondenceSpec.phi_tower_direct` (k >= 0), the
+    direct recursion run once up the band, and by Ex_{-k} (k < 0)."""
     if spec.n != 1:
         raise ConfigurationError("bimodule lift requires n = 1")
     if not two_sided.two_sided:
@@ -190,12 +190,11 @@ def bilateral_lift(spec: CorrespondenceSpec, mu: AMatrix, nu: AMatrix,
     bilateral = toeplitz_op(spec, mu, nu, two_sided, r, s)
     lifted = compress(bilateral, two_sided.hi)
     # the band e (x) I_{E^k} from code that shares none with the
-    # amplification that built the bilateral band: phi_k_direct for k >= 0,
+    # amplification that built the bilateral band: the direct tower for k >= 0,
     # and for k < 0 Ex_{-k} = Ex_1^{-k}, which for n = 1 is beta^k peeled
     # through the alpha inverses and U, one layer per step
-    e = rank_one(mu, nu)
     offsets = range(two_sided.lo - min(r, s), two_sided.hi - max(r, s) + 1)
-    ref = {k: spec.phi_k_direct(e, k) for k in offsets if k >= 0}
+    ref = dict(enumerate(spec.phi_tower_direct(rank_one(mu, nu), offsets.stop - 1)))
     for k in range(-1, offsets.start - 1, -1):
         ref[k] = eps_hat(spec, 1, ref[k + 1])
     band_dev = float(np.max([(lifted.block(r + k, s + k) - ref[k]).max_abs()
@@ -274,75 +273,63 @@ class CPAPCertificate:
 
 
 def factor_tables(spec: CorrespondenceSpec, window: FockWindow, big_n: int):
-    """The two factor maps of the pipeline: compress into the window algebra
-    of [0, N] (a matrix algebra over A) and amplify back.  On a two-sided
-    window with N = window.hi, phi is the bilateral lift's compression.  phi
-    reads the blocks of [0, N] alone, which its CP check relies on (and
-    tests)."""
-    inner_window = FockWindow.one_sided(big_n)
-    d_total = sum(spec.fiber_dim(d) for d in inner_window.degrees())
-    phi = window_table(spec, window, inner_window, lambda g: compress(g, big_n),
-                       reads=inner_window)
-    psi = window_table(spec, inner_window, window, lambda g: psi_amplify(g, window))
-    return phi, psi, d_total
+    """The two factor maps of the pipeline and D: compress into the window
+    algebra M_D(A) of [0, N], a corner view of the window matrix that reads
+    [0, N] alone (:func:`compress_table`), and amplify back, Psi_N through
+    :func:`window_table`.  On a two-sided window with N = window.hi, phi is
+    the bilateral lift's compression."""
+    phi = compress_table(spec, window, big_n)
+    psi = window_table(spec, FockWindow.one_sided(big_n), window,
+                       lambda g: psi_amplify(g, window))
+    return phi, psi, phi.q
 
 
-def generator_band(window: FockWindow, r: int, s: int) -> int:
-    """The band parameter governing the Fejer error rate."""
-    return abs(r - s) if window.two_sided else max(r, s)
+def generator_records(spec: CorrespondenceSpec, generators, runs, seed: int) -> list:
+    """The generator records of each (N, window) in ``runs``, for the (r, s)
+    pairs in ``generators`` that its window holds (s <= 2, refused else).  A
+    pair's unit-norm vectors are drawn once, at seed ``seed + 100 (3 r + s)``
+    (its own, and free of N), and its band built once (:func:`v_n_runs`).
+    The error is || W_N(g) - g || on a two-sided window (the bimodule case),
+    the tail deviation from the oracle symbol on a one-sided one; past the
+    Fejer bound (band / (N + 1) ||g||), or NaN, it raises :class:`ValidationError`."""
+    for r, s in generators:
+        if s > 2:
+            raise ConfigurationError(f"generator pair ({r}, {s}) has s > 2: its seed is not its own")
+    seeds = {(r, s): seed + 100 * (3 * r + s) for r, s in generators}
+    records = [[] for _ in runs]
+    for k, r, s, (out, rows, target) in v_n_runs(spec, seeds, runs):
+        (big_n, window), gnorm = runs[k], target.blocks[(r, s)].norm()  # of e_{mu,nu}
+        if window.two_sided:
+            err, coeff = (out - target).norm(), rows[0].measured if rows else 0.0
+            expected, band = schur_oracle(big_n, r, s, 0, "two"), abs(r - s)
+        else:  # the tail rows, at offsets l >= N - max(r, s)
+            tail = [row.measured for row in rows if row.l >= big_n - max(r, s)]
+            coeff = tail[0] if tail else 0.0
+            err, band = abs(coeff - 1.0) * gnorm, max(r, s)
+            expected = schur_oracle(big_n, r, s, big_n, "one")
+        bound = band / (big_n + 1) * gnorm + DEFAULT_TOL.eq_tol
+        if not (err <= bound + 1e-12) and band <= big_n + 1:  # a NaN error fails
+            raise ValidationError(
+                f"generator ({r},{s}): error {err:.3e} exceeds the Fejer bound {bound:.3e}")
+        records[k].append(GeneratorRecord(r, s, seeds[r, s], expected, float(coeff),
+                                          float(err), float(gnorm)))
+    return records
 
 
 def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
                      window: FockWindow, seed: int, created: str = "",
                      choi_cap: int = CHOI_CAP) -> CPAPCertificate:
-    """Build and certify the degree-N approximation of the quotient map.
-
-    ``generators`` is a list of (r, s) degree pairs, s <= 2 (refused else);
-    unit-norm vectors are drawn per pair at seed ``seed + 100 * (3 r + s)``,
-    distinct for such pairs, so a pair draws the same vectors on every window
-    and in every list.  On a
-    two-sided window (the bimodule case) it measures || W_N(g) - g ||
-    directly; on a one-sided one, the tail deviation from the oracle symbol."""
-    if big_n > window.hi:
-        raise ConfigurationError("window too small for requested N")
-    for r, s in generators:
-        if s > 2:
-            raise ConfigurationError(f"generator pair ({r}, {s}) has s > 2: its seed is not its own")
+    """Build and certify the degree-N approximation of the quotient map: CP
+    records of both factor maps (:func:`factor_tables`) and the records of
+    the (r, s) pairs in ``generators`` (:func:`generator_records`).  A run
+    over several N, such as ``certificate``, passes no pairs here and
+    measures them for all its N at once."""
     phi, psi, d_total = factor_tables(spec, window, big_n)
+    gen_records = generator_records(spec, generators, [(big_n, window)], seed)[0]
     phi_cp = cp_check_auto(phi, choi_cap=choi_cap, seed=seed + 1)
     psi_cp = cp_check_auto(psi, choi_cap=choi_cap, seed=seed + 2)
-    gen_records = []
-    for r, s in generators:
-        gseed = seed + 100 * (3 * r + s)
-        mu = spec.sample_vector(r, gseed)
-        nu = spec.sample_vector(s, gseed + 1)
-        e = rank_one(mu, nu)
-        gnorm = e.norm()
-        band = generator_band(window, r, s)
-        out, rows, target = v_n(spec, band_op(spec, e, r, s, window), big_n, window, r, s)
-        if window.two_sided:
-            err = (out - target).norm()
-            coeff = rows[0].measured if rows else 0.0
-            expected = schur_oracle(big_n, r, s, 0, "two")
-        else:
-            stab = max(0, big_n - max(r, s))
-            tail_rows = [row for row in rows if row.l >= stab]
-            coeff = tail_rows[0].measured if tail_rows else 0.0
-            expected = schur_oracle(big_n, r, s, big_n, "one")
-            err = abs(coeff - 1.0) * gnorm
-        bound = band / (big_n + 1) * gnorm + DEFAULT_TOL.eq_tol
-        if not (err <= bound + 1e-12) and band <= big_n + 1:  # a NaN error fails
-            raise ValidationError(
-                f"generator ({r},{s}): error {err:.3e} exceeds the Fejer "
-                f"bound {bound:.3e}")
-        gen_records.append(GeneratorRecord(r, s, gseed, expected, float(coeff),
-                                           float(err), float(gnorm)))
-    fingerprint = {
-        "preset": spec.name,
-        "block_dims": list(spec.algebra.block_dims),
-        "n": spec.n,
-        "window": [window.lo, window.hi],
-    }
+    fingerprint = {"preset": spec.name, "block_dims": list(spec.algebra.block_dims),
+                   "n": spec.n, "window": [window.lo, window.hi]}
     return CPAPCertificate(
         spec_fingerprint=fingerprint,
         N=big_n,

@@ -39,10 +39,7 @@ def _unitary_from_blocks(algebra: AlgebraSpec, n: int, per_block) -> AMatrix:
     for s, d in enumerate(algebra.block_dims):
         mat = np.asarray(per_block[s], dtype=complex)
         if mat.shape == (n, n):
-            # scalar n x n matrix acting as mat (x) 1_d
-            for i in range(n):
-                for j in range(n):
-                    out.blocks[s][i, j] = mat[i, j] * np.eye(d)
+            out.blocks[s] = mat[:, :, None, None] * np.eye(d)  # mat (x) 1_d
         elif mat.shape == (n, n, d, d):
             out.blocks[s] = mat
         else:

@@ -119,9 +119,7 @@ class Automorphism:
             if not (np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-8):  # NaN is refused
                 raise ConfigurationError("automorphism data is not unitary")
         object.__setattr__(self, "unitaries", us)
-        pinv = [0] * len(self.perm)
-        for s, t in enumerate(self.perm):
-            pinv[t] = s
+        pinv = sorted(range(len(dims)), key=self.perm.__getitem__)  # pinv[perm[s]] = s
         adj = [None if np.array_equal(u, np.eye(d)) else u.conj().T
                for u, d in zip(us, dims)]
         object.__setattr__(self, "_perm_inv", tuple(pinv))

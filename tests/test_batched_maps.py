@@ -8,11 +8,18 @@ import pytest
 
 from pimsner_lab.star_core import AlgebraSpec, Automorphism
 from pimsner_lab.correspondence import CorrespondenceSpec
-from pimsner_lab.hilbert_mod import AMatrix, choi_cp_check, cp_check_auto, positivity_probe
+from pimsner_lab.hilbert_mod import (
+    AMatrix,
+    LinearMapTable,
+    choi_cp_check,
+    cp_check_auto,
+    positivity_probe,
+)
 from pimsner_lab.fock import (
     FockWindow,
     GradedOperator,
     compress,
+    compress_table,
     psi_amplify,
     window_table,
 )
@@ -46,10 +53,11 @@ def build(name):
 def pipeline_table(spec, window, big_n):
     """The window-restricted pipeline Psi_N o phi_N as a linear map on the
     flattened window algebra, for CP certification.  The compression reads
-    [0, N] alone."""
-    return window_table(spec, window, window,
-                        lambda x: psi_amplify(compress(x, big_n), window),
-                        reads=FockWindow.one_sided(big_n))
+    [0, N] alone: the rows that compress_table reads."""
+    table = window_table(spec, window, window,
+                         lambda x: psi_amplify(compress(x, big_n), window))
+    return LinearMapTable(spec.algebra, table.p, table.q, table.apply,
+                          reads=compress_table(spec, window, big_n).reads)
 
 
 def window_for(spec):
@@ -166,6 +174,37 @@ def test_basis_images_equal_per_unit_loop(spec_name, name):
                     assert image.max_abs() == 0.0
         assert next(stacks, None) is None
     assert next(blocks, None) is None
+
+
+@pytest.mark.parametrize("big_n", [2, 3, 4, 5])
+@pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
+def test_compress_table_is_compress_bit_for_bit(spec_name, big_n):
+    """compress_table reads P_N x P_N off each window matrix as its corner.
+    On the certificate's window for N (top degree N + 2, two-sided for
+    n = 1), its images of a random stack, and of unit stacks on the first
+    and last row it reads and on a row it does not, each hinted with its
+    row, equal compress(from_amatrix(x)).to_amatrix() bit for bit, element
+    by element.  An image is a view of its input."""
+    spec = build(spec_name)
+    window = (FockWindow.two_sided_sym if spec.n == 1 else FockWindow.one_sided)(big_n + 2)
+    phi = compress_table(spec, window, big_n)
+
+    def compressed(x):
+        return compress(GradedOperator.from_amatrix(spec, window, x), big_n).to_amatrix()
+
+    stack = random_stack(phi, 2, big_n)
+    out = phi.apply(stack)
+    assert out.stack_shape == (2,) and (out.rows, out.cols) == (phi.q, phi.q)
+    assert all(np.shares_memory(a, b) for a, b in zip(out.blocks, stack.blocks))
+    for x, y in zip(elements(stack), elements(out)):
+        assert same_bits(y, compressed(x))
+    outside = phi.reads[-1] + 1  # the first row of degree N + 1
+    for s, (m, d) in enumerate(zip(phi.domain_sides, spec.algebra.block_dims)):
+        cols = np.unique(np.linspace(0, m - 1, 6).astype(int))
+        for row in (phi.reads[0], phi.reads[-1], outside):
+            units = unit_stack(phi, s, row * d, cols)
+            for x, y in zip(elements(units), elements(phi.apply(units, row))):
+                assert same_bits(y, compressed(x))
 
 
 def test_factor_maps_read_the_compressed_window():
@@ -321,23 +360,32 @@ def splits(monkeypatch):
 
 @pytest.mark.parametrize("spec_name", ["twisted2", "crossed-z3", "mixed"])
 def test_choi_assembly_never_scans_a_unit_stack(spec_name, splits):
-    """basis_images hints every row it reads, so the window tables split off
-    that row's block row alone; the only unhinted applies in a Choi check
-    are, for phi, which reads [0, N] alone, the pair G, Q G Q that tests its
-    reads first, and then the image of the unit.  The probe hints nothing:
-    the reads pair, its cell stacks, then the unit."""
+    """basis_images hints every row it reads, and the probe hints nothing.
+    A Choi check applies, in order: for phi, which reads [0, N] alone, the
+    pair G, Q G Q that tests its reads; one hinted unit stack per read flat
+    row; then the unit.  The probe applies the reads pair, its cell stacks,
+    then the unit.  psi, a window table, splits each hinted stack into its
+    one block row; phi, the corner of the window matrix, makes no split."""
     spec = build(spec_name)
     phi, psi, _ = factor_tables(spec, window_for(spec), BIG_N)
     for table, reads_pair in ((phi, [(2,)]), (psi, [])):
+        applies = []  # (stack shape, row hint) of each apply, in order
+        spy = LinearMapTable(table.spec, table.p, table.q, reads=table.reads, apply=lambda x, row: (
+            applies.append((x.stack_shape, row)) or table.apply(x, row)))
         splits.clear()
-        assert choi_cp_check(table).passed
-        hinted = [(shape, rows) for shape, row, rows in splits if row is not None]
+        assert choi_cp_check(spy).passed
         r = table.reads.size
-        assert [shape for shape, _ in hinted] == [(r * d,) for d in spec.algebra.block_dims
-                                                  for _ in range(r * d)]
-        assert all(len(rows) == 1 for _, rows in hinted)
-        assert [shape for shape, row, _ in splits if row is None] == reads_pair + [(1,)]
+        assert [shape for shape, row in applies if row is not None] == [
+            (r * d,) for d in spec.algebra.block_dims for _ in range(r * d)]
+        assert [shape for shape, row in applies if row is None] == reads_pair + [(1,)]
+        if table is phi:
+            assert splits == []
+        else:
+            assert [(shape, row is None) for shape, row, _ in splits] == [
+                (shape, row is None) for shape, row in applies]
+            assert all(len(rows) == 1 for _, row, rows in splits if row is not None)
+        applies.clear()
         splits.clear()
-        positivity_probe(table, trials=2, seed=0)
-        assert [shape for shape, row, _ in splits] == reads_pair + [(4,), (4,), (1,)]
-        assert all(row is None for _, row, _ in splits)
+        positivity_probe(spy, trials=2, seed=0)
+        assert applies == [(shape, None) for shape in reads_pair + [(4,), (4,), (1,)]]
+        assert [shape for shape, _, _ in splits] == ([] if table is phi else reads_pair + [(4,), (4,), (1,)])

@@ -360,7 +360,7 @@ def test_schur_draws_and_builds_each_generator_once(monkeypatch):
         return band_op(*args)
 
     monkeypatch.setattr(CorrespondenceSpec, "sample_vector", spy_draw)
-    monkeypatch.setattr(cli, "toeplitz_op", spy_band)
+    monkeypatch.setattr(fock, "toeplitz_op", spy_band)
     monkeypatch.setattr(fock, "band_op", spy_band_op)
     _, rows = cli.suite_schur(cfg)
     assert len(draws) == 32 and len(set(draws)) == 32
@@ -393,6 +393,49 @@ def test_schur_checks_every_window_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(CorrespondenceSpec, "sample_vector", refuse)
     with pytest.raises(ConfigurationError, match="window_m=13 exceeds max_degree=12"):
         cli.suite_schur(RunConfig(spec=build_preset("twisted2"), n_values=tuple(range(9, 21))))
+
+
+@pytest.mark.parametrize("preset, n_range", [("crossed-z3", "2..5"), ("cuntz2", "2..4"),
+                                             ("twisted2", "2..3")])
+def test_certificate_draws_and_builds_each_generator_once(monkeypatch, preset, n_range):
+    """certificate over an N range: its 6 generator pairs are each drawn (mu
+    and nu) and their bands built once per run, on the widest window, where
+    a draw and a band per (N, r, s) made one per certificate."""
+    n_values = _parse_n_range(n_range)
+    cfg = RunConfig(spec=build_preset(preset), n_values=n_values)
+    draws, band_ops = [], []
+    sample_vector, band_op = CorrespondenceSpec.sample_vector, fock.band_op
+
+    def spy_draw(spec, degree, seed):
+        draws.append((degree, seed))
+        return sample_vector(spec, degree, seed)
+
+    def spy_band_op(spec, x, r, s, window):
+        band_ops.append((r, s, window))
+        return band_op(spec, x, r, s, window)
+
+    monkeypatch.setattr(CorrespondenceSpec, "sample_vector", spy_draw)
+    monkeypatch.setattr(fock, "band_op", spy_band_op)
+    _, certs = cli.suite_certificate(cfg, "2026-01-01")
+    pairs = [(r, s) for r in range(3) for s in range(3)][:6]
+    assert len(draws) == 12 and len(set(draws)) == 12
+    assert band_ops == [(r, s, cfg.window_for(n_values[-1])) for r, s in pairs]
+    assert [c.N for c in certs] == list(n_values)
+    assert all([(g.r, g.s) for g in c.generators] == pairs for c in certs)
+
+
+@pytest.mark.parametrize("preset, n_range", [("crossed-z3", "2..5"), ("cuntz2", "2..4"),
+                                             ("twisted2", "2..3")])
+def test_certificates_equal_those_of_single_n_runs(tmp_path, preset, n_range):
+    """The certificates of one run over an N range are, byte for byte, those
+    of the runs at one N each, in N order."""
+    def certificates(n_text):
+        out = tmp_path / "c.json"
+        assert main(["certificate", "--preset", preset, "--N", n_text, "--out", str(out)]) == 0
+        return [json.dumps(c) for c in json.loads(out.read_text())["certificates"]]
+
+    assert certificates(n_range) == [c for big_n in _parse_n_range(n_range)
+                                     for c in certificates(str(big_n))]
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--band", "--choi-cap"])
@@ -519,17 +562,24 @@ def test_defect_complex_phase_exit_one(monkeypatch, tmp_path, preset):
 def test_defect_compress_reads_past_n_exit_one(monkeypatch, tmp_path, big_n, method):
     """phi leaking 0.1 x the top-left corner of the degree-(N+1) block into
     degree N reads outside the [0, N] corner that its Choi check assembles
-    (N = 3) and its probe fills (N = 4).  The check of its reads must fail
-    the certificate, with the deviation in the CP record's ``reads_dev``."""
-    compress = lift.compress
+    (N = 3) and its probe fills (N = 4).  The leak is planted in the
+    compression table, on a copy of its image (the image is a view of the
+    input).  The check of its reads must fail the certificate, with the
+    deviation in the CP record's ``reads_dev``."""
+    compress_table = lift.compress_table
 
-    def leak(x, n):
-        out = compress(x, n)
-        if (n + 1, n + 1) in x.blocks:
-            side = x.spec.fiber_dim(n)
-            top = x.blocks[(n + 1, n + 1)].submatrix(slice(0, side), slice(0, side))
-            out.add_block(n, n, top * 0.1)
-        return out
+    def leak(spec, window, n):
+        phi = compress_table(spec, window, n)
+        offs = fock._degree_offsets(spec, window)
+        at_n, past_n = (slice(offs[d], offs[d] + spec.fiber_dim(n)) for d in (n, n + 1))
+
+        def apply(x, row):
+            out = phi.apply(x, row).copy()
+            for b, top in zip(out.blocks, x.submatrix(past_n, past_n).blocks):
+                b[..., at_n, at_n, :, :] += 0.1 * top
+            return out
+
+        return LinearMapTable(phi.spec, phi.p, phi.q, apply, reads=phi.reads)
 
     records = []
     check = lift.cp_check_auto
@@ -544,7 +594,7 @@ def test_defect_compress_reads_past_n_exit_one(monkeypatch, tmp_path, big_n, met
     assert main(args) == 0
     assert records[0].reads_dev == 0.0
     records.clear()
-    monkeypatch.setattr(lift, "compress", leak)
+    monkeypatch.setattr(lift, "compress_table", leak)
     assert main(args) == 1
     phi, psi = records
     assert phi.method == method and not phi.passed

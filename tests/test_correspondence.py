@@ -61,6 +61,20 @@ def test_phi_k_against_independent_path(spec):
         assert (spec.phi_k(a, k) - spec.phi_k_direct(a, k)).max_abs() < 1e-12
 
 
+def test_phi_k_direct_is_the_last_entry_of_the_tower(spec):
+    """phi_k_direct(a, k) equals entry k of one pass of the direct tower,
+    bit for bit, for every k up to max_degree (16 for n = 1; 8 for n = 2,
+    whose degree-12 entry is a 4096-side product of several minutes)."""
+    a = sample(spec.algebra, 31)
+    top = spec.max_degree if spec.n == 1 else 8
+    tower = spec.phi_tower_direct(a, top)
+    assert len(tower) == top + 1 and tower[0] is a
+    for k in range(top + 1):
+        got = spec.phi_k_direct(a, k)
+        assert (got.rows, got.cols) == (tower[k].rows, tower[k].cols)
+        assert all(np.array_equal(x, y) for x, y in zip(got.blocks, tower[k].blocks))
+
+
 @settings(max_examples=25, deadline=None)
 @given(correspondences(), st.integers(1, 3), st.integers(0, 1000))
 def test_random_correspondence_phi_k_against_independent_path(spec, k, seed):

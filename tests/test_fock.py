@@ -387,6 +387,37 @@ def test_v_n_refuses_a_band_that_does_not_cover_its_window(cuntz, z3):
         v_n(other, toeplitz_op(z3, mu, nu, two5, 1, 1), 2, two5, 1, 1)
 
 
+def test_v_n_refuses_a_band_of_other_degrees(cuntz):
+    """A band built at (1, 1) and passed as (2, 2), on cuntz2 at N = 2 on the
+    window [0, 4]: the diagonal is the same, but the lowest block is (1, 1),
+    not (2, 2).  It returned rows at offsets -1..2 with abs_err 1/3 each."""
+    w = FockWindow.one_sided(4)
+    mu, nu = cuntz.sample_vector(1, 3), cuntz.sample_vector(1, 4)
+    band = toeplitz_op(cuntz, mu, nu, w, 1, 1)
+    with pytest.raises(SpecMismatchError, match=r"degrees \(2, 2\)"):
+        v_n(cuntz, band, 2, w, 2, 2)
+    wide = toeplitz_op(cuntz, mu, nu, FockWindow.one_sided(6), 1, 1)
+    with pytest.raises(SpecMismatchError):
+        v_n(cuntz, wide, 2, w, 2, 2)
+    assert [row.l for row in v_n(cuntz, wide, 2, w, 1, 1)[1]] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("sided", ["one", "two"])
+def test_v_n_refuses_a_band_off_its_diagonal(z3, sided):
+    """On either window, a band with a block off the diagonal s - r is
+    refused: a (1, 0) band passed as (1, 1), and a (1, 1) band with one
+    extra block below its diagonal."""
+    w = FockWindow.one_sided(4) if sided == "one" else FockWindow.two_sided_sym(4)
+    mu, nu = z3.sample_vector(1, 3), z3.sample_vector(0, 4)
+    with pytest.raises(SpecMismatchError):
+        v_n(z3, toeplitz_op(z3, mu, nu, w, 1, 0), 2, w, 1, 1)
+    band = toeplitz_op(z3, mu, z3.sample_vector(1, 5), w, 1, 1)
+    assert v_n(z3, band, 2, w, 1, 1)[1]
+    band.set_block(2, 1, band.block(2, 2))
+    with pytest.raises(SpecMismatchError):
+        v_n(z3, band, 2, w, 1, 1)
+
+
 def test_wrong_explicit_degree_raises(cuntz):
     """Degrees are passed, never inferred; one that does not match the
     vector's rank n^r gives a block of the wrong shape."""

@@ -7,11 +7,17 @@ NaN-carrying ``minimum``/``maximum``.  A run with a NaN plant exits 1 (a
 failing verdict) or 2 (a config refused), never 0 or 3, and any report it
 writes parses with every JSON constant (NaN, Infinity) refused."""
 
+import ast
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pimsner_lab
 from pimsner_lab import expectation, fock, lift
 from pimsner_lab.cli import ReportBundle, main, serialize
 from pimsner_lab.fock import FockWindow
@@ -25,8 +31,10 @@ from pimsner_lab.hilbert_mod import (
     tol_grid,
 )
 from pimsner_lab.lift import factor_tables
-from pimsner_lab.presets import build_preset
-from pimsner_lab.star_core import AlgebraSpec, DEFAULT_TOL
+from pimsner_lab.presets import build_preset, load_config
+from pimsner_lab.star_core import AlgebraSpec, ConfigurationError, DEFAULT_TOL, Tolerances
+
+SRC = Path(pimsner_lab.__file__).parent
 
 
 def strict_loads(text: str):
@@ -372,3 +380,133 @@ def test_non_finite_config_number_exits_two(tmp_path, capsys, bad):
         capsys.readouterr()
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: bad config")
+
+
+FUZZ_BASE = {"block_dims": [1, 2], "n": 2, "max_degree": 3, "name": "fuzz",
+             "unitary": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[0, 1], [1, 0]]],
+             "alphas": [{"perm": [0, 1]},
+                        {"perm": [0, 1], "unitaries": [[[1]], [[0, -1], [1, 0]]]}]}
+
+
+def json_paths(value, path=()):
+    """The path (keys and list indices) of every value in a JSON document,
+    the root's members and every nested one."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    parent[last] = value
+    return doc
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.integers(-3, 3), st.floats(-4, 4),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(path=st.sampled_from(list(json_paths(FUZZ_BASE))), value=JSON_VALUES)
+def test_fuzzed_config_exits_zero_one_or_two_never_three(tmp_path_factory, path, value):
+    """A valid config with the value at one path replaced by a number, a
+    non-finite number, a string, a list, an object or null.  ``validate``
+    exits 2 exactly when the loader refuses the config, never 3; an exit 0
+    is a passing validate, and an exit 1 one that names a failing axiom
+    (a replaced entry of U can leave it a well-formed matrix that is not
+    unitary)."""
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg, out = work / "c.json", work / "v.json"
+    cfg.write_text(json.dumps(replaced(FUZZ_BASE, path, value)))
+    code = main(["validate", "--config", str(cfg), "--out", str(out)])
+    try:
+        spec = load_config(str(cfg))
+    except ConfigurationError:
+        assert code == 2
+        return
+    _, violated = spec._validate(seed=11)
+    assert code == (1 if violated else 0)
+    if code == 0:
+        assert strict_loads(out.read_text())["pass"] is True
+
+
+def test_fuzz_base_config_validates(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(FUZZ_BASE))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# an AST guard: no verdict or fold in src/ that a NaN passes
+# ---------------------------------------------------------------------------
+
+TOL_FIELDS = {f.name for f in dataclasses.fields(Tolerances)}
+# an identifier that names a deviation, an error or a running extreme
+DEVIATION = re.compile(r"(^|_)(dev|devs|err|error|errors|worst|resid|low|eig)(_|$)")
+
+
+def _is_tol(node) -> bool:
+    """DEFAULT_TOL.<field>, <x>.tol.<field>, or a local named like a field."""
+    if isinstance(node, ast.Name):
+        return node.id in TOL_FIELDS
+    return isinstance(node, ast.Attribute) and node.attr in TOL_FIELDS and (
+        isinstance(node.value, ast.Name) and node.value.id == "DEFAULT_TOL"
+        or isinstance(node.value, ast.Attribute) and node.value.attr == "tol")
+
+
+def nan_unsafe_sites(source: str) -> list:
+    """The line numbers of the sites that let a NaN through.
+
+    * A builtin ``max`` or ``min`` whose arguments name a deviation:
+      ``max(worst, nan)`` is ``worst``, so a running fold drops a NaN.
+    * A comparison that fails when a value is above a tolerance field,
+      ``dev > DEFAULT_TOL.eq_tol`` (or ``>=``, or ``tol < dev``): it is False
+      for NaN.  A verdict must pass when ``dev <= tol`` instead."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("max", "min"):
+            names = [n.id if isinstance(n, ast.Name) else n.attr
+                     for arg in node.args for n in ast.walk(arg)
+                     if isinstance(n, (ast.Name, ast.Attribute))]
+            if any(DEVIATION.search(name) for name in names):
+                sites.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left] + node.comparators
+            for left, op, right in zip(sides, node.ops, sides[1:]):
+                if isinstance(op, (ast.Gt, ast.GtE)) and _is_tol(right) \
+                        or isinstance(op, (ast.Lt, ast.LtE)) and _is_tol(left):
+                    sites.append(node.lineno)
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_nan_passing_fold_or_verdict_in_src(module):
+    assert nan_unsafe_sites((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("planted, flagged", [
+    ("worst = max(worst, dev)", True),
+    ("schwarz_min = min(schwarz_min, (y - z).min_eig())", True),
+    ("if dev > DEFAULT_TOL.eq_tol:\n    raise ValueError", True),
+    ("ok = not (spec.tol.psd_tol < err)", True),
+    ("bad = dev >= eq_tol", True),
+    ("worst = float(np.max([worst, dev]))", False),
+    ("if not (dev <= DEFAULT_TOL.eq_tol):\n    raise ValueError", False),
+    ("ok = min_eig >= -DEFAULT_TOL.psd_tol", False),
+    ("side = max(r, s)", False),
+])
+def test_nan_guard_flags_a_planted_site(planted, flagged):
+    """Each planted line, appended to lift.py, is flagged or not."""
+    source = (SRC / "lift.py").read_text() + "\n" + planted + "\n"
+    assert bool(nan_unsafe_sites(source)) == flagged
