@@ -28,7 +28,8 @@ component is solved only when a Cholesky screen cannot rule out that it sets
 a new minimum (see :func:`_dense_min_eig`).  A non-finite entry reads NaN,
 which the running minimum and maximum carry through, so no verdict passes it.
 They run on sides of a few hundred, where a second OpenBLAS thread only spins
-on another core, so :func:`cp_check_auto` runs on one (:func:`_one_blas_thread`).
+on another core, so :func:`cp_check_auto` runs on one (:func:`_one_blas_thread`),
+and a certificate checks its two probed factor maps in two threads (``lift._cp_pair``).
 """
 
 from __future__ import annotations
@@ -589,32 +590,33 @@ def positivity_probe(table: LinearMapTable, trials: int, seed: int) -> CPReport:
 def _probe_outputs(table: LinearMapTable, k: int, trials: int, seed: int):
     """The images under Phi x id_{M_k} of the probe's seeded random positive
     elements, one trial after another, each split into its (k c_t, k c_t)
-    parts over the codomain's algebra blocks t.  Each element is
-    z* z / (m k) per domain block for a seeded complex Gaussian z, its real
-    and then its imaginary part drawn whole; only the cells in ``reads`` x
-    ``reads`` are formed, from the columns of z that reach them, as the map
-    reads no other."""
+    parts over the codomain's algebra blocks t.  Each element is z* z / (m k)
+    per domain block for a seeded complex Gaussian z, its real and then its
+    imaginary part drawn whole into one reused buffer; only the cells in
+    ``reads`` x ``reads`` are formed, from the columns of z that reach them,
+    as the map reads no other.  The k^2 cells are built once and that corner
+    is overwritten each trial; an image may view them, so its parts are copies."""
+    sides, dims = table.domain_sides, table.spec.block_dims
+    draw = np.empty((max(sides) * k) ** 2)
+    # a random positive element of M_p(A) (x) M_k: its k^2 cells (a, b) per algebra block
+    cells = [np.zeros((k * k, m, m), dtype=complex) for m in sides]
+    element = AMatrix.from_flat(table.spec, table.p, table.p, cells)
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        # a random positive element of M_p(A) (x) M_k, as the stack of its
-        # k^2 cells (a, b), each a domain element, one algebra block at a time
-        cells = []
-        for s, m in enumerate(table.domain_sides):
-            rows = table._flat_reads[s]
-            r = rows.size
-            draw = rng.standard_normal((2, m * k, m * k))
+        for m, rows, cell in zip(sides, table._flat_reads, cells):
+            r, plane = rows.size, draw[:(m * k) ** 2].reshape(m * k, m * k)
+            cols = (np.arange(k)[:, None] * m + rows).ravel()
             zr = np.empty((m * k, k * r), dtype=complex)
-            zr.real, zr.imag = draw[..., (np.arange(k)[:, None] * m + rows).ravel()]
+            zr.real = rng.standard_normal(out=plane)[:, cols]
+            zr.imag = rng.standard_normal(out=plane)[:, cols]
             x = zr.conj().T @ zr / (m * k)
-            cell = np.zeros((k * k, m, m), dtype=complex)
-            cell[:, rows[:, None], rows] = \
-                x.reshape(k, r, k, r).transpose(0, 2, 1, 3).reshape(k * k, r, r)
-            cells.append(cell)
-        out = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, cells))
-        for t in range(table.spec.n_blocks):
-            flat = out.flatten_block(t)
-            c = flat.shape[-1]
-            yield flat.reshape(k, k, c, c).transpose(0, 2, 1, 3).reshape(k * c, k * c)
+            cell[:, rows[:, None], rows] = x.reshape(k, r, k, r).swapaxes(1, 2).reshape(-1, r, r)
+        out = table.apply(element)
+        parts = [f.reshape(k, k, c, c).transpose(0, 2, 1, 3).copy().reshape(k * c, k * c)
+                 for f, c in ((out.flatten_block(t), out.rows * d) for t, d in enumerate(dims))]
+        del out  # free the image before its parts are screened, and each part once it is
+        while parts:
+            yield parts.pop(0)
 
 
 def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
@@ -629,11 +631,17 @@ def _unit_image_norms(table: LinearMapTable) -> tuple[float, float]:
 def cp_check_auto(table: LinearMapTable, choi_cap: int = CHOI_CAP,
                   seed: int = 0) -> CPReport:
     """The Choi check when the full side m c of every domain block's Choi
-    matrix is within ``choi_cap``, the probe otherwise, on one BLAS thread."""
+    matrix (:func:`_choi_side`) is within ``choi_cap``, the probe otherwise, on
+    one BLAS thread.  Checks of two tables share no state (``lift._cp_pair``)."""
     with _one_blas_thread():
-        if max(table.domain_sides) * table.codomain_dim <= choi_cap:
+        if _choi_side(table) <= choi_cap:
             return choi_cp_check(table)
         return positivity_probe(table, PROBE_TRIALS, seed)
+
+
+def _choi_side(table: LinearMapTable) -> int:
+    """The full side m c of the largest domain block's Choi matrix."""
+    return max(table.domain_sides) * table.codomain_dim
 
 
 @contextlib.contextmanager

@@ -19,6 +19,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from .star_core import ConfigurationError, DEFAULT_TOL, SpecMismatchError
 from .hilbert_mod import (
     CHOI_CAP,
     AMatrix,
+    _choi_side,
+    _one_blas_thread,
     cp_check_auto,
     json_float,
     rank_one,
@@ -316,6 +319,26 @@ def generator_records(spec: CorrespondenceSpec, generators, runs, seed: int) -> 
     return records
 
 
+def _cp_pair(phi, psi, choi_cap: int, seed: int):
+    """:func:`cp_check_auto` of both factor maps, in one :func:`_one_blas_thread`.
+    When either goes to the probe and two CPUs are ours (as Linux reports
+    them), phi's check runs in a worker thread beside psi's, as the probes'
+    normal fills and Cholesky screens release the GIL; the records are the
+    serial run's.  The worker has ended when this returns or raises (psi's error first)."""
+    def check(table, k):
+        return cp_check_auto(table, choi_cap=choi_cap, seed=seed + k)
+
+    with _one_blas_thread():
+        choi = max(_choi_side(phi), _choi_side(psi)) <= choi_cap  # Choi checks are bound by Python
+        if choi or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            return check(phi, 1), check(psi, 2)
+        from concurrent.futures import ThreadPoolExecutor  # loaded by a probe pair alone
+        with ThreadPoolExecutor(1) as pool:
+            phi_cp = pool.submit(check, phi, 1)
+            psi_cp = check(psi, 2)
+        return phi_cp.result(), psi_cp
+
+
 def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
                      window: FockWindow, seed: int, created: str = "",
                      choi_cap: int = CHOI_CAP) -> CPAPCertificate:
@@ -326,8 +349,7 @@ def cpap_certificate(spec: CorrespondenceSpec, big_n: int, generators,
     measures them for all its N at once."""
     phi, psi, d_total = factor_tables(spec, window, big_n)
     gen_records = generator_records(spec, generators, [(big_n, window)], seed)[0]
-    phi_cp = cp_check_auto(phi, choi_cap=choi_cap, seed=seed + 1)
-    psi_cp = cp_check_auto(psi, choi_cap=choi_cap, seed=seed + 2)
+    phi_cp, psi_cp = _cp_pair(phi, psi, choi_cap, seed)
     fingerprint = {"preset": spec.name, "block_dims": list(spec.algebra.block_dims),
                    "n": spec.n, "window": [window.lo, window.hi]}
     return CPAPCertificate(

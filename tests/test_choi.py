@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pimsner_lab import fock, hilbert_mod
 from pimsner_lab.expectation import ex_k_table
 from pimsner_lab.fock import FockWindow
 from pimsner_lab.hilbert_mod import (
@@ -170,3 +171,100 @@ def test_choi_check_memory_stays_below_the_dense_block():
         tracemalloc.stop()
     assert rep.passed
     assert peak < 20e6
+
+
+# ---------------------------------------------------------------------------
+# an exact oracle for the compression's Choi matrix, from the Fock indexing
+# ---------------------------------------------------------------------------
+
+def compression_choi_oracle(block_dims, n: int, big_n: int) -> dict:
+    """The nonzero entries of phi_N's Choi matrices on its read corner, per
+    (domain block s, codomain block t), as sorted (row, col, re, im) tuples,
+    from the Fock indexing alone, with no package code.
+
+    The corner holds degrees 0..N of the Fock module, degree k on n^k rows
+    over A, so D = sum_k n^k rows (on a two-sided window, n = 1, the degrees
+    below 0 are not read).  In block s of side d_s its flat rows are
+    u = 0..D d_s - 1, and phi_N = Ad P_N maps the unit e_uv to the unit e_uv
+    of M_D(A), in block s.  So C_s is |Omega><Omega| with
+    Omega = sum_u e_u (x) e_u, entry 1 at row u c + u and column v c + v for
+    c = D d_s, and C_t = 0 for t != s: 0/1 entries on every preset, since the
+    map is a coordinate corner."""
+    rows = sum(n ** k for k in range(big_n + 1))
+    out = {}
+    for s, d_s in enumerate(block_dims):
+        c = rows * d_s
+        for t in range(len(block_dims)):
+            out[s, t] = [(u * c + u, v * c + v, 1.0, 0.0)
+                         for u in range(c) for v in range(c)] if t == s else []
+    return out
+
+
+def decoded_choi_entries(table) -> dict:
+    """The (row, col, value) triples ``_choi_min_eig`` decodes for ``table``,
+    captured at ``_sparse_hermitian_min_eig``, per (s, t) in its call order,
+    as sorted (row, col, re, im) tuples."""
+    calls, original = [], hilbert_mod._sparse_hermitian_min_eig
+
+    def spy(row, col, val, side, bound):
+        calls.append(sorted(zip(row.tolist(), col.tolist(), val.real.tolist(), val.imag.tolist())))
+        return original(row, col, val, side, bound)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hilbert_mod, "_sparse_hermitian_min_eig", spy)
+        _choi_min_eig(table)
+    dims = table.spec.block_dims
+    return {(s, t): calls[s * len(dims) + t] for s in range(len(dims)) for t in range(len(dims))}
+
+
+def first_difference(got: dict, want: dict):
+    """The first (s, t), position and pair of entries at which two entry
+    lists differ (None for a missing entry), or None when they are equal."""
+    for key in want:
+        for i in range(max(len(got[key]), len(want[key]))):
+            pair = tuple(e[i] if i < len(e) else None for e in (got[key], want[key]))
+            if pair[0] != pair[1]:
+                return key, i, pair
+    return None
+
+
+@pytest.mark.parametrize("name, big_n", [(name, big_n) for name in sorted(PRESETS)
+                                         for big_n in (2, 3)]
+                         + [("crossed-z3", 4), ("crossed-z3", 5)])
+def test_compression_choi_equals_the_fock_oracle_exactly(name, big_n):
+    """The compression of the certificate's window [0, N + 2] (two-sided for
+    n = 1, where the read corner sits in the middle): every decoded entry
+    equals the oracle's, with no tolerance."""
+    spec = build_preset(name)
+    hi = big_n + 2
+    window = FockWindow.two_sided_sym(hi) if spec.n == 1 else FockWindow.one_sided(hi)
+    phi = factor_tables(spec, window, big_n)[0]
+    want = compression_choi_oracle(spec.algebra.block_dims, spec.n, big_n)
+    assert first_difference(decoded_choi_entries(phi), want) is None
+
+
+def test_compression_reading_past_n_is_named_by_the_oracle():
+    """The leak of the defect test (0.1 x the top-left corner of the degree
+    N + 1 block added into degree N), on a table whose ``reads`` cover the
+    degree N + 1 rows it now reads, cuntz2 at N = 2: the first differing
+    entry is the first leaked one, past every entry of the oracle.  (With
+    ``reads`` left at [0, N] the Choi corner cannot see the leak; the reads
+    check catches that one, test_cli's defect test.)"""
+    spec, big_n = build_preset("cuntz2"), 2
+    window = FockWindow.one_sided(big_n + 2)
+    phi = factor_tables(spec, window, big_n)[0]
+    offs = fock._degree_offsets(spec, window)
+    at_n, past_n = (slice(offs[d], offs[d] + spec.fiber_dim(big_n)) for d in (big_n, big_n + 1))
+
+    def apply(x, row):
+        out = phi.apply(x, row).copy()
+        for b, top in zip(out.blocks, x.submatrix(past_n, past_n).blocks):
+            b[..., at_n, at_n, :, :] += 0.1 * top
+        return out
+
+    leaky = LinearMapTable(phi.spec, phi.p, phi.q, apply, reads=np.arange(offs[big_n + 2]))
+    got = decoded_choi_entries(leaky)
+    want = compression_choi_oracle(spec.algebra.block_dims, spec.n, big_n)
+    # D = 7 rows of degrees 0..2; the first read row of degree 3 is i = 7, and
+    # the unit e_{7,7} lands on e_{3,3} (the first row of degree 2) as 0.1
+    assert first_difference(got, want) == ((0, 0), 49, ((7 * 7 + 3, 7 * 7 + 3, 0.1, 0.0), None))
