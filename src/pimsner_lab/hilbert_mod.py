@@ -15,12 +15,10 @@ an image is block diagonal over the codomain's blocks.  Both return a
 reads only some rows and columns of M_p(A) (``LinearMapTable.reads``) is
 checked on that corner alone, once a seeded test of the promise passes.
 Eigenvalues are solved exactly per connected component of the matrix's
-nonzero pattern, and serialized on a grid derived from ``psd_tol``
-(:func:`tol_grid`) so reports do not depend on BLAS threads.  The Choi
-matrices are almost diagonal, so a Choi check keeps only their nonzero
-entries: a row linked to no other is a 1 x 1 component read off the
-diagonal, and the linked rows alone are gathered into one dense matrix
-(see :func:`_choi_min_eig`).
+nonzero pattern, found from the nonzero entries alone, which is all a Choi
+check keeps of its almost diagonal matrices (:func:`_sparse_hermitian_min_eig`);
+they are serialized on a grid derived from ``psd_tol`` (:func:`tol_grid`) so
+reports do not depend on BLAS threads.
 A probe output, the image of a dense Gaussian Gram matrix, is screened whole.
 The checks need only the least eigenvalue, so one running minimum is carried
 through every component, probe trial, domain block and algebra block, and a
@@ -322,31 +320,68 @@ def json_float(value: float) -> float | None:
 
 
 def _hermitian_min_eig(mat: np.ndarray, bound: float = np.inf) -> tuple[float, float]:
-    """(min(bound, least eigenvalue of (M + M*)/2), max |M - M*|), solved
-    per connected component of the symmetrized nonzero pattern of M, each by
-    :func:`_dense_min_eig` (on M itself, uncopied, when one component covers
-    every row).  Exact: a symmetric permutation makes M block diagonal, and
-    every entry between two components is zero in both M and M*.  NaN for
-    both when an entry is not finite: the running minimum and maximum carry
-    NaN through."""
-    link = mat != 0
-    link |= link.T
-    np.fill_diagonal(link, False)
-    alone = ~link.any(axis=1)
-    low, herm_dev = _diagonal_min_eig(mat.diagonal()[alone], bound)
-    for idx in _components(link, ~alone):
-        low, dev = _dense_min_eig(mat if idx.size == len(mat) else mat[np.ix_(idx, idx)], low)
+    """:func:`_sparse_hermitian_min_eig` of the square matrix M, from its nonzero entries."""
+    row, col = np.nonzero(mat)
+    return _sparse_hermitian_min_eig(row, col, mat[row, col], len(mat), bound)
+
+
+def _sparse_hermitian_min_eig(row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                              side: int, bound: float) -> tuple[float, float]:
+    """(min(bound, least eigenvalue of (M + M*)/2), max |M - M*|) for the
+    side x side M with nonzero entries ``val`` at (``row``, ``col``), each
+    position at most once, solved per connected component of the symmetrized
+    pattern: exact, as a symmetric permutation makes M block diagonal.  Rows
+    with no off-diagonal entry come first, as 1 x 1 components of their
+    diagonal entry (0 where absent); then each other component, by least row,
+    is gathered rows ascending into one dense block for :func:`_dense_min_eig`.
+    Memory is O(nnz + side) beside those blocks.  NaN for both when an entry
+    is not finite (the running bounds carry it)."""
+    off = row != col
+    linked = np.zeros(side, dtype=bool)
+    linked[row[off]] = linked[col[off]] = True
+    diag = np.zeros(side, dtype=complex)
+    diag[row[~off]] = val[~off]
+    lone = diag[~linked]
+    if not np.isfinite(lone).all():
+        return np.nan, np.nan
+    low = np.minimum(bound, lone.real.min(initial=np.inf))
+    herm_dev = 2 * np.abs(lone.imag).max(initial=0.0)
+    label = _component_labels(row[off], col[off], side)
+    # the linked rows and their entries (in linked columns), sorted by component
+    members = np.flatnonzero(linked)
+    members = members[np.argsort(label[members], kind="stable")]
+    kept = np.flatnonzero(linked[row])
+    kept = kept[np.argsort(label[row[kept]], kind="stable")]
+    roots = np.flatnonzero(linked & (label == np.arange(side)))
+    m_cut = np.searchsorted(label[members], roots).tolist() + [members.size]
+    k_cut = np.searchsorted(label[row[kept]], roots).tolist() + [kept.size]
+    pos = np.zeros(side, dtype=np.intp)  # each linked row's place in its block
+    for i in range(roots.size):
+        idx, e = members[m_cut[i]:m_cut[i + 1]], kept[k_cut[i]:k_cut[i + 1]]
+        pos[idx] = np.arange(idx.size)
+        block = np.zeros((idx.size, idx.size), dtype=complex)
+        block[pos[row[e]], pos[col[e]]] = val[e]
+        low, dev = _dense_min_eig(block, low)
         herm_dev = np.maximum(herm_dev, dev)
     return float(low), float(herm_dev)
 
 
-def _diagonal_min_eig(diag: np.ndarray, bound: float) -> tuple[float, float]:
-    """:func:`_hermitian_min_eig` of the 1 x 1 components with entries ``diag``."""
-    if not diag.size:
-        return bound, 0.0
-    if not np.isfinite(diag).all():
-        return np.nan, np.nan
-    return float(np.minimum(bound, diag.real.min())), float(2 * np.abs(diag.imag).max())
+def _component_labels(u: np.ndarray, v: np.ndarray, side: int) -> np.ndarray:
+    """Each vertex's least connected vertex in the graph on ``side`` vertices
+    with edges (``u``, ``v``), by root hooking with full shortcutting
+    (Shiloach and Vishkin, J. Algorithms 3, 1982), O(edges + side) a round:
+    each edge hooks the larger of its ends' roots onto the smaller, then every
+    label is shortcut to its root.  Labels only fall, within a component, so
+    they end on its least vertex: 11 rounds on a shuffled 200,000-vertex path."""
+    label = np.arange(side)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
 def _dense_min_eig(mat: np.ndarray, low: float) -> tuple[float, float]:
@@ -371,33 +406,17 @@ def _dense_min_eig(mat: np.ndarray, low: float) -> tuple[float, float]:
 
 
 def _bounded_below(herm: np.ndarray, low: float) -> bool:
-    """Whether ``herm - low I`` has a Cholesky factor, i.e. no eigenvalue of
-    the Hermitian ``herm`` lies below ``low`` (up to backward error).  The
-    diagonal is shifted in place and restored when the factorization fails,
-    so no second copy of ``herm`` is made."""
+    """Whether ``herm - low I`` has a finite Cholesky factor, i.e. no
+    eigenvalue of the Hermitian ``herm`` lies below ``low`` (up to backward
+    error; LAPACK may return a factor that overflowed to NaN, which fails).
+    The diagonal is shifted in place and restored on failure, so no second copy is made."""
     diag = herm.diagonal().copy()
     np.fill_diagonal(herm, diag - low)
-    try:
-        np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        np.fill_diagonal(herm, diag)
-        return False
-    return True
-
-
-def _components(link: np.ndarray, todo: np.ndarray):
-    """Index arrays of the connected components of the graph with symmetric
-    boolean adjacency ``link`` that contain a vertex marked in ``todo``."""
-    todo = todo.copy()
-    while todo.any():
-        members = np.zeros_like(todo)
-        members[np.argmax(todo)] = True
-        frontier = members.copy()
-        while frontier.any():
-            frontier = link[frontier].any(axis=0) & ~members
-            members |= frontier
-        todo &= ~members
-        yield np.flatnonzero(members)
+    with contextlib.suppress(np.linalg.LinAlgError):
+        if np.isfinite(np.linalg.cholesky(herm).diagonal()).all():
+            return True
+    np.fill_diagonal(herm, diag)
+    return False
 
 
 class LinearMapTable:
@@ -446,28 +465,6 @@ class LinearMapTable:
         may share memory with ``x`` (a corner view does): write nothing into it."""
         return self._apply(x, row)
 
-    def basis_images(self):
-        """Images of the matrix units the map reads, one domain block s at a
-        time: for each block, an iterator over its read flat rows u, in
-        order, that yields the stack of r images whose [j] is the image of
-        e_uv for v the j-th of the block's r read flat rows (``_flat_reads``).
-        Every other unit's image is zero by the ``reads`` promise, so these
-        are the nonzero rows of the block's Choi matrix.  Each stack is the
-        result of one ``apply``, hinted with the row u // d_s of M_p(A) that
-        holds the row's unit stack; that unit stack, and an image that is a
-        view of it, is rewritten for the next row once the iterator is advanced."""
-        for s, rows in enumerate(self._flat_reads):
-            yield self._row_images(s, rows)
-
-    def _row_images(self, s: int, rows: np.ndarray):
-        flats = [np.zeros((rows.size, m, m), dtype=complex) for m in self.domain_sides]
-        units = AMatrix.from_flat(self.spec, self.p, self.p, flats)
-        stack, d = np.arange(rows.size), self.spec.block_dims[s]
-        for u in rows.tolist():
-            flats[s][stack, u, rows] = 1.0
-            yield self.apply(units, u // d)
-            flats[s][stack, u, rows] = 0.0
-
 
 def choi_cp_check(table: LinearMapTable) -> CPReport:
     """Exact CP check: per domain block, test the Choi matrix for PSD from
@@ -486,32 +483,34 @@ def choi_cp_check(table: LinearMapTable) -> CPReport:
 
 def _choi_min_eig(table: LinearMapTable) -> tuple[float, float]:
     """(least eigenvalue, max |C - C*|) over the Choi matrices C of the
-    table's domain blocks, as :func:`_hermitian_min_eig` finds them on each
-    dense C, with a running minimum carried from block to block.
+    table's domain blocks, with a running minimum carried from block to block.
 
+    Per domain block s, each read flat row u takes one ``apply``, hinted with
+    its row u // d_s of M_p(A), of the units e_uv for v over the block's read
+    flat rows: by the ``reads`` promise, these images are C's nonzero rows.
     An image is block diagonal over the codomain's algebra blocks t, so C is
-    the direct sum over t of the Choi matrices C_t of the images' block-t
-    parts.  No dense C_t is formed.  Each row's image stack is cut, per t, to
-    the nonzero flat indices and values of its block-t part at once, and
-    C_t's entries are decoded into rows and columns in one pass.  A row
-    with no off-diagonal nonzero in its row or column is a 1 x 1 component:
-    it adds its diagonal entry, or 0 where that is absent.  The other rows
-    form one dense principal submatrix, which ``_hermitian_min_eig`` splits
-    into the same components, with the same entries and in the same order,
-    as it would split C_t."""
-    dims = table.spec.block_dims
+    the direct sum of the Choi matrices C_t of the images' block-t parts, and
+    no dense C_t is formed: each image stack is cut per t to its nonzero flat
+    indices and values before the row's units (which it may view) are zeroed,
+    and C_t's entries are decoded in one pass (:func:`_sparse_hermitian_min_eig`)."""
+    dims, sides = table.spec.block_dims, table.domain_sides
     # the zero rows outside ``reads`` hold the eigenvalue 0
     low = 0.0 if table.restricted else np.inf
     herm_dev = 0.0
-    for s, images in enumerate(table.basis_images()):
+    for s, rows in enumerate(table._flat_reads):
+        flats = [np.zeros((rows.size, m, m), dtype=complex) for m in sides]
+        units = AMatrix.from_flat(table.spec, table.p, table.p, flats)
+        stack = np.arange(rows.size)
         parts = [([], []) for _ in dims]  # per t: each row's flat indices, values
-        for stack in images:
+        for u in rows.tolist():
+            flats[s][stack, u, rows] = 1.0
+            images = table.apply(units, u // dims[s])
             for t, (flat_idx, values) in enumerate(parts):
-                flat = stack.flatten_block(t).reshape(-1)
+                flat = images.flatten_block(t).reshape(-1)
                 k = np.flatnonzero(flat != 0)  # faster than on complex values
                 flat_idx.append(k)
                 values.append(flat[k])
-        r = table.reads.size * dims[s]
+            flats[s][stack, u, rows] = 0.0
         for (flat_idx, values), d in zip(parts, dims):
             c = table.q * d
             counts = [k.size for k in flat_idx]
@@ -521,36 +520,11 @@ def _choi_min_eig(table: LinearMapTable) -> tuple[float, float]:
             # ((i, a), (j, b)) of C_t = Phi(e_{u_i u_j})_t[a, b]
             j, ab = np.divmod(k, c * c)
             a, b = np.divmod(ab, c)
-            row = np.repeat(np.arange(r) * c, counts) + a
+            row = np.repeat(np.arange(rows.size) * c, counts) + a
             col = j * c + b
-            low, dev = _sparse_hermitian_min_eig(row, col, val, r * c, low)
+            low, dev = _sparse_hermitian_min_eig(row, col, val, rows.size * c, low)
             herm_dev = np.maximum(herm_dev, dev)
     return low, float(herm_dev)
-
-
-def _sparse_hermitian_min_eig(row: np.ndarray, col: np.ndarray, val: np.ndarray,
-                              side: int, bound: float) -> tuple[float, float]:
-    """:func:`_hermitian_min_eig` of the side x side matrix whose nonzero
-    entries are ``val`` at (``row``, ``col``), each position at most once,
-    from those entries alone."""
-    off_diag = row != col
-    linked = np.zeros(side, dtype=bool)
-    linked[row[off_diag]] = True
-    linked[col[off_diag]] = True
-    on_diag = ~off_diag
-    diag = np.zeros(side, dtype=complex)
-    diag[row[on_diag]] = val[on_diag]
-    low, herm_dev = _diagonal_min_eig(diag[~linked], bound)
-    # an entry in a linked row has a linked column: off the diagonal it
-    # links that column too
-    idx = np.flatnonzero(linked)
-    pos = np.zeros(side, dtype=np.intp)
-    pos[idx] = np.arange(idx.size)
-    keep = linked[row]
-    sub = np.zeros((idx.size, idx.size), dtype=complex)
-    sub[pos[row[keep]], pos[col[keep]]] = val[keep]
-    low, dev = _hermitian_min_eig(sub, low)
-    return low, float(np.maximum(herm_dev, dev))
 
 
 def _reads_check(table: LinearMapTable) -> float | None:

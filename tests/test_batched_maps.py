@@ -27,6 +27,7 @@ from pimsner_lab.lift import factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
 
 from conftest import compose
+from test_choi import decoded_choi_entries, first_difference
 
 BIG_N = 2
 
@@ -149,31 +150,40 @@ def test_batched_maps_equal_graded_operator_path(spec_name, name):
         assert (y - want).max_abs() <= 1e-12
 
 
-@pytest.mark.parametrize("spec_name, name", CASES)
-def test_basis_images_equal_per_unit_loop(spec_name, name):
-    """basis_images yields, per domain block and per flat row u that reads
-    covers, the stack of r images of the units e_uv for v in those rows;
-    every other unit's image is exactly zero, so those are all the nonzero
-    rows of the Choi matrix."""
-    spec = build(spec_name)
-    table, _ = reference_maps(spec, window_for(spec))[name]
-    blocks = table.basis_images()
-    for s, (m, d) in enumerate(zip(table.domain_sides, spec.algebra.block_dims)):
-        rows = (table.reads[:, None] * d + np.arange(d)).ravel()
-        stacks = iter(next(blocks))
+def per_unit_choi_entries(table) -> dict:
+    """The nonzero entries of the Choi matrices C_t of each domain block s,
+    per (s, t), as sorted (row, col, re, im) tuples, from one unhinted apply
+    per unit e_uv of the read flat rows: entry ((i, a), (j, b)) of C_t is
+    Phi(e_uv)_t[a, b] for u and v the i-th and j-th read flat rows.  Every
+    other unit's image must be exactly zero, so these are all of them."""
+    dims = table.spec.block_dims
+    out = {(s, t): [] for s in range(len(dims)) for t in range(len(dims))}
+    for s, (m, d) in enumerate(zip(table.domain_sides, dims)):
+        rows = (table.reads[:, None] * d + np.arange(d)).ravel().tolist()
         for u in range(m):
-            stack = next(stacks) if u in rows else None
-            assert stack is None or (
-                stack.stack_shape == (rows.size,) and (stack.rows, stack.cols) == (table.q,) * 2)
             for v in range(m):
                 image = elements(table.apply(unit_stack(table, s, u, [v])))[0]
-                if stack is not None and v in rows:
-                    j = int(np.searchsorted(rows, v))
-                    assert (elements(stack)[j] - image).max_abs() <= 1e-12
-                else:
+                if u not in rows or v not in rows:
                     assert image.max_abs() == 0.0
-        assert next(stacks, None) is None
-    assert next(blocks, None) is None
+                    continue
+                i, j = rows.index(u), rows.index(v)
+                for t, d_t in enumerate(dims):
+                    c, flat = table.q * d_t, image.flatten_block(t)
+                    out[s, t] += [(i * c + a, j * c + b, flat[a, b].real, flat[a, b].imag)
+                                  for a, b in zip(*np.nonzero(flat))]
+    return {key: sorted(entries) for key, entries in out.items()}
+
+
+@pytest.mark.parametrize("spec_name, name", CASES)
+def test_basis_images_equal_per_unit_loop(spec_name, name):
+    """The Choi entries the Choi check decodes, from one hinted apply per
+    read flat row of each domain block, equal those of one unhinted apply
+    per matrix unit, entry for entry and with no tolerance; every unit
+    outside ``reads`` has a zero image."""
+    spec = build(spec_name)
+    table, _ = reference_maps(spec, window_for(spec))[name]
+    want = per_unit_choi_entries(table)
+    assert first_difference(decoded_choi_entries(table), want) is None
 
 
 @pytest.mark.parametrize("big_n", [2, 3, 4, 5])
@@ -309,24 +319,29 @@ def test_stacked_amatrix_acts_per_element(spec_name):
 
 @pytest.mark.parametrize("spec_name", sorted(PRESETS) + ["mixed"])
 def test_identity_map_basis_images_are_the_matrix_units(spec_name):
-    """from_flat's blocks are views of the unit stack that basis_images
-    rewrites row by row; a map that handed such a view back would see its
-    images overwritten.  The identity window map must return every unit,
-    and each row's stack must still hold its units after every later row
-    has been built."""
+    """The identity map's Choi matrix on domain block s of side m is
+    |Omega><Omega| in codomain block s, entry 1 at row u m + u and column
+    v m + v, and zero in every other block: exactly the decoded entries, for
+    the identity window map and for the map that hands back its input.  The
+    latter's images are views of the unit stack that the Choi check rewrites
+    row by row, so each row's images must be read before its units are
+    zeroed again."""
     spec = build(spec_name)
     window = FockWindow.two_sided_sym(1) if spec.n == 1 else FockWindow.one_sided(2)
     table = window_table(spec, window, window, lambda g: g.restrict(window))
-    for s, (m, images) in enumerate(zip(table.domain_sides, table.basis_images())):
-        stacks = list(images)
-        assert len(stacks) == m
-        for u, stack in enumerate(stacks):
-            assert same_bits(stack, unit_stack(table, s, u, np.arange(m)))
+    same = LinearMapTable(table.spec, table.p, table.p, lambda x, row: x)
+    units = unit_stack(same, 0, 0, [0, 1])
+    assert all(np.shares_memory(a, b) for a, b in zip(same.apply(units, 0).blocks, units.blocks))
+    n = spec.algebra.n_blocks
+    want = {(s, t): [(u * m + u, v * m + v, 1.0, 0.0) for u in range(m) for v in range(m)]
+            if t == s else [] for s, m in enumerate(table.domain_sides) for t in range(n)}
+    for identity in (table, same):
+        assert first_difference(decoded_choi_entries(identity), want) is None
 
 
 def row_unit_stacks(table):
     """(the row of M_p(A), the stack of matrix units in one flat row of it),
-    as basis_images builds them."""
+    as the Choi check builds them."""
     for s, (m, d) in enumerate(zip(table.domain_sides, table.spec.block_dims)):
         for u in range(m):
             yield u // d, unit_stack(table, s, u, np.arange(m))
@@ -360,7 +375,7 @@ def splits(monkeypatch):
 
 @pytest.mark.parametrize("spec_name", ["twisted2", "crossed-z3", "mixed"])
 def test_choi_assembly_never_scans_a_unit_stack(spec_name, splits):
-    """basis_images hints every row it reads, and the probe hints nothing.
+    """The Choi check hints every row it reads, and the probe hints nothing.
     A Choi check applies, in order: for phi, which reads [0, N] alone, the
     pair G, Q G Q that tests its reads; one hinted unit stack per read flat
     row; then the unit.  The probe applies the reads pair, its cell stacks,

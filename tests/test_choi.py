@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pimsner_lab import fock, hilbert_mod
 from pimsner_lab.expectation import ex_k_table
-from pimsner_lab.fock import FockWindow
+from pimsner_lab.fock import FockWindow, GradedOperator, psi_amplify, window_table
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     LinearMapTable,
@@ -268,3 +268,114 @@ def test_compression_reading_past_n_is_named_by_the_oracle():
     # D = 7 rows of degrees 0..2; the first read row of degree 3 is i = 7, and
     # the unit e_{7,7} lands on e_{3,3} (the first row of degree 2) as 0.1
     assert first_difference(got, want) == ((0, 0), 49, ((7 * 7 + 3, 7 * 7 + 3, 0.1, 0.0), None))
+
+
+# ---------------------------------------------------------------------------
+# an exact oracle for Psi_N's Choi matrix, from its Kraus vectors
+# ---------------------------------------------------------------------------
+
+def psi_choi_oracle(name: str, big_n: int, hi: int) -> dict:
+    """N + 1 times the nonzero entries of the Choi matrices of Psi_N, into the
+    window of top degree ``hi`` (two-sided on crossed-z3), per (domain block
+    s, codomain block t), as sorted (row, col, re, im) tuples, from its Kraus
+    vectors alone, with no package code.
+
+    C = (N + 1)^-1 sum_{k,w} v_{k,w} v_{k,w}*, with the Kraus vector
+    v_{k,w} = sum_u e_u (x) e_{u.w} over the domain rows u (degrees 0..N)
+    whose extension u.w by a word w of length k lies in the window (Choi
+    1975; Kraus 1971).  The v_{k,w} have disjoint supports, so each entry of
+    (N + 1) C is 0 or 1.
+    - cuntz2 (n = 2, U = I, alpha = id): degree g holds its 2^g words at the
+      rows 2^g - 1 + word index, and u.w appends the letters of w least
+      significant, (g, x).w = (g + k, x 2^k + w), as ``amplify1`` orders them.
+    - crossed-z3 (n = 1, U = I, alpha the block shift (1, 2, 0)): degree g
+      is one row, g in the domain and g + hi in the window [-hi, hi].  The
+      words are the shifts k of either sign, and a shift by k moves algebra
+      block s to s + k mod 3: phi_1(e^0) = e^1 (``phi_k_direct``, pinned in
+      the test).
+    twisted2's Hadamard U and rotation-m2's golden-angle rotation give
+    irrational entries, which this oracle does not cover."""
+    out = {}
+    if name == "cuntz2":
+        c = 2 ** (hi + 1) - 1
+        out[0, 0] = []
+        for k in range(hi + 1):
+            for w in range(2 ** k):
+                v = [(2 ** g - 1 + x, 2 ** (g + k) - 1 + x * 2 ** k + w)
+                     for g in range(min(big_n, hi - k) + 1) for x in range(2 ** g)]
+                out[0, 0] += [(u * c + a, y * c + b, 1.0, 0.0) for u, a in v for y, b in v]
+    else:
+        c = 2 * hi + 1
+        out = {(s, t): [] for s in range(3) for t in range(3)}
+        for s in range(3):
+            for k in range(-hi - big_n, hi + 1):
+                v = [(g, g + k + hi) for g in range(big_n + 1) if -hi <= g + k <= hi]
+                out[s, (s + k) % 3] += [(u * c + a, y * c + b, 1.0, 0.0) for u, a in v for y, b in v]
+    return {key: sorted(entries) for key, entries in out.items()}
+
+
+def scaled(entries: dict, factor: float) -> dict:
+    """Each entry's value times ``factor``, computed in floating point."""
+    return {key: [(r, c, re * factor, im * factor) for r, c, re, im in e]
+            for key, e in entries.items()}
+
+
+def psi_window(spec, hi):
+    return FockWindow.two_sided_sym(hi) if spec.n == 1 else FockWindow.one_sided(hi)
+
+
+@pytest.mark.parametrize("name, big_n, hi", [
+    ("crossed-z3", n, n + 2) for n in (2, 3, 4, 5)] + [("cuntz2", n, n + 2) for n in (2, 3, 4)]
+    + [("cuntz2", 5, 5)])
+def test_psi_choi_equals_the_kraus_oracle_exactly(name, big_n, hi):
+    """Psi_N on the certificate's window [0, N + 2] (two-sided for n = 1),
+    and on cuntz2 at N = 5 on [0, N], where the certificate's window gives a
+    Choi side of 16,065 that takes seconds to assemble: N + 1 times every
+    decoded entry equals the oracle's, with no tolerance."""
+    spec = build_preset(name)
+    if spec.n == 1:
+        unit = AMatrix.zeros(spec.algebra, 1, 1)
+        unit.blocks[0][...] = 1.0
+        assert [b.item() for b in spec.phi_k_direct(unit, 1).blocks] == [0, 1, 0]
+    psi = factor_tables(spec, psi_window(spec, hi), big_n)[1]
+    got = scaled(decoded_choi_entries(psi), big_n + 1)
+    assert first_difference(got, psi_choi_oracle(name, big_n, hi)) is None
+
+
+@pytest.mark.parametrize("name", ["cuntz2", "crossed-z3"])
+def test_psi_defects_are_named_by_the_kraus_oracle(name):
+    """Two defects of Psi_N at N = 3 on the certificate's window, each named
+    at its first differing entry: the Fejer weight 1/(N + 2), off by one (the
+    input padded to [0, N + 1]), which changes the first entry; and the
+    output scaled by 2 where both degrees exceed N, which first changes the
+    first oracle entry in that corner."""
+    spec, big_n, hi = build_preset(name), 3, 5
+    window = psi_window(spec, hi)
+    want = psi_choi_oracle(name, big_n, hi)
+
+    def off_by_one(g):
+        return psi_amplify(GradedOperator(spec, FockWindow.one_sided(big_n + 1), g.blocks), window)
+
+    def scaled_above_n(g):
+        out = psi_amplify(g, window)
+        for (i, j), val in out.blocks.items():
+            if i > big_n and j > big_n:
+                out.blocks[i, j] = val * 2.0
+        return out
+
+    def psi_table(fn):  # Psi_N's table, as factor_tables builds it, around ``fn``
+        return window_table(spec, FockWindow.one_sided(big_n), window, fn)
+
+    key = next(iter(want))
+    first = want[key][0]
+    got = scaled(decoded_choi_entries(psi_table(off_by_one)), big_n + 1)
+    weight = 1.0 / (big_n + 2) * (big_n + 1)
+    assert first_difference(got, want) == (key, 0, ((*first[:2], weight, 0.0), first))
+
+    # the window rows of degree N + 1 start at ``lo``, of c rows in all
+    c, lo = (2 * hi + 1, big_n + 1 + hi) if spec.n == 1 else (2 ** (hi + 1) - 1, 2 ** (big_n + 1) - 1)
+    key, i = next((key, i) for key, e in want.items() for i, (row, col, _, _) in enumerate(e)
+                  if row % c >= lo and col % c >= lo)
+    got = scaled(decoded_choi_entries(psi_table(scaled_above_n)), big_n + 1)
+    entry = want[key][i]
+    assert first_difference(got, want) == (key, i, ((*entry[:2], 2.0, 0.0), entry))

@@ -1,17 +1,23 @@
 """Structure-aware kernels against their dense or loop reference forms:
-the per-component eigen-solve, the split of a window matrix into degree
-blocks, the flattened matrix product, entrywise amplification and the serialized CP grid."""
+the per-component eigen-solve, from a dense matrix or from its nonzero
+entries, the split of a window matrix into degree blocks, the flattened
+matrix product, entrywise amplification and the serialized CP grid."""
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pimsner_lab.star_core import DEFAULT_TOL, AlgebraSpec
+from pimsner_lab import hilbert_mod
 from pimsner_lab.hilbert_mod import (
     AMatrix,
     CPReport,
+    _component_labels,
     _dense_min_eig,
     _hermitian_min_eig,
+    _sparse_hermitian_min_eig,
     _probe_outputs,
     tol_grid,
     positivity_probe,
@@ -157,6 +163,18 @@ def test_screen_skips_only_components_at_or_above_the_bound():
     assert _hermitian_min_eig(mat, 1.5)[0] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_screen_refuses_a_factor_that_overflowed():
+    """H = [[0, z], [z*, 0]] with |z| = 0.364 and the subnormal bound
+    low = -2.2e-313: factoring H - low I overflows, and LAPACK returns a
+    factor with NaN on its diagonal instead of refusing it.  The screen must
+    read that as a failure and solve H, whose least eigenvalue is -|z|."""
+    mat = np.array([[0, 0], [0.7 - 0.2j, 0.3j]])
+    low = -2.2250738585e-313
+    want = dense_reference(mat)
+    assert _dense_min_eig(mat, low) == pytest.approx(want, abs=1e-15)
+    assert _hermitian_min_eig(mat, low) == pytest.approx(want, abs=1e-15)
+
+
 @pytest.mark.parametrize("preset, big_n", [
     ("twisted2", 3), ("twisted2", 4), ("cuntz2", 5), ("crossed-z3", 3), ("rotation-m2", 3),
 ], ids=["3", "4", "cuntz2-5", "crossed-z3-3", "rotation-m2-3"])
@@ -181,6 +199,124 @@ def test_probe_minimum_equals_a_full_eigvalsh_loop(preset, big_n):
             low, dev = _hermitian_min_eig(out, low)
             herm_dev = max(herm_dev, dev)
         assert (rep.min_eigenvalue, rep.hermitian_dev) == (low, herm_dev)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel: components found from the nonzero entries alone
+# ---------------------------------------------------------------------------
+
+def sparse_hidden_blocks(sizes, density, seed, skew):
+    """(M, rng): sparse random blocks of the given sizes, each B + B* for a
+    B with about ``density`` of its entries nonzero (so exactly Hermitian,
+    with zero rows and split blocks among them), summed directly and hidden
+    by a random symmetric permutation.  With ``skew`` M is made
+    non-Hermitian: its nonzero entries are perturbed, one diagonal entry
+    gets an imaginary part, and one entry is set in one direction only."""
+    rng = np.random.default_rng(seed)
+    side = sum(sizes)
+    mat = np.zeros((side, side), dtype=complex)
+    off = 0
+    for m in sizes:
+        z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (
+            rng.random((m, m)) < density)
+        mat[off:off + m, off:off + m] = z + z.conj().T
+        off += m
+    if skew:
+        mat += (mat != 0) * rng.standard_normal((side, side)) * 1e-2
+        i, j = rng.integers(side, size=2)
+        mat[i, i] += 0.3j
+        mat[i, j] = 0.7 - 0.2j
+    perm = rng.permutation(side)
+    return mat[np.ix_(perm, perm)], rng
+
+
+def closure_labels(adj):
+    """The least vertex reachable from each vertex of the undirected graph
+    with (possibly one-directional) boolean adjacency ``adj``, from its
+    reachability closure by repeated squaring."""
+    reach = adj | adj.T | np.eye(len(adj), dtype=bool)
+    while True:
+        step = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(step, reach):
+            return reach.argmax(axis=1)
+        reach = step
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=8), st.floats(0.0, 0.6),
+       st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.one_of(st.just(np.inf), st.floats(-4.0, 4.0)))
+def test_sparse_kernel_matches_dense_eigvalsh(sizes, density, seed, skew, bound):
+    """The kernel on the triples of a sparse matrix, given in a random order:
+    min(bound, least eigenvalue of (M + M*)/2) within 1e-12 x scale of dense
+    eigvalsh, and max |M - M*| exactly, Hermitian or not."""
+    mat, rng = sparse_hidden_blocks(sizes, density, seed, skew)
+    row, col = np.nonzero(mat)
+    order = rng.permutation(row.size)
+    row, col = row[order], col[order]
+    min_eig, dev = _sparse_hermitian_min_eig(row, col, mat[row, col], len(mat), bound)
+    want_eig, want_dev = dense_reference(mat)
+    assert abs(min_eig - min(bound, want_eig)) <= 1e-12 * scale(mat)
+    assert dev == want_dev
+    assert skew or dev == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 0.2), st.integers(0, 2 ** 32 - 1))
+def test_component_labels_equal_the_reachability_closure(side, density, seed):
+    """Each vertex is labelled with the least vertex of its component, for
+    edges given in one direction only, repeated, and as self-loops."""
+    rng = np.random.default_rng(seed)
+    adj = rng.random((side, side)) < density
+    u, v = np.nonzero(adj)
+    twice = rng.random(u.size) < 0.3
+    u, v = np.concatenate([u, v[twice]]), np.concatenate([v, u[twice]])
+    assert np.array_equal(_component_labels(u, v, side), closure_labels(adj))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.floats(0.2, 0.8),
+       st.integers(0, 2 ** 32 - 1))
+def test_components_are_visited_by_least_row_with_rows_ascending(sizes, density, seed):
+    """The dense kernel sees each component of two or more rows once, in
+    order of its least row, as the principal submatrix on its rows in
+    ascending order: the order the Cholesky screen's running minimum follows."""
+    mat, _ = sparse_hidden_blocks(sizes, density, seed, skew=False)
+    labels = closure_labels((mat != 0) & ~np.eye(len(mat), dtype=bool))
+    want = [mat[np.ix_(idx, idx)] for idx in (np.flatnonzero(labels == root)
+                                             for root in np.unique(labels)) if idx.size > 1]
+    seen, original = [], hilbert_mod._dense_min_eig
+
+    def spy(block, low):
+        seen.append(block.copy())
+        return original(block, low)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hilbert_mod, "_dense_min_eig", spy)
+        _hermitian_min_eig(mat)
+    assert len(seen) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+
+
+def test_component_labels_of_a_long_shuffled_path():
+    """A path through 200,000 vertices in a random order, each edge given
+    once, is one component: labelled 0 throughout in under 2 s.  (A dense
+    solve of that component would not fit in memory.)"""
+    side = 200_000
+    perm = np.random.default_rng(0).permutation(side)
+    start = time.perf_counter()
+    labels = _component_labels(perm[:-1], perm[1:], side)
+    assert time.perf_counter() - start < 2.0
+    assert not labels.any()
+
+
+@pytest.mark.parametrize("bound", [np.inf, 0.5, -0.5])
+def test_empty_triples_give_the_zero_rows(bound):
+    """No entries: every row is a zero 1 x 1 component, min(bound, 0); no
+    rows at all leave the bound."""
+    none = np.zeros(0, dtype=np.intp)
+    assert _sparse_hermitian_min_eig(none, none, np.zeros(0, complex), 3, bound) == (min(bound, 0.0), 0.0)
+    assert _sparse_hermitian_min_eig(none, none, np.zeros(0, complex), 0, bound) == (bound, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from pimsner_lab.hilbert_mod import (
     LinearMapTable,
     _dense_min_eig,
     _hermitian_min_eig,
+    _sparse_hermitian_min_eig,
     choi_cp_check,
     positivity_probe,
     tol_grid,
@@ -81,6 +82,23 @@ def test_non_finite_entry_of_a_component_reads_nan(monkeypatch, where, bad):
     for low in (np.inf, 0.25):
         assert all(np.isnan(_hermitian_min_eig(mat, low)))
         assert all(np.isnan(_dense_min_eig(mat, low)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("where", ["lone", "diagonal", "off-diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("bound", [np.inf, 0.5])
+def test_sparse_kernel_non_finite_entry_reads_nan(monkeypatch, where, bad, bound):
+    """Triples of a 6-row matrix: rows 0 and 5 alone, rows 1..4 one
+    component.  A non-finite entry in a 1 x 1 component, or on or off the
+    diagonal of the larger one, reads NaN for both, with no LAPACK call."""
+    no_lapack(monkeypatch)
+    row = np.array([0, 1, 2, 1, 2, 3, 4, 3, 4, 5, 2])
+    col = np.array([0, 1, 2, 2, 1, 3, 4, 4, 3, 5, 3])
+    val = np.array([1, 2, 2, 0.5, 0.5, 3, 3, 1j, -1j, 4, 0.25], dtype=complex)
+    val[{"lone": 9, "diagonal": 5, "off-diagonal": 10}[where]] = bad
+    low, dev = _sparse_hermitian_min_eig(row, col, val, 6, bound)
+    assert np.isnan(low) and np.isnan(dev)
 
 
 def test_nan_running_minimum_is_carried():
