@@ -478,28 +478,41 @@ def v_n_runs(spec: CorrespondenceSpec, seeds: dict, runs):
 # ---------------------------------------------------------------------------
 
 def window_table(spec: CorrespondenceSpec, window_in: FockWindow,
-                 window_out: FockWindow, fn) -> LinearMapTable:
+                 window_out: FockWindow, fn, classes=None) -> LinearMapTable:
     """A map of graded operators, ``fn`` (window_in -> window_out), as a
     linear map M_p(A) -> M_q(A) of window matrices, p and q the windows'
-    sides over A.  Each ``apply`` hands ``fn`` the whole stack as one
-    operator whose blocks are stacks, split by ``from_amatrix`` (into one
-    block row given a row hint, see :meth:`LinearMapTable.apply`), and
-    writes each output block once into a zeroed window stack."""
+    sides over A, declaring ``classes``.  Each ``apply`` hands ``fn`` the
+    whole stack as one operator whose blocks are stacks, split by
+    ``from_amatrix`` (into one block row given rows of one degree as the
+    hint, see :meth:`LinearMapTable.apply`), and writes each output block
+    once into a zeroed window stack."""
     _check_window(spec, window_in)
     _check_window(spec, window_out)
     alg, offs = spec.algebra, _degree_offsets(spec, window_in)
     t_in, t_out = int(offs[-1]), int(_degree_offsets(spec, window_out)[-1])
     row_degree = np.repeat(np.arange(len(offs) - 1), np.diff(offs))  # window index per row
 
-    def apply(x, row):
-        g = GradedOperator.from_amatrix(spec, window_in, x,
-                                        None if row is None else row_degree[row])
+    def apply(x, rows):
+        deg = set() if rows is None else set(row_degree[rows].tolist())
+        g = GradedOperator.from_amatrix(spec, window_in, x, deg.pop() if len(deg) == 1 else None)
         y = fn(g)  # before the result is allocated: a lower peak RSS, measured
         out = [np.zeros(x.stack_shape + (t_out, t_out, d, d), dtype=complex)
                for d in alg.block_dims]
         return y.to_amatrix(out=AMatrix(alg, t_out, t_out, out))
 
-    return LinearMapTable(alg, t_in, t_out, apply)
+    return LinearMapTable(alg, t_in, t_out, apply, classes=classes)
+
+
+def extension_classes(spec: CorrespondenceSpec, big_n: int, window: FockWindow):
+    """The ``classes`` of a map, like Psi_N, from [0, N] into the one-sided
+    ``window`` that sends a row u's units to the rows u.w (``amplify1``'s
+    order): a class per degree i, owning the row of degree m, word index w
+    by the degree-i row of word index w // n^(m - i)."""
+    offs, out = _degree_offsets(spec, FockWindow.one_sided(big_n)), _degree_offsets(spec, window)
+    degree = np.repeat(np.arange(window.hi + 1), np.diff(out))  # of each output row
+    shift = degree - np.arange(big_n + 1)[:, None]  # m - i
+    word = (np.arange(out[-1]) - out[degree]) // spec.n ** np.maximum(shift, 0)
+    return degree[:offs[-1]], np.where(shift >= 0, offs[:-1, None] + word, -1)
 
 
 def compress_table(spec: CorrespondenceSpec, window: FockWindow, big_n: int) -> LinearMapTable:
@@ -507,11 +520,12 @@ def compress_table(spec: CorrespondenceSpec, window: FockWindow, big_n: int) -> 
     matrices: the corner of each on the rows of [0, N], which is the window
     matrix of :func:`compress`, returned as a view that shares memory with
     its input.  Its ``reads`` are those rows, so the CP checks assemble and
-    probe that corner alone (and test the promise first)."""
+    probe that corner alone (and test the promise first), as one class for n > 1."""
     if not 0 <= big_n <= window.hi:
         raise ConfigurationError(f"N={big_n} out of range for window")
     offs = _degree_offsets(spec, window)
     lo, hi = int(offs[-window.lo]), int(offs[big_n + 1 - window.lo])
     return LinearMapTable(spec.algebra, int(offs[-1]), hi - lo,
-                          lambda x, row: x.submatrix(slice(lo, hi), slice(lo, hi)),
-                          reads=np.arange(lo, hi))
+                          lambda x, rows: x.submatrix(slice(lo, hi), slice(lo, hi)),
+                          reads=np.arange(lo, hi), classes=None if spec.n == 1 else (
+                              np.zeros(hi - lo, int), np.arange(hi - lo)[None]))

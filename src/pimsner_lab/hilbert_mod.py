@@ -8,26 +8,21 @@ norms of A-matrices are *defined* per algebra block through
 :meth:`AMatrix.flatten_block`, a *-homomorphism onto complex matrices.
 
 Complete positivity of a :class:`LinearMapTable`, a map M_p(A) -> M_q(A),
-is checked by the Choi matrix of each domain block (exact) or by a
-randomized positivity probe (necessary only), one algebra block at a time:
-an image is block diagonal over the codomain's blocks.  Both return a
-:class:`CPReport` of numbers, which decides every CP verdict.  A map that
-reads only some rows and columns of M_p(A) (``LinearMapTable.reads``) is
-checked on that corner alone, once a seeded test of the promise passes.
-Eigenvalues are solved exactly per connected component of the matrix's
-nonzero pattern, found from the nonzero entries alone, which is all a Choi
-check keeps of its almost diagonal matrices (:func:`_sparse_hermitian_min_eig`);
-they are serialized on a grid derived from ``psd_tol`` (:func:`tol_grid`) so
-reports do not depend on BLAS threads.
-A probe output, the image of a dense Gaussian Gram matrix, is screened whole.
-The checks need only the least eigenvalue, so one running minimum is carried
-through every component, probe trial, domain block and algebra block, and a
-component is solved only when a Cholesky screen cannot rule out that it sets
-a new minimum (see :func:`_dense_min_eig`).  A non-finite entry reads NaN,
-which the running minimum and maximum carry through, so no verdict passes it.
-They run on sides of a few hundred, where a second OpenBLAS thread only spins
-on another core, so :func:`cp_check_auto` runs on one (:func:`_one_blas_thread`),
-and a certificate checks its two probed factor maps in two threads (``lift._cp_pair``).
+is checked per algebra block by the Choi matrix of each domain block (exact)
+or by a randomized positivity probe (necessary only); the :class:`CPReport`
+decides every CP verdict.  A table that reads a corner of M_p(A) alone is
+checked on it once a seeded Gaussian test of that promise passes; one that
+declares row classes whose units' images do not overlap has its Choi matrices
+assembled from one ``apply`` per class when a like test passes, else per row.
+The least eigenvalue is solved exactly per connected component of the nonzero
+entries (:func:`_sparse_hermitian_min_eig`), a component only when a Cholesky
+screen cannot rule out a new running minimum (:func:`_dense_min_eig`); a probe
+output is screened whole.  A non-finite entry reads NaN, which the running
+bounds carry, so no verdict passes it.  Reports round eigenvalues on a grid
+derived from ``psd_tol`` (:func:`tol_grid`), so they do not depend on BLAS
+threads.  The checks run on one OpenBLAS thread (:func:`_one_blas_thread`),
+as a second only spins at these sides; a certificate checks its two probed
+factor maps in two threads (``lift._cp_pair``).
 """
 
 from __future__ import annotations
@@ -280,6 +275,7 @@ class CPReport:
     norm_bound: float          # ||Phi(1)||, which is ||Phi||_cb for CP maps
     hermitian_dev: float       # largest max |M - M*| over Choi matrices or probe outputs
     reads_dev: float | None = None  # the ``reads`` test's deviation (:func:`_reads_check`)
+    assembly_dev: float | None = None  # the test of ``classes`` (:func:`_choi_entries`)
 
     @property
     def passed(self) -> bool:
@@ -424,7 +420,7 @@ class LinearMapTable:
 
     ``apply`` maps a stack of p x p matrices (an AMatrix with stack axes) to
     the stack of q x q images; the callable passed in takes the stack and
-    that method's row hint, or None.  Flattened, domain block s is a full
+    that method's rows hint, or None.  Flattened, domain block s is a full
     matrix algebra of side p d_s (``domain_sides``); a map is completely
     positive iff each block restriction is, which the Choi assembly checks.
 
@@ -432,10 +428,15 @@ class LinearMapTable:
     promise that Phi = Phi o Ad Q for the coordinate projection Q onto them.
     It defaults to every row.  The CP checks work on that corner alone, and
     test the promise first.
+
+    ``classes`` may declare integer arrays (each read row's class, from 0 up;
+    an owner table (classes, q)): a unit in cell (x, y), x of class I, y of J,
+    has its image's nonzero (a, b) where owner[I, a] = x, owner[J, b] = y, as
+    indices into ``reads`` (-1: none); left None, each row is a class.
     """
 
-    def __init__(self, spec: AlgebraSpec, p: int, q: int, apply, reads=None):
-        self.spec, self.p, self.q = spec, int(p), int(q)
+    def __init__(self, spec: AlgebraSpec, p: int, q: int, apply, reads=None, classes=None):
+        self.spec, self.p, self.q, self.classes = spec, int(p), int(q), classes
         self._apply = apply
         self.reads = np.arange(self.p) if reads is None else np.asarray(reads, dtype=np.intp)
         r = self.reads
@@ -458,73 +459,97 @@ class LinearMapTable:
         """Whether ``reads`` leaves out a row of the domain."""
         return self.reads.size < self.p
 
-    def apply(self, x: AMatrix, row: int | None = None) -> AMatrix:
-        """The map on each element of a stack.  A ``row`` hint promises that
-        every nonzero entry of the stack lies in that row of M_p(A); a map may
-        read only that row, and returns the same images either way.  An image
-        may share memory with ``x`` (a corner view does): write nothing into it."""
-        return self._apply(x, row)
+    def apply(self, x: AMatrix, rows=None) -> AMatrix:
+        """The map on each element of a stack.  A ``rows`` hint, an integer
+        array of rows of M_p(A), promises that every nonzero entry of the
+        stack lies in those rows; a map may read only them, and returns the
+        same images either way.  An image may share memory with ``x`` (a
+        corner view does): write nothing into it."""
+        return self._apply(x, rows)
 
 
 def choi_cp_check(table: LinearMapTable) -> CPReport:
     """Exact CP check: per domain block, test the Choi matrix for PSD from
-    its nonzero entries (:func:`_choi_min_eig`).
-
-    Only the (r c)-side corner of the rows in ``reads`` is read and
-    eigen-solved: the other rows of the Choi matrix are zero (Choi 1975;
-    C(Phi o Ad Q) = C(Phi|QQ) (+) 0), so a table that reads less than its
-    domain adds the eigenvalue 0.  Such a table first has its ``reads``
-    tested; the record keeps the deviation (``reads_dev``) and the largest
-    max |C - C*|.  It runs at any side; ``cp_check_auto`` applies the cap."""
+    its nonzero entries (:func:`_choi_min_eig`), on the (r c)-side corner of
+    the rows in ``reads``, tested first: its other rows are zero (Choi 1975;
+    C(Phi o Ad Q) = C(Phi|QQ) (+) 0), the eigenvalue 0 when there are any.
+    The record keeps the tests' deviations (``reads_dev``, ``assembly_dev``)
+    and the largest max |C - C*|.  It runs at any side; ``cp_check_auto``
+    applies the cap."""
     reads_dev = _reads_check(table)
-    min_eig, herm_dev = _choi_min_eig(table)
-    return CPReport("choi", float(min_eig), *_unit_image_norms(table), herm_dev, reads_dev)
+    low, herm, assembly_dev = _choi_min_eig(table)
+    return CPReport("choi", float(low), *_unit_image_norms(table), herm, reads_dev, assembly_dev)
 
 
-def _choi_min_eig(table: LinearMapTable) -> tuple[float, float]:
-    """(least eigenvalue, max |C - C*|) over the Choi matrices C of the
-    table's domain blocks, with a running minimum carried from block to block.
-
-    Per domain block s, each read flat row u takes one ``apply``, hinted with
-    its row u // d_s of M_p(A), of the units e_uv for v over the block's read
-    flat rows: by the ``reads`` promise, these images are C's nonzero rows.
-    An image is block diagonal over the codomain's algebra blocks t, so C is
-    the direct sum of the Choi matrices C_t of the images' block-t parts, and
-    no dense C_t is formed: each image stack is cut per t to its nonzero flat
-    indices and values before the row's units (which it may view) are zeroed,
-    and C_t's entries are decoded in one pass (:func:`_sparse_hermitian_min_eig`)."""
-    dims, sides = table.spec.block_dims, table.domain_sides
-    # the zero rows outside ``reads`` hold the eigenvalue 0
-    low = 0.0 if table.restricted else np.inf
-    herm_dev = 0.0
+def _choi_min_eig(table: LinearMapTable) -> tuple[float, float, float | None]:
+    """(least eigenvalue, max |C - C*|, assembly deviation) over the Choi
+    matrices C of the domain blocks: the direct sums of the Choi matrices C_t
+    of the images' parts in codomain blocks t, eigen-solved from their entries
+    (:func:`_choi_entries`).  A block assembled per declared class is assembled
+    again per row unless its test is within eq_tol: it never decides a verdict."""
+    low = 0.0 if table.restricted else np.inf  # the zero rows outside ``reads``
+    herm_dev, assembly_dev = 0.0, None if table.classes is None else 0.0
     for s, rows in enumerate(table._flat_reads):
-        flats = [np.zeros((rows.size, m, m), dtype=complex) for m in sides]
-        units = AMatrix.from_flat(table.spec, table.p, table.p, flats)
-        stack = np.arange(rows.size)
-        parts = [([], []) for _ in dims]  # per t: each row's flat indices, values
-        for u in rows.tolist():
-            flats[s][stack, u, rows] = 1.0
-            images = table.apply(units, u // dims[s])
-            for t, (flat_idx, values) in enumerate(parts):
-                flat = images.flatten_block(t).reshape(-1)
-                k = np.flatnonzero(flat != 0)  # faster than on complex values
-                flat_idx.append(k)
-                values.append(flat[k])
-            flats[s][stack, u, rows] = 0.0
-        for (flat_idx, values), d in zip(parts, dims):
-            c = table.q * d
-            counts = [k.size for k in flat_idx]
-            k = np.concatenate(flat_idx) if counts else np.zeros(0, dtype=np.intp)
-            val = np.concatenate(values) if counts else np.zeros(0, dtype=complex)
-            # flat index k of row i's (r, c, c) block-t stack is (j, a, b): entry
-            # ((i, a), (j, b)) of C_t = Phi(e_{u_i u_j})_t[a, b]
-            j, ab = np.divmod(k, c * c)
-            a, b = np.divmod(ab, c)
-            row = np.repeat(np.arange(rows.size) * c, counts) + a
-            col = j * c + b
-            low, dev = _sparse_hermitian_min_eig(row, col, val, rows.size * c, low)
+        parts, dev = _choi_entries(table, s, table.classes)
+        if table.classes is not None:
+            assembly_dev = float(np.maximum(assembly_dev, dev))
+            if not dev <= DEFAULT_TOL.eq_tol:
+                parts = _choi_entries(table, s, None)[0]
+        for (row, col, val), d in zip(parts, table.spec.block_dims):
+            low, dev = _sparse_hermitian_min_eig(row, col, val, rows.size * table.q * d, low)
             herm_dev = np.maximum(herm_dev, dev)
-    return low, float(herm_dev)
+    return low, float(herm_dev), assembly_dev
+
+
+def _choi_entries(table: LinearMapTable, s: int, classes) -> tuple[list, float | None]:
+    """(the (row, col, value) entries of each C_t on domain block s, their
+    test).  Each class I of read flat rows, by (row class, or row when None;
+    algebra index), takes one ``apply``, hinted with its rows, of the stack
+    whose element J sums e_uv over u in I, v in J: its nonzero (a, b) is entry
+    ((i, a), (j, b)) for u_i, u_j the owners of a in I and b in J, read before
+    the units, which it may view, are zeroed.  The test (None undeclared) is
+    max |Phi(X) - sum_ij X_ij C_ij| for a seeded Gaussian X on the corner, in
+    O(nnz): above 0 for almost every X if an entry went to the wrong unit
+    (Freivalds 1977), inf if one has no owner, NaN if one is not finite."""
+    dims, rows, d = table.spec.block_dims, table._flat_reads[s], table.spec.block_dims[s]
+    row_class, owner = classes or (np.arange(table.reads.size), None)
+    cls = (row_class[:, None] * d + np.arange(d)).ravel()  # of each read flat row
+    order, cut = np.argsort(cls, kind="stable"), np.cumsum(np.bincount(cls, minlength=1)).tolist()
+    flats = [np.zeros((len(cut), m, m), dtype=complex) for m in table.domain_sides]
+    units = AMatrix.from_flat(table.spec, table.p, table.p, flats)
+    found = [([np.zeros(0, np.intp)], [np.zeros(0, complex)]) for _ in dims]  # per t: k, values
+    for i, mine in enumerate(order[lo:hi] for lo, hi in zip([0] + cut, cut)):
+        cells = (cls, rows[mine][:, None], rows)
+        flats[s][cells] = 1.0
+        images = table.apply(units, table.reads[mine // d])
+        for t, (ks, values) in enumerate(found):
+            flat = images.flatten_block(t).reshape(-1)
+            ks.append(np.flatnonzero(flat != 0))  # faster than on complex values
+            values.append(flat[ks[-1]])
+        flats[s][cells] = 0.0
+    parts = []
+    for (ks, values), d_t in zip(found, dims):
+        u = np.repeat(np.arange(len(cut)), [k.size for k in ks[1:]])
+        c = table.q * d_t  # flat index k of class u's stack is (v, a, b)
+        v, ab = np.divmod(np.concatenate(ks), c * c)
+        a, b = np.divmod(ab, c)
+        if owner is not None:  # the owners of a and b, < 0 for none
+            u, v = owner[u // d, a // d_t] * d + u % d, owner[v // d, b // d_t] * d + v % d
+        parts.append((u * c + a, v * c + b, np.concatenate(values)))
+    if classes is None:
+        return parts, None
+    x = np.random.default_rng(s).standard_normal((rows.size, rows.size, 2)).view(complex)[..., 0]
+    flats[s][0][np.ix_(rows, rows)] = x  # the first element of the zeroed class stack
+    image = table.apply(AMatrix.from_flat(table.spec, table.p, table.p, [f[:1] for f in flats]))
+    dev = 0.0
+    for t, (row, col, val) in enumerate(parts):
+        c = table.q * dims[t]
+        (i, a), (j, b) = np.divmod(row, c), np.divmod(col, c)
+        w = np.where((i < 0) | (j < 0), np.inf, x[i, j] * val)  # an entry with no owner: inf
+        at = a * c + b
+        rebuilt = np.bincount(at, w.real, c * c) + 1j * np.bincount(at, w.imag, c * c)
+        dev = np.maximum(dev, np.max(np.abs(image.flatten_block(t)[0].reshape(-1) - rebuilt)))
+    return parts, float(dev)
 
 
 def _reads_check(table: LinearMapTable) -> float | None:

@@ -45,6 +45,7 @@ from .fock import (
     compress,
     compress_table,
     creation_op,
+    extension_classes,
     psi_amplify,
     schur_oracle,
     toeplitz_op,
@@ -279,11 +280,11 @@ def factor_tables(spec: CorrespondenceSpec, window: FockWindow, big_n: int):
     """The two factor maps of the pipeline and D: compress into the window
     algebra M_D(A) of [0, N], a corner view of the window matrix that reads
     [0, N] alone (:func:`compress_table`), and amplify back, Psi_N through
-    :func:`window_table`.  On a two-sided window with N = window.hi, phi is
-    the bilateral lift's compression."""
+    :func:`window_table`, a row class per degree for n > 1.  On a two-sided
+    window with N = window.hi, phi is the bilateral lift's compression."""
     phi = compress_table(spec, window, big_n)
-    psi = window_table(spec, FockWindow.one_sided(big_n), window,
-                       lambda g: psi_amplify(g, window))
+    psi = window_table(spec, FockWindow.one_sided(big_n), window, lambda g: psi_amplify(g, window),
+                       extension_classes(spec, big_n, window) if spec.n > 1 else None)
     return phi, psi, phi.q
 
 

@@ -6,7 +6,7 @@ blocks and algebra blocks are both wider than one (which no preset has)."""
 import numpy as np
 import pytest
 
-from pimsner_lab.star_core import AlgebraSpec, Automorphism
+from pimsner_lab.star_core import DEFAULT_TOL, AlgebraSpec, Automorphism
 from pimsner_lab.correspondence import CorrespondenceSpec
 from pimsner_lab.hilbert_mod import (
     AMatrix,
@@ -27,7 +27,7 @@ from pimsner_lab.lift import factor_tables
 from pimsner_lab.presets import PRESETS, build_preset
 
 from conftest import compose
-from test_choi import decoded_choi_entries, first_difference
+from test_choi import decoded_choi_entries, decoded_triples, first_difference, same_triples
 
 BIG_N = 2
 
@@ -152,38 +152,53 @@ def test_batched_maps_equal_graded_operator_path(spec_name, name):
 
 def per_unit_choi_entries(table) -> dict:
     """The nonzero entries of the Choi matrices C_t of each domain block s,
-    per (s, t), as sorted (row, col, re, im) tuples, from one unhinted apply
-    per unit e_uv of the read flat rows: entry ((i, a), (j, b)) of C_t is
-    Phi(e_uv)_t[a, b] for u and v the i-th and j-th read flat rows.  Every
-    other unit's image must be exactly zero, so these are all of them."""
+    per (s, t), as (row, col, value) arrays sorted by (row, col), from the
+    image of each unit e_uv alone: one unhinted apply per flat row u of the
+    stack of every unit in that row, each element one unit.  Entry
+    ((i, a), (j, b)) of C_t is Phi(e_uv)_t[a, b] for u and v the i-th and
+    j-th read flat rows.  Every other unit's image must be exactly zero, so
+    these are all of them."""
     dims = table.spec.block_dims
-    out = {(s, t): [] for s in range(len(dims)) for t in range(len(dims))}
+    out = {}
     for s, (m, d) in enumerate(zip(table.domain_sides, dims)):
-        rows = (table.reads[:, None] * d + np.arange(d)).ravel().tolist()
+        place = np.full(m, -1)  # each flat row's place among the read flat rows
+        place[(table.reads[:, None] * d + np.arange(d)).ravel()] = np.arange(table.reads.size * d)
+        got = [[] for _ in dims]
         for u in range(m):
-            for v in range(m):
-                image = elements(table.apply(unit_stack(table, s, u, [v])))[0]
-                if u not in rows or v not in rows:
-                    assert image.max_abs() == 0.0
-                    continue
-                i, j = rows.index(u), rows.index(v)
-                for t, d_t in enumerate(dims):
-                    c, flat = table.q * d_t, image.flatten_block(t)
-                    out[s, t] += [(i * c + a, j * c + b, flat[a, b].real, flat[a, b].imag)
-                                  for a, b in zip(*np.nonzero(flat))]
-    return {key: sorted(entries) for key, entries in out.items()}
+            images = table.apply(unit_stack(table, s, u, np.arange(m)))
+            for t, d_t in enumerate(dims):
+                c, flat = table.q * d_t, images.flatten_block(t)
+                v, a, b = np.nonzero(flat)
+                assert place[u] >= 0 or v.size == 0
+                assert (place[v] >= 0).all()
+                got[t].append((place[u] * c + a, place[v] * c + b, flat[v, a, b]))
+        for t, part in enumerate(got):
+            row, col, val = map(np.concatenate, zip(*part))
+            order = np.lexsort((col, row))
+            out[s, t] = row[order], col[order], val[order]
+    return out
+
+
+def per_row(table):
+    """``table`` with no ``classes`` declared: its Choi matrices are
+    assembled one row per class."""
+    return LinearMapTable(table.spec, table.p, table.q, table.apply, reads=table.reads)
 
 
 @pytest.mark.parametrize("spec_name, name", CASES)
 def test_basis_images_equal_per_unit_loop(spec_name, name):
-    """The Choi entries the Choi check decodes, from one hinted apply per
-    read flat row of each domain block, equal those of one unhinted apply
-    per matrix unit, entry for entry and with no tolerance; every unit
-    outside ``reads`` has a zero image."""
+    """The Choi entries the Choi check decodes, from one apply per class of
+    read flat rows of each domain block where the table declares classes
+    (the compression and Psi_N, for n > 1) and from one per read flat row
+    otherwise, and from one per read flat row with the declaration dropped,
+    equal those of the images of each matrix unit alone, bit for bit; every
+    unit outside ``reads`` has a zero image."""
     spec = build(spec_name)
     table, _ = reference_maps(spec, window_for(spec))[name]
+    assert (table.classes is not None) == (spec.n > 1 and name in ("compress", "amplify"))
     want = per_unit_choi_entries(table)
-    assert first_difference(decoded_choi_entries(table), want) is None
+    assert same_triples(decoded_triples(table), want)
+    assert same_triples(decoded_triples(per_row(table)), want)
 
 
 @pytest.mark.parametrize("big_n", [2, 3, 4, 5])
@@ -213,7 +228,7 @@ def test_compress_table_is_compress_bit_for_bit(spec_name, big_n):
         cols = np.unique(np.linspace(0, m - 1, 6).astype(int))
         for row in (phi.reads[0], phi.reads[-1], outside):
             units = unit_stack(phi, s, row * d, cols)
-            for x, y in zip(elements(units), elements(phi.apply(units, row))):
+            for x, y in zip(elements(units), elements(phi.apply(units, [row]))):
                 assert same_bits(y, compressed(x))
 
 
@@ -322,39 +337,65 @@ def test_identity_map_basis_images_are_the_matrix_units(spec_name):
     """The identity map's Choi matrix on domain block s of side m is
     |Omega><Omega| in codomain block s, entry 1 at row u m + u and column
     v m + v, and zero in every other block: exactly the decoded entries, for
-    the identity window map and for the map that hands back its input.  The
-    latter's images are views of the unit stack that the Choi check rewrites
-    row by row, so each row's images must be read before its units are
-    zeroed again."""
+    the identity window map and for the map that hands back its input, the
+    latter also with all rows in one class (each unit owned by the unit it
+    lands on, as the compression declares).  Its images are views of the
+    unit stack that the Choi check rewrites class by class, so each class's
+    images must be read before its units are zeroed again."""
     spec = build(spec_name)
     window = FockWindow.two_sided_sym(1) if spec.n == 1 else FockWindow.one_sided(2)
     table = window_table(spec, window, window, lambda g: g.restrict(window))
-    same = LinearMapTable(table.spec, table.p, table.p, lambda x, row: x)
+    same = LinearMapTable(table.spec, table.p, table.p, lambda x, rows: x)
+    one_class = LinearMapTable(table.spec, table.p, table.p, lambda x, rows: x,
+                               classes=(np.zeros(table.p, int), np.arange(table.p)[None]))
     units = unit_stack(same, 0, 0, [0, 1])
-    assert all(np.shares_memory(a, b) for a, b in zip(same.apply(units, 0).blocks, units.blocks))
+    assert all(np.shares_memory(a, b) for a, b in zip(same.apply(units, [0]).blocks, units.blocks))
     n = spec.algebra.n_blocks
     want = {(s, t): [(u * m + u, v * m + v, 1.0, 0.0) for u in range(m) for v in range(m)]
             if t == s else [] for s, m in enumerate(table.domain_sides) for t in range(n)}
-    for identity in (table, same):
+    for identity in (table, same, one_class):
         assert first_difference(decoded_choi_entries(identity), want) is None
 
 
+def choi_stacks(table):
+    """(rows hint, a copy of the stack) of each hinted apply that the Choi
+    check of ``table`` makes, in order, its ``classes`` declaration kept."""
+    seen = []
+
+    def apply(x, rows):
+        if rows is not None:
+            seen.append((rows, x.copy()))
+        return table.apply(x, rows)
+
+    choi_cp_check(LinearMapTable(table.spec, table.p, table.q, apply, reads=table.reads,
+                                 classes=table.classes))
+    return seen
+
+
 def row_unit_stacks(table):
-    """(the row of M_p(A), the stack of matrix units in one flat row of it),
-    as the Choi check builds them."""
+    """(rows hint, stack) pairs: the stack of matrix units in each flat row
+    of each domain block, hinted with its row of M_p(A), and the stacks the
+    Choi check builds, hinted as it hints them: per class where the table
+    declares classes, and per read flat row with the declaration dropped."""
     for s, (m, d) in enumerate(zip(table.domain_sides, table.spec.block_dims)):
         for u in range(m):
-            yield u // d, unit_stack(table, s, u, np.arange(m))
+            yield np.array([u // d]), unit_stack(table, s, u, np.arange(m))
+    yield from choi_stacks(table)
+    if table.classes is not None:
+        yield from choi_stacks(per_row(table))
 
 
 @pytest.mark.parametrize("spec_name, name", CASES)
 def test_row_hint_gives_the_unhinted_images(spec_name, name):
-    """A row hint only spares the map the search for the stack's support:
-    on every row's unit stack the images are exactly the unhinted ones."""
+    """A rows hint only spares the map the search for the stack's support:
+    every hinted stack holds its nonzero entries in the hinted rows, and its
+    images are exactly the unhinted ones."""
     spec = build(spec_name)
     table, _ = reference_maps(spec, window_for(spec))[name]
-    for row, units in row_unit_stacks(table):
-        assert same_bits(table.apply(units, row), table.apply(units))
+    for rows, units in row_unit_stacks(table):
+        held = {i for b in units.blocks for i in np.nonzero(b)[1].tolist()}
+        assert held <= set(rows.tolist())
+        assert same_bits(table.apply(units, rows), table.apply(units))
 
 
 @pytest.fixture
@@ -375,30 +416,50 @@ def splits(monkeypatch):
 
 @pytest.mark.parametrize("spec_name", ["twisted2", "crossed-z3", "mixed"])
 def test_choi_assembly_never_scans_a_unit_stack(spec_name, splits):
-    """The Choi check hints every row it reads, and the probe hints nothing.
-    A Choi check applies, in order: for phi, which reads [0, N] alone, the
-    pair G, Q G Q that tests its reads; one hinted unit stack per read flat
-    row; then the unit.  The probe applies the reads pair, its cell stacks,
-    then the unit.  psi, a window table, splits each hinted stack into its
-    one block row; phi, the corner of the window matrix, makes no split."""
+    """The Choi check hints every stack it builds, and the probe hints
+    nothing.  Each table is checked with its ``classes`` declaration kept by
+    the spy, and with it dropped (one row per class).  A Choi check applies,
+    in order: for phi, which reads [0, N] alone, the pair G, Q G Q that
+    tests its reads; per domain block, one stack per class, as deep as the
+    block has classes and hinted with the class's rows, then, for a declared
+    table, the Gaussian that tests the grouping; then the unit.  phi's read
+    rows form one class and psi's each degree, for n > 1; otherwise each
+    row is a class.  The probe applies the reads pair, its cell stacks, then
+    the unit.  psi, a window table, splits each hinted stack into the one
+    block row of its rows' degree; phi, the corner of the window matrix,
+    makes no split."""
     spec = build(spec_name)
     phi, psi, _ = factor_tables(spec, window_for(spec), BIG_N)
-    for table, reads_pair in ((phi, [(2,)]), (psi, [])):
-        applies = []  # (stack shape, row hint) of each apply, in order
-        spy = LinearMapTable(table.spec, table.p, table.q, reads=table.reads, apply=lambda x, row: (
-            applies.append((x.stack_shape, row)) or table.apply(x, row)))
-        splits.clear()
-        assert choi_cp_check(spy).passed
-        r = table.reads.size
-        assert [shape for shape, row in applies if row is not None] == [
-            (r * d,) for d in spec.algebra.block_dims for _ in range(r * d)]
-        assert [shape for shape, row in applies if row is None] == reads_pair + [(1,)]
-        if table is phi:
-            assert splits == []
-        else:
-            assert [(shape, row is None) for shape, row, _ in splits] == [
-                (shape, row is None) for shape, row in applies]
-            assert all(len(rows) == 1 for _, row, rows in splits if row is not None)
+    degree = np.repeat(np.arange(BIG_N + 1), [spec.fiber_dim(k) for k in range(BIG_N + 1)])
+    assert (psi.classes is None) == (phi.classes is None) == (spec.n == 1)
+    for table, reads_pair, row_classes in ((phi, [(2,)], 1), (psi, [], BIG_N + 1)):
+        for classes in (table.classes, None):
+            applies = []  # (stack shape, rows hint) of each apply, in order
+            spy = LinearMapTable(table.spec, table.p, table.q, reads=table.reads, classes=classes,
+                                 apply=lambda x, rows: (applies.append((x.stack_shape, rows))
+                                                        or table.apply(x, rows)))
+            splits.clear()
+            rep = choi_cp_check(spy)
+            assert rep.passed and (rep.assembly_dev is None) == (classes is None)
+            assert classes is None or rep.assembly_dev <= DEFAULT_TOL.eq_tol
+            r = table.reads.size
+            want = [(shape, False) for shape in reads_pair]
+            for d in spec.algebra.block_dims:
+                k = (row_classes if classes is not None else r) * d
+                want += [((k,), True)] * k + [((1,), False)] * (classes is not None)
+            assert [(shape, rows is not None) for shape, rows in applies] == want + [((1,), False)]
+            hints = [rows for _, rows in applies if rows is not None]
+            assert all(set(rows.tolist()) <= set(table.reads.tolist()) for rows in hints)
+            if classes is None:
+                assert all(rows.size == 1 for rows in hints)
+            if table is phi:
+                assert splits == []
+            else:
+                assert [(shape, row is None) for shape, row, _ in splits] == [
+                    (shape, rows is None) for shape, rows in applies]
+                for (_, row, held), (_, rows) in zip(splits, applies):
+                    if rows is not None:
+                        assert set(degree[rows].tolist()) == {row} == held
         applies.clear()
         splits.clear()
         positivity_probe(spy, trials=2, seed=0)
